@@ -4,12 +4,16 @@ The chain mirrors the production flow for pushbroom band alignment:
 
 1. Canny edge maps of the reference and target planes act as the high-pass
    filter, so matching keys on structure rather than band radiometry.
+   ``edge_map`` builds the softened map of one plane; a caller aligning
+   several bands to one reference computes the reference map once and
+   passes it as ``ref_edges``.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.
 3. Matches are gated around an attitude-derived shift prior, then cleaned
    by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
-   resampled through the inverse map with bilinear interpolation.
+   resampled through the inverse map with bilinear interpolation, one
+   block of lines at a time, so no full-plane coordinate grid is built.
 
 All operations are pure; tile matching may be spread across threads and is
 reduced in tile_id order, so results are independent of worker count.
@@ -92,6 +96,19 @@ def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
     return edges.astype(np.uint8)
 
 
+def edge_map(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
+             t_high: float = 0.3, blur_sigma: float = 1.0) -> np.ndarray:
+    """Canny edge map as float64, softened by a Gaussian of ``blur_sigma``.
+
+    The blur makes the correlation peak smooth enough for subpixel fitting;
+    ``blur_sigma <= 0`` leaves the binary map as is.
+    """
+    edges = canny_edges(plane, sigma, t_low, t_high).astype(np.float64)
+    if blur_sigma > 0:
+        edges = ndimage.gaussian_filter(edges, blur_sigma)
+    return edges
+
+
 # --------------------------------------------------------------- matching
 
 def _next_pow2(n: int) -> int:
@@ -111,21 +128,14 @@ def _parabola_offset(c_minus: float, c_zero: float, c_plus: float) -> float:
     return offset
 
 
-def fft_xcorr(tile_ref: np.ndarray, tile_tgt: np.ndarray,
-              method: str = "ncc") -> tuple[float, float, float]:
+def fft_xcorr(tile_ref: np.ndarray, tile_tgt: np.ndarray) -> tuple[float, float, float]:
     """Shift of the target tile relative to the reference tile.
 
     Normalized circular cross-correlation via FFT; the integer peak is
     refined per axis by a 3-point parabola.  Shifts are reported in
     (-N/2, N/2] and the score is the normalized peak value in [0, 1]:
     matching a tile against itself scores exactly 1 at (0, 0).
-
-    ``method="phase"`` switches to pure phase correlation (unit-magnitude
-    cross spectrum), kept for comparison studies; its sharper peak trades
-    robustness for delta-like localization.
     """
-    if method not in ("ncc", "phase"):
-        raise OutOfBounds(f"unknown correlation method {method!r}")
     a = np.asarray(tile_ref, dtype=np.float64)
     b = np.asarray(tile_tgt, dtype=np.float64)
     if a.shape != b.shape:
@@ -147,12 +157,8 @@ def fft_xcorr(tile_ref: np.ndarray, tile_tgt: np.ndarray,
         a, b = pa, pb
 
     spectrum = np.fft.rfft2(b) * np.conj(np.fft.rfft2(a))
-    if method == "phase":
-        spectrum = spectrum / np.maximum(np.abs(spectrum), 1e-15)
-        corr = np.fft.irfft2(spectrum, s=a.shape)
-    else:
-        corr = np.fft.irfft2(spectrum, s=a.shape)
-        corr /= ea * eb
+    corr = np.fft.irfft2(spectrum, s=a.shape)
+    corr /= ea * eb
     peak_y, peak_x = np.unravel_index(int(np.argmax(corr)), corr.shape)
     score = float(np.clip(corr[peak_y, peak_x], 0.0, 1.0))
 
@@ -182,16 +188,6 @@ class MatchPoint:
     dx: float
     dy: float
     score: float
-
-    def to_doc(self) -> dict:
-        return {
-            "tile_id": self.tile_id,
-            "x_ref": self.x_ref,
-            "y_ref": self.y_ref,
-            "dx": self.dx,
-            "dy": self.dy,
-            "score": self.score,
-        }
 
 
 def _tile_grid(shape: tuple[int, int], tile_size: int, grid_nx: int, grid_ny: int,
@@ -225,15 +221,18 @@ def collect_matches(
     t_high: float = 0.3,
     edge_blur_sigma: float = 1.0,
     margin: int = 0,
-    method: str = "ncc",
     workers: int = 1,
+    ref_edges: np.ndarray | None = None,
 ) -> list[MatchPoint]:
     """Match a tile grid between two band planes on their edge maps.
 
-    The binary edge maps are softened with a small Gaussian before
-    correlation so the peak is smooth enough for subpixel fitting.  Tiles
-    whose score falls under ``min_score`` (or that are structureless) are
-    dropped; the survivors come back sorted by tile_id.
+    Both planes go through ``edge_map`` (Canny, then a Gaussian of
+    ``edge_blur_sigma``).  ``ref_edges``, when given, replaces the reference
+    plane's map; it must come from ``edge_map(ref_plane, sigma, t_low,
+    t_high, edge_blur_sigma)`` with the parameters of this call, so a caller
+    aligning several bands to one reference computes it once.  Tiles whose
+    score falls under ``min_score`` (or that are structureless) are dropped;
+    the survivors come back sorted by tile_id.
     """
     if tile_size < 32:
         raise OutOfBounds(f"tile_size {tile_size} < 32")
@@ -242,11 +241,11 @@ def collect_matches(
     if ref_plane.shape != tgt_plane.shape:
         raise OutOfBounds(f"plane shapes differ: {ref_plane.shape} vs {tgt_plane.shape}")
 
-    ref_edges = canny_edges(ref_plane, sigma, t_low, t_high).astype(np.float64)
-    tgt_edges = canny_edges(tgt_plane, sigma, t_low, t_high).astype(np.float64)
-    if edge_blur_sigma > 0:
-        ref_edges = ndimage.gaussian_filter(ref_edges, edge_blur_sigma)
-        tgt_edges = ndimage.gaussian_filter(tgt_edges, edge_blur_sigma)
+    if ref_edges is None:
+        ref_edges = edge_map(ref_plane, sigma, t_low, t_high, edge_blur_sigma)
+    elif ref_edges.shape != ref_plane.shape:
+        raise OutOfBounds(f"ref_edges shape {ref_edges.shape} vs plane {ref_plane.shape}")
+    tgt_edges = edge_map(tgt_plane, sigma, t_low, t_high, edge_blur_sigma)
 
     centers, half = _tile_grid(ref_plane.shape, tile_size, grid_nx, grid_ny, margin)
 
@@ -256,7 +255,7 @@ def collect_matches(
         ref_tile = ref_edges[y0 : y0 + tile_size, x0 : x0 + tile_size]
         tgt_tile = tgt_edges[y0 : y0 + tile_size, x0 : x0 + tile_size]
         try:
-            dx, dy, score = fft_xcorr(ref_tile, tgt_tile, method=method)
+            dx, dy, score = fft_xcorr(ref_tile, tgt_tile)
         except FlatTile:
             return None
         if score < min_score:
@@ -274,15 +273,6 @@ def collect_matches(
     if not matches:
         raise NoMatches("every tile was rejected (flat or below min_score)")
     return matches
-
-
-def matches_to_json(matches: list[MatchPoint]) -> str:
-    """Debug dump of a match list."""
-    return json.dumps([m.to_doc() for m in matches], sort_keys=True)
-
-
-def matches_from_json(text: str) -> list[MatchPoint]:
-    return [MatchPoint(**doc) for doc in json.loads(text)]
 
 
 # ------------------------------------------------------------ shift prior
@@ -416,11 +406,26 @@ class DistortionModel:
     rms_fit: float = 0.0
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shift (dx, dy) in pixels at pixel coordinates (x, y)."""
+        """Shift (dx, dy) in pixels at pixel coordinates (x, y).
+
+        ``x`` and ``y`` broadcast against each other, so a row of columns
+        and a column of lines give the field over their grid.  The terms
+        c_k * x^i * y^j are added one at a time, in the order of
+        ``_poly_terms``, without stacking the monomials.
+        """
         xn = np.asarray(x, dtype=np.float64) / max(self.width - 1, 1)
         yn = np.asarray(y, dtype=np.float64) / max(self.height - 1, 1)
-        terms = _poly_terms(self.order, xn, yn)
-        return terms @ self.coeff_dx, terms @ self.coeff_dy
+        shape = np.broadcast_shapes(xn.shape, yn.shape)
+        dx = np.full(shape, self.coeff_dx[0], dtype=np.float64)
+        dy = np.full(shape, self.coeff_dy[0], dtype=np.float64)
+        k = 1
+        for total in range(1, self.order + 1):
+            for j in range(total + 1):
+                term = xn ** (total - j) * yn ** j
+                dx += self.coeff_dx[k] * term
+                dy += self.coeff_dy[k] * term
+                k += 1
+        return dx, dy
 
     def to_json(self) -> str:
         return json.dumps(
@@ -478,27 +483,38 @@ def fit_distortion(
     )
 
 
+RESAMPLE_BLOCK_LINES = 256
+
+
 def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray, np.ndarray]:
     """Warp the target plane onto the reference geometry.
 
     Inverse mapping with bilinear interpolation:
     output(x, y) = tgt(x + dx(x, y), y + dy(x, y)).  Source coordinates
     outside the plane produce 0 DN and a cleared bit in the validity mask.
+    The plane is warped in blocks of ``RESAMPLE_BLOCK_LINES`` lines; each
+    block evaluates the model from a column of line indices and a row of
+    column indices, so memory beyond the output stays at one block.
+    Bilinear sampling is pointwise, so the result does not depend on the
+    block size.
     """
     plane = np.asarray(tgt_plane)
     h, w = plane.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    dx, dy = model.evaluate(xx.astype(np.float64), yy.astype(np.float64))
-    src_x = xx + dx
-    src_y = yy + dy
-    valid = (src_x >= 0) & (src_x <= w - 1) & (src_y >= 0) & (src_y <= h - 1)
-    sampled = ndimage.map_coordinates(
-        plane.astype(np.float64), [src_y.ravel(), src_x.ravel()], order=1,
-        mode="constant", cval=0.0,
-    ).reshape(h, w)
-    sampled[~valid] = 0.0
-    out = np.floor(sampled + 0.5).astype(plane.dtype)
-    out[~valid] = 0
+    source = plane.astype(np.float64)
+    out = np.empty((h, w), dtype=plane.dtype)
+    valid = np.empty((h, w), dtype=bool)
+    cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
+    for y0 in range(0, h, RESAMPLE_BLOCK_LINES):
+        y1 = min(y0 + RESAMPLE_BLOCK_LINES, h)
+        lines = np.arange(y0, y1, dtype=np.float64)[:, np.newaxis]
+        dx, dy = model.evaluate(cols, lines)
+        src_x = cols + dx
+        src_y = lines + dy
+        ok = (src_x >= 0) & (src_x <= w - 1) & (src_y >= 0) & (src_y <= h - 1)
+        sampled = ndimage.map_coordinates(source, [src_y, src_x], order=1,
+                                          mode="constant", cval=0.0)
+        out[y0:y1] = np.where(ok, np.floor(sampled + 0.5), 0)
+        valid[y0:y1] = ok
     return out, valid
 
 
@@ -509,6 +525,7 @@ def coreg_residual(
     tile_size: int = 128,
     min_score: float = 0.1,
     margin: int = 16,
+    ref_edges: np.ndarray | None = None,
     **canny_kwargs,
 ) -> tuple[float, float]:
     """Residual misalignment of an aligned pair, as control-point statistics.
@@ -516,7 +533,9 @@ def coreg_residual(
     Re-runs tiled matching at roughly ``n_points`` tile centers and reports
     the mean and RMS of the residual shift magnitudes in pixels.  Control
     tiles stay ``margin`` pixels away from the borders, where the aligned
-    band may carry masked-out samples.
+    band may carry masked-out samples.  ``ref_edges`` is passed on to
+    ``collect_matches``: it must come from ``edge_map`` with the Canny and
+    blur parameters given in ``canny_kwargs`` (the defaults if none).
     """
     if n_points < 10:
         raise OutOfBounds(f"n_points {n_points} < 10")
@@ -526,7 +545,8 @@ def coreg_residual(
     tile = min(tile_size, (min(h, w) - 2 * margin) // 2)
     matches = collect_matches(
         ref_plane, aligned_plane, tile_size=tile, grid_nx=grid_nx,
-        grid_ny=grid_ny, min_score=min_score, margin=margin, **canny_kwargs,
+        grid_ny=grid_ny, min_score=min_score, margin=margin, ref_edges=ref_edges,
+        **canny_kwargs,
     )
     mags = np.hypot([m.dx for m in matches], [m.dy for m in matches])
     return float(mags.mean()), float(np.sqrt(np.mean(mags * mags)))

@@ -133,6 +133,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
                  config: PipelineConfig, report: QualityReport) -> RawScene:
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
+    ref_edges = coreg_mod.edge_map(ref_plane)
     out_planes = scene.planes.copy()
     metrics: dict = {"reference_band": BAND_NAMES[ref_band], "bands": {}}
     for band in BandId:
@@ -146,6 +147,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             grid_ny=config.grid_ny,
             min_score=config.min_score,
             workers=config.workers,
+            ref_edges=ref_edges,
         )
         prior = None
         if metadata is not None and metadata.attitude:
@@ -163,7 +165,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
         out_planes[int(band)] = aligned
         mean_px, rms_px = coreg_mod.coreg_residual(
             ref_plane, aligned, n_points=config.residual_points,
-            min_score=config.min_score,
+            min_score=config.min_score, ref_edges=ref_edges,
         )
         metrics["bands"][BAND_NAMES[band]] = {
             "matches": len(matches),

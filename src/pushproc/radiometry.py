@@ -31,6 +31,12 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
 
 
+def _correct_band(scene: RawScene, calib: CalibrationTable, band: int) -> np.ndarray:
+    """R * max(X - D, 0) of one band as float64 [lines, width]."""
+    x = scene.planes[band].astype(np.float64)
+    return calib.response[band] * np.maximum(x - calib.dark[band], 0.0)
+
+
 def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.ndarray:
     """Pre-rounding correction: R * max(X - D, 0) as float64 [4, lines, width].
 
@@ -38,16 +44,19 @@ def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.nda
     dark level carries no signal).  No rounding, no clamping.
     """
     calib.validate(scene.width)
-    x = scene.planes.astype(np.float64)
-    dark = calib.dark[:, np.newaxis, :]
-    resp = calib.response[:, np.newaxis, :]
-    return resp * np.maximum(x - dark, 0.0)
+    return np.stack([_correct_band(scene, calib, band) for band in range(BAND_COUNT)])
 
 
 def correct_vignetting(scene: RawScene, calib: CalibrationTable) -> RawScene:
-    """Apply the vignetting correction, quantized back to the scene DN range."""
-    y = correct_vignetting_float(scene, calib)
-    out = np.clip(round_half_up(y), 0, scene.max_dn).astype(np.uint16)
+    """Apply the vignetting correction, quantized back to the scene DN range.
+
+    Bands are corrected one at a time into the uint16 output, so only one
+    band's float64 intermediates exist at once.
+    """
+    calib.validate(scene.width)
+    out = np.empty(scene.planes.shape, dtype=np.uint16)
+    for band in range(BAND_COUNT):
+        out[band] = np.clip(round_half_up(_correct_band(scene, calib, band)), 0, scene.max_dn)
     return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 
 

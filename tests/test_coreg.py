@@ -87,24 +87,6 @@ class TestFftXcorr:
         dx, dy, _ = coreg.fft_xcorr(tile, rolled)
         assert round(dx) == sx and round(dy) == sy
 
-    def test_phase_correlation_variant(self):
-        tile = smooth_texture(20)
-        rolled = np.roll(tile, (5, -7), axis=(0, 1))
-        dx, dy, score = coreg.fft_xcorr(tile, rolled, method="phase")
-        assert round(dx) == -7 and round(dy) == 5
-        assert score > 0.5  # near-delta peak for a pure circular shift
-
-    def test_unknown_method_rejected(self):
-        tile = smooth_texture(21)
-        with pytest.raises(errors.OutOfBounds):
-            coreg.fft_xcorr(tile, tile, method="zncc")
-
-    def test_matches_json_roundtrip(self):
-        plane = smooth_texture(22, size=200)
-        matches = coreg.collect_matches(plane, plane, tile_size=64, grid_nx=2, grid_ny=2)
-        clone = coreg.matches_from_json(coreg.matches_to_json(matches))
-        assert clone == matches
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 200))
     def test_antisymmetry(self, seed):
@@ -153,6 +135,46 @@ class TestCollectMatches:
         assert [(m.tile_id, m.dx, m.dy, m.score) for m in m1] == [
             (m.tile_id, m.dx, m.dy, m.score) for m in m4
         ]
+
+    def test_precomputed_ref_edges_same_matches(self):
+        plane = smooth_texture(16, size=300)
+        target = np.roll(plane, (1, 3), axis=(0, 1))
+        fresh = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3)
+        reused = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3,
+                                       ref_edges=coreg.edge_map(plane))
+        assert reused == fresh
+
+    def test_ref_edges_shape_checked(self):
+        plane = smooth_texture(17, size=200)
+        with pytest.raises(errors.OutOfBounds):
+            coreg.collect_matches(plane, plane, tile_size=64, grid_nx=2, grid_ny=2,
+                                  ref_edges=np.zeros((100, 200)))
+
+
+class TestEdgeMapReuse:
+    def test_each_plane_edge_mapped_once_per_scene(self, tmp_path, monkeypatch):
+        from pushproc.pipeline import PipelineConfig, run_pipeline
+        from pushproc.raster import save_raw
+        from pushproc.synthscene import SynthSpec, generate
+
+        spec = SynthSpec(seed=31, width=256, lines=256, texture="urban-blocks",
+                         band_warp={"nir": {"order": 1, "coeff_dx": [1.0, -1.0, 0.5],
+                                            "coeff_dy": [0.5, 0.5, -1.0]}})
+        raw, _ = generate(spec)
+        save_raw(raw, tmp_path / "scene.l3raw")
+        calls = []
+        original = coreg.canny_edges
+
+        def counting(plane, *args, **kwargs):
+            calls.append(plane.shape)
+            return original(plane, *args, **kwargs)
+
+        monkeypatch.setattr(coreg, "canny_edges", counting)
+        run_pipeline(PipelineConfig(raw_path=str(tmp_path / "scene.l3raw"),
+                                    out_dir=str(tmp_path / "out"),
+                                    vignetting=False, georef=False))
+        # 1 reference + 3 target planes + 3 aligned planes
+        assert len(calls) == 7
 
 
 def nadir_metadata(row_offset_nir=0.0, line_period=None, altitude=510.0):
@@ -328,6 +350,53 @@ class TestResample:
         interior = (slice(8, 120), slice(8, 120))
         diff = np.abs(out[interior].astype(int) - plane[interior].astype(int))
         assert diff.max() <= 1
+
+    @staticmethod
+    def whole_plane_resample(plane, model):
+        """The unblocked warp: one coordinate grid and one sampling call."""
+        h, w = plane.shape
+        yy, xx = np.mgrid[0:h, 0:w]
+        xn = xx.astype(np.float64) / (w - 1)
+        yn = yy.astype(np.float64) / (h - 1)
+        terms = coreg._poly_terms(model.order, xn, yn)
+        src_x = xx + terms @ model.coeff_dx
+        src_y = yy + terms @ model.coeff_dy
+        valid = (src_x >= 0) & (src_x <= w - 1) & (src_y >= 0) & (src_y <= h - 1)
+        sampled = ndimage.map_coordinates(
+            plane.astype(np.float64), [src_y.ravel(), src_x.ravel()], order=1,
+            mode="constant", cval=0.0,
+        ).reshape(h, w)
+        sampled[~valid] = 0.0
+        out = np.floor(sampled + 0.5).astype(plane.dtype)
+        out[~valid] = 0
+        return out, valid
+
+    def test_blocked_matches_whole_plane(self):
+        h, w = coreg.RESAMPLE_BLOCK_LINES + 77, 90
+        plane = (ndimage.gaussian_filter(np.random.default_rng(18).uniform(0, 4000, (h, w)),
+                                         1.5)).astype(np.uint16)
+        model = coreg.DistortionModel(order=2,
+                                      coeff_dx=np.array([2.5, -6.0, 1.5, 4.0, -2.0, 1.0]),
+                                      coeff_dy=np.array([-1.5, 3.0, -5.0, 1.0, 2.5, -1.5]),
+                                      width=w, height=h)
+        out, valid = coreg.resample(plane, model)
+        ref_out, ref_valid = self.whole_plane_resample(plane, model)
+        assert 0 < (~valid).sum() < valid.size // 4
+        np.testing.assert_array_equal(valid, ref_valid)
+        np.testing.assert_array_equal(out, ref_out)
+
+        xs = np.arange(w, dtype=np.float64)
+        ys = np.arange(h, dtype=np.float64)
+        yy, xx = np.meshgrid(ys, xs, indexing="ij")
+        dx_sep, dy_sep = model.evaluate(xs[None, :], ys[:, None])
+        dx_full, dy_full = model.evaluate(xx, yy)
+        np.testing.assert_array_equal(dx_sep, dx_full)
+        np.testing.assert_array_equal(dy_sep, dy_full)
+        # Summation order differs from the matrix product; where the field
+        # crosses zero only an absolute bound (here 1e-12 px) is meaningful.
+        terms = coreg._poly_terms(2, xx / (w - 1), yy / (h - 1))
+        np.testing.assert_allclose(dx_sep, terms @ model.coeff_dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dy_sep, terms @ model.coeff_dy, rtol=1e-12, atol=1e-12)
 
     def test_out_of_bounds_masked_zero(self):
         plane = np.full((64, 64), 100, dtype=np.uint16)
