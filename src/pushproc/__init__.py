@@ -10,8 +10,6 @@ from .raster import (
     BandId,
     CalibrationTable,
     RawScene,
-    extract_tile,
-    line_stats,
     load_calibration,
     load_raw,
     save_calibration,
@@ -24,8 +22,6 @@ __all__ = [
     "BandId",
     "CalibrationTable",
     "RawScene",
-    "extract_tile",
-    "line_stats",
     "load_calibration",
     "load_raw",
     "save_calibration",

@@ -96,17 +96,14 @@ def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
     return edges.astype(np.uint8)
 
 
-def edge_map(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
-             t_high: float = 0.3, blur_sigma: float = 1.0) -> np.ndarray:
-    """Canny edge map as float64, softened by a Gaussian of ``blur_sigma``.
+def edge_map(plane: np.ndarray) -> np.ndarray:
+    """Default Canny edge map as float64, softened by a unit Gaussian.
 
-    The blur makes the correlation peak smooth enough for subpixel fitting;
-    ``blur_sigma <= 0`` leaves the binary map as is.
+    The blur makes the correlation peak smooth enough for subpixel fitting.
+    Every matcher uses this one definition, so a map computed once can
+    stand in for any later call on the same plane.
     """
-    edges = canny_edges(plane, sigma, t_low, t_high).astype(np.float64)
-    if blur_sigma > 0:
-        edges = ndimage.gaussian_filter(edges, blur_sigma)
-    return edges
+    return ndimage.gaussian_filter(canny_edges(plane).astype(np.float64), 1.0)
 
 
 # --------------------------------------------------------------- matching
@@ -216,21 +213,15 @@ def collect_matches(
     grid_nx: int = 8,
     grid_ny: int = 8,
     min_score: float = 0.1,
-    sigma: float = 1.4,
-    t_low: float = 0.1,
-    t_high: float = 0.3,
-    edge_blur_sigma: float = 1.0,
     margin: int = 0,
     workers: int = 1,
     ref_edges: np.ndarray | None = None,
 ) -> list[MatchPoint]:
     """Match a tile grid between two band planes on their edge maps.
 
-    Both planes go through ``edge_map`` (Canny, then a Gaussian of
-    ``edge_blur_sigma``).  ``ref_edges``, when given, replaces the reference
-    plane's map; it must come from ``edge_map(ref_plane, sigma, t_low,
-    t_high, edge_blur_sigma)`` with the parameters of this call, so a caller
-    aligning several bands to one reference computes it once.  Tiles whose
+    Both planes go through ``edge_map``.  ``ref_edges``, when given, is
+    ``edge_map(ref_plane)`` computed by the caller, so a caller aligning
+    several bands to one reference computes it once.  Tiles whose
     score falls under ``min_score`` (or that are structureless) are dropped;
     the survivors come back sorted by tile_id.
     """
@@ -242,10 +233,10 @@ def collect_matches(
         raise OutOfBounds(f"plane shapes differ: {ref_plane.shape} vs {tgt_plane.shape}")
 
     if ref_edges is None:
-        ref_edges = edge_map(ref_plane, sigma, t_low, t_high, edge_blur_sigma)
+        ref_edges = edge_map(ref_plane)
     elif ref_edges.shape != ref_plane.shape:
         raise OutOfBounds(f"ref_edges shape {ref_edges.shape} vs plane {ref_plane.shape}")
-    tgt_edges = edge_map(tgt_plane, sigma, t_low, t_high, edge_blur_sigma)
+    tgt_edges = edge_map(tgt_plane)
 
     centers, half = _tile_grid(ref_plane.shape, tile_size, grid_nx, grid_ny, margin)
 
@@ -526,7 +517,6 @@ def coreg_residual(
     min_score: float = 0.1,
     margin: int = 16,
     ref_edges: np.ndarray | None = None,
-    **canny_kwargs,
 ) -> tuple[float, float]:
     """Residual misalignment of an aligned pair, as control-point statistics.
 
@@ -534,8 +524,7 @@ def coreg_residual(
     the mean and RMS of the residual shift magnitudes in pixels.  Control
     tiles stay ``margin`` pixels away from the borders, where the aligned
     band may carry masked-out samples.  ``ref_edges`` is passed on to
-    ``collect_matches``: it must come from ``edge_map`` with the Canny and
-    blur parameters given in ``canny_kwargs`` (the defaults if none).
+    ``collect_matches``.
     """
     if n_points < 10:
         raise OutOfBounds(f"n_points {n_points} < 10")
@@ -546,7 +535,6 @@ def coreg_residual(
     matches = collect_matches(
         ref_plane, aligned_plane, tile_size=tile, grid_nx=grid_nx,
         grid_ny=grid_ny, min_score=min_score, margin=margin, ref_edges=ref_edges,
-        **canny_kwargs,
     )
     mags = np.hypot([m.dx for m in matches], [m.dy for m in matches])
     return float(mags.mean()), float(np.sqrt(np.mean(mags * mags)))

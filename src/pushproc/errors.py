@@ -148,6 +148,10 @@ class GridMismatch(PushprocError):
     """Grids are not sampled at the same nodes."""
 
 
+class TruthInvalid(PushprocError):
+    """Truth sidecar document is malformed."""
+
+
 # ------------------------------------------------------------------ pipeline
 
 class BadBandSelection(PushprocError):

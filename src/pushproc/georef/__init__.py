@@ -1,66 +1,2 @@
 """Direct georeferencing: orbit propagation, attitude, camera geometry,
 ellipsoid intersection, geolocation grids, and error statistics."""
-
-from .accuracy import BiasEstimate, GeorefErrorStats, SceneErrorSample, estimate_bias, georef_error_stats
-from .attitude import AttitudeSample, Quaternion, slerp, slerp_attitude
-from .camera import ImagerModel, pixel_los
-from .frames import (
-    WGS84_A_KM,
-    WGS84_B_KM,
-    WGS84_F,
-    ecef_to_geodetic,
-    eci_to_ecef,
-    geodetic_to_ecef,
-    gmst,
-    unix_to_jd,
-)
-from .geolocate import GeodeticCoord, GeoGrid, build_geogrid, fit_world_file, georeference_line, intersect_ellipsoid, load_geogrid, save_geogrid
-from .metadata import AcqMetadata, load_metadata, metadata_from_dict, metadata_to_dict, save_metadata
-from .orbits import MU_KM3_S2, CircularOrbit, StateVector, TleOrbit, orbit_from_spec
-from .sgp4 import Sgp4NearEarth
-from .tle import TleElements, format_tle, parse_tle, tle_checksum
-
-__all__ = [
-    "AcqMetadata",
-    "AttitudeSample",
-    "BiasEstimate",
-    "CircularOrbit",
-    "GeodeticCoord",
-    "GeoGrid",
-    "GeorefErrorStats",
-    "ImagerModel",
-    "MU_KM3_S2",
-    "Quaternion",
-    "SceneErrorSample",
-    "Sgp4NearEarth",
-    "StateVector",
-    "TleElements",
-    "TleOrbit",
-    "WGS84_A_KM",
-    "WGS84_B_KM",
-    "WGS84_F",
-    "build_geogrid",
-    "ecef_to_geodetic",
-    "eci_to_ecef",
-    "estimate_bias",
-    "fit_world_file",
-    "format_tle",
-    "geodetic_to_ecef",
-    "georef_error_stats",
-    "georeference_line",
-    "gmst",
-    "intersect_ellipsoid",
-    "load_geogrid",
-    "load_metadata",
-    "metadata_from_dict",
-    "metadata_to_dict",
-    "orbit_from_spec",
-    "parse_tle",
-    "pixel_los",
-    "save_geogrid",
-    "save_metadata",
-    "slerp",
-    "slerp_attitude",
-    "tle_checksum",
-    "unix_to_jd",
-]

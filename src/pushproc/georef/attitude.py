@@ -33,9 +33,6 @@ class Quaternion:
             raise ValueError("cannot normalize a near-zero quaternion")
         return Quaternion(self.s / n, self.x / n, self.y / n, self.z / n)
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.s, -self.x, -self.y, -self.z)
-
     def dot(self, other: "Quaternion") -> float:
         return self.s * other.s + self.x * other.x + self.y * other.y + self.z * other.z
 

@@ -60,13 +60,6 @@ def eci_to_ecef(vec: np.ndarray, t_unix: float) -> np.ndarray:
     return np.array([c * x + s * y, -s * x + c * y, z])
 
 
-def ecef_to_eci(vec: np.ndarray, t_unix: float) -> np.ndarray:
-    theta = gmst(t_unix)
-    c, s = math.cos(theta), math.sin(theta)
-    x, y, z = float(vec[0]), float(vec[1]), float(vec[2])
-    return np.array([c * x - s * y, s * x + c * y, z])
-
-
 def geodetic_to_ecef(lat_deg: float, lon_deg: float, alt_m: float) -> np.ndarray:
     """WGS84 geodetic coordinates to an ECEF position in km."""
     lat = math.radians(lat_deg)

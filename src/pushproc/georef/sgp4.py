@@ -201,10 +201,6 @@ class Sgp4NearEarth:
             self.d2 = self.d3 = self.d4 = 0.0
             self.t3cof = self.t4cof = self.t5cof = 0.0
 
-    @property
-    def period_minutes(self) -> float:
-        return _TWOPI / self.no_unkozai
-
     def propagate_minutes(self, tsince: float) -> tuple[np.ndarray, np.ndarray]:
         """Propagate to ``tsince`` minutes after epoch; returns (r km, v km/s)."""
         # Secular gravity and atmospheric drag.

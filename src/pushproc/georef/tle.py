@@ -54,19 +54,9 @@ class TleElements:
         return self.epoch_datetime.timestamp()
 
     @property
-    def epoch_days1950(self) -> float:
-        """Days since 1949-12-31 00:00 UT, the propagator's epoch scale."""
-        base = datetime(1949, 12, 31, tzinfo=timezone.utc).timestamp()
-        return (self.epoch_unix - base) / 86400.0
-
-    @property
     def no_kozai_radmin(self) -> float:
         """Mean motion in radians per minute (Kozai convention, as printed)."""
         return self.mean_motion_revday * 2.0 * math.pi / 1440.0
-
-    @property
-    def period_minutes(self) -> float:
-        return 1440.0 / self.mean_motion_revday
 
 
 def _parse_float(text: str, what: str) -> float:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+import typing
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,15 @@ class PipelineConfig:
     quicklook: bool = False
 
     def validate(self) -> None:
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            value, expected = getattr(self, f.name), hints[f.name]
+            # JSON writes whole floats as integers; bool is an int subclass
+            # but never a valid number here.
+            allowed = (int, float) if expected is float else expected
+            if (isinstance(value, bool) and expected is not bool) \
+                    or not isinstance(value, allowed):
+                raise ConfigInvalid(f"{f.name} must be {f.type}, got {value!r}")
         if not self.raw_path:
             raise ConfigInvalid("raw input path is required")
         if not self.out_dir:
@@ -71,12 +82,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise ConfigInvalid(f"config must be a JSON object, got {type(doc).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
             raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**doc)
-        cfg.ref_band = BandId(int(cfg.ref_band))
+        if type(cfg.ref_band) is int and cfg.ref_band in {int(b) for b in BandId}:
+            cfg.ref_band = BandId(cfg.ref_band)
         return cfg
 
 
@@ -181,8 +195,8 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     return RawScene(out_planes, scene.line_times.copy(), scene.bit_depth)
 
 
-def _stage_georef(scene: RawScene, metadata: AcqMetadata, config: PipelineConfig,
-                  out_dir: Path, report: QualityReport) -> None:
+def _stage_georef(scene: RawScene, metadata: AcqMetadata, truth: tuple | None,
+                  config: PipelineConfig, out_dir: Path, report: QualityReport) -> None:
     grid = build_geogrid(scene, metadata, step=config.grid_step)
     _, world_rms = fit_world_file(grid)
     grid_json = out_dir / "grid.json"
@@ -194,11 +208,10 @@ def _stage_georef(scene: RawScene, metadata: AcqMetadata, config: PipelineConfig
         "grid_nodes": [int(grid.lat.shape[0]), int(grid.lat.shape[1])],
         "world_file_rms_deg": world_rms,
     }
-    if config.truth_path:
+    if truth is not None:
         from .georef.accuracy import georef_error_stats
-        from .synthscene import load_truth_grid
 
-        truth_grid, track_dir = load_truth_grid(config.truth_path)
+        truth_grid, track_dir = truth
         if not (np.array_equal(grid.lines, truth_grid.lines)
                 and np.array_equal(grid.columns, truth_grid.columns)):
             raise ConfigInvalid(
@@ -217,11 +230,26 @@ def _stage_georef(scene: RawScene, metadata: AcqMetadata, config: PipelineConfig
     report.outputs["world_file"] = str(world_file)
 
 
+@contextmanager
+def _stage(name: str, report: QualityReport):
+    """Time the block into ``report.timing[name]``.
+
+    A PushprocError raised inside becomes ``StageFailure(name)``.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    except PushprocError as exc:
+        raise StageFailure(name, exc) from exc
+    report.timing[name] = time.perf_counter() - t0
+
+
 def run_pipeline(config: PipelineConfig) -> QualityReport:
     """Execute the enabled stages in order and write all products.
 
-    Raises StageFailure naming the failing stage; input problems are
-    attributed to the pseudo-stage "input".
+    Every input is read, and every enabled stage's inputs are checked,
+    before the first stage runs.  Raises StageFailure naming the failing
+    stage; input problems are attributed to the pseudo-stage "input".
     """
     t_start = time.perf_counter()
     try:
@@ -229,40 +257,33 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
         scene = load_raw(config.raw_path)
         calib = load_calibration(config.calib_path) if config.calib_path else None
         metadata = load_metadata(config.meta_path) if config.meta_path else None
+        truth = None
+        if config.truth_path:
+            # Imported here so that importing the pipeline does not pull in
+            # the synthetic-scene generator.
+            from .synthscene import load_truth_grid
+
+            truth = load_truth_grid(config.truth_path)
     except PushprocError as exc:
         raise StageFailure("input", exc) from exc
+    if config.vignetting and calib is None:
+        raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
+    if config.georef and metadata is None:
+        raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = QualityReport()
 
     if config.vignetting:
-        t0 = time.perf_counter()
-        if calib is None:
-            raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
-        try:
+        with _stage("vignetting", report):
             scene = _stage_vignetting(scene, calib, report)
-        except PushprocError as exc:
-            raise StageFailure("vignetting", exc) from exc
-        report.timing["vignetting"] = time.perf_counter() - t0
-
     if config.coreg:
-        t0 = time.perf_counter()
-        try:
+        with _stage("coreg", report):
             scene = _stage_coreg(scene, metadata, config, report)
-        except PushprocError as exc:
-            raise StageFailure("coreg", exc) from exc
-        report.timing["coreg"] = time.perf_counter() - t0
-
     if config.georef:
-        t0 = time.perf_counter()
-        if metadata is None:
-            raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
-        try:
-            _stage_georef(scene, metadata, config, out_dir, report)
-        except PushprocError as exc:
-            raise StageFailure("georef", exc) from exc
-        report.timing["georef"] = time.perf_counter() - t0
+        with _stage("georef", report):
+            _stage_georef(scene, metadata, truth, config, out_dir, report)
 
     corrected_path = out_dir / "corrected.l3raw"
     save_raw(scene, corrected_path)

@@ -1,4 +1,4 @@
-"""Scene container, band/tile access, statistics, and L3RAW file I/O.
+"""Scene container, band access, and L3RAW file I/O.
 
 A :class:`RawScene` holds the four band planes of a pushbroom acquisition
 plus per-line timestamps.  Planes are stored planar (band major) as uint16
@@ -33,7 +33,6 @@ from .errors import (
     BadMagic,
     HeaderInvalid,
     IoFailure,
-    OutOfBounds,
     Truncated,
     WidthMismatch,
     NonPositiveResponse,
@@ -161,58 +160,6 @@ def load_raw(path) -> RawScene:
     scene = RawScene(planes, times, bit_depth)
     scene.validate()
     return scene
-
-
-def extract_tile(scene: RawScene, band: BandId, x0: int, y0: int, w: int, h: int) -> np.ndarray:
-    """Copy the window [y0:y0+h, x0:x0+w] of one band plane.
-
-    The returned array never aliases the scene.
-    """
-    if w <= 0 or h <= 0:
-        raise OutOfBounds(f"empty tile request {w}x{h}")
-    if x0 < 0 or y0 < 0 or x0 + w > scene.width or y0 + h > scene.lines:
-        raise OutOfBounds(
-            f"tile ({x0},{y0},{w},{h}) outside plane {scene.width}x{scene.lines}"
-        )
-    return scene.band(band)[y0 : y0 + h, x0 : x0 + w].copy()
-
-
-def line_stats(scene: RawScene, band: BandId, line: int) -> tuple[float, float]:
-    """Arithmetic mean and population standard deviation of one image line."""
-    if not 0 <= line < scene.lines:
-        raise OutOfBounds(f"line {line} outside [0, {scene.lines})")
-    row = scene.band(band)[line].astype(np.float64)
-    return float(row.mean()), float(row.std())
-
-
-@dataclass
-class SceneStats:
-    """Per-line and per-region DN statistics for one band."""
-
-    line_mean: np.ndarray
-    line_std: np.ndarray
-    region_mean: float
-    region_std: float
-
-
-def scene_stats(scene: RawScene, band: BandId, region=None) -> SceneStats:
-    """Compute per-line means/stds plus a region summary.
-
-    ``region`` is a (row_slice, col_slice) pair; defaults to the full plane.
-    Standard deviations are population (ddof=0) so percentages reproduce.
-    """
-    plane = scene.band(band).astype(np.float64)
-    if region is None:
-        region = (slice(None), slice(None))
-    sub = plane[region]
-    if sub.size == 0:
-        raise OutOfBounds("empty region")
-    return SceneStats(
-        line_mean=plane.mean(axis=1),
-        line_std=plane.std(axis=1),
-        region_mean=float(sub.mean()),
-        region_std=float(sub.std()),
-    )
 
 
 # --------------------------------------------------------------- calibration

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionMismatch, GridMismatch, SpecInvalid
+from .errors import DimensionMismatch, GridMismatch, IoFailure, SpecInvalid, TruthInvalid
 from .raster import BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene
 from .georef.accuracy import GeorefErrorStats
 from .georef.attitude import AttitudeSample, Quaternion
@@ -605,14 +605,33 @@ def save_truth(truth: TruthPack, path) -> None:
 
 
 def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
-    """Read back the truth grid and track direction from a truth sidecar."""
-    doc = json.loads(Path(path).read_text())
-    grid_doc = doc["truth_grid"]
-    grid = GeoGrid(
-        lines=np.asarray(grid_doc["lines"], dtype=int),
-        columns=np.asarray(grid_doc["columns"], dtype=int),
-        lat=np.asarray(grid_doc["lat"]),
-        lon=np.asarray(grid_doc["lon"]),
-        alt=np.asarray(grid_doc["alt_m"]),
-    )
-    return grid, tuple(doc["track_dir_en"])
+    """Read back the truth grid and track direction from a truth sidecar.
+
+    Raises IoFailure when the file cannot be read and TruthInvalid when it
+    is not a truth sidecar: missing keys, non-numeric values, coordinate
+    arrays that do not match the node lists, or a zero track direction.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+        grid_doc = doc["truth_grid"]
+        grid = GeoGrid(
+            lines=np.asarray(grid_doc["lines"], dtype=int),
+            columns=np.asarray(grid_doc["columns"], dtype=int),
+            lat=np.asarray(grid_doc["lat"], dtype=np.float64),
+            lon=np.asarray(grid_doc["lon"], dtype=np.float64),
+            alt=np.asarray(grid_doc["alt_m"], dtype=np.float64),
+        )
+        track_dir = tuple(float(v) for v in doc["track_dir_en"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TruthInvalid(f"{path}: malformed truth sidecar: {exc}") from exc
+    nodes = (grid.lines.size, grid.columns.size)
+    if grid.lines.ndim != 1 or grid.columns.ndim != 1 \
+            or any(a.shape != nodes for a in (grid.lat, grid.lon, grid.alt)):
+        raise TruthInvalid(f"{path}: truth grid coordinates do not match its {nodes} nodes")
+    if len(track_dir) != 2 or not math.hypot(*track_dir) > 0.0:
+        raise TruthInvalid(f"{path}: track_dir_en {track_dir} is not a 2-D direction")
+    return grid, track_dir

@@ -105,12 +105,20 @@ class TestRunPipeline:
         stats = report.stages["georef"]["error_stats"]
         assert abs(stats["rms_total_km"]) < 1e-6  # exact metadata, no bias
 
-    def test_missing_metadata_fails_georef_stage(self, synth_inputs, tmp_path):
+    def test_missing_metadata_fails_georef_stage(self, synth_inputs, tmp_path, monkeypatch):
+        # the georef check runs before any stage: co-registration never starts
+        from pushproc import coreg
+
+        def spy(*args, **kwargs):
+            raise AssertionError("collect_matches ran before the georef check")
+
+        monkeypatch.setattr(coreg, "collect_matches", spy)
         cfg = base_config(synth_inputs, tmp_path / "nometa")
         cfg.meta_path = None
         with pytest.raises(errors.StageFailure) as err:
             run_pipeline(cfg)
         assert err.value.stage == "georef"
+        assert not (tmp_path / "nometa").exists()
 
     def test_no_stages_invalid(self, synth_inputs, tmp_path):
         cfg = base_config(synth_inputs, tmp_path / "none",
@@ -118,6 +126,13 @@ class TestRunPipeline:
         with pytest.raises(errors.StageFailure) as err:
             run_pipeline(cfg)
         assert err.value.stage == "input"
+
+    def test_config_accepts_json_numbers(self):
+        # JSON has no enum and writes whole floats as integers
+        cfg = PipelineConfig.from_dict({"raw_path": "a", "out_dir": "b", "ref_band": 3,
+                                        "min_score": 0, "gate_radius": 5})
+        cfg.validate()
+        assert cfg.ref_band is BandId.NIR
 
     def test_determinism_and_worker_independence(self, synth_inputs, tmp_path):
         def run(workers, out):
@@ -248,6 +263,44 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "overridden" / "report.json").exists()
         assert not (tmp_path / "from_file").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"ref_band": 9}, {"ref_band": "red"}, {"tile_size": "x"},
+        {"grid_step": 2.5}, {"min_score": None}, {"vignetting": "no"}, [],
+    ])
+    def test_wrongly_typed_config_exit_2(self, synth_inputs, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = self.run_cli("preprocess", "--config", str(cfg_path),
+                          "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--out", str(tmp_path / "o"), "--skip-coreg", "--skip-georef")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert err["error"]["type"] == "ConfigInvalid"
+        assert not (tmp_path / "o").exists()
+
+    ONE_NODE = {"lines": [0], "columns": [0], "lat": [[0.0]], "lon": [[0.0]], "alt_m": [[0.0]]}
+
+    @pytest.mark.parametrize("truth, error", [
+        (None, "IoFailure"),
+        ({"truth_grid": {}}, "TruthInvalid"),
+        ({"truth_grid": {**ONE_NODE, "lat": [[0.0, 1.0]]}, "track_dir_en": [0, 1]},
+         "TruthInvalid"),
+        ({"truth_grid": ONE_NODE, "track_dir_en": [0, 0]}, "TruthInvalid"),
+    ])
+    def test_bad_truth_exit_2_before_any_stage(self, synth_inputs, tmp_path, capsys,
+                                               truth, error):
+        truth_path = tmp_path / "truth.json"
+        if truth is not None:
+            truth_path.write_text(json.dumps(truth))
+        rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--calib", str(synth_inputs / "calib.json"),
+                          "--meta", str(synth_inputs / "metadata.json"),
+                          "--truth", str(truth_path), "--out", str(tmp_path / "o"))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (err["error"]["stage"], err["error"]["type"]) == ("input", error)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "bad_spec.json"

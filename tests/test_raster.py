@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from pushproc import errors
 from pushproc.raster import (
-    BandId,
     CalibrationTable,
     RawScene,
-    extract_tile,
-    line_stats,
     load_calibration,
     load_raw,
     save_calibration,
     save_raw,
-    scene_stats,
 )
 
 from conftest import make_scene
@@ -105,82 +101,6 @@ class TestL3RawErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(errors.IoFailure):
             load_raw(tmp_path / "nope.l3raw")
-
-
-class TestExtractTile:
-    def test_full_plane(self, small_scene):
-        tile = extract_tile(small_scene, BandId.GREEN, 0, 0, small_scene.width, small_scene.lines)
-        np.testing.assert_array_equal(tile, small_scene.band(BandId.GREEN))
-
-    def test_zero_width_rejected(self, small_scene):
-        with pytest.raises(errors.OutOfBounds):
-            extract_tile(small_scene, BandId.RED, 0, 0, 0, 4)
-
-    def test_out_of_bounds_rejected(self, small_scene):
-        with pytest.raises(errors.OutOfBounds):
-            extract_tile(small_scene, BandId.RED, small_scene.width - 2, 0, 4, 4)
-
-    def test_matches_direct_indexing(self):
-        # checkerboard oracle: tile contents equal brute-force indexing
-        scene = make_scene(seed=5, width=16, lines=12)
-        xx, yy = np.meshgrid(np.arange(16), np.arange(12))
-        scene.planes[0] = ((xx // 2 + yy // 2) % 2 * 200).astype(np.uint16)
-        tile = extract_tile(scene, BandId.BLUE, 3, 2, 5, 7)
-        expected = np.empty((7, 5), dtype=np.uint16)
-        for dy in range(7):
-            for dx in range(5):
-                expected[dy, dx] = scene.planes[0][2 + dy, 3 + dx]
-        np.testing.assert_array_equal(tile, expected)
-
-    def test_never_aliases(self, small_scene):
-        tile = extract_tile(small_scene, BandId.NIR, 0, 0, 4, 4)
-        before = small_scene.band(BandId.NIR).copy()
-        tile[:] = 0
-        np.testing.assert_array_equal(small_scene.band(BandId.NIR), before)
-
-
-class TestLineStats:
-    def test_constant_line(self):
-        scene = make_scene(width=8, lines=2)
-        scene.planes[2, 0, :] = 50
-        assert line_stats(scene, BandId.RED, 0) == (50.0, 0.0)
-
-    def test_two_point_population_std(self):
-        scene = make_scene(width=2, lines=1)
-        scene.planes[1, 0] = [0, 100]
-        mean, std = line_stats(scene, BandId.GREEN, 0)
-        assert mean == 50.0
-        assert std == 50.0  # population, not sample
-
-    def test_matches_two_pass_oracle(self, rng):
-        scene = make_scene(seed=9, width=101, lines=3)
-        mean, std = line_stats(scene, BandId.NIR, 1)
-        row = [float(v) for v in scene.planes[3, 1]]
-        m = sum(row) / len(row)
-        var = sum((v - m) ** 2 for v in row) / len(row)
-        assert mean == pytest.approx(m, rel=1e-9)
-        assert std == pytest.approx(var ** 0.5, rel=1e-9)
-
-    def test_line_out_of_range(self, small_scene):
-        with pytest.raises(errors.OutOfBounds):
-            line_stats(small_scene, BandId.RED, small_scene.lines)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 1000))
-    def test_std_invariant_under_reversal(self, seed):
-        scene = make_scene(seed=seed, width=33, lines=2)
-        _, std = line_stats(scene, BandId.BLUE, 0)
-        reversed_scene = make_scene(seed=seed, width=33, lines=2)
-        reversed_scene.planes[0, 0] = reversed_scene.planes[0, 0][::-1]
-        _, std_rev = line_stats(reversed_scene, BandId.BLUE, 0)
-        assert std == pytest.approx(std_rev, rel=1e-12)
-
-    def test_scene_stats_region(self, small_scene):
-        stats = scene_stats(small_scene, BandId.RED, (slice(0, 4), slice(0, 8)))
-        sub = small_scene.band(BandId.RED)[:4, :8].astype(float)
-        assert stats.region_mean == pytest.approx(sub.mean())
-        assert stats.region_std == pytest.approx(sub.std())
-        assert stats.line_mean.shape == (small_scene.lines,)
 
 
 class TestCalibrationIo:
