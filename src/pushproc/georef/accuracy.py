@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import EmptyTruth, InsufficientScenes
 from .frames import enu_basis, geodetic_to_ecef
-from .geolocate import GeodeticCoord, GeoGrid
+from .geolocate import GeoGrid
 
 
 @dataclass
@@ -34,16 +35,6 @@ class GeorefErrorStats:
     along_km: np.ndarray
 
 
-def _flatten(points) -> list[GeodeticCoord]:
-    if isinstance(points, GeoGrid):
-        return [
-            GeodeticCoord(points.lat[i, j], points.lon[i, j], points.alt[i, j])
-            for i in range(points.lat.shape[0])
-            for j in range(points.lat.shape[1])
-        ]
-    return list(points)
-
-
 def georef_error_stats(grid, truth_points, ground_track_dir) -> GeorefErrorStats:
     """Decompose computed-vs-truth errors onto along/across-track axes.
 
@@ -56,25 +47,24 @@ def georef_error_stats(grid, truth_points, ground_track_dir) -> GeorefErrorStats
         Unit horizontal direction of the ground track; across-track is its
         right-hand perpendicular.
     """
-    computed = _flatten(grid)
-    truth = _flatten(truth_points)
+    # [n, 3] arrays of (lat, lon, alt), node for node
+    computed, truth = (
+        np.reshape(np.stack([p.lat, p.lon, p.alt], axis=-1) if isinstance(p, GeoGrid)
+                   else list(map(attrgetter("lat", "lon", "alt"), p)), (-1, 3))
+        for p in (grid, truth_points)
+    )
     if len(truth) == 0:
         raise EmptyTruth("no truth points")
     if len(computed) != len(truth):
         raise EmptyTruth(f"{len(computed)} computed points vs {len(truth)} truth points")
-    te, tn = float(ground_track_dir[0]), float(ground_track_dir[1])
-    norm = math.hypot(te, tn)
-    te, tn = te / norm, tn / norm
+    te, tn = np.asarray(ground_track_dir, dtype=np.float64) / math.hypot(*ground_track_dir)
 
-    along = np.empty(len(truth))
-    across = np.empty(len(truth))
-    for k, (c, t) in enumerate(zip(computed, truth)):
-        diff = geodetic_to_ecef(c.lat, c.lon, c.alt) - geodetic_to_ecef(t.lat, t.lon, t.alt)
-        east, north, _ = enu_basis(t.lat, t.lon)
-        e = float(diff @ east)
-        n = float(diff @ north)
-        along[k] = e * te + n * tn
-        across[k] = e * tn - n * te
+    diff = geodetic_to_ecef(*computed.T) - geodetic_to_ecef(*truth.T)
+    east, north, _ = enu_basis(truth[:, 0], truth[:, 1])
+    e = np.sum(diff * east, axis=-1)
+    n = np.sum(diff * north, axis=-1)
+    along = e * te + n * tn
+    across = e * tn - n * te
     total = np.hypot(across, along)
     return GeorefErrorStats(
         mean_across_km=float(across.mean()),

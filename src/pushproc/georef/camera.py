@@ -71,21 +71,25 @@ class ImagerModel:
         )
 
 
-def pixel_los(imager: ImagerModel, band: BandId, column: float) -> np.ndarray:
-    """Unit line-of-sight vector of one detector element, in the body frame.
+def pixel_los(imager: ImagerModel, band: BandId, column) -> np.ndarray:
+    """Unit line-of-sight vectors of detector elements, in the body frame.
 
-    The raw camera ray is
+    ``column`` is a scalar or an array of shape [...]; the result has shape
+    [..., 3].  The raw camera ray is
 
         ((column - (columns-1)/2) * pitch, band_row_offset * pitch, f)
 
     normalized, then rotated by the fixed boresight mounting offset.
     """
-    if not 0 <= column < imager.columns:
-        raise ColumnOutOfRange(f"column {column} outside [0, {imager.columns})")
+    column = np.asarray(column, dtype=np.float64)
+    outside = ~((column >= 0) & (column < imager.columns))
+    if outside.any():
+        raise ColumnOutOfRange(f"column {column[outside][0]} outside [0, {imager.columns})")
     pitch_mm = imager.pixel_pitch_um * 1e-3
     x = (column - (imager.columns - 1) / 2.0) * pitch_mm
     y = imager.band_row_offset.get(band, 0.0) * pitch_mm
-    z = imager.focal_length_mm
-    v = np.array([x, y, z])
-    v /= np.linalg.norm(v)
-    return imager.boresight_matrix() @ v
+    v = np.stack(np.broadcast_arrays(x, y, imager.focal_length_mm), axis=-1)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    # Elementwise products and a three-term sum, not matmul: BLAS may round
+    # a batch differently from a single vector.
+    return np.sum(imager.boresight_matrix() * v[..., np.newaxis, :], axis=-1)

@@ -49,78 +49,78 @@ def gmst(t_unix: float) -> float:
 
 
 def eci_to_ecef(vec: np.ndarray, t_unix: float) -> np.ndarray:
-    """Rotate an ECI (TEME) vector into the Earth-fixed frame at time t.
+    """Rotate ECI (TEME) vectors, shape [..., 3], into the Earth-fixed frame at t.
 
     Pure rotation about the spin axis by gmst(t); applies equally to
     positions and directions.
     """
     theta = gmst(t_unix)
     c, s = math.cos(theta), math.sin(theta)
-    x, y, z = float(vec[0]), float(vec[1]), float(vec[2])
-    return np.array([c * x + s * y, -s * x + c * y, z])
+    v = np.asarray(vec, dtype=np.float64)
+    x, y = v[..., 0], v[..., 1]
+    return np.stack([c * x + s * y, -s * x + c * y, v[..., 2]], axis=-1)
 
 
-def geodetic_to_ecef(lat_deg: float, lon_deg: float, alt_m: float) -> np.ndarray:
-    """WGS84 geodetic coordinates to an ECEF position in km."""
-    lat = math.radians(lat_deg)
-    lon = math.radians(lon_deg)
-    alt_km = alt_m / 1000.0
-    sin_lat, cos_lat = math.sin(lat), math.cos(lat)
-    n = WGS84_A_KM / math.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
-    return np.array(
-        [
-            (n + alt_km) * cos_lat * math.cos(lon),
-            (n + alt_km) * cos_lat * math.sin(lon),
-            (n * (1.0 - WGS84_E2) + alt_km) * sin_lat,
-        ]
-    )
+def geodetic_to_ecef(lat_deg, lon_deg, alt_m) -> np.ndarray:
+    """WGS84 geodetic coordinates to ECEF positions in km.
 
-
-def ecef_to_geodetic(r_km: np.ndarray) -> tuple[float, float, float]:
-    """ECEF position (km) to geodetic (lat deg, lon deg in [-180, 180), alt m).
-
-    Iterative latitude refinement; converges below 1e-12 rad in a handful of
-    iterations anywhere outside the geocenter.
+    The inputs broadcast against each other to shape [...]; the result has
+    shape [..., 3].
     """
-    x, y, z = float(r_km[0]), float(r_km[1]), float(r_km[2])
-    lon = math.atan2(y, x)
-    p = math.hypot(x, y)
-    if p < 1e-12:
-        # On the spin axis: latitude is +-90 by sign of z.
-        lat = math.copysign(math.pi / 2.0, z)
-        alt_km = abs(z) - WGS84_B_KM
-        return math.degrees(lat), _wrap_lon_deg(math.degrees(lon)), alt_km * 1000.0
-    lat = math.atan2(z, p * (1.0 - WGS84_E2))
+    lat, lon, alt_km = np.broadcast_arrays(np.radians(lat_deg), np.radians(lon_deg),
+                                           np.divide(alt_m, 1000.0))
+    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+    n = WGS84_A_KM / np.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
+    r_xy = (n + alt_km) * cos_lat
+    return np.stack([r_xy * np.cos(lon), r_xy * np.sin(lon),
+                     (n * (1.0 - WGS84_E2) + alt_km) * sin_lat], axis=-1)
+
+
+def ecef_to_geodetic(r_km: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ECEF positions (km, shape [..., 3]) to geodetic (lat deg, lon deg in
+    [-180, 180), alt m), each of shape [...].
+
+    Iterative latitude refinement; each point stops at its own first
+    iteration that moves it by less than 1e-12 rad, which takes a handful
+    of iterations anywhere outside the geocenter.  Points on the spin axis
+    get latitude +-90 by the sign of z.
+    """
+    r = np.asarray(r_km, dtype=np.float64)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    lon = np.arctan2(y, x)
+    p = np.hypot(x, y)
+    on_axis = p < 1e-12
+    lat = np.arctan2(z, p * (1.0 - WGS84_E2))
+    active = ~on_axis
     for _ in range(50):
-        sin_lat = math.sin(lat)
-        n = WGS84_A_KM / math.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
-        new_lat = math.atan2(z + WGS84_E2 * n * sin_lat, p)
-        if abs(new_lat - lat) < 1e-12:
-            lat = new_lat
+        if not active.any():
             break
-        lat = new_lat
-    sin_lat = math.sin(lat)
-    n = WGS84_A_KM / math.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
-    cos_lat = math.cos(lat)
-    if abs(cos_lat) > 1e-6:
-        alt_km = p / cos_lat - n
-    else:
-        alt_km = z / sin_lat - n * (1.0 - WGS84_E2)
-    return math.degrees(lat), _wrap_lon_deg(math.degrees(lon)), alt_km * 1000.0
+        sin_lat = np.sin(lat)
+        n = WGS84_A_KM / np.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
+        new_lat = np.arctan2(z + WGS84_E2 * n * sin_lat, p)
+        converged = np.abs(new_lat - lat) < 1e-12
+        lat = np.where(active, new_lat, lat)
+        active &= ~converged
+    lat = np.where(on_axis, np.copysign(math.pi / 2.0, z), lat)
+    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+    n = WGS84_A_KM / np.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alt_km = np.where(np.abs(cos_lat) > 1e-6, p / cos_lat - n,
+                          z / sin_lat - n * (1.0 - WGS84_E2))
+    alt_km = np.where(on_axis, np.abs(z) - WGS84_B_KM, alt_km)
+    return np.degrees(lat), (np.degrees(lon) + 180.0) % 360.0 - 180.0, alt_km * 1000.0
 
 
-def _wrap_lon_deg(lon_deg: float) -> float:
-    wrapped = (lon_deg + 180.0) % 360.0 - 180.0
-    return wrapped
+def enu_basis(lat_deg, lon_deg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit East/North/Up vectors of the local tangent frame, in ECEF.
 
-
-def enu_basis(lat_deg: float, lon_deg: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit East/North/Up vectors of the local tangent frame, in ECEF."""
-    lat = math.radians(lat_deg)
-    lon = math.radians(lon_deg)
-    sin_lat, cos_lat = math.sin(lat), math.cos(lat)
-    sin_lon, cos_lon = math.sin(lon), math.cos(lon)
-    east = np.array([-sin_lon, cos_lon, 0.0])
-    north = np.array([-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat])
-    up = np.array([cos_lat * cos_lon, cos_lat * sin_lon, sin_lat])
+    The inputs broadcast against each other to shape [...]; each vector has
+    shape [..., 3].
+    """
+    lat, lon = np.broadcast_arrays(np.radians(lat_deg), np.radians(lon_deg))
+    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+    sin_lon, cos_lon = np.sin(lon), np.cos(lon)
+    east = np.stack([-sin_lon, cos_lon, np.zeros_like(cos_lon)], axis=-1)
+    north = np.stack([-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat], axis=-1)
+    up = np.stack([cos_lat * cos_lon, cos_lat * sin_lon, sin_lat], axis=-1)
     return east, north, up

@@ -1,16 +1,15 @@
 """Ray-ellipsoid geolocation: per-line ground coordinates and grids.
 
-The chain per pixel: propagate the orbit to the (offset-corrected) line
-time, interpolate the attitude, build the body-frame line of sight, rotate
-into the Earth-fixed frame, and intersect with the WGS84 ellipsoid at zero
-height.  Terrain is deliberately ignored: the output is a systematic, not
-an ortho, product.
+The chain per line: propagate the orbit to the (offset-corrected) line
+time, interpolate the attitude, rotate the body-frame lines of sight of
+all requested columns into the Earth-fixed frame, and intersect them with
+the WGS84 ellipsoid at zero height in one array call.  Terrain is
+deliberately ignored: the output is a systematic, not an ortho, product.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,13 +19,16 @@ from ..errors import IoFailure, NoIntersection, OutOfBounds
 from ..raster import BandId, RawScene
 from .attitude import slerp_attitude
 from .camera import ImagerModel, pixel_los
-from .frames import WGS84_A_KM, WGS84_B_KM, ecef_to_geodetic, eci_to_ecef
+from .frames import WGS84_A_KM, WGS84_B_KM, ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
 from .metadata import AcqMetadata
 
 
 @dataclass(frozen=True)
 class GeodeticCoord:
-    """WGS84 geodetic position: degrees latitude/longitude, meters height."""
+    """WGS84 geodetic position: degrees latitude/longitude, meters height.
+
+    The fields are floats for one point, or arrays of one shape for many.
+    """
 
     lat: float
     lon: float
@@ -34,31 +36,44 @@ class GeodeticCoord:
 
 
 def intersect_ellipsoid(r_ecef_km: np.ndarray, dir_ecef: np.ndarray) -> GeodeticCoord:
-    """Nearest intersection of a ray with the WGS84 ellipsoid.
+    """Nearest intersections of rays from one origin with the WGS84 ellipsoid.
 
-    Solves the quadratic for the scaled ellipsoid equation and keeps the
-    smallest positive root, then converts to geodetic coordinates.
+    ``dir_ecef`` holds directions of shape [..., 3]; the returned
+    coordinates have shape [...].  Solves the quadratic for the scaled
+    ellipsoid equation and keeps the smallest positive root, then converts
+    to geodetic coordinates.  Raises NoIntersection if any ray misses.
     """
     r = np.asarray(r_ecef_km, dtype=np.float64)
     d = np.asarray(dir_ecef, dtype=np.float64)
-    d = d / np.linalg.norm(d)
+    d = d / np.linalg.norm(d, axis=-1, keepdims=True)
     inv_a2 = 1.0 / (WGS84_A_KM * WGS84_A_KM)
     inv_b2 = 1.0 / (WGS84_B_KM * WGS84_B_KM)
-    qa = (d[0] * d[0] + d[1] * d[1]) * inv_a2 + d[2] * d[2] * inv_b2
-    qb = 2.0 * ((r[0] * d[0] + r[1] * d[1]) * inv_a2 + r[2] * d[2] * inv_b2)
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    qa = (dx * dx + dy * dy) * inv_a2 + dz * dz * inv_b2
+    qb = 2.0 * ((r[0] * dx + r[1] * dy) * inv_a2 + r[2] * dz * inv_b2)
     qc = (r[0] * r[0] + r[1] * r[1]) * inv_a2 + r[2] * r[2] * inv_b2 - 1.0
     disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
+    if np.any(disc < 0.0):
         raise NoIntersection("line of sight misses the ellipsoid")
-    sqrt_disc = math.sqrt(disc)
+    sqrt_disc = np.sqrt(disc)
     s1 = (-qb - sqrt_disc) / (2.0 * qa)
     s2 = (-qb + sqrt_disc) / (2.0 * qa)
-    s = min(x for x in (s1, s2) if x > 0.0) if max(s1, s2) > 0.0 else None
-    if s is None:
+    if np.any(s2 <= 0.0):
         raise NoIntersection("both intersection points lie behind the ray origin")
-    point = r + s * d
-    lat, lon, alt = ecef_to_geodetic(point)
+    s = np.where(s1 > 0.0, s1, s2)
+    lat, lon, alt = ecef_to_geodetic(r + s[..., np.newaxis] * d)
     return GeodeticCoord(lat=lat, lon=lon, alt=alt)
+
+
+def _locate_line(line_idx: int, scene: RawScene, metadata: AcqMetadata,
+                 imager: ImagerModel, v_body: np.ndarray) -> GeodeticCoord:
+    """Ground coordinates of body-frame lines of sight [..., 3] at one line."""
+    if not 0 <= line_idx < scene.lines:
+        raise OutOfBounds(f"line {line_idx} outside [0, {scene.lines})")
+    t = float(scene.line_times[line_idx]) + imager.time_offset_s
+    state = metadata.orbit.state_at(t)
+    q = slerp_attitude(metadata.attitude, t)
+    return intersect_ellipsoid(eci_to_ecef(state.r_eci, t), eci_to_ecef(q.rotate(v_body), t))
 
 
 def georeference_line(
@@ -75,23 +90,13 @@ def georeference_line(
     line; pass ``imager`` to georeference with adjusted offsets without
     touching the sidecar.
     """
-    if not 0 <= line_idx < scene.lines:
-        raise OutOfBounds(f"line {line_idx} outside [0, {scene.lines})")
     if imager is None:
         imager = metadata.imager
     if columns is None:
-        columns = range(scene.width)
-    t = float(scene.line_times[line_idx]) + imager.time_offset_s
-    state = metadata.orbit.state_at(t)
-    q = slerp_attitude(metadata.attitude, t)
-    r_ecef = eci_to_ecef(state.r_eci, t)
-    coords = []
-    for col in columns:
-        v_body = pixel_los(imager, band, col)
-        v_eci = q.rotate(v_body)
-        d_ecef = eci_to_ecef(v_eci, t)
-        coords.append(intersect_ellipsoid(r_ecef, d_ecef))
-    return coords
+        columns = np.arange(scene.width)
+    v_body = pixel_los(imager, band, columns)
+    coord = _locate_line(line_idx, scene, metadata, imager, v_body)
+    return list(map(GeodeticCoord, coord.lat.tolist(), coord.lon.tolist(), coord.alt.tolist()))
 
 
 @dataclass
@@ -114,27 +119,12 @@ def _sample_indices(extent: int, step: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def _ecef_grid(grid: GeoGrid) -> np.ndarray:
-    from .frames import geodetic_to_ecef
-
-    ny, nx = grid.lat.shape
-    out = np.empty((ny, nx, 3))
-    for i in range(ny):
-        for j in range(nx):
-            out[i, j] = geodetic_to_ecef(grid.lat[i, j], grid.lon[i, j], grid.alt[i, j])
-    return out
-
-
 def _mean_gsd_m(grid: GeoGrid) -> float:
-    ecef = _ecef_grid(grid)
-    samples = []
-    col_steps = np.diff(grid.columns)
-    line_steps = np.diff(grid.lines)
-    across = np.linalg.norm(np.diff(ecef, axis=1), axis=2) * 1000.0 / col_steps[np.newaxis, :]
-    along = np.linalg.norm(np.diff(ecef, axis=0), axis=2) * 1000.0 / line_steps[:, np.newaxis]
-    samples.append(across.ravel())
-    samples.append(along.ravel())
-    return float(np.concatenate(samples).mean())
+    ecef = geodetic_to_ecef(grid.lat, grid.lon, grid.alt)
+    across = np.linalg.norm(np.diff(ecef, axis=1), axis=2) * 1000.0 / np.diff(grid.columns)
+    along = (np.linalg.norm(np.diff(ecef, axis=0), axis=2) * 1000.0
+             / np.diff(grid.lines)[:, np.newaxis])
+    return float(np.concatenate([across.ravel(), along.ravel()]).mean())
 
 
 def build_geogrid(
@@ -144,20 +134,22 @@ def build_geogrid(
     step: int = 64,
     band: BandId = BandId.RED,
 ) -> GeoGrid:
-    """Sample ``georeference_line`` on a regular grid (first/last always kept)."""
+    """Geolocate a regular grid of nodes (first/last line and column always kept).
+
+    Each sampled line is geolocated as ``georeference_line`` does it: one
+    orbit state, one attitude and one intersection call per line.
+    """
     if step < 1:
         raise OutOfBounds(f"step {step} < 1")
+    if imager is None:
+        imager = metadata.imager
     line_idx = _sample_indices(scene.lines, step)
     col_idx = _sample_indices(scene.width, step)
-    ny, nx = len(line_idx), len(col_idx)
-    lat = np.empty((ny, nx))
-    lon = np.empty((ny, nx))
-    alt = np.empty((ny, nx))
-    for i, line in enumerate(line_idx):
-        coords = georeference_line(int(line), scene, metadata, imager, col_idx, band)
-        lat[i] = [c.lat for c in coords]
-        lon[i] = [c.lon for c in coords]
-        alt[i] = [c.alt for c in coords]
+    v_body = pixel_los(imager, band, col_idx)
+    coords = [_locate_line(int(line), scene, metadata, imager, v_body) for line in line_idx]
+    lat = np.array([c.lat for c in coords])
+    lon = np.array([c.lon for c in coords])
+    alt = np.array([c.alt for c in coords])
     grid = GeoGrid(lines=line_idx, columns=col_idx, lat=lat, lon=lon, alt=alt)
     grid.corners = {
         "top_left": (float(lat[0, 0]), float(lon[0, 0])),
@@ -165,7 +157,7 @@ def build_geogrid(
         "bottom_left": (float(lat[-1, 0]), float(lon[-1, 0])),
         "bottom_right": (float(lat[-1, -1]), float(lon[-1, -1])),
     }
-    if ny > 1 and nx > 1:
+    if min(lat.shape) > 1:
         grid.mean_gsd_m = _mean_gsd_m(grid)
     return grid
 

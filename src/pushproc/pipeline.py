@@ -21,7 +21,7 @@ import numpy as np
 from . import coreg as coreg_mod
 from . import radiometry
 from .errors import BadBandSelection, ConfigInvalid, MissingAttitude, PushprocError, StageFailure
-from .georef.geolocate import build_geogrid, fit_world_file, save_geogrid
+from .georef.geolocate import _sample_indices, build_geogrid, fit_world_file, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import BAND_NAMES, BandId, CalibrationTable, RawScene, load_calibration, load_raw, save_raw
 
@@ -72,8 +72,11 @@ class PipelineConfig:
             raise ConfigInvalid("input paths must be distinct")
         if self.poly_order not in (1, 2, 3):
             raise ConfigInvalid(f"poly_order {self.poly_order} not in 1..3")
-        if self.workers < 1:
-            raise ConfigInvalid(f"workers {self.workers} < 1")
+        # The lower bounds the stages themselves enforce, checked before any runs.
+        for name, low in (("tile_size", 32), ("grid_nx", 1), ("grid_ny", 1),
+                          ("grid_step", 1), ("residual_points", 10), ("workers", 1)):
+            if getattr(self, name) < low:
+                raise ConfigInvalid(f"{name} {getattr(self, name)} < {low}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -211,13 +214,7 @@ def _stage_georef(scene: RawScene, metadata: AcqMetadata, truth: tuple | None,
     if truth is not None:
         from .georef.accuracy import georef_error_stats
 
-        truth_grid, track_dir = truth
-        if not (np.array_equal(grid.lines, truth_grid.lines)
-                and np.array_equal(grid.columns, truth_grid.columns)):
-            raise ConfigInvalid(
-                "truth grid nodes differ from the configured grid_step sampling"
-            )
-        stats = georef_error_stats(grid, truth_grid, track_dir)
+        stats = georef_error_stats(grid, *truth)
         metrics["error_stats"] = {
             "mean_across_km": stats.mean_across_km,
             "mean_along_km": stats.mean_along_km,
@@ -264,6 +261,12 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
             from .synthscene import load_truth_grid
 
             truth = load_truth_grid(config.truth_path)
+            truth_grid = truth[0]
+            if config.georef and not (
+                    np.array_equal(truth_grid.lines, _sample_indices(scene.lines, config.grid_step))
+                    and np.array_equal(truth_grid.columns,
+                                       _sample_indices(scene.width, config.grid_step))):
+                raise ConfigInvalid("truth grid nodes differ from the configured grid_step sampling")
     except PushprocError as exc:
         raise StageFailure("input", exc) from exc
     if config.vignetting and calib is None:

@@ -17,8 +17,12 @@ from pushproc.georef.attitude import (
     slerp_attitude,
 )
 from pushproc.georef.frames import (
+    WGS84_A_KM,
+    WGS84_B_KM,
+    WGS84_E2,
     ecef_to_geodetic,
     eci_to_ecef,
+    enu_basis,
     geodetic_to_ecef,
     gmst,
     unix_to_jd,
@@ -101,6 +105,73 @@ class TestGeodetic:
         assert lat2 == pytest.approx(lat, abs=1e-6)
         assert abs((lon2 - lon + 180.0) % 360.0 - 180.0) < 1e-6
         assert alt2 == pytest.approx(alt, abs=1e-3)  # 1 mm
+
+
+    def test_batch_equals_single_calls(self, rng):
+        lat = rng.uniform(-89.0, 89.0, (3, 4))
+        lon = rng.uniform(-180.0, 180.0, (3, 4))
+        alt = rng.uniform(-500.0, 600_000.0, (3, 4))
+        points = geodetic_to_ecef(lat, lon, alt)
+        # on the spin axis, and off it by nanometres (|cos lat| <= 1e-6)
+        points[0, 0] = [0.0, 0.0, 6400.0]
+        points[0, 1] = [0.0, 0.0, -6370.0]
+        points[1, 0] = [1e-9, 2e-9, 6357.0]
+        batch = ecef_to_geodetic(points)
+        assert all(part.shape == (3, 4) for part in batch)
+        assert abs(math.cos(math.radians(batch[0][1, 0]))) <= 1e-6
+        for i in range(3):
+            for j in range(4):
+                single = ecef_to_geodetic(points[i, j])
+                assert tuple(part[i, j] for part in batch) == single
+        assert (batch[0][0, 0], batch[2][0, 0]) == (90.0, (6400.0 - WGS84_B_KM) * 1000.0)
+        assert batch[0][0, 1] == -90.0
+
+    def test_batch_matches_scalar_loop_reference(self, rng):
+        # The per-point loop this conversion replaced, in math-module scalars.
+        def reference(x, y, z):
+            lon = (math.degrees(math.atan2(y, x)) + 180.0) % 360.0 - 180.0
+            p = math.hypot(x, y)
+            if p < 1e-12:
+                lat = math.degrees(math.copysign(math.pi / 2.0, z))
+                return lat, lon, (abs(z) - WGS84_B_KM) * 1e3
+            lat = math.atan2(z, p * (1.0 - WGS84_E2))
+            for _ in range(50):
+                n = WGS84_A_KM / math.sqrt(1.0 - WGS84_E2 * math.sin(lat) ** 2)
+                new_lat = math.atan2(z + WGS84_E2 * n * math.sin(lat), p)
+                done = abs(new_lat - lat) < 1e-12
+                lat = new_lat
+                if done:
+                    break
+            n = WGS84_A_KM / math.sqrt(1.0 - WGS84_E2 * math.sin(lat) ** 2)
+            if abs(math.cos(lat)) > 1e-6:
+                alt_km = p / math.cos(lat) - n
+            else:
+                alt_km = z / math.sin(lat) - n * (1.0 - WGS84_E2)
+            return math.degrees(lat), lon, alt_km * 1e3
+
+        points = rng.uniform(-8000.0, 8000.0, (200, 3))
+        points[:3] = [[0.0, 0.0, 6400.0], [0.0, 0.0, -6370.0], [1e-9, 2e-9, 6357.0]]
+        lat, lon, alt = ecef_to_geodetic(points)
+        for k, point in enumerate(points):
+            ref_lat, ref_lon, ref_alt = reference(*point)
+            # a few units in the last place of 180 degrees and of 8000 km
+            assert abs(lat[k] - ref_lat) <= 1e-12 and abs(lon[k] - ref_lon) <= 1e-12
+            assert abs(alt[k] - ref_alt) <= 1e-6
+
+    def test_forward_transforms_broadcast(self, rng):
+        lat = rng.uniform(-89.0, 89.0, 5)
+        lon = rng.uniform(-180.0, 180.0, 5)
+        batch = geodetic_to_ecef(lat, lon, 250.0)
+        basis = enu_basis(lat, lon)
+        assert batch.shape == (5, 3) and all(v.shape == (5, 3) for v in basis)
+        for k in range(5):
+            np.testing.assert_array_equal(batch[k], geodetic_to_ecef(lat[k], lon[k], 250.0))
+            for v, single in zip(basis, enu_basis(lat[k], lon[k])):
+                np.testing.assert_array_equal(v[k], single)
+        vecs = rng.normal(size=(2, 5, 3)) * 7000.0
+        rotated = eci_to_ecef(vecs, 1.6e9)
+        for i, j in np.ndindex(2, 5):
+            np.testing.assert_array_equal(rotated[i, j], eci_to_ecef(vecs[i, j], 1.6e9))
 
 
 class TestQuaternion:

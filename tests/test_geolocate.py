@@ -94,6 +94,24 @@ class TestIntersectEllipsoid:
             p_march = march(r, d)
             assert np.linalg.norm(p_quadratic - p_march) < 0.001  # 1 m
 
+    def test_batch_equals_single_calls(self, rng):
+        r = geodetic_to_ecef(35.0, -20.0, 510_000.0)
+        d = -r / np.linalg.norm(r) + rng.uniform(-0.05, 0.05, (3, 5, 3))
+        batch = intersect_ellipsoid(r, d)
+        assert batch.lat.shape == batch.lon.shape == batch.alt.shape == (3, 5)
+        for i, j in np.ndindex(3, 5):
+            single = intersect_ellipsoid(r, d[i, j])
+            assert (batch.lat[i, j], batch.lon[i, j], batch.alt[i, j]) == \
+                (single.lat, single.lon, single.alt)
+
+    @pytest.mark.parametrize("miss", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_one_missing_ray_fails_the_batch(self, rng, miss):
+        r = np.array([WGS84_A_KM + 510.0, 0.0, 0.0])
+        d = np.array([-1.0, 0.0, 0.0]) + rng.uniform(-0.05, 0.05, (4, 3))
+        d[2] = miss
+        with pytest.raises(errors.NoIntersection):
+            intersect_ellipsoid(r, d)
+
 
 class TestPixelLos:
     def test_center_column_boresight(self):
@@ -126,6 +144,21 @@ class TestPixelLos:
     def test_column_out_of_range(self):
         with pytest.raises(errors.ColumnOutOfRange):
             pixel_los(default_imager(100), BandId.RED, 100)
+
+    @pytest.mark.parametrize("bad", [-0.5, 100, math.nan])
+    def test_one_column_out_of_range_fails_the_batch(self, bad):
+        with pytest.raises(errors.ColumnOutOfRange):
+            pixel_los(default_imager(100), BandId.RED, [0, 50.5, bad, 99])
+
+    def test_column_array_equals_single_calls(self):
+        imager = ImagerModel(focal_length_mm=238.0, pixel_pitch_um=7.0, columns=8001,
+                             band_row_offset={BandId.NIR: 3.5},
+                             boresight_rpy_deg=(0.3, -0.2, 0.1))
+        columns = np.linspace(0.0, 8000.0, 24).reshape(4, 6)
+        batch = pixel_los(imager, BandId.NIR, columns)
+        assert batch.shape == (4, 6, 3)
+        for i, j in np.ndindex(4, 6):
+            np.testing.assert_array_equal(batch[i, j], pixel_los(imager, BandId.NIR, columns[i, j]))
 
 
 def swath_spec(**kw):
@@ -212,6 +245,16 @@ class TestBuildGeogrid:
         raw, truth = generate(swath_spec(width=2048, lines=128))
         grid = build_geogrid(raw, truth.metadata, step=128)
         assert grid.mean_gsd_m == pytest.approx(15.0, rel=0.05)
+
+    def test_rows_equal_georeference_line(self):
+        raw, truth = generate(swath_spec(width=300, lines=40))
+        imager = truth.metadata.imager.with_offsets(d_roll_deg=0.1, d_time_s=0.2)
+        grid = build_geogrid(raw, truth.metadata, imager=imager, step=16)
+        for i, line in enumerate(grid.lines):
+            coords = georeference_line(int(line), raw, truth.metadata, imager, grid.columns)
+            assert [c.lat for c in coords] == grid.lat[i].tolist()
+            assert [c.lon for c in coords] == grid.lon[i].tolist()
+            assert [c.alt for c in coords] == grid.alt[i].tolist()
 
     def test_step_validation(self):
         raw, truth = generate(swath_spec(width=256, lines=16))

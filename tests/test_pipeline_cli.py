@@ -267,6 +267,7 @@ class TestCli:
     @pytest.mark.parametrize("doc", [
         {"ref_band": 9}, {"ref_band": "red"}, {"tile_size": "x"},
         {"grid_step": 2.5}, {"min_score": None}, {"vignetting": "no"}, [],
+        {"grid_step": 0}, {"tile_size": 16}, {"grid_nx": 0}, {"residual_points": 5},
     ])
     def test_wrongly_typed_config_exit_2(self, synth_inputs, tmp_path, capsys, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -287,6 +288,7 @@ class TestCli:
         ({"truth_grid": {**ONE_NODE, "lat": [[0.0, 1.0]]}, "track_dir_en": [0, 1]},
          "TruthInvalid"),
         ({"truth_grid": ONE_NODE, "track_dir_en": [0, 0]}, "TruthInvalid"),
+        ({"truth_grid": ONE_NODE, "track_dir_en": [0, 1]}, "ConfigInvalid"),
     ])
     def test_bad_truth_exit_2_before_any_stage(self, synth_inputs, tmp_path, capsys,
                                                truth, error):
