@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import PushprocError, StageFailure
+from .errors import PushprocError, ReportInvalid, StageFailure
 from .pipeline import PipelineConfig, report_timing, run_pipeline
 from .raster import save_calibration, save_raw
 from .synthscene import SynthSpec, generate, save_truth
@@ -129,11 +129,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        doc = json.loads(Path(args.report_in).read_text())
-    except (json.JSONDecodeError, OSError) as exc:
+        text = report_timing(json.loads(Path(args.report_in).read_text()))
+    except (ReportInvalid, json.JSONDecodeError, OSError) as exc:
         print(_error_json("report", exc))
         return EXIT_INPUT
-    print(report_timing(doc))
+    print(text)
     return EXIT_OK
 
 

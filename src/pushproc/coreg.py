@@ -6,7 +6,10 @@ The chain mirrors the production flow for pushbroom band alignment:
    filter, so matching keys on structure rather than band radiometry.
    ``edge_map`` builds the softened map of one plane; a caller aligning
    several bands to one reference computes the reference map once and
-   passes it as ``ref_edges``.
+   passes it as ``ref_edges``.  Smoothing, gradients and non-maximum
+   suppression run on blocks of lines with a halo; only the suppressed
+   magnitude, its peak and the hysteresis over connected edges span the
+   whole plane.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.
 3. Matches are gated around an attitude-derived shift prior, then cleaned
@@ -48,6 +51,10 @@ from .georef.metadata import AcqMetadata
 
 # ------------------------------------------------------------------ canny
 
+# Lines per block for the plane walks of ``canny_edges`` and ``resample``.
+BLOCK_LINES = 256
+
+
 def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
                 t_high: float = 0.3) -> np.ndarray:
     """Binary Canny edge map of one band plane.
@@ -55,45 +62,61 @@ def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
     Gaussian smoothing, Sobel gradients, non-maximum suppression along the
     quantized gradient direction, then double-threshold hysteresis.  The
     thresholds are fractions of the maximum suppressed gradient magnitude.
+
+    The local steps run on blocks of ``BLOCK_LINES`` lines, each read with
+    a halo of the Gaussian radius plus one line for Sobel and one for the
+    suppression neighbours, so every block row sees the same inputs as in
+    a whole-plane pass and the map does not depend on the block size.
+    Only the suppressed magnitude, the peak and the hysteresis labels
+    span the whole plane.
     """
     if not 0.0 < t_low < t_high:
         raise BadThresholds(f"need 0 < t_low < t_high, got {t_low}, {t_high}")
     if sigma <= 0:
         raise BadThresholds(f"sigma {sigma} must be positive")
-    img = ndimage.gaussian_filter(np.asarray(plane, dtype=np.float64), sigma)
-    gx = ndimage.sobel(img, axis=1)
-    gy = ndimage.sobel(img, axis=0)
-    mag = np.hypot(gx, gy)
-    peak = mag.max()
+    plane = np.asarray(plane)
+    h, w = plane.shape
+    halo = int(4.0 * sigma + 0.5) + 2
+    nms = np.zeros((h, w), dtype=np.float64)
+    peak = 0.0
+    for y0 in range(0, h, BLOCK_LINES):
+        y1 = min(y0 + BLOCK_LINES, h)
+        a, b = max(y0 - halo, 0), min(y1 + halo, h)
+        img = ndimage.gaussian_filter(plane[a:b].astype(np.float64), sigma)
+        gx = ndimage.sobel(img, axis=1)
+        gy = ndimage.sobel(img, axis=0)
+        # Zero padding stands in for the neighbours beyond the plane border;
+        # inside the plane the halo supplies them.
+        padded = np.pad(np.hypot(gx, gy), 1)
+        gx, gy = gx[y0 - a : y1 - a], gy[y0 - a : y1 - a]
+        top = y0 - a + 1
+
+        def shifted(dy: int, dx: int) -> np.ndarray:
+            return padded[top + dy : top + dy + y1 - y0, 1 + dx : 1 + dx + w]
+
+        mag = shifted(0, 0)
+        peak = max(peak, float(mag.max()))
+
+        # Quantize gradient direction into 4 sectors and compare against the
+        # two neighbors along that direction.
+        angle = np.rad2deg(np.arctan2(gy, gx)) % 180.0
+        out = nms[y0:y1]
+        sectors = [
+            ((angle < 22.5) | (angle >= 157.5), (0, 1), (0, -1)),      # horizontal gradient
+            ((angle >= 22.5) & (angle < 67.5), (1, 1), (-1, -1)),      # diagonal /
+            ((angle >= 67.5) & (angle < 112.5), (1, 0), (-1, 0)),      # vertical gradient
+            ((angle >= 112.5) & (angle < 157.5), (1, -1), (-1, 1)),    # diagonal \
+        ]
+        for mask, (dy1, dx1), (dy2, dx2) in sectors:
+            keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
+            out[keep] = mag[keep]
     if peak == 0.0:
-        return np.zeros(plane.shape, dtype=np.uint8)
+        return np.zeros((h, w), dtype=np.uint8)
 
-    # Quantize gradient direction into 4 sectors and compare against the
-    # two neighbors along that direction.
-    angle = np.rad2deg(np.arctan2(gy, gx)) % 180.0
-    nms = np.zeros_like(mag)
-    padded = np.pad(mag, 1, mode="constant")
-
-    def shifted(dy: int, dx: int) -> np.ndarray:
-        return padded[1 + dy : 1 + dy + mag.shape[0], 1 + dx : 1 + dx + mag.shape[1]]
-
-    sectors = [
-        ((angle < 22.5) | (angle >= 157.5), (0, 1), (0, -1)),      # horizontal gradient
-        ((angle >= 22.5) & (angle < 67.5), (1, 1), (-1, -1)),      # diagonal /
-        ((angle >= 67.5) & (angle < 112.5), (1, 0), (-1, 0)),      # vertical gradient
-        ((angle >= 112.5) & (angle < 157.5), (1, -1), (-1, 1)),    # diagonal \
-    ]
-    for mask, (dy1, dx1), (dy2, dx2) in sectors:
-        keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
-        nms[keep] = mag[keep]
-
-    strong = nms >= t_high * peak
-    weak = nms >= t_low * peak
-    labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
-    strong_labels = np.unique(labels[strong])
-    strong_labels = strong_labels[strong_labels > 0]
-    edges = np.isin(labels, strong_labels)
-    return edges.astype(np.uint8)
+    labels, n = ndimage.label(nms >= t_low * peak, structure=np.ones((3, 3), dtype=int))
+    strong = np.zeros(n + 1, dtype=np.uint8)
+    strong[labels[nms >= t_high * peak]] = 1
+    return strong[labels]
 
 
 def edge_map(plane: np.ndarray) -> np.ndarray:
@@ -103,7 +126,7 @@ def edge_map(plane: np.ndarray) -> np.ndarray:
     Every matcher uses this one definition, so a map computed once can
     stand in for any later call on the same plane.
     """
-    return ndimage.gaussian_filter(canny_edges(plane).astype(np.float64), 1.0)
+    return ndimage.gaussian_filter(canny_edges(plane), 1.0, output=np.float64)
 
 
 # --------------------------------------------------------------- matching
@@ -474,16 +497,13 @@ def fit_distortion(
     )
 
 
-RESAMPLE_BLOCK_LINES = 256
-
-
 def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray, np.ndarray]:
     """Warp the target plane onto the reference geometry.
 
     Inverse mapping with bilinear interpolation:
     output(x, y) = tgt(x + dx(x, y), y + dy(x, y)).  Source coordinates
     outside the plane produce 0 DN and a cleared bit in the validity mask.
-    The plane is warped in blocks of ``RESAMPLE_BLOCK_LINES`` lines; each
+    The plane is warped in blocks of ``BLOCK_LINES`` lines; each
     block evaluates the model from a column of line indices and a row of
     column indices, so memory beyond the output stays at one block.
     Bilinear sampling is pointwise, so the result does not depend on the
@@ -495,8 +515,8 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray,
     out = np.empty((h, w), dtype=plane.dtype)
     valid = np.empty((h, w), dtype=bool)
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
-    for y0 in range(0, h, RESAMPLE_BLOCK_LINES):
-        y1 = min(y0 + RESAMPLE_BLOCK_LINES, h)
+    for y0 in range(0, h, BLOCK_LINES):
+        y1 = min(y0 + BLOCK_LINES, h)
         lines = np.arange(y0, y1, dtype=np.float64)[:, np.newaxis]
         dx, dy = model.evaluate(cols, lines)
         src_x = cols + dx

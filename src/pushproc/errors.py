@@ -162,6 +162,10 @@ class ConfigInvalid(PushprocError):
     """Pipeline configuration violates its invariants."""
 
 
+class ReportInvalid(PushprocError):
+    """Document is not a quality report with numeric timing."""
+
+
 class StageFailure(PushprocError):
     """A pipeline stage failed; carries the stage name and the cause."""
 

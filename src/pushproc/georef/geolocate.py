@@ -185,8 +185,12 @@ def fit_world_file(grid: GeoGrid) -> tuple[tuple[float, ...], float]:
     return (float(a), float(d), float(b), float(e), float(c), float(f)), rms
 
 
-def save_geogrid(grid: GeoGrid, json_path, world_path=None) -> None:
-    """Write the grid JSON and, optionally, the six-line ESRI world file."""
+def save_geogrid(grid: GeoGrid, json_path, world_path=None) -> tuple[tuple[float, ...], float]:
+    """Write the grid JSON and, optionally, the six-line ESRI world file.
+
+    Returns the world-file fit written into both, as ``fit_world_file``
+    gives it.
+    """
     coeffs, rms = fit_world_file(grid)
     doc = {
         "schema": 1,
@@ -206,6 +210,7 @@ def save_geogrid(grid: GeoGrid, json_path, world_path=None) -> None:
             Path(world_path).write_text(lines)
     except OSError as exc:
         raise IoFailure(f"cannot write geogrid: {exc}") from exc
+    return coeffs, rms
 
 
 def load_geogrid(json_path) -> GeoGrid:

@@ -20,8 +20,15 @@ import numpy as np
 
 from . import coreg as coreg_mod
 from . import radiometry
-from .errors import BadBandSelection, ConfigInvalid, MissingAttitude, PushprocError, StageFailure
-from .georef.geolocate import _sample_indices, build_geogrid, fit_world_file, save_geogrid
+from .errors import (
+    BadBandSelection,
+    ConfigInvalid,
+    MissingAttitude,
+    PushprocError,
+    ReportInvalid,
+    StageFailure,
+)
+from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import BAND_NAMES, BandId, CalibrationTable, RawScene, load_calibration, load_raw, save_raw
 
@@ -201,10 +208,9 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
 def _stage_georef(scene: RawScene, metadata: AcqMetadata, truth: tuple | None,
                   config: PipelineConfig, out_dir: Path, report: QualityReport) -> None:
     grid = build_geogrid(scene, metadata, step=config.grid_step)
-    _, world_rms = fit_world_file(grid)
     grid_json = out_dir / "grid.json"
     world_file = out_dir / "grid.wld"
-    save_geogrid(grid, grid_json, world_file)
+    _, world_rms = save_geogrid(grid, grid_json, world_file)
     metrics = {
         "corners": {k: list(v) for k, v in grid.corners.items()},
         "mean_gsd_m": grid.mean_gsd_m,
@@ -335,9 +341,16 @@ def quicklook(scene: RawScene, bands, path) -> None:
 
 
 def report_timing(report: QualityReport | dict) -> str:
-    """Per-stage timing breakdown; flags a co-registration share over 50%."""
+    """Per-stage timing breakdown; flags a co-registration share over 50%.
+
+    A document that is not a JSON object, or whose ``timing`` is not an
+    object of numbers, raises ``ReportInvalid``.
+    """
     doc = report.to_dict() if isinstance(report, QualityReport) else report
-    timing = doc.get("timing", {})
+    timing = doc.get("timing", {}) if isinstance(doc, dict) else None
+    if not isinstance(timing, dict) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in timing.values()):
+        raise ReportInvalid("not a report: 'timing' must be an object of seconds")
     total = timing.get("total", sum(v for k, v in timing.items() if k != "total"))
     lines = [f"{'stage':<12s} {'seconds':>9s} {'share':>7s}"]
     coreg_flagged = False

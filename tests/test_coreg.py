@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,80 @@ class TestCanny:
     def test_rich_texture_produces_edges(self):
         edges = coreg.canny_edges(smooth_texture(3), 1.4, 0.1, 0.3)
         assert 0.01 < edges.mean() < 0.5
+
+    @staticmethod
+    def whole_plane_canny(plane, sigma=1.4, t_low=0.1, t_high=0.3):
+        """The unblocked Canny: every intermediate spans the whole plane."""
+        img = ndimage.gaussian_filter(np.asarray(plane, dtype=np.float64), sigma)
+        gx = ndimage.sobel(img, axis=1)
+        gy = ndimage.sobel(img, axis=0)
+        mag = np.hypot(gx, gy)
+        peak = mag.max()
+        if peak == 0.0:
+            return np.zeros(plane.shape, dtype=np.uint8)
+        angle = np.rad2deg(np.arctan2(gy, gx)) % 180.0
+        nms = np.zeros_like(mag)
+        padded = np.pad(mag, 1, mode="constant")
+
+        def shifted(dy, dx):
+            return padded[1 + dy : 1 + dy + mag.shape[0], 1 + dx : 1 + dx + mag.shape[1]]
+
+        sectors = [
+            ((angle < 22.5) | (angle >= 157.5), (0, 1), (0, -1)),
+            ((angle >= 22.5) & (angle < 67.5), (1, 1), (-1, -1)),
+            ((angle >= 67.5) & (angle < 112.5), (1, 0), (-1, 0)),
+            ((angle >= 112.5) & (angle < 157.5), (1, -1), (-1, 1)),
+        ]
+        for mask, (dy1, dx1), (dy2, dx2) in sectors:
+            keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
+            nms[keep] = mag[keep]
+        labels, _ = ndimage.label(nms >= t_low * peak, structure=np.ones((3, 3), dtype=int))
+        strong_labels = np.unique(labels[nms >= t_high * peak])
+        strong_labels = strong_labels[strong_labels > 0]
+        return np.isin(labels, strong_labels).astype(np.uint8)
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.4, 2.5])
+    @pytest.mark.parametrize("lines", [coreg.BLOCK_LINES - 1, coreg.BLOCK_LINES,
+                                       coreg.BLOCK_LINES + 1, 2 * coreg.BLOCK_LINES + 77, 5])
+    def test_blocked_matches_whole_plane(self, lines, sigma):
+        rng = np.random.default_rng(lines)
+        plane = ndimage.gaussian_filter(rng.uniform(0, 4000, (lines, 67)), 1.5)
+        plane[:, 30:] += 500.0  # one edge that runs through every block boundary
+        plane = plane.astype(np.uint16)
+        edges = coreg.canny_edges(plane, sigma)
+        assert edges.dtype == np.uint8 and edges.any()
+        np.testing.assert_array_equal(edges, self.whole_plane_canny(plane, sigma))
+        flat = np.full((lines, 67), 900, dtype=np.uint16)
+        np.testing.assert_array_equal(coreg.canny_edges(flat, sigma),
+                                      self.whole_plane_canny(flat, sigma))
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.4, 2.5])
+    @pytest.mark.parametrize("block_lines", [1, 3])
+    def test_tiny_blocks_match_whole_plane(self, monkeypatch, block_lines, sigma):
+        # A halo one line short changes the last bits of the rows next to a
+        # block edge; white noise and many block edges turn that into
+        # different edges.
+        monkeypatch.setattr(coreg, "BLOCK_LINES", block_lines)
+        plane = np.random.default_rng(7).uniform(0, 65535, (300, 200)).astype(np.uint16)
+        np.testing.assert_array_equal(coreg.canny_edges(plane, sigma),
+                                      self.whole_plane_canny(plane, sigma))
+
+    def test_edge_map_blurs_whole_plane_canny(self):
+        plane = (smooth_texture(4, 2 * coreg.BLOCK_LINES + 77) * 20).astype(np.uint16)
+        expected = ndimage.gaussian_filter(
+            self.whole_plane_canny(plane).astype(np.float64), 1.0)
+        np.testing.assert_array_equal(coreg.edge_map(plane), expected)
+
+    def test_working_memory_bounded(self):
+        plane = (smooth_texture(5, 1024) * 300).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            coreg.canny_edges(plane)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The whole-plane version peaked near nine float64 planes.
+        assert peak <= 5 * plane.size * 8
 
 
 class TestFftXcorr:
@@ -372,7 +448,7 @@ class TestResample:
         return out, valid
 
     def test_blocked_matches_whole_plane(self):
-        h, w = coreg.RESAMPLE_BLOCK_LINES + 77, 90
+        h, w = coreg.BLOCK_LINES + 77, 90
         plane = (ndimage.gaussian_filter(np.random.default_rng(18).uniform(0, 4000, (h, w)),
                                          1.5)).astype(np.uint16)
         model = coreg.DistortionModel(order=2,

@@ -120,6 +120,26 @@ class TestRunPipeline:
         assert err.value.stage == "georef"
         assert not (tmp_path / "nometa").exists()
 
+    def test_world_file_fitted_once(self, synth_inputs, tmp_path, monkeypatch):
+        from pushproc import pipeline
+        from pushproc.georef import geolocate
+
+        calls = []
+        original = geolocate.fit_world_file
+
+        def counting(grid):
+            calls.append(grid.lat.shape)
+            return original(grid)
+
+        monkeypatch.setattr(geolocate, "fit_world_file", counting)
+        # A module that imported the fit by name would call past the first patch.
+        monkeypatch.setattr(pipeline, "fit_world_file", counting, raising=False)
+        report = run_pipeline(base_config(synth_inputs, tmp_path / "wld", coreg=False))
+        assert len(calls) == 1
+        grid_doc = json.loads((tmp_path / "wld" / "grid.json").read_text())
+        assert report.stages["georef"]["world_file_rms_deg"] == \
+            grid_doc["world_file"]["rms_residual_deg"]
+
     def test_no_stages_invalid(self, synth_inputs, tmp_path):
         cfg = base_config(synth_inputs, tmp_path / "none",
                           vignetting=False, coreg=False, georef=False)
@@ -230,6 +250,15 @@ class TestCli:
         rc = self.run_cli("report", "--in", str(run_dir / "report.json"))
         assert rc == 0
         assert "vignetting" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", [[], {"timing": []}, {"timing": {"coreg": "x", "total": 1}}])
+    def test_report_of_non_report_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "not_a_report.json"
+        path.write_text(json.dumps(doc))
+        rc = self.run_cli("report", "--in", str(path))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out.strip())
+        assert (err["error"]["stage"], err["error"]["type"]) == ("report", "ReportInvalid")
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         rc = self.run_cli("preprocess", "--raw", str(tmp_path / "ghost.l3raw"),
