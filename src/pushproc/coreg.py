@@ -4,12 +4,15 @@ The chain mirrors the production flow for pushbroom band alignment:
 
 1. Canny edge maps of the reference and target planes act as the high-pass
    filter, so matching keys on structure rather than band radiometry.
-   ``edge_map`` builds the softened map of one plane; a caller aligning
-   several bands to one reference computes the reference map once and
-   passes it as ``ref_edges``.  Smoothing, gradients and non-maximum
-   suppression run on blocks of lines with a halo; only the suppressed
-   magnitude, its peak and the hysteresis over connected edges span the
-   whole plane.
+   Edges are built only where a tile grid reads them.  A ``TileGrid``
+   holds its tiles in blocks (tile windows widened by the blur radius and
+   merged along lines and columns), and ``grid_edges`` builds one softened
+   map per block: smoothing, gradients and non-maximum suppression read
+   the block with a halo, so they equal a whole-plane pass, while the
+   thresholds, the hysteresis over connected edges and the blur are the
+   block's own.  A caller aligning several bands to one reference builds
+   the reference maps of all its grids in one call, which suppresses each
+   reference pixel once, and passes them as ``ref_edges``.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.
 3. Matches are gated around an attitude-derived shift prior, then cleaned
@@ -24,10 +27,12 @@ reduced in tile_id order, so results are independent of worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -42,7 +47,7 @@ from .errors import (
     SingularFit,
     TooFewMatches,
 )
-from .raster import BandId
+from .raster import BLOCK_LINES, BandId
 from .georef.attitude import slerp_attitude
 from .georef.camera import ImagerModel
 from .georef.frames import eci_to_ecef
@@ -51,8 +56,80 @@ from .georef.metadata import AcqMetadata
 
 # ------------------------------------------------------------------ canny
 
-# Lines per block for the plane walks of ``canny_edges`` and ``resample``.
-BLOCK_LINES = 256
+# tan(22.5 deg): where the quantized gradient direction changes sector.
+_TAN_22_5 = math.tan(math.radians(22.5))
+
+# Radius of the unit Gaussian that softens edge maps (scipy's truncate=4).
+BLUR_RADIUS = 4
+
+
+def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4) -> np.ndarray:
+    """Non-maximum-suppressed gradient magnitude over one window of a plane.
+
+    Gaussian smoothing, Sobel gradients, then suppression against the two
+    neighbours along the gradient direction, quantized into four sectors
+    centred on 0, 45, 90 and 135 degrees.  The window is walked in blocks
+    of ``BLOCK_LINES`` lines, each read with a halo of the Gaussian radius
+    plus one pixel for Sobel and one for the suppression neighbours on
+    every side, so every value equals that of a whole-plane pass; at the
+    plane border that pass's ``reflect`` and zero padding apply.
+    """
+    h, w = plane.shape
+    rows, cols = window
+    halo = int(4.0 * sigma + 0.5) + 2
+    ca, cb = max(cols.start - halo, 0), min(cols.stop + halo, w)
+    left, width = cols.start - ca, cols.stop - cols.start
+    nms = np.zeros((rows.stop - rows.start, width), dtype=np.float64)
+    for y0 in range(rows.start, rows.stop, BLOCK_LINES):
+        y1 = min(y0 + BLOCK_LINES, rows.stop)
+        a, b = max(y0 - halo, 0), min(y1 + halo, h)
+        img = ndimage.gaussian_filter(plane[a:b, ca:cb].astype(np.float64), sigma)
+        gx = ndimage.sobel(img, axis=1)
+        gy = ndimage.sobel(img, axis=0)
+        # Zero padding stands in for the neighbours beyond the plane border;
+        # inside the plane the halo supplies them.
+        padded = np.pad(np.hypot(gx, gy), 1)
+        top = y0 - a
+        gx = gx[top : top + y1 - y0, left : left + width]
+        gy = gy[top : top + y1 - y0, left : left + width]
+
+        def shifted(dy: int, dx: int) -> np.ndarray:
+            return padded[top + 1 + dy : top + 1 + dy + y1 - y0,
+                          left + 1 + dx : left + 1 + dx + width]
+
+        mag = shifted(0, 0)
+        # The sector from |gy| against tan(22.5 deg) |gx| and the signs, with
+        # the boundaries of the angle atan2(gy, gx) folded into [0, 180).
+        ax, ay = np.abs(gx), np.abs(gy)
+        horizontal = ay < _TAN_22_5 * ax
+        vertical = ax < _TAN_22_5 * ay
+        diagonal = ~(horizontal | vertical)
+        rising = (gx > 0) == (gy > 0)
+        out = nms[y0 - rows.start : y1 - rows.start]
+        sectors = [
+            (horizontal, (0, 1), (0, -1)),
+            (diagonal & rising, (1, 1), (-1, -1)),      # diagonal /
+            (vertical, (1, 0), (-1, 0)),
+            (diagonal & ~rising, (1, -1), (-1, 1)),     # diagonal \
+        ]
+        for mask, (dy1, dx1), (dy2, dx2) in sectors:
+            keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
+            out[keep] = mag[keep]
+    return nms
+
+
+def _hysteresis(nms: np.ndarray, t_low: float = 0.1, t_high: float = 0.3) -> np.ndarray:
+    """Double-threshold hysteresis over 8-connected edges, as a uint8 map.
+
+    The thresholds are fractions of the peak of ``nms``.
+    """
+    peak = float(nms.max())
+    if peak == 0.0:
+        return np.zeros(nms.shape, dtype=np.uint8)
+    labels, n = ndimage.label(nms >= t_low * peak, structure=np.ones((3, 3), dtype=int))
+    strong = np.zeros(n + 1, dtype=np.uint8)
+    strong[labels[nms >= t_high * peak]] = 1
+    return strong[labels]
 
 
 def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
@@ -62,13 +139,8 @@ def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
     Gaussian smoothing, Sobel gradients, non-maximum suppression along the
     quantized gradient direction, then double-threshold hysteresis.  The
     thresholds are fractions of the maximum suppressed gradient magnitude.
-
-    The local steps run on blocks of ``BLOCK_LINES`` lines, each read with
-    a halo of the Gaussian radius plus one line for Sobel and one for the
-    suppression neighbours, so every block row sees the same inputs as in
-    a whole-plane pass and the map does not depend on the block size.
-    Only the suppressed magnitude, the peak and the hysteresis labels
-    span the whole plane.
+    Suppression walks the plane in line blocks with a halo, so only the
+    suppressed magnitude and the hysteresis labels span the whole plane.
     """
     if not 0.0 < t_low < t_high:
         raise BadThresholds(f"need 0 < t_low < t_high, got {t_low}, {t_high}")
@@ -76,57 +148,138 @@ def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
         raise BadThresholds(f"sigma {sigma} must be positive")
     plane = np.asarray(plane)
     h, w = plane.shape
-    halo = int(4.0 * sigma + 0.5) + 2
-    nms = np.zeros((h, w), dtype=np.float64)
-    peak = 0.0
-    for y0 in range(0, h, BLOCK_LINES):
-        y1 = min(y0 + BLOCK_LINES, h)
-        a, b = max(y0 - halo, 0), min(y1 + halo, h)
-        img = ndimage.gaussian_filter(plane[a:b].astype(np.float64), sigma)
-        gx = ndimage.sobel(img, axis=1)
-        gy = ndimage.sobel(img, axis=0)
-        # Zero padding stands in for the neighbours beyond the plane border;
-        # inside the plane the halo supplies them.
-        padded = np.pad(np.hypot(gx, gy), 1)
-        gx, gy = gx[y0 - a : y1 - a], gy[y0 - a : y1 - a]
-        top = y0 - a + 1
+    return _hysteresis(_suppress(plane, (slice(0, h), slice(0, w)), sigma), t_low, t_high)
 
-        def shifted(dy: int, dx: int) -> np.ndarray:
-            return padded[top + dy : top + dy + y1 - y0, 1 + dx : 1 + dx + w]
 
-        mag = shifted(0, 0)
-        peak = max(peak, float(mag.max()))
-
-        # Quantize gradient direction into 4 sectors and compare against the
-        # two neighbors along that direction.
-        angle = np.rad2deg(np.arctan2(gy, gx)) % 180.0
-        out = nms[y0:y1]
-        sectors = [
-            ((angle < 22.5) | (angle >= 157.5), (0, 1), (0, -1)),      # horizontal gradient
-            ((angle >= 22.5) & (angle < 67.5), (1, 1), (-1, -1)),      # diagonal /
-            ((angle >= 67.5) & (angle < 112.5), (1, 0), (-1, 0)),      # vertical gradient
-            ((angle >= 112.5) & (angle < 157.5), (1, -1), (-1, 1)),    # diagonal \
-        ]
-        for mask, (dy1, dx1), (dy2, dx2) in sectors:
-            keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
-            out[keep] = mag[keep]
-    if peak == 0.0:
-        return np.zeros((h, w), dtype=np.uint8)
-
-    labels, n = ndimage.label(nms >= t_low * peak, structure=np.ones((3, 3), dtype=int))
-    strong = np.zeros(n + 1, dtype=np.uint8)
-    strong[labels[nms >= t_high * peak]] = 1
-    return strong[labels]
+def _soften(edges: np.ndarray) -> np.ndarray:
+    # The blur makes the correlation peak smooth enough for subpixel fitting.
+    return ndimage.gaussian_filter(edges, 1.0, output=np.float64)
 
 
 def edge_map(plane: np.ndarray) -> np.ndarray:
-    """Default Canny edge map as float64, softened by a unit Gaussian.
+    """Default Canny edge map of a whole plane as float64, softened by a unit Gaussian.
 
-    The blur makes the correlation peak smooth enough for subpixel fitting.
-    Every matcher uses this one definition, so a map computed once can
-    stand in for any later call on the same plane.
+    It is the map ``grid_edges`` builds for a grid whose one block is the
+    whole plane.
     """
-    return ndimage.gaussian_filter(canny_edges(plane), 1.0, output=np.float64)
+    return _soften(canny_edges(plane))
+
+
+def _runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of every run of True in a 1-D boolean array."""
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    return tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+@dataclass(frozen=True)
+class TileGrid:
+    """Tile windows of one matching grid and the blocks of the plane that hold them.
+
+    ``tile_size`` squares are centred on a ``grid_nx`` x ``grid_ny``
+    lattice kept ``margin`` pixels inside a plane of ``shape``.  Each
+    tile's lines and columns, widened by ``BLUR_RADIUS`` and clipped to the
+    plane, are merged with those they overlap or touch; a block is one
+    merged line interval times one merged column interval.  Blocks are
+    disjoint, and each tile lies in one block at least ``BLUR_RADIUS``
+    pixels from every block edge that is not a plane edge, so the blur of a
+    block's map gives the tile the values of a blur over the whole plane.
+    A sparse grid thus gets one block per tile, a dense one a single block
+    that is the whole plane.
+
+    ``tiles`` lists (tile_id, column centre, line centre, block index) in
+    tile_id order; ``blocks`` lists (lines, columns) slice pairs.
+    """
+
+    shape: tuple[int, int]
+    tile_size: int
+    grid_nx: int
+    grid_ny: int
+    margin: int = 0
+
+    def __post_init__(self):
+        h, w = self.shape
+        size, margin = self.tile_size, self.margin
+        if size + 2 * margin > min(h, w) or self.grid_nx < 1 or self.grid_ny < 1:
+            raise OutOfBounds(
+                f"grid {self.grid_nx}x{self.grid_ny} of {size}px tiles does not fit in {w}x{h}"
+            )
+        half = size // 2
+
+        def axis(length: int, count: int):
+            centres = [int(round(c)) for c in
+                       np.linspace(half + margin, length - size + half - margin, count)]
+            covered = np.zeros(length, dtype=bool)
+            for c in centres:
+                covered[max(c - half - BLUR_RADIUS, 0) : c - half + size + BLUR_RADIUS] = True
+            spans = _runs(covered)
+            owner = [next(i for i, (a, b) in enumerate(spans) if a <= c - half < b)
+                     for c in centres]
+            return centres, spans, owner
+
+        xs, col_spans, col_owner = axis(w, self.grid_nx)
+        ys, row_spans, row_owner = axis(h, self.grid_ny)
+        blocks = [(slice(*r), slice(*c)) for r in row_spans for c in col_spans]
+        tiles = [(j * self.grid_nx + i, xs[i], ys[j], row_owner[j] * len(col_spans) + col_owner[i])
+                 for j in range(self.grid_ny) for i in range(self.grid_nx)]
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "tiles", tiles)
+
+
+class GridEdges(NamedTuple):
+    """Softened edge maps of one plane, one per block of ``grid``."""
+
+    grid: TileGrid
+    maps: list[np.ndarray]
+
+
+def _disjoint_cover(blocks: list[tuple[slice, slice]]) -> list[tuple[slice, slice]]:
+    """Disjoint rectangles whose union is the union of ``blocks``.
+
+    The plane is cut along every block edge.  In each band of lines between
+    two cuts the covered cells merge into column runs, and consecutive
+    bands with the same runs merge into one rectangle per run.
+    """
+    ys = sorted({v for rows, _ in blocks for v in (rows.start, rows.stop)})
+    xs = sorted({v for _, cols in blocks for v in (cols.start, cols.stop)})
+    covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
+    for rows, cols in blocks:
+        covered[ys.index(rows.start) : ys.index(rows.stop),
+                xs.index(cols.start) : xs.index(cols.stop)] = True
+    rects = []
+    for runs, band in itertools.groupby(range(len(ys) - 1), key=lambda i: _runs(covered[i])):
+        band = list(band)
+        lines = slice(ys[band[0]], ys[band[-1] + 1])
+        rects += [(lines, slice(xs[a], xs[b])) for a, b in runs]
+    return rects
+
+
+def grid_edges(plane: np.ndarray, grids: list[TileGrid]) -> list[GridEdges]:
+    """Softened Canny edge maps of a plane over the blocks of each grid.
+
+    The plane is suppressed once over the union of all grids' blocks, one
+    disjoint rectangle at a time.  Each grid then assembles its blocks from
+    the rectangles and runs the thresholds, the hysteresis and the unit
+    blur per block.  The maps thus depend only on the pixels near a grid's
+    blocks, and a plane equal to another there gets the same maps on that
+    grid whether it was built alone or together with other grids.
+    """
+    plane = np.asarray(plane)
+    pieces = [(rect, _suppress(plane, rect))
+              for rect in _disjoint_cover([block for grid in grids for block in grid.blocks])]
+    result = []
+    for grid in grids:
+        maps = []
+        for rows, cols in grid.blocks:
+            nms = np.empty((rows.stop - rows.start, cols.stop - cols.start), dtype=np.float64)
+            for (prows, pcols), piece in pieces:
+                r0, r1 = max(rows.start, prows.start), min(rows.stop, prows.stop)
+                c0, c1 = max(cols.start, pcols.start), min(cols.stop, pcols.stop)
+                if r0 < r1 and c0 < c1:
+                    nms[r0 - rows.start : r1 - rows.start, c0 - cols.start : c1 - cols.start] = \
+                        piece[r0 - prows.start : r1 - prows.start, c0 - pcols.start : c1 - pcols.start]
+            maps.append(_soften(_hysteresis(nms)))
+        result.append(GridEdges(grid, maps))
+    return result
 
 
 # --------------------------------------------------------------- matching
@@ -210,25 +363,6 @@ class MatchPoint:
     score: float
 
 
-def _tile_grid(shape: tuple[int, int], tile_size: int, grid_nx: int, grid_ny: int,
-               margin: int = 0):
-    h, w = shape
-    if tile_size + 2 * margin > min(h, w) or grid_nx < 1 or grid_ny < 1:
-        raise OutOfBounds(
-            f"grid {grid_nx}x{grid_ny} of {tile_size}px tiles does not fit in {w}x{h}"
-        )
-    half = tile_size // 2
-    xs = np.linspace(half + margin, w - tile_size + half - margin, grid_nx)
-    ys = np.linspace(half + margin, h - tile_size + half - margin, grid_ny)
-    centers = []
-    tile_id = 0
-    for y in ys:
-        for x in xs:
-            centers.append((tile_id, int(round(x)), int(round(y))))
-            tile_id += 1
-    return centers, half
-
-
 def collect_matches(
     ref_plane: np.ndarray,
     tgt_plane: np.ndarray,
@@ -238,15 +372,16 @@ def collect_matches(
     min_score: float = 0.1,
     margin: int = 0,
     workers: int = 1,
-    ref_edges: np.ndarray | None = None,
+    ref_edges: GridEdges | None = None,
 ) -> list[MatchPoint]:
     """Match a tile grid between two band planes on their edge maps.
 
-    Both planes go through ``edge_map``.  ``ref_edges``, when given, is
-    ``edge_map(ref_plane)`` computed by the caller, so a caller aligning
-    several bands to one reference computes it once.  Tiles whose
-    score falls under ``min_score`` (or that are structureless) are dropped;
-    the survivors come back sorted by tile_id.
+    Both planes get edge maps over the blocks of the grid (``grid_edges``)
+    and each tile is a crop of its block's map.  ``ref_edges``, when given,
+    are the reference maps on this grid from an earlier ``grid_edges``
+    call, so a caller aligning several bands to one reference builds them
+    once.  Tiles whose score falls under ``min_score`` (or that are
+    structureless) are dropped; the survivors come back sorted by tile_id.
     """
     if tile_size < 32:
         raise OutOfBounds(f"tile_size {tile_size} < 32")
@@ -255,21 +390,21 @@ def collect_matches(
     if ref_plane.shape != tgt_plane.shape:
         raise OutOfBounds(f"plane shapes differ: {ref_plane.shape} vs {tgt_plane.shape}")
 
+    grid = TileGrid(ref_plane.shape, tile_size, grid_nx, grid_ny, margin)
     if ref_edges is None:
-        ref_edges = edge_map(ref_plane)
-    elif ref_edges.shape != ref_plane.shape:
-        raise OutOfBounds(f"ref_edges shape {ref_edges.shape} vs plane {ref_plane.shape}")
-    tgt_edges = edge_map(tgt_plane)
+        [ref_edges] = grid_edges(ref_plane, [grid])
+    elif ref_edges.grid != grid:
+        raise OutOfBounds(f"ref_edges were built for {ref_edges.grid}, not {grid}")
+    [tgt_edges] = grid_edges(tgt_plane, [grid])
+    half = tile_size // 2
 
-    centers, half = _tile_grid(ref_plane.shape, tile_size, grid_nx, grid_ny, margin)
-
-    def match_tile(entry):
-        tile_id, cx, cy = entry
-        x0, y0 = cx - half, cy - half
-        ref_tile = ref_edges[y0 : y0 + tile_size, x0 : x0 + tile_size]
-        tgt_tile = tgt_edges[y0 : y0 + tile_size, x0 : x0 + tile_size]
+    def match_tile(tile):
+        tile_id, cx, cy, k = tile
+        rows, cols = grid.blocks[k]
+        y0, x0 = cy - half - rows.start, cx - half - cols.start
+        window = (slice(y0, y0 + tile_size), slice(x0, x0 + tile_size))
         try:
-            dx, dy, score = fft_xcorr(ref_tile, tgt_tile)
+            dx, dy, score = fft_xcorr(ref_edges.maps[k][window], tgt_edges.maps[k][window])
         except FlatTile:
             return None
         if score < min_score:
@@ -279,9 +414,9 @@ def collect_matches(
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(match_tile, centers))
+            results = list(pool.map(match_tile, grid.tiles))
     else:
-        results = [match_tile(entry) for entry in centers]
+        results = [match_tile(tile) for tile in grid.tiles]
 
     matches = sorted((m for m in results if m is not None), key=lambda m: m.tile_id)
     if not matches:
@@ -511,7 +646,6 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray,
     """
     plane = np.asarray(tgt_plane)
     h, w = plane.shape
-    source = plane.astype(np.float64)
     out = np.empty((h, w), dtype=plane.dtype)
     valid = np.empty((h, w), dtype=bool)
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
@@ -522,11 +656,27 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray,
         src_x = cols + dx
         src_y = lines + dy
         ok = (src_x >= 0) & (src_x <= w - 1) & (src_y >= 0) & (src_y <= h - 1)
-        sampled = ndimage.map_coordinates(source, [src_y, src_x], order=1,
-                                          mode="constant", cval=0.0)
+        sampled = ndimage.map_coordinates(plane, [src_y, src_x], order=1, mode="constant",
+                                          cval=0.0, output=np.float64)
         out[y0:y1] = np.where(ok, np.floor(sampled + 0.5), 0)
         valid[y0:y1] = ok
     return out, valid
+
+
+def residual_grid(shape: tuple[int, int], n_points: int = 50, tile_size: int = 128,
+                  margin: int = 16) -> TileGrid:
+    """The control-tile grid of ``coreg_residual``: about ``n_points`` tiles.
+
+    Tiles shrink to half the plane's inner size when ``tile_size`` would
+    not fit twice, and stay ``margin`` pixels away from the borders.
+    """
+    if n_points < 10:
+        raise OutOfBounds(f"n_points {n_points} < 10")
+    grid_nx = max(2, int(round(math.sqrt(n_points))))
+    grid_ny = max(2, int(math.ceil(n_points / grid_nx)))
+    h, w = shape
+    tile = min(tile_size, (min(h, w) - 2 * margin) // 2)
+    return TileGrid((h, w), tile, grid_nx, grid_ny, margin)
 
 
 def coreg_residual(
@@ -536,25 +686,20 @@ def coreg_residual(
     tile_size: int = 128,
     min_score: float = 0.1,
     margin: int = 16,
-    ref_edges: np.ndarray | None = None,
+    ref_edges: GridEdges | None = None,
 ) -> tuple[float, float]:
     """Residual misalignment of an aligned pair, as control-point statistics.
 
-    Re-runs tiled matching at roughly ``n_points`` tile centers and reports
-    the mean and RMS of the residual shift magnitudes in pixels.  Control
-    tiles stay ``margin`` pixels away from the borders, where the aligned
-    band may carry masked-out samples.  ``ref_edges`` is passed on to
-    ``collect_matches``.
+    Re-runs tiled matching on ``residual_grid`` and reports the mean and
+    RMS of the residual shift magnitudes in pixels.  Control tiles stay
+    ``margin`` pixels away from the borders, where the aligned band may
+    carry masked-out samples.  ``ref_edges`` (the reference maps on that
+    grid) is passed on to ``collect_matches``.
     """
-    if n_points < 10:
-        raise OutOfBounds(f"n_points {n_points} < 10")
-    grid_nx = max(2, int(round(math.sqrt(n_points))))
-    grid_ny = max(2, int(math.ceil(n_points / grid_nx)))
-    h, w = np.asarray(ref_plane).shape
-    tile = min(tile_size, (min(h, w) - 2 * margin) // 2)
+    grid = residual_grid(np.shape(ref_plane), n_points, tile_size, margin)
     matches = collect_matches(
-        ref_plane, aligned_plane, tile_size=tile, grid_nx=grid_nx,
-        grid_ny=grid_ny, min_score=min_score, margin=margin, ref_edges=ref_edges,
+        ref_plane, aligned_plane, tile_size=grid.tile_size, grid_nx=grid.grid_nx,
+        grid_ny=grid.grid_ny, min_score=min_score, margin=margin, ref_edges=ref_edges,
     )
     mags = np.hypot([m.dx for m in matches], [m.dy for m in matches])
     return float(mags.mean()), float(np.sqrt(np.mean(mags * mags)))

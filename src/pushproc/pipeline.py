@@ -155,10 +155,19 @@ def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityR
 
 def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
                  config: PipelineConfig, report: QualityReport) -> RawScene:
+    """Align every band to the reference band, in place.
+
+    The stage owns ``scene``: each aligned band is written over its source
+    plane, which no later band reads.  The reference edge maps of the match
+    grid and of the residual grid are built once, in one ``grid_edges``
+    call.
+    """
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
-    ref_edges = coreg_mod.edge_map(ref_plane)
-    out_planes = scene.planes.copy()
+    match_grid = coreg_mod.TileGrid(ref_plane.shape, config.tile_size,
+                                    config.grid_nx, config.grid_ny)
+    residual_grid = coreg_mod.residual_grid(ref_plane.shape, config.residual_points)
+    ref_match, ref_residual = coreg_mod.grid_edges(ref_plane, [match_grid, residual_grid])
     metrics: dict = {"reference_band": BAND_NAMES[ref_band], "bands": {}}
     for band in BandId:
         if band == ref_band:
@@ -171,7 +180,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             grid_ny=config.grid_ny,
             min_score=config.min_score,
             workers=config.workers,
-            ref_edges=ref_edges,
+            ref_edges=ref_match,
         )
         prior = None
         if metadata is not None and metadata.attitude:
@@ -185,11 +194,10 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
         model = coreg_mod.fit_distortion(
             inliers, order=config.poly_order, width=scene.width, height=scene.lines
         )
-        aligned, valid = coreg_mod.resample(scene.band(band), model)
-        out_planes[int(band)] = aligned
+        scene.planes[int(band)], valid = coreg_mod.resample(scene.band(band), model)
         mean_px, rms_px = coreg_mod.coreg_residual(
-            ref_plane, aligned, n_points=config.residual_points,
-            min_score=config.min_score, ref_edges=ref_edges,
+            ref_plane, scene.band(band), n_points=config.residual_points,
+            min_score=config.min_score, ref_edges=ref_residual,
         )
         metrics["bands"][BAND_NAMES[band]] = {
             "matches": len(matches),
@@ -202,7 +210,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             "masked_pixels": int((~valid).sum()),
         }
     report.stages["coreg"] = metrics
-    return RawScene(out_planes, scene.line_times.copy(), scene.bit_depth)
+    return scene
 
 
 def _stage_georef(scene: RawScene, metadata: AcqMetadata, truth: tuple | None,

@@ -23,7 +23,7 @@ from .errors import (
     ZeroCenterMean,
     ZeroMean,
 )
-from .raster import BAND_COUNT, CalibrationTable, RawScene
+from .raster import BAND_COUNT, BLOCK_LINES, CalibrationTable, RawScene
 
 
 def round_half_up(x: np.ndarray) -> np.ndarray:
@@ -31,10 +31,9 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
 
 
-def _correct_band(scene: RawScene, calib: CalibrationTable, band: int) -> np.ndarray:
-    """R * max(X - D, 0) of one band as float64 [lines, width]."""
-    x = scene.planes[band].astype(np.float64)
-    return calib.response[band] * np.maximum(x - calib.dark[band], 0.0)
+def _correct_lines(lines: np.ndarray, calib: CalibrationTable, band: int) -> np.ndarray:
+    """R * max(X - D, 0) of some lines of one band, as float64."""
+    return calib.response[band] * np.maximum(lines.astype(np.float64) - calib.dark[band], 0.0)
 
 
 def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.ndarray:
@@ -44,19 +43,24 @@ def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.nda
     dark level carries no signal).  No rounding, no clamping.
     """
     calib.validate(scene.width)
-    return np.stack([_correct_band(scene, calib, band) for band in range(BAND_COUNT)])
+    return np.stack([_correct_lines(scene.planes[band], calib, band)
+                     for band in range(BAND_COUNT)])
 
 
 def correct_vignetting(scene: RawScene, calib: CalibrationTable) -> RawScene:
     """Apply the vignetting correction, quantized back to the scene DN range.
 
-    Bands are corrected one at a time into the uint16 output, so only one
-    band's float64 intermediates exist at once.
+    Each band is corrected ``BLOCK_LINES`` lines at a time into the uint16
+    output, so the float64 intermediates never exceed one block of lines.
     """
     calib.validate(scene.width)
     out = np.empty(scene.planes.shape, dtype=np.uint16)
     for band in range(BAND_COUNT):
-        out[band] = np.clip(round_half_up(_correct_band(scene, calib, band)), 0, scene.max_dn)
+        for y0 in range(0, scene.lines, BLOCK_LINES):
+            block = slice(y0, y0 + BLOCK_LINES)
+            out[band, block] = np.clip(
+                round_half_up(_correct_lines(scene.planes[band, block], calib, band)),
+                0, scene.max_dn)
     return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 
 

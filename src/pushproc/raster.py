@@ -22,6 +22,7 @@ L3RAW container layout (little-endian throughout)::
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -42,6 +43,10 @@ MAGIC = b"L3RW"
 VERSION = 1
 BAND_COUNT = 4
 _HEADER = struct.Struct("<4sHIIBB4s")
+
+# Lines per block for plane walks that keep float64 working arrays to one
+# block: vignetting correction, Canny suppression and resampling.
+BLOCK_LINES = 256
 
 # Hard sanity bound on header dimensions: a desk-scale product never exceeds
 # this, and it keeps a corrupt header from triggering a huge allocation.
@@ -111,7 +116,11 @@ class RawScene:
 
 
 def save_raw(scene: RawScene, path) -> None:
-    """Write a scene as L3RAW, bit-exactly and deterministically."""
+    """Write a scene as L3RAW, bit-exactly and deterministically.
+
+    Bands are written one at a time, so at most one band is converted to
+    the file's sample type at once.
+    """
     scene.validate()
     sample = "<u1" if scene.bit_depth == 8 else "<u2"
     header = _HEADER.pack(
@@ -121,42 +130,57 @@ def save_raw(scene: RawScene, path) -> None:
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(scene.line_times.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(scene.planes).astype(sample).tobytes())
+            for plane in scene.planes:
+                fh.write(np.ascontiguousarray(plane, dtype=sample))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _read_into(fh, array: np.ndarray, path) -> None:
+    if fh.readinto(array) != array.nbytes:
+        raise Truncated(f"{path}: ended before its samples")
+
+
 def load_raw(path) -> RawScene:
-    """Read an L3RAW container back into a RawScene."""
+    """Read an L3RAW container back into a RawScene.
+
+    The samples are read straight into the scene's own writable uint16
+    planes; an 8-bit file goes through one band of bytes at a time.
+    """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise Truncated(f"{path}: shorter than the 20-byte header")
+            magic, version, width, lines, bit_depth, band_count, _ = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise BadMagic(f"{path}: magic {magic!r} != {MAGIC!r}")
+            if version != VERSION:
+                raise HeaderInvalid(f"{path}: unsupported version {version}")
+            if bit_depth not in (8, 16):
+                raise HeaderInvalid(f"{path}: bit_depth {bit_depth} not in (8, 16)")
+            if band_count != BAND_COUNT:
+                raise HeaderInvalid(f"{path}: band_count {band_count} != {BAND_COUNT}")
+            if not (0 < width <= _MAX_DIM) or not (0 < lines <= _MAX_DIM):
+                raise HeaderInvalid(f"{path}: width={width} lines={lines} out of range")
+
+            expected = _HEADER.size + 8 * lines + BAND_COUNT * lines * width * (bit_depth // 8)
+            if size < expected:
+                raise Truncated(f"{path}: {size} bytes, header promises {expected}")
+
+            times = np.empty(lines, dtype="<f8")
+            planes = np.empty((BAND_COUNT, lines, width), dtype="<u2")
+            _read_into(fh, times, path)
+            if bit_depth == 16:
+                _read_into(fh, planes, path)
+            else:
+                band = np.empty((lines, width), dtype="<u1")
+                for plane in planes:
+                    _read_into(fh, band, path)
+                    plane[...] = band
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise Truncated(f"{path}: shorter than the 20-byte header")
-    magic, version, width, lines, bit_depth, band_count, _ = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: magic {magic!r} != {MAGIC!r}")
-    if version != VERSION:
-        raise HeaderInvalid(f"{path}: unsupported version {version}")
-    if bit_depth not in (8, 16):
-        raise HeaderInvalid(f"{path}: bit_depth {bit_depth} not in (8, 16)")
-    if band_count != BAND_COUNT:
-        raise HeaderInvalid(f"{path}: band_count {band_count} != {BAND_COUNT}")
-    if not (0 < width <= _MAX_DIM) or not (0 < lines <= _MAX_DIM):
-        raise HeaderInvalid(f"{path}: width={width} lines={lines} out of range")
-
-    times_bytes = 8 * lines
-    plane_bytes = BAND_COUNT * lines * width * (bit_depth // 8)
-    expected = _HEADER.size + times_bytes + plane_bytes
-    if len(blob) < expected:
-        raise Truncated(f"{path}: {len(blob)} bytes, header promises {expected}")
-
-    times = np.frombuffer(blob, dtype="<f8", count=lines, offset=_HEADER.size).copy()
-    sample = "<u1" if bit_depth == 8 else "<u2"
-    planes = np.frombuffer(
-        blob, dtype=sample, count=BAND_COUNT * lines * width, offset=_HEADER.size + times_bytes
-    ).reshape(BAND_COUNT, lines, width)
     scene = RawScene(planes, times, bit_depth)
     scene.validate()
     return scene

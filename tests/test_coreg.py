@@ -19,6 +19,80 @@ def smooth_texture(seed, size=128, sigma=1.5):
     return ndimage.gaussian_filter(rng.uniform(0, 200, (size, size)), sigma)
 
 
+def whole_plane_nms(plane, sigma=1.4):
+    """Gradient magnitude and its suppression, unblocked, with arctan2 sectors."""
+    img = ndimage.gaussian_filter(np.asarray(plane, dtype=np.float64), sigma)
+    gx = ndimage.sobel(img, axis=1)
+    gy = ndimage.sobel(img, axis=0)
+    mag = np.hypot(gx, gy)
+    angle = np.rad2deg(np.arctan2(gy, gx)) % 180.0
+    nms = np.zeros_like(mag)
+    padded = np.pad(mag, 1, mode="constant")
+
+    def shifted(dy, dx):
+        return padded[1 + dy : 1 + dy + mag.shape[0], 1 + dx : 1 + dx + mag.shape[1]]
+
+    sectors = [
+        ((angle < 22.5) | (angle >= 157.5), (0, 1), (0, -1)),
+        ((angle >= 22.5) & (angle < 67.5), (1, 1), (-1, -1)),
+        ((angle >= 67.5) & (angle < 112.5), (1, 0), (-1, 0)),
+        ((angle >= 112.5) & (angle < 157.5), (1, -1), (-1, 1)),
+    ]
+    for mask, (dy1, dx1), (dy2, dx2) in sectors:
+        keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
+        nms[keep] = mag[keep]
+    return mag, nms
+
+
+def whole(plane):
+    h, w = np.shape(plane)
+    return slice(0, h), slice(0, w)
+
+
+def directional_plane(kind, size=96):
+    """A plane that is a function of one of x, y, x + y or x - y alone.
+
+    Away from the border its gradients lie exactly on an axis or a diagonal.
+    """
+    y, x = np.mgrid[0:size, 0:size]
+    u = {"columns": x, "lines": y, "diagonal": x + y, "antidiagonal": x - y}[kind]
+    return (1000 + 700 * np.sin(u / 5.0) + 300 * np.sin(u / 1.7)).astype(np.uint16)
+
+
+class TestSuppression:
+    @pytest.mark.parametrize("sigma", [0.7, 1.4, 2.5])
+    @pytest.mark.parametrize("kind", ["texture", "noise", "columns", "lines", "diagonal",
+                                      "antidiagonal"])
+    def test_sector_comparisons_match_arctan2(self, kind, sigma):
+        if kind == "texture":
+            plane = (smooth_texture(21, 150) * 20).astype(np.uint16)
+        elif kind == "noise":
+            plane = np.random.default_rng(22).uniform(0, 65535, (150, 140)).astype(np.uint16)
+        else:
+            plane = directional_plane(kind)
+            img = ndimage.gaussian_filter(plane.astype(np.float64), sigma)
+            gx, gy = ndimage.sobel(img, axis=1), ndimage.sobel(img, axis=0)
+            exact = {"columns": gy == 0, "lines": gx == 0, "diagonal": gx == gy,
+                     "antidiagonal": gx == -gy}[kind]
+            assert (exact & (np.hypot(gx, gy) > 0)).mean() > 0.5
+        _, expected = whole_plane_nms(plane, sigma)
+        np.testing.assert_array_equal(coreg._suppress(plane, whole(plane), sigma), expected)
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.4, 2.5])
+    @pytest.mark.parametrize("window", [(40, 95, 37, 120), (60, 61, 70, 71), (0, 30, 0, 25),
+                                        (125, 150, 101, 140), (0, 150, 60, 90),
+                                        (70, 100, 0, 140)])
+    def test_window_equals_crop_of_whole_plane(self, monkeypatch, window, sigma):
+        # Lines blocks of 16 put block edges inside the windows too.
+        monkeypatch.setattr(coreg, "BLOCK_LINES", 16)
+        plane = np.random.default_rng(23).uniform(0, 65535, (150, 140)).astype(np.uint16)
+        r0, r1, c0, c1 = window
+        _, expected = whole_plane_nms(plane, sigma)
+        np.testing.assert_array_equal(
+            coreg._suppress(plane, (slice(r0, r1), slice(c0, c1)), sigma),
+            expected[r0:r1, c0:c1])
+
+
 class TestCanny:
     def test_constant_plane_no_edges(self):
         edges = coreg.canny_edges(np.full((32, 48), 60.0), 1.0, 0.1, 0.3)
@@ -49,29 +123,10 @@ class TestCanny:
     @staticmethod
     def whole_plane_canny(plane, sigma=1.4, t_low=0.1, t_high=0.3):
         """The unblocked Canny: every intermediate spans the whole plane."""
-        img = ndimage.gaussian_filter(np.asarray(plane, dtype=np.float64), sigma)
-        gx = ndimage.sobel(img, axis=1)
-        gy = ndimage.sobel(img, axis=0)
-        mag = np.hypot(gx, gy)
+        mag, nms = whole_plane_nms(plane, sigma)
         peak = mag.max()
         if peak == 0.0:
             return np.zeros(plane.shape, dtype=np.uint8)
-        angle = np.rad2deg(np.arctan2(gy, gx)) % 180.0
-        nms = np.zeros_like(mag)
-        padded = np.pad(mag, 1, mode="constant")
-
-        def shifted(dy, dx):
-            return padded[1 + dy : 1 + dy + mag.shape[0], 1 + dx : 1 + dx + mag.shape[1]]
-
-        sectors = [
-            ((angle < 22.5) | (angle >= 157.5), (0, 1), (0, -1)),
-            ((angle >= 22.5) & (angle < 67.5), (1, 1), (-1, -1)),
-            ((angle >= 67.5) & (angle < 112.5), (1, 0), (-1, 0)),
-            ((angle >= 112.5) & (angle < 157.5), (1, -1), (-1, 1)),
-        ]
-        for mask, (dy1, dx1), (dy2, dx2) in sectors:
-            keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
-            nms[keep] = mag[keep]
         labels, _ = ndimage.label(nms >= t_low * peak, structure=np.ones((3, 3), dtype=int))
         strong_labels = np.unique(labels[nms >= t_high * peak])
         strong_labels = strong_labels[strong_labels > 0]
@@ -212,45 +267,165 @@ class TestCollectMatches:
             (m.tile_id, m.dx, m.dy, m.score) for m in m4
         ]
 
-    def test_precomputed_ref_edges_same_matches(self):
-        plane = smooth_texture(16, size=300)
+    def test_shared_ref_edges_same_matches(self):
+        plane = smooth_texture(16, size=400)
         target = np.roll(plane, (1, 3), axis=(0, 1))
+        grid = coreg.TileGrid(plane.shape, 64, 3, 3)
+        other = coreg.residual_grid(plane.shape, 10, 64)
         fresh = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3)
+        ref_edges, _ = coreg.grid_edges(plane, [grid, other])
         reused = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3,
-                                       ref_edges=coreg.edge_map(plane))
+                                       ref_edges=ref_edges)
         assert reused == fresh
 
-    def test_ref_edges_shape_checked(self):
+    def test_ref_edges_of_other_grid_rejected(self):
         plane = smooth_texture(17, size=200)
+        [ref_edges] = coreg.grid_edges(plane, [coreg.TileGrid(plane.shape, 64, 3, 2)])
         with pytest.raises(errors.OutOfBounds):
             coreg.collect_matches(plane, plane, tile_size=64, grid_nx=2, grid_ny=2,
-                                  ref_edges=np.zeros((100, 200)))
+                                  ref_edges=ref_edges)
 
 
-class TestEdgeMapReuse:
-    def test_each_plane_edge_mapped_once_per_scene(self, tmp_path, monkeypatch):
+def block_mask(shape, blocks):
+    count = np.zeros(shape, dtype=int)
+    for rows, cols in blocks:
+        count[rows, cols] += 1
+    return count
+
+
+class TestTileGrid:
+    def test_sparse_grid_one_block_per_tile(self):
+        grid = coreg.TileGrid((2000, 2000), 128, 8, 8)
+        assert len(grid.blocks) == 64
+        assert block_mask((2000, 2000), grid.blocks).max() == 1
+        r = coreg.BLUR_RADIUS
+        for tile_id, cx, cy, k in grid.tiles:
+            rows, cols = grid.blocks[k]
+            x0, y0 = cx - 64, cy - 64
+            assert rows.start == max(y0 - r, 0) and rows.stop == min(y0 + 128 + r, 2000)
+            assert cols.start == max(x0 - r, 0) and cols.stop == min(x0 + 128 + r, 2000)
+        assert [t[0] for t in grid.tiles] == list(range(64))
+
+    def test_dense_grid_is_one_whole_plane_block(self):
+        grid = coreg.TileGrid((512, 512), 128, 8, 8)
+        assert grid.blocks == [whole(np.zeros((512, 512)))]
+        assert {t[3] for t in grid.tiles} == {0}
+
+    def test_overlapping_tiles_share_a_block(self):
+        # Columns overlap, lines do not: one block per line of tiles.
+        grid = coreg.TileGrid((600, 300), 64, 5, 3)
+        assert len(grid.blocks) == 3
+        assert all(cols == slice(0, 300) for _, cols in grid.blocks)
+        for tile_id, cx, cy, k in grid.tiles:
+            assert k == tile_id // 5
+
+
+class TestGridEdges:
+    def test_whole_plane_block_equals_edge_map(self):
+        plane = (smooth_texture(24, 300) * 20).astype(np.uint16)
+        [edges] = coreg.grid_edges(plane, [coreg.TileGrid(plane.shape, 64, 8, 8)])
+        assert len(edges.maps) == 1
+        np.testing.assert_array_equal(edges.maps[0], coreg.edge_map(plane))
+
+    def test_shared_call_equals_separate_calls(self):
+        plane = (smooth_texture(25, 700) * 20).astype(np.uint16)
+        grids = [coreg.TileGrid(plane.shape, 64, 4, 4), coreg.residual_grid(plane.shape, 10, 96)]
+        together = coreg.grid_edges(plane, grids)
+        for grid, shared in zip(grids, together):
+            [alone] = coreg.grid_edges(plane, [grid])
+            assert shared.grid == alone.grid == grid
+            assert len(shared.maps) == len(grid.blocks)
+            for a, b in zip(shared.maps, alone.maps):
+                np.testing.assert_array_equal(a, b)
+
+    def test_block_maps_depend_only_on_their_block(self):
+        # Pixels farther than the halo from every block do not move any map.
+        plane = (smooth_texture(26, 700) * 20).astype(np.uint16)
+        grid = coreg.TileGrid(plane.shape, 64, 4, 4)
+        far = block_mask(plane.shape, [(slice(max(r.start - 8, 0), r.stop + 8),
+                                        slice(max(c.start - 8, 0), c.stop + 8))
+                                       for r, c in grid.blocks]) == 0
+        assert far.any()
+        changed = plane.copy()
+        changed[far] = 0
+        [a], [b] = coreg.grid_edges(plane, [grid]), coreg.grid_edges(changed, [grid])
+        for x, y in zip(a.maps, b.maps):
+            np.testing.assert_array_equal(x, y)
+
+
+def stage_scene(seed, size, identical_bands=False):
+    from pushproc.raster import RawScene
+    from pushproc.synthscene import SynthSpec, generate
+
+    raw, _ = generate(SynthSpec(seed=seed, width=size, lines=size, texture="urban-blocks",
+                                band_warp={"nir": {"order": 1, "coeff_dx": [1.0, -1.0, 0.5],
+                                                   "coeff_dy": [0.5, 0.5, -1.0]}}))
+    planes = raw.planes.copy()
+    if identical_bands:
+        planes[:] = planes[int(BandId.RED)]
+    return RawScene(planes, raw.line_times, raw.bit_depth)
+
+
+# Sparse on a 512-pixel plane: four by four 64-pixel tiles, and a residual
+# grid of three by four 128-pixel tiles whose columns miss the match tiles'.
+SPARSE = {"tile_size": 64, "grid_nx": 4, "grid_ny": 4, "residual_points": 10}
+
+
+class TestCoregStageEdges:
+    def test_identical_bands_residual_exactly_zero(self, tmp_path):
         from pushproc.pipeline import PipelineConfig, run_pipeline
         from pushproc.raster import save_raw
-        from pushproc.synthscene import SynthSpec, generate
 
-        spec = SynthSpec(seed=31, width=256, lines=256, texture="urban-blocks",
-                         band_warp={"nir": {"order": 1, "coeff_dx": [1.0, -1.0, 0.5],
-                                            "coeff_dy": [0.5, 0.5, -1.0]}})
-        raw, _ = generate(spec)
-        save_raw(raw, tmp_path / "scene.l3raw")
-        calls = []
-        original = coreg.canny_edges
+        save_raw(stage_scene(31, 512, identical_bands=True), tmp_path / "scene.l3raw")
+        report = run_pipeline(PipelineConfig(raw_path=str(tmp_path / "scene.l3raw"),
+                                             out_dir=str(tmp_path / "out"), vignetting=False,
+                                             georef=False, **SPARSE))
+        for band in ("blue", "green", "nir"):
+            metrics = report.stages["coreg"]["bands"][band]
+            assert metrics["residual_mean_px"] == 0.0
+            assert metrics["residual_rms_px"] == 0.0
+            assert metrics["masked_pixels"] == 0
 
-        def counting(plane, *args, **kwargs):
-            calls.append(plane.shape)
-            return original(plane, *args, **kwargs)
+    def test_reference_suppressed_at_most_once(self, monkeypatch):
+        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
 
-        monkeypatch.setattr(coreg, "canny_edges", counting)
-        run_pipeline(PipelineConfig(raw_path=str(tmp_path / "scene.l3raw"),
-                                    out_dir=str(tmp_path / "out"),
-                                    vignetting=False, georef=False))
-        # 1 reference + 3 target planes + 3 aligned planes
-        assert len(calls) == 7
+        scene = stage_scene(32, 512)
+        ref = scene.planes[int(BandId.RED)]
+        count = np.zeros(ref.shape, dtype=int)
+        original = coreg._suppress
+
+        def spy(plane, window, *args, **kwargs):
+            if np.shares_memory(plane, ref):
+                count[window] += 1
+            return original(plane, window, *args, **kwargs)
+
+        monkeypatch.setattr(coreg, "_suppress", spy)
+        _stage_coreg(scene, None, PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE),
+                     QualityReport())
+        assert count.max() == 1
+        # Every tile window of both grids was suppressed, and nothing else.
+        grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
+        assert np.array_equal(count, block_mask(ref.shape, grids[0].blocks + grids[1].blocks) > 0)
+        assert 0.3 < count.mean() < 0.9
+
+    def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
+        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
+
+        # Small line blocks keep resampling's and suppression's working
+        # arrays small, so the peak shows what spans the plane.
+        monkeypatch.setattr(coreg, "BLOCK_LINES", 32)
+        scene = stage_scene(33, 1024)
+        config = PipelineConfig(raw_path="unused", out_dir="unused", grid_nx=4, grid_ny=4,
+                                residual_points=16)
+        tracemalloc.start()
+        try:
+            _stage_coreg(scene, None, config, QualityReport())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.4 float64 planes here: the block maps, one aligned band and its
+        # mask.  Full-plane edge maps measured 4.2.
+        assert peak <= 1.75 * scene.width * scene.lines * 8
 
 
 def nadir_metadata(row_offset_nir=0.0, line_period=None, altitude=510.0):

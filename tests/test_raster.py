@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,35 @@ class TestL3RawRoundtrip:
         np.testing.assert_array_equal(loaded.planes, scene.planes)
         np.testing.assert_array_equal(loaded.line_times, scene.line_times)
 
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_loaded_planes_are_owned_and_writable(self, tmp_path, bit_depth):
+        path = tmp_path / "scene.l3raw"
+        save_raw(make_scene(seed=3, width=31, lines=7, bit_depth=bit_depth), path)
+        planes = load_raw(path).planes
+        assert planes.flags.writeable and planes.flags.owndata
+        assert planes.dtype == np.uint16
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_io_memory_one_band_beyond_the_planes(self, tmp_path, bit_depth):
+        n = 512
+        scene = RawScene(np.random.default_rng(4).integers(0, 256, (4, n, n)),
+                         np.arange(n, dtype=float), bit_depth)
+        path = tmp_path / "scene.l3raw"
+        band_bytes = n * n * bit_depth // 8
+        slack = 256 * 1024
+        tracemalloc.start()
+        try:
+            save_raw(scene, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_raw(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - loaded.planes.nbytes
+        finally:
+            tracemalloc.stop()
+        assert save_peak <= band_bytes + slack
+        assert load_peak <= band_bytes + slack
+        np.testing.assert_array_equal(loaded.planes, scene.planes)
 
 class TestL3RawErrors:
     def test_bad_magic(self, tmp_path, small_scene):
