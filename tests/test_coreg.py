@@ -367,7 +367,9 @@ def stage_scene(seed, size, identical_bands=False):
 
 
 # Sparse on a 512-pixel plane: four by four 64-pixel tiles, and a residual
-# grid of three by four 128-pixel tiles whose columns miss the match tiles'.
+# grid of three by four 128-pixel tiles whose columns miss the match tiles'
+# (its lines overlap, so its blocks are full-height strips).  On a 1024-pixel
+# plane both grids are sparse in both directions.
 SPARSE = {"tile_size": 64, "grid_nx": 4, "grid_ny": 4, "residual_points": 10}
 
 
@@ -389,7 +391,7 @@ class TestCoregStageEdges:
     def test_reference_suppressed_at_most_once(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
 
-        scene = stage_scene(32, 512)
+        scene = stage_scene(32, 1024)
         ref = scene.planes[int(BandId.RED)]
         count = np.zeros(ref.shape, dtype=int)
         original = coreg._suppress
@@ -406,7 +408,7 @@ class TestCoregStageEdges:
         # Every tile window of both grids was suppressed, and nothing else.
         grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
         assert np.array_equal(count, block_mask(ref.shape, grids[0].blocks + grids[1].blocks) > 0)
-        assert 0.3 < count.mean() < 0.9
+        assert count.mean() < 0.4
 
     def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
