@@ -19,7 +19,10 @@ The chain mirrors the production flow for pushbroom band alignment:
    by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
    resampled through the inverse map with bilinear interpolation, one
-   block of lines at a time, so no full-plane coordinate grid is built.
+   block of ``block_lines(width)`` lines at a time, so no full-plane
+   coordinate grid is built.  The NumPy kernel repeats the arithmetic of
+   scipy's order-1 ``map_coordinates``, so its samples are bit-identical
+   to that call's.
 
 All operations are pure; tile matching may be spread across threads and is
 reduced in tile_id order, so results are independent of worker count.
@@ -47,7 +50,7 @@ from .errors import (
     SingularFit,
     TooFewMatches,
 )
-from .raster import BLOCK_LINES, BandId
+from .raster import BandId, block_lines
 from .georef.attitude import slerp_attitude
 from .georef.camera import ImagerModel
 from .georef.frames import eci_to_ecef
@@ -69,10 +72,11 @@ def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4
     Gaussian smoothing, Sobel gradients, then suppression against the two
     neighbours along the gradient direction, quantized into four sectors
     centred on 0, 45, 90 and 135 degrees.  The window is walked in blocks
-    of ``BLOCK_LINES`` lines, each read with a halo of the Gaussian radius
-    plus one pixel for Sobel and one for the suppression neighbours on
-    every side, so every value equals that of a whole-plane pass; at the
-    plane border that pass's ``reflect`` and zero padding apply.
+    of ``block_lines`` of its width plus both halos, each read with a halo
+    of the Gaussian radius plus one pixel for Sobel and one for the
+    suppression neighbours on every side, so every value equals that of a
+    whole-plane pass; at the plane border that pass's ``reflect`` and zero
+    padding apply.
     """
     h, w = plane.shape
     rows, cols = window
@@ -80,8 +84,9 @@ def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4
     ca, cb = max(cols.start - halo, 0), min(cols.stop + halo, w)
     left, width = cols.start - ca, cols.stop - cols.start
     nms = np.zeros((rows.stop - rows.start, width), dtype=np.float64)
-    for y0 in range(rows.start, rows.stop, BLOCK_LINES):
-        y1 = min(y0 + BLOCK_LINES, rows.stop)
+    step = block_lines(width + 2 * halo)
+    for y0 in range(rows.start, rows.stop, step):
+        y1 = min(y0 + step, rows.stop)
         a, b = max(y0 - halo, 0), min(y1 + halo, h)
         img = ndimage.gaussian_filter(plane[a:b, ca:cb].astype(np.float64), sigma)
         gx = ndimage.sobel(img, axis=1)
@@ -105,16 +110,17 @@ def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4
         vertical = ax < _TAN_22_5 * ay
         diagonal = ~(horizontal | vertical)
         rising = (gx > 0) == (gy > 0)
-        out = nms[y0 - rows.start : y1 - rows.start]
         sectors = [
             (horizontal, (0, 1), (0, -1)),
             (diagonal & rising, (1, 1), (-1, -1)),      # diagonal /
             (vertical, (1, 0), (-1, 0)),
             (diagonal & ~rising, (1, -1), (-1, 1)),     # diagonal \
         ]
+        # The sectors are disjoint, so one masked write takes every kept pixel.
+        keep = np.zeros(mag.shape, dtype=bool)
         for mask, (dy1, dx1), (dy2, dx2) in sectors:
-            keep = mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
-            out[keep] = mag[keep]
+            keep |= mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
+        np.copyto(nms[y0 - rows.start : y1 - rows.start], mag, where=keep)
     return nms
 
 
@@ -560,7 +566,9 @@ class DistortionModel:
         ``x`` and ``y`` broadcast against each other, so a row of columns
         and a column of lines give the field over their grid.  The terms
         c_k * x^i * y^j are added one at a time, in the order of
-        ``_poly_terms``, without stacking the monomials.
+        ``_poly_terms``, without stacking the monomials.  A pure term is
+        the power alone (x^0 = y^0 = 1 exactly, so the sum is the same), and
+        only a mixed term spans the broadcast shape.
         """
         xn = np.asarray(x, dtype=np.float64) / max(self.width - 1, 1)
         yn = np.asarray(y, dtype=np.float64) / max(self.height - 1, 1)
@@ -570,7 +578,12 @@ class DistortionModel:
         k = 1
         for total in range(1, self.order + 1):
             for j in range(total + 1):
-                term = xn ** (total - j) * yn ** j
+                if j == 0:
+                    term = xn ** total
+                elif j == total:
+                    term = yn ** total
+                else:
+                    term = xn ** (total - j) * yn ** j
                 dx += self.coeff_dx[k] * term
                 dy += self.coeff_dy[k] * term
                 k += 1
@@ -632,34 +645,96 @@ def fit_distortion(
     )
 
 
+def _bilinear(flat: np.ndarray, shape: tuple[int, int], src_x: np.ndarray,
+              src_y: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a plane, rounded half up, with 0 where not ``ok``.
+
+    ``flat`` is the plane's samples in line order and ``src_x``/``src_y``
+    are the coordinates of in-bounds samples where ``ok`` holds; both
+    coordinate arrays are overwritten.  The arithmetic is that of scipy's
+    order-1 ``map_coordinates``: per axis the weights are w0 = 1 - t and
+    w1 = 1 - w0, and the corners are added in line-major order, each as
+    (value * y weight) * x weight.  The far neighbour is clipped to the
+    plane, so a sample on the last line or column reads it with weight 0.
+    Intermediates are written in place, so about four block arrays of
+    float64 are alive at a time.
+    """
+    h, w = shape
+    off = ~ok
+    np.copyto(src_x, 0.0, where=off)
+    np.copyto(src_y, 0.0, where=off)
+    step_x = src_x < w - 1
+    step_y = src_y < h - 1
+    # Flat index of the near corner; the float to integer cast truncates,
+    # which is the floor of a coordinate that is not negative.
+    index = src_y.astype(np.intp)
+    index *= w
+    np.add(index, src_x, out=index, dtype=np.intp, casting="unsafe")
+    v00 = flat.take(index)
+    index += step_x
+    v01 = flat.take(index)
+    np.add(index, w, out=index, where=step_y)
+    v11 = flat.take(index)
+    index -= step_x
+    v10 = flat.take(index)
+    del index, step_x, step_y
+    part = np.floor(src_x)
+    wx0 = np.subtract(1.0, np.subtract(src_x, part, out=src_x), out=src_x)
+    np.floor(src_y, out=part)
+    wy0 = np.subtract(1.0, np.subtract(src_y, part, out=src_y), out=src_y)
+    acc = np.subtract(1.0, wx0)                 # wx1
+    np.multiply(v01, wy0, out=part)
+    part *= acc                                 # corner (y0, x1)
+    np.multiply(v00, wy0, out=acc)
+    acc *= wx0                                  # corner (y0, x0)
+    acc += part
+    wy1 = np.subtract(1.0, wy0, out=wy0)
+    np.multiply(v10, wy1, out=part)
+    part *= wx0
+    acc += part
+    wx1 = np.subtract(1.0, wx0, out=wx0)
+    np.multiply(v11, wy1, out=part)
+    part *= wx1
+    acc += part
+    acc += 0.5
+    np.floor(acc, out=acc)
+    np.copyto(acc, 0.0, where=off)
+    return acc
+
+
 def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray, np.ndarray]:
     """Warp the target plane onto the reference geometry.
 
     Inverse mapping with bilinear interpolation:
     output(x, y) = tgt(x + dx(x, y), y + dy(x, y)).  Source coordinates
     outside the plane produce 0 DN and a cleared bit in the validity mask.
-    The plane is warped in blocks of ``BLOCK_LINES`` lines; each
+    The plane is warped in blocks of ``block_lines(width)`` lines; each
     block evaluates the model from a column of line indices and a row of
     column indices, so memory beyond the output stays at one block.
-    Bilinear sampling is pointwise, so the result does not depend on the
-    block size.
+    Sampling (``_bilinear``) is pointwise and gives the bits of scipy's
+    order-1 ``map_coordinates`` rounded half up, so the result does not
+    depend on the block size.
     """
     plane = np.asarray(tgt_plane)
     h, w = plane.shape
     out = np.empty((h, w), dtype=plane.dtype)
     valid = np.empty((h, w), dtype=bool)
+    flat = plane.ravel()
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
-    for y0 in range(0, h, BLOCK_LINES):
-        y1 = min(y0 + BLOCK_LINES, h)
+    step = block_lines(w)
+    for y0 in range(0, h, step):
+        y1 = min(y0 + step, h)
         lines = np.arange(y0, y1, dtype=np.float64)[:, np.newaxis]
-        dx, dy = model.evaluate(cols, lines)
-        src_x = cols + dx
-        src_y = lines + dy
-        ok = (src_x >= 0) & (src_x <= w - 1) & (src_y >= 0) & (src_y <= h - 1)
-        sampled = ndimage.map_coordinates(plane, [src_y, src_x], order=1, mode="constant",
-                                          cval=0.0, output=np.float64)
-        out[y0:y1] = np.where(ok, np.floor(sampled + 0.5), 0)
-        valid[y0:y1] = ok
+        src_x, src_y = model.evaluate(cols, lines)
+        src_x += cols
+        src_y += lines
+        ok = valid[y0:y1]
+        np.greater_equal(src_x, 0, out=ok)
+        ok &= src_x <= w - 1
+        ok &= src_y >= 0
+        ok &= src_y <= h - 1
+        out[y0:y1] = _bilinear(flat, (h, w), src_x, src_y, ok)
+        del src_x, src_y    # freed before the next block's warp is evaluated
     return out, valid
 
 

@@ -6,9 +6,11 @@ The correction applies, per band and per detector column i,
 
 where R is the relative response and D the dark level of the calibration
 table.  Each image line is corrected independently; the operation is pure
-and line-parallel.  Integer output uses round-half-up and clamps to the DN
-range; a float-valued path is exposed so metric code and property tests are
-not polluted by quantization.
+and line-parallel, so ``correct_vignetting`` walks each band in blocks of
+``block_lines(width)`` lines.  Integer output uses round-half-up and clamps
+to the DN range; a float-valued path is exposed so metric code and property
+tests are not polluted by quantization.  The metrics convert only the lines
+or the region they read to float64, never the whole plane.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ZeroCenterMean,
     ZeroMean,
 )
-from .raster import BAND_COUNT, BLOCK_LINES, CalibrationTable, RawScene
+from .raster import BAND_COUNT, CalibrationTable, RawScene, block_lines
 
 
 def round_half_up(x: np.ndarray) -> np.ndarray:
@@ -50,14 +52,15 @@ def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.nda
 def correct_vignetting(scene: RawScene, calib: CalibrationTable) -> RawScene:
     """Apply the vignetting correction, quantized back to the scene DN range.
 
-    Each band is corrected ``BLOCK_LINES`` lines at a time into the uint16
-    output, so the float64 intermediates never exceed one block of lines.
+    Each band is corrected ``block_lines(width)`` lines at a time into the
+    uint16 output, so the float64 intermediates never exceed one block.
     """
     calib.validate(scene.width)
     out = np.empty(scene.planes.shape, dtype=np.uint16)
+    step = block_lines(scene.width)
     for band in range(BAND_COUNT):
-        for y0 in range(0, scene.lines, BLOCK_LINES):
-            block = slice(y0, y0 + BLOCK_LINES)
+        for y0 in range(0, scene.lines, step):
+            block = slice(y0, y0 + step)
             out[band, block] = np.clip(
                 round_half_up(_correct_lines(scene.planes[band, block], calib, band)),
                 0, scene.max_dn)
@@ -96,12 +99,12 @@ def edge_center_ratio(plane: np.ndarray, rows, window_frac: float = 0.05) -> flo
 
         falloff = 100 * (1 - min(mean_left, mean_right) / mean_center)
     """
-    plane = np.asarray(plane, dtype=np.float64)
+    plane = np.asarray(plane)
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         raise ZeroCenterMean("no rows given")
     left, right, center = _edge_center_windows(plane.shape[1], window_frac)
-    sub = plane[rows]
+    sub = plane[rows].astype(np.float64)
     center_mean = float(sub[:, center].mean())
     if center_mean == 0.0:
         raise ZeroCenterMean("center window mean is zero")
@@ -154,11 +157,15 @@ def fit_profile_poly2(plane: np.ndarray, rows) -> LineProfile:
 
 
 def uniformity_std(plane: np.ndarray, region=None) -> float:
-    """Relative spread of a (nominally uniform) region: 100 * std / mean."""
-    plane = np.asarray(plane, dtype=np.float64)
+    """Relative spread of a (nominally uniform) region: 100 * std / mean.
+
+    Only the region is converted to float64.  A float64 plane is read in
+    place; the sums of an integer plane's values are exact in any order.
+    """
+    plane = np.asarray(plane)
     if region is None:
         region = (slice(None), slice(None))
-    sub = plane[region]
+    sub = np.asarray(plane[region], dtype=np.float64)
     if sub.size == 0:
         raise ZeroMean("empty region")
     mean = float(sub.mean())

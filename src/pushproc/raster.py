@@ -4,7 +4,9 @@ A :class:`RawScene` holds the four band planes of a pushbroom acquisition
 plus per-line timestamps.  Planes are stored planar (band major) as uint16
 regardless of the nominal bit depth, so intermediate products of the
 calibration math can exceed the 8-bit range without silent wraparound; the
-nominal depth is enforced at serialization time.
+nominal depth is enforced at serialization time.  Code that walks a plane
+in blocks of lines takes ``block_lines(width)`` lines at a time, so each
+block holds about ``BLOCK_PIXELS`` pixels whatever the plane's width.
 
 L3RAW container layout (little-endian throughout)::
 
@@ -44,9 +46,17 @@ VERSION = 1
 BAND_COUNT = 4
 _HEADER = struct.Struct("<4sHIIBB4s")
 
-# Lines per block for plane walks that keep float64 working arrays to one
-# block: vignetting correction, Canny suppression and resampling.
-BLOCK_LINES = 256
+# Pixels per block for plane walks that keep float64 working arrays to one
+# block: vignetting correction, Canny suppression and resampling.  One
+# float64 array of a block is 512 KiB, so a block's working set stays near
+# the per-core cache instead of spanning megabytes of a wide plane.
+BLOCK_PIXELS = 1 << 16
+
+
+def block_lines(width: int) -> int:
+    """Lines per block of a walk over lines ``width`` pixels wide (at least one)."""
+    return max(1, BLOCK_PIXELS // width)
+
 
 # Hard sanity bound on header dimensions: a desk-scale product never exceeds
 # this, and it keeps a corrupt header from triggering a huge allocation.

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from pushproc import coreg, errors
+from pushproc import coreg, errors, raster
 from pushproc.raster import BandId
 from pushproc.georef.attitude import AttitudeSample, Quaternion
 from pushproc.georef.camera import ImagerModel
@@ -49,6 +49,16 @@ def whole(plane):
     return slice(0, h), slice(0, w)
 
 
+def patch_suppress_lines(monkeypatch, lines, width, sigma):
+    """Make ``_suppress`` walk a window ``width`` wide in blocks of ``lines`` lines.
+
+    Its blocks are ``block_lines`` of the window plus a halo of the Gaussian
+    radius, one pixel for Sobel and one for the neighbours on each side.
+    """
+    halo = int(4.0 * sigma + 0.5) + 2
+    monkeypatch.setattr(raster, "BLOCK_PIXELS", lines * (width + 2 * halo))
+
+
 def directional_plane(kind, size=96):
     """A plane that is a function of one of x, y, x + y or x - y alone.
 
@@ -83,10 +93,10 @@ class TestSuppression:
                                         (125, 150, 101, 140), (0, 150, 60, 90),
                                         (70, 100, 0, 140)])
     def test_window_equals_crop_of_whole_plane(self, monkeypatch, window, sigma):
-        # Lines blocks of 16 put block edges inside the windows too.
-        monkeypatch.setattr(coreg, "BLOCK_LINES", 16)
         plane = np.random.default_rng(23).uniform(0, 65535, (150, 140)).astype(np.uint16)
         r0, r1, c0, c1 = window
+        # Blocks of 16 lines put block edges inside the windows too.
+        patch_suppress_lines(monkeypatch, 16, c1 - c0, sigma)
         _, expected = whole_plane_nms(plane, sigma)
         np.testing.assert_array_equal(
             coreg._suppress(plane, (slice(r0, r1), slice(c0, c1)), sigma),
@@ -132,10 +142,13 @@ class TestCanny:
         strong_labels = strong_labels[strong_labels > 0]
         return np.isin(labels, strong_labels).astype(np.uint8)
 
+    # Lines per suppression block in test_blocked_matches_whole_plane.
+    BLOCK = 256
+
     @pytest.mark.parametrize("sigma", [0.7, 1.4, 2.5])
-    @pytest.mark.parametrize("lines", [coreg.BLOCK_LINES - 1, coreg.BLOCK_LINES,
-                                       coreg.BLOCK_LINES + 1, 2 * coreg.BLOCK_LINES + 77, 5])
-    def test_blocked_matches_whole_plane(self, lines, sigma):
+    @pytest.mark.parametrize("lines", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 77, 5])
+    def test_blocked_matches_whole_plane(self, monkeypatch, lines, sigma):
+        patch_suppress_lines(monkeypatch, self.BLOCK, 67, sigma)
         rng = np.random.default_rng(lines)
         plane = ndimage.gaussian_filter(rng.uniform(0, 4000, (lines, 67)), 1.5)
         plane[:, 30:] += 500.0  # one edge that runs through every block boundary
@@ -153,13 +166,14 @@ class TestCanny:
         # A halo one line short changes the last bits of the rows next to a
         # block edge; white noise and many block edges turn that into
         # different edges.
-        monkeypatch.setattr(coreg, "BLOCK_LINES", block_lines)
+        patch_suppress_lines(monkeypatch, block_lines, 200, sigma)
         plane = np.random.default_rng(7).uniform(0, 65535, (300, 200)).astype(np.uint16)
         np.testing.assert_array_equal(coreg.canny_edges(plane, sigma),
                                       self.whole_plane_canny(plane, sigma))
 
     def test_edge_map_blurs_whole_plane_canny(self):
-        plane = (smooth_texture(4, 2 * coreg.BLOCK_LINES + 77) * 20).astype(np.uint16)
+        # 589 lines make six suppression blocks of block_lines(589 + 16) = 108.
+        plane = (smooth_texture(4, 589) * 20).astype(np.uint16)
         expected = ndimage.gaussian_filter(
             self.whole_plane_canny(plane).astype(np.float64), 1.0)
         np.testing.assert_array_equal(coreg.edge_map(plane), expected)
@@ -413,9 +427,10 @@ class TestCoregStageEdges:
     def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
 
-        # Small line blocks keep resampling's and suppression's working
-        # arrays small, so the peak shows what spans the plane.
-        monkeypatch.setattr(coreg, "BLOCK_LINES", 32)
+        # Small blocks keep resampling's and suppression's working arrays
+        # small, so the peak shows what spans the plane: resampling takes 32
+        # lines at a time.
+        monkeypatch.setattr(raster, "BLOCK_PIXELS", 32 * 1024)
         scene = stage_scene(33, 1024)
         config = PipelineConfig(raw_path="unused", out_dir="unused", grid_nx=4, grid_ny=4,
                                 residual_points=16)
@@ -625,7 +640,7 @@ class TestResample:
         return out, valid
 
     def test_blocked_matches_whole_plane(self):
-        h, w = coreg.BLOCK_LINES + 77, 90
+        h, w = raster.block_lines(90) + 77, 90
         plane = (ndimage.gaussian_filter(np.random.default_rng(18).uniform(0, 4000, (h, w)),
                                          1.5)).astype(np.uint16)
         model = coreg.DistortionModel(order=2,
@@ -659,6 +674,130 @@ class TestResample:
         assert not valid[:, -10:].any()
         assert (out[:, -10:] == 0).all()
         assert valid[:, :54].all()
+
+    @staticmethod
+    def scipy_resample(plane, model):
+        """The warp sampled by scipy: order-1 ``map_coordinates``, rounded half up.
+
+        The source coordinates are those ``resample`` evaluates, on one grid.
+        """
+        h, w = plane.shape
+        yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+        dx, dy = model.evaluate(xx, yy)
+        src_x, src_y = xx + dx, yy + dy
+        valid = (src_x >= 0) & (src_x <= w - 1) & (src_y >= 0) & (src_y <= h - 1)
+        sampled = ndimage.map_coordinates(plane, [src_y, src_x], order=1, mode="constant",
+                                          cval=0.0, output=np.float64)
+        return np.where(valid, np.floor(sampled + 0.5), 0).astype(plane.dtype), valid
+
+    def assert_matches_scipy(self, plane, model):
+        out, valid = coreg.resample(plane, model)
+        ref_out, ref_valid = self.scipy_resample(plane, model)
+        assert out.dtype == plane.dtype
+        np.testing.assert_array_equal(valid, ref_valid)
+        np.testing.assert_array_equal(out, ref_out)
+        return valid
+
+    @staticmethod
+    def random_model(rng, order, shape, scale, pull=0.0):
+        """Random coefficients, plus for ``pull`` > 0 a contraction towards the centre.
+
+        The contraction maps a column x to (1 - 2 pull) x + pull (w - 1), and
+        a line likewise, so most samples of a small plane stay inside.
+        """
+        h, w = shape
+        n = coreg.n_coefficients(order)
+        # A single line or column is sampled only where the shift across it
+        # is exactly 0.
+        coeff_dx = rng.normal(0.0, scale, n) if w > 1 else np.zeros(n)
+        coeff_dy = rng.normal(0.0, scale, n) if h > 1 else np.zeros(n)
+        if order > 0:
+            coeff_dx[:2] += pull * (w - 1) * np.array([1.0, -2.0])
+            coeff_dy[[0, 2]] += pull * (h - 1) * np.array([1.0, -2.0])
+        return coreg.DistortionModel(order=order, coeff_dx=coeff_dx, coeff_dy=coeff_dy,
+                                     width=w, height=h)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (2, 2), (37, 53)])
+    def test_kernel_matches_map_coordinates(self, shape, dtype, order):
+        rng = np.random.default_rng([order, *shape])
+        plane = rng.integers(0, np.iinfo(dtype).max, shape, endpoint=True).astype(dtype)
+        scale = 0.05 * min(shape) if min(shape) > 1 else 0.7
+        valid = self.assert_matches_scipy(plane,
+                                          self.random_model(rng, order, shape, scale, 0.2))
+        assert valid.any()
+
+    @pytest.mark.parametrize("dy", [0.1, -0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("dx", [-0.1, 0.3, 0.7, 0.9])
+    def test_halfway_samples_round_like_map_coordinates(self, dx, dy):
+        # Small integers and shifts in tenths put many exact bilinear values on
+        # k + 1/2, where one unit in the last place decides the rounding, so
+        # the weights, the products and their sum must all be scipy's.
+        plane = np.random.default_rng(37).integers(0, 41, (48, 48)).astype(np.uint8)
+        model = coreg.DistortionModel(order=0, coeff_dx=np.array([dx]),
+                                      coeff_dy=np.array([dy]), width=48, height=48)
+        self.assert_matches_scipy(plane, model)
+        yy, xx = np.mgrid[0:48, 0:48].astype(np.float64)
+        sampled = ndimage.map_coordinates(plane, [yy + dy, xx + dx], order=1,
+                                          output=np.float64)
+        # The exact values are multiples of 1/100.
+        assert (np.round(sampled * 100) % 100 == 50).sum() > 20
+
+    @pytest.mark.parametrize("shift", [(0, 0), (1, 0), (0, 1), (-1, -1), (2, -3), (-3, 2)])
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (9, 11)])
+    def test_integer_shifts_sample_last_line_and_column(self, shape, shift):
+        h, w = shape
+        dx, dy = (shift[0] if w > 1 else 0), (shift[1] if h > 1 else 0)
+        plane = np.random.default_rng(31).integers(0, 65536, shape).astype(np.uint16)
+        model = coreg.DistortionModel(order=0, coeff_dx=np.array([float(dx)]),
+                                      coeff_dy=np.array([float(dy)]), width=w, height=h)
+        valid = self.assert_matches_scipy(plane, model)
+        # Every kept pixel is a sample of the plane, the last line and column
+        # included.
+        ys, xs = np.nonzero(valid)
+        np.testing.assert_array_equal(coreg.resample(plane, model)[0][ys, xs],
+                                      plane[ys + dy, xs + dx])
+        assert valid.sum() == max(h - abs(dy), 0) * max(w - abs(dx), 0)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_every_pixel_pushed_out(self, order):
+        plane = np.full((20, 30), 900, dtype=np.uint16)
+        n = coreg.n_coefficients(order)
+        model = coreg.DistortionModel(order=order, coeff_dx=np.full(n, 40.0),
+                                      coeff_dy=np.full(n, -25.0), width=30, height=20)
+        out, valid = coreg.resample(plane, model)
+        assert not valid.any()
+        assert not out.any()
+        self.assert_matches_scipy(plane, model)
+
+    @pytest.mark.parametrize("block_pixels", [1, 53, 3 * 53 + 5, 7 * 53])
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_small_blocks_match_map_coordinates(self, monkeypatch, block_pixels, order):
+        # Blocks of 1, 1, 3 and 7 lines put many block edges inside the plane.
+        monkeypatch.setattr(raster, "BLOCK_PIXELS", block_pixels)
+        rng = np.random.default_rng(order)
+        plane = rng.integers(0, 65536, (37, 53)).astype(np.uint16)
+        valid = self.assert_matches_scipy(plane, self.random_model(rng, order, (37, 53), 4.0))
+        assert 0 < valid.sum() < valid.size
+
+    def test_working_memory_bounded(self):
+        n = 1024
+        plane = (smooth_texture(19, n) * 300).astype(np.uint16)
+        model = coreg.DistortionModel(order=2,
+                                      coeff_dx=np.array([1.4, -4.2, 2.1, 1.4, -1.4, 0.7]),
+                                      coeff_dy=np.array([-1.0, 2.1, -3.9, 0.7, 1.4, -1.0]),
+                                      width=n, height=n)
+        tracemalloc.start()
+        try:
+            out, valid = coreg.resample(plane, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond the output and the mask, 0.33 of a float64 plane: about
+        # five 64-line block arrays of float64 and the four gathered corners.
+        # 256-line blocks with scipy's sampling measured 2.3.
+        assert peak - out.nbytes - valid.nbytes < 0.375 * n * n * 8
 
 
 class TestCoregResidual:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushproc import errors, radiometry
-from pushproc.raster import BLOCK_LINES, CalibrationTable, RawScene
+from pushproc.raster import CalibrationTable, RawScene, block_lines
 
 from conftest import make_scene
 
@@ -101,7 +101,7 @@ class TestCorrectVignetting:
 
 
     def test_line_blocks_equal_whole_plane_formula(self, rng):
-        lines, width = 2 * BLOCK_LINES + 37, 40
+        lines, width = 2 * block_lines(40) + 37, 40
         scene = RawScene(rng.integers(0, 4096, (4, lines, width)).astype(np.uint16),
                          np.arange(lines, dtype=float), 16)
         calib = CalibrationTable(response=0.5 + rng.uniform(0, 30, (4, width)),
@@ -122,8 +122,8 @@ class TestCorrectVignetting:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Beyond the output, 0.75 of a float64 plane in line blocks; whole
-        # planes at a time measured 3.0.
+        # Beyond the output, 0.19 of a float64 plane in 64-line blocks (0.75
+        # in 256-line blocks); whole planes at a time measured 3.0.
         assert peak <= out.planes.nbytes + n * n * 8
 
 class TestDarkEstimation:
@@ -216,3 +216,37 @@ class TestUniformityStd:
     def test_zero_mean(self):
         with pytest.raises(errors.ZeroMean):
             radiometry.uniformity_std(np.zeros((2, 2)))
+
+
+class TestMetricsConvertWhatTheyRead:
+    """The metrics convert only the rows or region they read to float64."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_equal_to_whole_plane_float64(self, rng, dtype):
+        lines, width = 301, 517
+        plane = rng.integers(1, np.iinfo(dtype).max, (lines, width)).astype(dtype)
+        rows = np.unique(np.linspace(0, lines - 1, 16).astype(int))
+        region = (slice(lines // 4, lines - lines // 4), slice(width // 4, width - width // 4))
+        whole = plane.astype(np.float64)
+        left, right, center = radiometry._edge_center_windows(width, 0.05)
+        sub = whole[rows]
+        falloff = 100.0 * (1.0 - min(sub[:, left].mean(), sub[:, right].mean())
+                           / sub[:, center].mean())
+        assert radiometry.edge_center_ratio(plane, rows) == falloff
+        inner = whole[region]
+        assert radiometry.uniformity_std(plane, region) == 100.0 * inner.std() / inner.mean()
+        assert radiometry.uniformity_std(plane) == 100.0 * whole.std() / whole.mean()
+
+    def test_uniformity_memory_under_one_float64_plane(self, rng):
+        n = 1024
+        plane = rng.integers(0, 4096, (n, n)).astype(np.uint16)
+        region = (slice(n // 4, n - n // 4), slice(n // 4, n - n // 4))
+        tracemalloc.start()
+        try:
+            radiometry.uniformity_std(plane, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The region and its deviations are half a float64 plane; converting
+        # the whole plane first measured 1.26.
+        assert peak < n * n * 8
