@@ -30,6 +30,7 @@ reduced in tile_id order, so results are independent of worker count.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -268,24 +269,50 @@ def grid_edges(plane: np.ndarray, grids: list[TileGrid]) -> list[GridEdges]:
     blur per block.  The maps thus depend only on the pixels near a grid's
     blocks, and a plane equal to another there gets the same maps on that
     grid whether it was built alone or together with other grids.
+
+    A block that lies in one rectangle reads it in place, and a rectangle
+    is released once the last block that reads it is assembled, so each
+    suppressed pixel is held once: as a rectangle until its blocks are
+    done, then in their maps.
     """
     plane = np.asarray(plane)
-    pieces = [(rect, _suppress(plane, rect))
-              for rect in _disjoint_cover([block for grid in grids for block in grid.blocks])]
-    result = []
-    for grid in grids:
-        maps = []
-        for rows, cols in grid.blocks:
-            nms = np.empty((rows.stop - rows.start, cols.stop - cols.start), dtype=np.float64)
-            for (prows, pcols), piece in pieces:
-                r0, r1 = max(rows.start, prows.start), min(rows.stop, prows.stop)
-                c0, c1 = max(cols.start, pcols.start), min(cols.stop, pcols.stop)
-                if r0 < r1 and c0 < c1:
-                    nms[r0 - rows.start : r1 - rows.start, c0 - cols.start : c1 - cols.start] = \
-                        piece[r0 - prows.start : r1 - prows.start, c0 - pcols.start : c1 - pcols.start]
-            maps.append(_soften(_hysteresis(nms)))
-        result.append(GridEdges(grid, maps))
-    return result
+    blocks = [block for grid in grids for block in grid.blocks]
+    rects = _disjoint_cover(blocks)
+    pieces = [_suppress(plane, rect) for rect in rects]
+
+    def overlap(a, b):
+        return tuple(slice(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(a, b))
+
+    def crop(i, window):
+        (prows, pcols), (rows, cols) = rects[i], window
+        return pieces[i][rows.start - prows.start : rows.stop - prows.start,
+                         cols.start - pcols.start : cols.stop - pcols.start]
+
+    def assemble(block, parts):
+        if len(parts) == 1:
+            return crop(parts[0], block)    # hysteresis and blur only read it
+        rows, cols = block
+        nms = np.empty((rows.stop - rows.start, cols.stop - cols.start))
+        for i in parts:
+            r, c = overlap(block, rects[i])
+            nms[r.start - rows.start : r.stop - rows.start,
+                c.start - cols.start : c.stop - cols.start] = crop(i, (r, c))
+        return nms
+
+    bounds = np.array([(r.start, r.stop, c.start, c.stop) for r, c in rects])
+    readers = [np.flatnonzero((bounds[:, 0] < rows.stop) & (bounds[:, 1] > rows.start)
+                              & (bounds[:, 2] < cols.stop) & (bounds[:, 3] > cols.start)).tolist()
+               for rows, cols in blocks]
+    left = collections.Counter(i for parts in readers for i in parts)
+    maps = []
+    for block, parts in zip(blocks, readers):
+        maps.append(_soften(_hysteresis(assemble(block, parts))))
+        for i in parts:
+            left[i] -= 1
+            if not left[i]:
+                pieces[i] = None
+    maps = iter(maps)
+    return [GridEdges(grid, list(itertools.islice(maps, len(grid.blocks)))) for grid in grids]
 
 
 # --------------------------------------------------------------- matching

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
-from .raster import BAND_NAMES, BandId, CalibrationTable, RawScene, load_calibration, load_raw, save_raw
+from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
+                     load_calibration, load_raw, save_raw)
 
 STAGES = ("vignetting", "coreg", "georef")
 
@@ -146,8 +147,13 @@ def _radiometry_metrics(scene: RawScene) -> dict:
 
 
 def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityReport) -> RawScene:
+    """Correct ``scene`` in place, between the metrics before and after.
+
+    The stage owns ``scene`` (``run_pipeline`` loaded it), so the corrected
+    planes overwrite the loaded ones and no second cube is built.
+    """
     before = _radiometry_metrics(scene)
-    corrected = radiometry.correct_vignetting(scene, calib)
+    corrected = radiometry.correct_vignetting(scene, calib, out=scene.planes)
     after = _radiometry_metrics(corrected)
     report.stages["vignetting"] = {"before": before, "after": after}
     return corrected
@@ -195,6 +201,8 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             inliers, order=config.poly_order, width=scene.width, height=scene.lines
         )
         scene.planes[int(band)], valid = coreg_mod.resample(scene.band(band), model)
+        masked = valid.size - int(np.count_nonzero(valid))
+        del valid   # not kept through the next band's matching and resampling
         mean_px, rms_px = coreg_mod.coreg_residual(
             ref_plane, scene.band(band), n_points=config.residual_points,
             min_score=config.min_score, ref_edges=ref_residual,
@@ -207,7 +215,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             "fit_rms_px": model.rms_fit,
             "residual_mean_px": mean_px,
             "residual_rms_px": rms_px,
-            "masked_pixels": int((~valid).sum()),
+            "masked_pixels": masked,
         }
     report.stages["coreg"] = metrics
     return scene
@@ -322,30 +330,31 @@ def quicklook(scene: RawScene, bands, path) -> None:
     """8-bit PGM (one band) or PPM (three bands) with a 2-98% stretch.
 
     The stretch maps the 2nd percentile to 0 and the 98th to 255, which
-    keeps hot pixels from crushing the display range.  Deterministic.
+    keeps hot pixels from crushing the display range.  Deterministic.  The
+    percentiles are taken on the integer plane, whose interpolation between
+    two integer samples gives the float64 plane's values, and each band is
+    stretched ``block_lines(width)`` lines at a time into the 8-bit image,
+    so no float64 plane is built.
     """
     bands = [BandId(int(b)) for b in bands]
     if len(bands) not in (1, 3):
         raise BadBandSelection(f"need 1 or 3 bands, got {len(bands)}")
-
-    def stretch(plane: np.ndarray) -> np.ndarray:
-        data = plane.astype(np.float64)
-        lo = float(np.percentile(data, 2.0))
-        hi = float(np.percentile(data, 98.0))
-        if hi <= lo:
-            return np.zeros(plane.shape, dtype=np.uint8)
-        scaled = np.clip((data - lo) / (hi - lo) * 255.0, 0.0, 255.0)
-        return np.floor(scaled + 0.5).astype(np.uint8)
-
     h, w = scene.lines, scene.width
-    if len(bands) == 1:
-        body = stretch(scene.band(bands[0])).tobytes()
-        header = f"P5\n{w} {h}\n255\n".encode()
-    else:
-        rgb = np.stack([stretch(scene.band(b)) for b in bands], axis=-1)
-        body = rgb.tobytes()
-        header = f"P6\n{w} {h}\n255\n".encode()
-    Path(path).write_bytes(header + body)
+    image = np.zeros((h, w, len(bands)), dtype=np.uint8)
+    step = block_lines(w)
+    for k, band in enumerate(bands):
+        plane = scene.band(band)
+        lo, hi = np.percentile(plane, [2.0, 98.0]).tolist()
+        if hi <= lo:
+            continue
+        for y0 in range(0, h, step):
+            data = plane[y0 : y0 + step].astype(np.float64)
+            scaled = np.clip((data - lo) / (hi - lo) * 255.0, 0.0, 255.0)
+            image[y0 : y0 + step, :, k] = np.floor(scaled + 0.5)
+    magic = "P5" if len(bands) == 1 else "P6"
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
+        fh.write(image)
 
 
 def report_timing(report: QualityReport | dict) -> str:

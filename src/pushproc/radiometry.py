@@ -5,16 +5,21 @@ The correction applies, per band and per detector column i,
     Y_i = R_i * max(X_i - D_i, 0)
 
 where R is the relative response and D the dark level of the calibration
-table.  Each image line is corrected independently; the operation is pure
-and line-parallel, so ``correct_vignetting`` walks each band in blocks of
-``block_lines(width)`` lines.  Integer output uses round-half-up and clamps
-to the DN range; a float-valued path is exposed so metric code and property
-tests are not polluted by quantization.  The metrics convert only the lines
-or the region they read to float64, never the whole plane.
+table.  Each image line is corrected independently, so ``correct_vignetting``
+walks each band in blocks of ``block_lines(width)`` lines.  Called without
+``out`` it is pure: it returns a new scene and leaves its input untouched.
+Given ``out=scene.planes`` it corrects the scene's own planes in place,
+each block read before it is written; the pipeline, which owns the scene
+it loaded, takes that path, so no second cube is built.  Integer output
+uses round-half-up and clamps to the DN range; a float-valued path is
+exposed so metric code and property tests are not polluted by
+quantization.  The metrics convert only the lines or the region they read
+to float64, never the whole plane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +54,23 @@ def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.nda
                      for band in range(BAND_COUNT)])
 
 
-def correct_vignetting(scene: RawScene, calib: CalibrationTable) -> RawScene:
+def correct_vignetting(scene: RawScene, calib: CalibrationTable,
+                       out: np.ndarray | None = None) -> RawScene:
     """Apply the vignetting correction, quantized back to the scene DN range.
 
-    Each band is corrected ``block_lines(width)`` lines at a time into the
-    uint16 output, so the float64 intermediates never exceed one block.
+    Each band is corrected ``block_lines(width)`` lines at a time, so the
+    float64 intermediates never exceed one block.  The result is written
+    into ``out``, a uint16 array of the planes' shape, or into a new one
+    when ``out`` is None, which leaves ``scene`` untouched.  ``out`` may be
+    ``scene.planes`` itself: each block is read before it is written, so a
+    caller that owns the scene corrects it in place without a second cube.
     """
     calib.validate(scene.width)
-    out = np.empty(scene.planes.shape, dtype=np.uint16)
+    if out is None:
+        out = np.empty(scene.planes.shape, dtype=np.uint16)
+    elif out.shape != scene.planes.shape or out.dtype != np.uint16:
+        raise ValueError(f"out must be uint16 of shape {scene.planes.shape}, "
+                         f"got {out.dtype} {out.shape}")
     step = block_lines(scene.width)
     for band in range(BAND_COUNT):
         for y0 in range(0, scene.lines, step):
@@ -159,19 +173,25 @@ def fit_profile_poly2(plane: np.ndarray, rows) -> LineProfile:
 def uniformity_std(plane: np.ndarray, region=None) -> float:
     """Relative spread of a (nominally uniform) region: 100 * std / mean.
 
-    Only the region is converted to float64.  A float64 plane is read in
-    place; the sums of an integer plane's values are exact in any order.
+    The mean is taken on the region as it is.  Only the deviations from it
+    are held as float64, squared in place, so one region-sized array is
+    alive.  The result equals ``ndarray.std`` over ``mean`` of the float64
+    region: the squared deviations are summed in the order ``std`` sums
+    them, and an integer region's sum is exact in any order.
     """
     plane = np.asarray(plane)
     if region is None:
         region = (slice(None), slice(None))
-    sub = np.asarray(plane[region], dtype=np.float64)
+    sub = plane[region]
     if sub.size == 0:
         raise ZeroMean("empty region")
-    mean = float(sub.mean())
+    mean = float(sub.mean(dtype=np.float64))
     if mean == 0.0:
         raise ZeroMean("region mean is zero")
-    return 100.0 * float(sub.std()) / mean
+    dev = sub.astype(np.float64)
+    dev -= mean
+    np.square(dev, out=dev)
+    return 100.0 * math.sqrt(float(dev.mean())) / mean
 
 
 def calibration_from_flat_field(scene: RawScene, dark_level: float | np.ndarray = 0.0,

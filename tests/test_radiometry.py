@@ -126,6 +126,52 @@ class TestCorrectVignetting:
         # in 256-line blocks); whole planes at a time measured 3.0.
         assert peak <= out.planes.nbytes + n * n * 8
 
+
+class TestCorrectInPlace:
+    """``out=scene.planes`` corrects the scene's own planes; without ``out`` it stays pure."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_in_place_equals_pure(self, rng, bit_depth):
+        # Block edges inside the plane: two whole blocks and 37 lines.
+        lines, width = 2 * block_lines(40) + 37, 40
+        planes = rng.integers(0, 1 << bit_depth, (4, lines, width)).astype(np.uint16)
+        scene = RawScene(planes.copy(), np.arange(lines, dtype=float), bit_depth)
+        calib = CalibrationTable(response=0.5 + rng.uniform(0, 3, (4, width)),
+                                 dark=rng.uniform(0, 30, (4, width)))
+        pure = radiometry.correct_vignetting(scene, calib)
+        np.testing.assert_array_equal(scene.planes, planes)
+        assert not np.shares_memory(pure.planes, scene.planes)
+        in_place = radiometry.correct_vignetting(scene, calib, out=scene.planes)
+        assert in_place.planes is scene.planes
+        assert in_place.planes.tobytes() == pure.planes.tobytes()
+        assert not np.array_equal(scene.planes, planes)
+
+    def test_out_must_match_planes(self, small_scene):
+        calib = identity_calib(small_scene.width)
+        for out in (np.empty(small_scene.planes.shape, dtype=np.float64),
+                    np.empty(small_scene.planes[:, 1:].shape, dtype=np.uint16)):
+            with pytest.raises(ValueError):
+                radiometry.correct_vignetting(small_scene, calib, out=out)
+
+    def test_stage_peak_under_half_the_cube(self, rng):
+        from pushproc.pipeline import QualityReport, _stage_vignetting
+
+        n = 1024
+        scene = RawScene(rng.integers(0, 256, (4, n, n)).astype(np.uint16),
+                         np.arange(n, dtype=float), 8)
+        calib = CalibrationTable(response=np.full((4, n), 1.3), dark=np.full((4, n), 2.0))
+        tracemalloc.start()
+        try:
+            corrected = _stage_vignetting(scene, calib, QualityReport())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corrected.planes is scene.planes
+        # Beyond the loaded scene, 0.25 of the uint16 cube: the float64 centre
+        # region of the metrics.  A corrected copy of the cube measured 1.50.
+        assert peak < scene.planes.nbytes / 2
+
+
 class TestDarkEstimation:
     def test_all_zero(self):
         scene = uniform_scene(0, lines=32)
@@ -247,6 +293,15 @@ class TestMetricsConvertWhatTheyRead:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The region and its deviations are half a float64 plane; converting
-        # the whole plane first measured 1.26.
-        assert peak < n * n * 8
+        # The deviations of the region, squared in place, are a quarter of a
+        # float64 plane (0.25 measured).  The region and its deviations
+        # measured 0.50, converting the whole plane first 1.26.
+        assert peak < 0.3 * n * n * 8
+
+    def test_float64_plane_read_not_written(self, rng):
+        plane = rng.normal(100.0, 30.0, (301, 517))
+        before = plane.copy()
+        region = (slice(75, 226), slice(129, 388))
+        inner = plane[region]
+        assert radiometry.uniformity_std(plane, region) == 100.0 * inner.std() / inner.mean()
+        np.testing.assert_array_equal(plane, before)
