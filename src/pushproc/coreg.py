@@ -12,9 +12,12 @@ The chain mirrors the production flow for pushbroom band alignment:
    thresholds, the hysteresis over connected edges and the blur are the
    block's own.  A caller aligning several bands to one reference builds
    the reference maps of all its grids in one call, which suppresses each
-   reference pixel once, and passes them as ``ref_edges``.
+   reference pixel once, and hands each grid's maps to ``match_bands``.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
-   parabola subpixel refinement.
+   parabola subpixel refinement.  ``match_bands`` walks the grid block by
+   block: it builds every target band's map of the block, prepares each
+   reference tile once (mean removed, energy, padded spectrum) and
+   correlates it with the same tile of every target band.
 3. Matches are gated around an attitude-derived shift prior, then cleaned
    by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
@@ -24,7 +27,8 @@ The chain mirrors the production flow for pushbroom band alignment:
    scipy's order-1 ``map_coordinates``, so its samples are bit-identical
    to that call's.
 
-All operations are pure; tile matching may be spread across threads and is
+All operations are pure.  The tiles of a block may be spread across
+threads, one tile with all its target bands per task, and the matches are
 reduced in tile_id order, so results are independent of worker count.
 """
 
@@ -86,15 +90,25 @@ def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4
     left, width = cols.start - ca, cols.stop - cols.start
     nms = np.zeros((rows.stop - rows.start, width), dtype=np.float64)
     step = block_lines(width + 2 * halo)
+    # Each block is filtered in buffers allocated once per call; a block
+    # uses their first b - a lines.  The padded magnitude's border stays 0.
+    tallest = min(step, rows.stop - rows.start) + 2 * halo
+    smooth, sobel_x, sobel_y = (np.empty((tallest, cb - ca)) for _ in range(3))
+    magnitude = np.zeros((tallest + 2, cb - ca + 2))
     for y0 in range(rows.start, rows.stop, step):
         y1 = min(y0 + step, rows.stop)
         a, b = max(y0 - halo, 0), min(y1 + halo, h)
-        img = ndimage.gaussian_filter(plane[a:b, ca:cb].astype(np.float64), sigma)
-        gx = ndimage.sobel(img, axis=1)
-        gy = ndimage.sobel(img, axis=0)
+        img = smooth[: b - a]
+        np.copyto(img, plane[a:b, ca:cb], casting="unsafe")
+        ndimage.gaussian_filter(img, sigma, output=img)
+        gx = ndimage.sobel(img, axis=1, output=sobel_x[: b - a])
+        gy = ndimage.sobel(img, axis=0, output=sobel_y[: b - a])
         # Zero padding stands in for the neighbours beyond the plane border;
-        # inside the plane the halo supplies them.
-        padded = np.pad(np.hypot(gx, gy), 1)
+        # inside the plane the halo supplies them.  The line under this block
+        # may hold a taller block's magnitude.
+        padded = magnitude[: b - a + 2]
+        np.hypot(gx, gy, out=padded[1:-1, 1:-1])
+        padded[-1] = 0.0
         top = y0 - a
         gx = gx[top : top + y1 - y0, left : left + width]
         gy = gy[top : top + y1 - y0, left : left + width]
@@ -334,37 +348,34 @@ def _parabola_offset(c_minus: float, c_zero: float, c_plus: float) -> float:
     return offset
 
 
-def fft_xcorr(tile_ref: np.ndarray, tile_tgt: np.ndarray) -> tuple[float, float, float]:
-    """Shift of the target tile relative to the reference tile.
+class _PreparedTile(NamedTuple):
+    """A tile's zero-mean samples as a spectrum padded to ``shape``, and their energy's root."""
 
-    Normalized circular cross-correlation via FFT; the integer peak is
-    refined per axis by a 3-point parabola.  Shifts are reported in
-    (-N/2, N/2] and the score is the normalized peak value in [0, 1]:
-    matching a tile against itself scores exactly 1 at (0, 0).
-    """
-    a = np.asarray(tile_ref, dtype=np.float64)
-    b = np.asarray(tile_tgt, dtype=np.float64)
-    if a.shape != b.shape:
-        raise OutOfBounds(f"tile shapes differ: {a.shape} vs {b.shape}")
+    spectrum: np.ndarray
+    energy: float
+    shape: tuple[int, int]
+
+
+def _prepare_tile(tile: np.ndarray) -> _PreparedTile | None:
+    """The tile prepared for ``_correlate``, padded to powers of two; ``None`` when flat."""
+    a = np.asarray(tile, dtype=np.float64)
     a = a - a.mean()
-    b = b - b.mean()
-    ea = math.sqrt(float(np.sum(a * a)))
-    eb = math.sqrt(float(np.sum(b * b)))
-    if ea == 0.0 or eb == 0.0:
-        raise FlatTile("zero-variance tile, no structure to match")
-
+    energy = math.sqrt(float(np.sum(a * a)))
+    if energy == 0.0:
+        return None
     h, w = a.shape
     ph, pw = _next_pow2(h), _next_pow2(w)
     if (ph, pw) != (h, w):
-        pa = np.zeros((ph, pw))
-        pb = np.zeros((ph, pw))
-        pa[:h, :w] = a
-        pb[:h, :w] = b
-        a, b = pa, pb
+        padded = np.zeros((ph, pw))
+        padded[:h, :w] = a
+        a = padded
+    return _PreparedTile(np.fft.rfft2(a), energy, (ph, pw))
 
-    spectrum = np.fft.rfft2(b) * np.conj(np.fft.rfft2(a))
-    corr = np.fft.irfft2(spectrum, s=a.shape)
-    corr /= ea * eb
+
+def _correlate(ref: _PreparedTile, tgt: _PreparedTile) -> tuple[float, float, float]:
+    """Shift and score of a prepared target tile against a prepared reference tile."""
+    corr = np.fft.irfft2(tgt.spectrum * np.conj(ref.spectrum), s=ref.shape)
+    corr /= ref.energy * tgt.energy
     peak_y, peak_x = np.unravel_index(int(np.argmax(corr)), corr.shape)
     score = float(np.clip(corr[peak_y, peak_x], 0.0, 1.0))
 
@@ -384,6 +395,24 @@ def fft_xcorr(tile_ref: np.ndarray, tile_tgt: np.ndarray) -> tuple[float, float,
     return float(shift_x), float(shift_y), score
 
 
+def fft_xcorr(tile_ref: np.ndarray, tile_tgt: np.ndarray) -> tuple[float, float, float]:
+    """Shift of the target tile relative to the reference tile.
+
+    Normalized circular cross-correlation via FFT; the integer peak is
+    refined per axis by a 3-point parabola.  Shifts are reported in
+    (-N/2, N/2] and the score is the normalized peak value in [0, 1]:
+    matching a tile against itself scores exactly 1 at (0, 0).
+    """
+    a = np.asarray(tile_ref, dtype=np.float64)
+    b = np.asarray(tile_tgt, dtype=np.float64)
+    if a.shape != b.shape:
+        raise OutOfBounds(f"tile shapes differ: {a.shape} vs {b.shape}")
+    ref, tgt = _prepare_tile(a), _prepare_tile(b)
+    if ref is None or tgt is None:
+        raise FlatTile("zero-variance tile, no structure to match")
+    return _correlate(ref, tgt)
+
+
 @dataclass
 class MatchPoint:
     """One tile-matching observation: target shift relative to reference."""
@@ -394,6 +423,64 @@ class MatchPoint:
     dx: float
     dy: float
     score: float
+
+
+def match_bands(ref_edges: GridEdges, tgt_planes: list[np.ndarray], min_score: float = 0.1,
+                workers: int = 1) -> list[list[MatchPoint]]:
+    """Match the tile grid of ``ref_edges`` against each target plane.
+
+    The grid is walked block by block.  Each target plane gets its map of
+    the block (the map ``grid_edges`` builds for this grid alone: a grid's
+    blocks are their own disjoint cover), then each reference tile is
+    prepared once and correlated with the same tile of every target.  The
+    tiles of a block go over ``workers`` threads.  Tiles that are flat in
+    either plane, or score under ``min_score``, are dropped.  One list of
+    matches per target comes back, sorted by tile_id; it may be empty.
+    """
+    grid = ref_edges.grid
+    planes = [np.asarray(plane) for plane in tgt_planes]
+    for plane in planes:
+        if plane.shape != grid.shape:
+            raise OutOfBounds(f"plane shape {plane.shape} is not the grid's {grid.shape}")
+    size, half = grid.tile_size, grid.tile_size // 2
+
+    def match_tile(tile, maps):
+        tile_id, cx, cy, k = tile
+        rows, cols = grid.blocks[k]
+        y0, x0 = cy - half - rows.start, cx - half - cols.start
+        window = (slice(y0, y0 + size), slice(x0, x0 + size))
+        ref = _prepare_tile(ref_edges.maps[k][window])
+        found = [None] * len(maps)
+        if ref is None:
+            return found
+        for i, tgt_map in enumerate(maps):
+            tgt = _prepare_tile(tgt_map[window])
+            if tgt is None:
+                continue
+            dx, dy, score = _correlate(ref, tgt)
+            if score >= min_score:
+                found[i] = MatchPoint(tile_id=tile_id, x_ref=float(cx), y_ref=float(cy),
+                                      dx=dx, dy=dy, score=score)
+        return found
+
+    matches = [[] for _ in planes]
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        run = pool.map if workers > 1 else map
+        for k, block in enumerate(grid.blocks):
+            maps = [_soften(_hysteresis(_suppress(plane, block))) for plane in planes]
+            tiles = [tile for tile in grid.tiles if tile[3] == k]
+            for found in run(match_tile, tiles, itertools.repeat(maps)):
+                for kept, match in zip(matches, found):
+                    if match is not None:
+                        kept.append(match)
+    return [sorted(kept, key=lambda m: m.tile_id) for kept in matches]
+
+
+def require_matches(matches: list[MatchPoint]) -> list[MatchPoint]:
+    """``matches`` as they are; ``NoMatches`` when every tile was dropped."""
+    if not matches:
+        raise NoMatches("every tile was rejected (flat or below min_score)")
+    return matches
 
 
 def collect_matches(
@@ -409,12 +496,13 @@ def collect_matches(
 ) -> list[MatchPoint]:
     """Match a tile grid between two band planes on their edge maps.
 
-    Both planes get edge maps over the blocks of the grid (``grid_edges``)
-    and each tile is a crop of its block's map.  ``ref_edges``, when given,
-    are the reference maps on this grid from an earlier ``grid_edges``
-    call, so a caller aligning several bands to one reference builds them
-    once.  Tiles whose score falls under ``min_score`` (or that are
-    structureless) are dropped; the survivors come back sorted by tile_id.
+    The one-band call of ``match_bands``: both planes get edge maps over
+    the blocks of the grid and each tile is a crop of its block's map.
+    ``ref_edges``, when given, are the reference maps on this grid from an
+    earlier ``grid_edges`` call.  Tiles whose score falls under
+    ``min_score`` (or that are structureless) are dropped; the survivors
+    come back sorted by tile_id, and ``NoMatches`` is raised when none is
+    left.
     """
     if tile_size < 32:
         raise OutOfBounds(f"tile_size {tile_size} < 32")
@@ -428,33 +516,8 @@ def collect_matches(
         [ref_edges] = grid_edges(ref_plane, [grid])
     elif ref_edges.grid != grid:
         raise OutOfBounds(f"ref_edges were built for {ref_edges.grid}, not {grid}")
-    [tgt_edges] = grid_edges(tgt_plane, [grid])
-    half = tile_size // 2
-
-    def match_tile(tile):
-        tile_id, cx, cy, k = tile
-        rows, cols = grid.blocks[k]
-        y0, x0 = cy - half - rows.start, cx - half - cols.start
-        window = (slice(y0, y0 + tile_size), slice(x0, x0 + tile_size))
-        try:
-            dx, dy, score = fft_xcorr(ref_edges.maps[k][window], tgt_edges.maps[k][window])
-        except FlatTile:
-            return None
-        if score < min_score:
-            return None
-        return MatchPoint(tile_id=tile_id, x_ref=float(cx), y_ref=float(cy),
-                          dx=dx, dy=dy, score=score)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(match_tile, grid.tiles))
-    else:
-        results = [match_tile(tile) for tile in grid.tiles]
-
-    matches = sorted((m for m in results if m is not None), key=lambda m: m.tile_id)
-    if not matches:
-        raise NoMatches("every tile was rejected (flat or below min_score)")
-    return matches
+    [matches] = match_bands(ref_edges, [tgt_plane], min_score, workers)
+    return require_matches(matches)
 
 
 # ------------------------------------------------------------ shift prior
@@ -799,9 +862,13 @@ def coreg_residual(
     grid) is passed on to ``collect_matches``.
     """
     grid = residual_grid(np.shape(ref_plane), n_points, tile_size, margin)
-    matches = collect_matches(
+    return residual_stats(collect_matches(
         ref_plane, aligned_plane, tile_size=grid.tile_size, grid_nx=grid.grid_nx,
         grid_ny=grid.grid_ny, min_score=min_score, margin=margin, ref_edges=ref_edges,
-    )
+    ))
+
+
+def residual_stats(matches: list[MatchPoint]) -> tuple[float, float]:
+    """Mean and RMS of the shift magnitudes (px) of a non-empty list of matches."""
     mags = np.hypot([m.dx for m in matches], [m.dy for m in matches])
     return float(mags.mean()), float(np.sqrt(np.mean(mags * mags)))

@@ -164,30 +164,26 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     """Align every band to the reference band, in place.
 
     The stage owns ``scene``: each aligned band is written over its source
-    plane, which no later band reads.  The reference edge maps of the match
+    plane, which no later step reads.  The reference edge maps of the match
     grid and of the residual grid are built once, in one ``grid_edges``
-    call.
+    call.  All target bands are matched on the match grid together, so
+    each reference tile is prepared once per grid; the match-grid maps are
+    then released, each band is fitted and resampled in band order, and the
+    aligned bands are matched together on the residual grid.
     """
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
+    targets = [band for band in BandId if band != ref_band]
     match_grid = coreg_mod.TileGrid(ref_plane.shape, config.tile_size,
                                     config.grid_nx, config.grid_ny)
     residual_grid = coreg_mod.residual_grid(ref_plane.shape, config.residual_points)
     ref_match, ref_residual = coreg_mod.grid_edges(ref_plane, [match_grid, residual_grid])
+    found = coreg_mod.match_bands(ref_match, [scene.band(band) for band in targets],
+                                  min_score=config.min_score, workers=config.workers)
+    del ref_match   # not kept through resampling
     metrics: dict = {"reference_band": BAND_NAMES[ref_band], "bands": {}}
-    for band in BandId:
-        if band == ref_band:
-            continue
-        matches = coreg_mod.collect_matches(
-            ref_plane,
-            scene.band(band),
-            tile_size=config.tile_size,
-            grid_nx=config.grid_nx,
-            grid_ny=config.grid_ny,
-            min_score=config.min_score,
-            workers=config.workers,
-            ref_edges=ref_match,
-        )
+    for band, matches in zip(targets, found):
+        coreg_mod.require_matches(matches)
         prior = None
         if metadata is not None and metadata.attitude:
             try:
@@ -202,21 +198,21 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
         )
         scene.planes[int(band)], valid = coreg_mod.resample(scene.band(band), model)
         masked = valid.size - int(np.count_nonzero(valid))
-        del valid   # not kept through the next band's matching and resampling
-        mean_px, rms_px = coreg_mod.coreg_residual(
-            ref_plane, scene.band(band), n_points=config.residual_points,
-            min_score=config.min_score, ref_edges=ref_residual,
-        )
+        del valid   # not kept through the next band's resampling
         metrics["bands"][BAND_NAMES[band]] = {
             "matches": len(matches),
             "inliers": len(inliers),
             "prior": None if prior is None else {"dx": prior.dx, "dy": prior.dy},
             "model": json.loads(model.to_json()),
             "fit_rms_px": model.rms_fit,
-            "residual_mean_px": mean_px,
-            "residual_rms_px": rms_px,
             "masked_pixels": masked,
         }
+    residuals = coreg_mod.match_bands(ref_residual, [scene.band(band) for band in targets],
+                                      min_score=config.min_score, workers=config.workers)
+    for band, matches in zip(targets, residuals):
+        mean_px, rms_px = coreg_mod.residual_stats(coreg_mod.require_matches(matches))
+        metrics["bands"][BAND_NAMES[band]].update(residual_mean_px=mean_px,
+                                                  residual_rms_px=rms_px)
     report.stages["coreg"] = metrics
     return scene
 

@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -300,6 +301,99 @@ class TestCollectMatches:
                                   ref_edges=ref_edges)
 
 
+def per_band_matches(ref_plane, tgt_plane, grid, min_score):
+    """One band's matches, tile by tile through ``fft_xcorr``, and why tiles dropped.
+
+    The per-band path ``match_bands`` replaced: both planes get their own
+    ``grid_edges`` maps and every tile pair is transformed afresh.
+    """
+    [ref], [tgt] = coreg.grid_edges(ref_plane, [grid]), coreg.grid_edges(tgt_plane, [grid])
+    half = grid.tile_size // 2
+    matches, dropped = [], collections.Counter()
+    for tile_id, cx, cy, k in grid.tiles:
+        rows, cols = grid.blocks[k]
+        y0, x0 = cy - half - rows.start, cx - half - cols.start
+        window = (slice(y0, y0 + grid.tile_size), slice(x0, x0 + grid.tile_size))
+        try:
+            dx, dy, score = coreg.fft_xcorr(ref.maps[k][window], tgt.maps[k][window])
+        except errors.FlatTile:
+            dropped["flat reference" if np.ptp(ref.maps[k][window]) == 0 else "flat target"] += 1
+            continue
+        if score < min_score:
+            dropped["low score"] += 1
+            continue
+        matches.append(coreg.MatchPoint(tile_id, float(cx), float(cy), dx, dy, score))
+    return matches, dropped
+
+
+def matching_planes(size, grid, seed=40):
+    """A reference with one flat tile and three targets: shifted, one more
+    flat tile, and unrelated texture below the middle line."""
+    ref = (smooth_texture(seed, size) * 20).astype(np.uint16)
+    half = grid.tile_size // 2
+
+    def flatten(plane, tile_id, value):
+        _, cx, cy, _ = grid.tiles[tile_id]
+        plane[max(cy - half - 16, 0) : cy + half + 16, max(cx - half - 16, 0) : cx + half + 16] = value
+
+    flatten(ref, 1, 700)
+    shifted = np.roll(ref, (2, -3), axis=(0, 1))
+    flat_tile = ref.copy()
+    flatten(flat_tile, 2, 900)
+    other = (smooth_texture(seed + 1, size) * 20).astype(np.uint16)
+    mixed = np.where(np.arange(size)[:, None] < size // 2, shifted, other)
+    return ref, [shifted, flat_tile, mixed]
+
+
+# A dense 512-pixel grid is one whole-plane block; a sparse one has a block per tile.
+LAYOUTS = {"dense": ((512, 512), 128, 8, 8, 0), "sparse": ((600, 600), 64, 4, 4, 8)}
+
+
+class TestMatchBands:
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_equals_per_band_matching(self, layout, workers):
+        grid = coreg.TileGrid(*LAYOUTS[layout])
+        assert len(grid.blocks) == (1 if layout == "dense" else len(grid.tiles))
+        ref, targets = matching_planes(grid.shape[0], grid)
+        [ref_edges] = coreg.grid_edges(ref, [grid])
+        together = coreg.match_bands(ref_edges, targets, min_score=0.15, workers=workers)
+        assert len(together) == len(targets)
+        dropped = collections.Counter()
+        for tgt, got in zip(targets, together):
+            want, why = per_band_matches(ref, tgt, grid, 0.15)
+            assert got == want
+            assert coreg.collect_matches(ref, tgt, grid.tile_size, grid.grid_nx, grid.grid_ny,
+                                         0.15, grid.margin, workers) == want
+            dropped += why
+        # Every way a tile can drop happened at least once.
+        assert set(dropped) == {"flat reference", "flat target", "low score"}
+
+    def test_residual_equals_per_band_matching(self):
+        ref, [shifted, _, mixed] = matching_planes(600, coreg.TileGrid(*LAYOUTS["sparse"]))
+        grid = coreg.residual_grid(ref.shape, 16, 96)
+        for tgt in (shifted, mixed):
+            want, _ = per_band_matches(ref, tgt, grid, 0.1)
+            mags = np.hypot([m.dx for m in want], [m.dy for m in want])
+            assert coreg.coreg_residual(ref, tgt, n_points=16, tile_size=96) == (
+                float(mags.mean()), float(np.sqrt(np.mean(mags * mags))))
+
+    def test_featureless_target_gives_empty_list(self):
+        grid = coreg.TileGrid(*LAYOUTS["sparse"])
+        ref, [shifted, *_] = matching_planes(600, grid)
+        [ref_edges] = coreg.grid_edges(ref, [grid])
+        kept, none = coreg.match_bands(ref_edges, [shifted, np.full(ref.shape, 40, np.uint16)])
+        assert kept and none == []
+        with pytest.raises(errors.NoMatches):
+            coreg.require_matches(none)
+
+    def test_plane_of_other_shape_rejected(self):
+        grid = coreg.TileGrid(*LAYOUTS["sparse"])
+        [ref_edges] = coreg.grid_edges(np.zeros(grid.shape), [grid])
+        with pytest.raises(errors.OutOfBounds):
+            coreg.match_bands(ref_edges, [np.zeros((600, 601))])
+
+
 def block_mask(shape, blocks):
     count = np.zeros(shape, dtype=int)
     for rows, cols in blocks:
@@ -441,6 +535,69 @@ class TestCoregStageEdges:
         grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
         assert np.array_equal(count, block_mask(ref.shape, grids[0].blocks + grids[1].blocks) > 0)
         assert count.mean() < 0.4
+
+    def test_reference_tiles_prepared_once_per_grid(self, monkeypatch):
+        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
+
+        scene = stage_scene(34, 512)
+        ref_maps, prepared = [], collections.Counter()
+        grid_edges, prepare_tile = coreg.grid_edges, coreg._prepare_tile
+
+        def edges_spy(plane, grids):
+            found = grid_edges(plane, grids)
+            ref_maps.extend(m for edges in found for m in edges.maps)
+            return found
+
+        def prepare_spy(tile):
+            on_ref = any(np.shares_memory(tile, m) for m in ref_maps)
+            prepared["reference" if on_ref else "target"] += 1
+            return prepare_tile(tile)
+
+        monkeypatch.setattr(coreg, "grid_edges", edges_spy)
+        monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
+        _stage_coreg(scene, None, PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE),
+                     QualityReport())
+        # grid_edges ran once, on the reference; no reference tile is flat here.
+        tiles = len(coreg.TileGrid(scene.planes[0].shape, 64, 4, 4).tiles) \
+            + len(coreg.residual_grid(scene.planes[0].shape, 10).tiles)
+        assert prepared == {"reference": tiles, "target": 3 * tiles}
+
+    def test_match_grid_maps_released_before_resampling(self, monkeypatch):
+        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
+
+        # Six by six 128-pixel tiles and a residual grid of four by four are
+        # both sparse on a 1024-pixel plane; the match grid's maps are the
+        # larger.
+        scene = stage_scene(35, 1024)
+        shape = scene.planes[0].shape
+        match_grid = coreg.TileGrid(shape, 128, 6, 6)
+        residual_grid = coreg.residual_grid(shape, 16)
+        assert len(match_grid.blocks) == 36 and len(residual_grid.blocks) == 16
+
+        def map_bytes(grid):
+            return sum((r.stop - r.start) * (c.stop - c.start) * 8 for r, c in grid.blocks)
+
+        held = []
+        resample = coreg.resample
+
+        def spy(plane, model):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return resample(plane, model)
+
+        monkeypatch.setattr(coreg, "resample", spy)
+        config = PipelineConfig(raw_path="unused", out_dir="unused", tile_size=128, grid_nx=6,
+                                grid_ny=6, residual_points=16)
+        tracemalloc.start()
+        try:
+            _stage_coreg(scene, None, config, QualityReport())
+        finally:
+            tracemalloc.stop()
+        # At the first resample the residual grid's reference maps are held,
+        # and beyond them 0.014 of the match grid's maps.  Matching band by
+        # band, which keeps the match grid's maps until the last band is
+        # resampled, measured 1.02.
+        assert held[0] - map_bytes(residual_grid) <= 0.1 * map_bytes(match_grid)
 
     def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg

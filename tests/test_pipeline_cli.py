@@ -113,9 +113,10 @@ class TestRunPipeline:
         from pushproc import coreg
 
         def spy(*args, **kwargs):
-            raise AssertionError("collect_matches ran before the georef check")
+            raise AssertionError("co-registration started before the georef check")
 
-        monkeypatch.setattr(coreg, "collect_matches", spy)
+        monkeypatch.setattr(coreg, "grid_edges", spy)
+        monkeypatch.setattr(coreg, "match_bands", spy)
         cfg = base_config(synth_inputs, tmp_path / "nometa")
         cfg.meta_path = None
         with pytest.raises(errors.StageFailure) as err:
@@ -327,6 +328,33 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert err["error"]["stage"] == "input"
+
+    @pytest.mark.parametrize("flat", ["blue", "green", "nir"])
+    def test_flat_band_fails_coreg_on_that_band(self, synth_inputs, tmp_path, capsys,
+                                                monkeypatch, flat):
+        # Every target band is matched before the first is fitted, but a band
+        # without matches still fails when its turn comes: the bands before
+        # it are resampled, it and those after it are not.
+        from pushproc import coreg
+        from pushproc.raster import BAND_BY_NAME
+
+        scene = load_raw(synth_inputs / "scene.l3raw")
+        scene.planes[int(BAND_BY_NAME[flat])] = 100
+        save_raw(scene, tmp_path / "flat.l3raw")
+        resampled = []
+        resample = coreg.resample
+
+        def spy(plane, model):
+            resampled.append(plane)
+            return resample(plane, model)
+
+        monkeypatch.setattr(coreg, "resample", spy)
+        rc = self.run_cli("preprocess", "--raw", str(tmp_path / "flat.l3raw"),
+                          "--out", str(tmp_path / "o"), "--skip-vignetting", "--skip-georef")
+        assert rc == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (err["error"]["stage"], err["error"]["type"]) == ("coreg", "NoMatches")
+        assert len(resampled) == ["blue", "green", "nir"].index(flat)
 
     def test_stage_failure_exit_3_names_stage(self, synth_inputs, tmp_path, capsys):
         # georef without metadata: the error names the georef stage
