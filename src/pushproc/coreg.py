@@ -6,13 +6,14 @@ The chain mirrors the production flow for pushbroom band alignment:
    filter, so matching keys on structure rather than band radiometry.
    Edges are built only where a tile grid reads them.  A ``TileGrid``
    holds its tiles in blocks (tile windows widened by the blur radius and
-   merged along lines and columns), and ``grid_edges`` builds one softened
-   map per block: smoothing, gradients and non-maximum suppression read
-   the block with a halo, so they equal a whole-plane pass, while the
-   thresholds, the hysteresis over connected edges and the blur are the
-   block's own.  A caller aligning several bands to one reference builds
-   the reference maps of all its grids in one call, which suppresses each
-   reference pixel once, and hands each grid's maps to ``match_bands``.
+   merged along lines and columns), and ``grid_edges`` builds one
+   hysteresis map of bytes per block: smoothing, gradients and non-maximum
+   suppression read the block with a halo, so they equal a whole-plane
+   pass, while the thresholds and the hysteresis over connected edges are
+   the block's own.  A caller aligning several bands to one reference
+   builds the reference maps of all its grids in one call, which
+   suppresses each reference pixel once, and hands each grid's maps to
+   ``match_bands``, which blurs a block's map when it reaches the block.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.  ``match_bands`` walks the grid block by
    block: it builds every target band's map of the block, prepares each
@@ -25,11 +26,14 @@ The chain mirrors the production flow for pushbroom band alignment:
    block of ``block_lines(width)`` lines at a time, so no full-plane
    coordinate grid is built.  The NumPy kernel repeats the arithmetic of
    scipy's order-1 ``map_coordinates``, so its samples are bit-identical
-   to that call's.
+   to that call's.  A caller that owns the band warps it in place
+   (``resample(band, model, out=band)``): each finished block is held
+   only until no later block reads the lines it overwrites.
 
-All operations are pure.  The tiles of a block may be spread across
-threads, one tile with all its target bands per task, and the matches are
-reduced in tile_id order, so results are independent of worker count.
+All operations are pure, except ``resample`` into an ``out`` it is given.
+The tiles of a block may be spread across threads, one tile with all its
+target bands per task, and the matches are reduced in tile_id order, so
+results are independent of worker count.
 """
 
 from __future__ import annotations
@@ -180,8 +184,8 @@ def _soften(edges: np.ndarray) -> np.ndarray:
 def edge_map(plane: np.ndarray) -> np.ndarray:
     """Default Canny edge map of a whole plane as float64, softened by a unit Gaussian.
 
-    It is the map ``grid_edges`` builds for a grid whose one block is the
-    whole plane.
+    It is the blur ``match_bands`` gives the map ``grid_edges`` builds for
+    a grid whose one block is the whole plane.
     """
     return _soften(canny_edges(plane))
 
@@ -224,6 +228,14 @@ class TileGrid:
             raise OutOfBounds(
                 f"grid {self.grid_nx}x{self.grid_ny} of {size}px tiles does not fit in {w}x{h}"
             )
+        # More tiles than distinct centres on an axis would only repeat
+        # tiles; checked before any list is built.
+        if self.grid_nx > w - size - 2 * margin + 1 or self.grid_ny > h - size - 2 * margin + 1:
+            raise OutOfBounds(
+                f"grid {self.grid_nx}x{self.grid_ny} has more tiles than the "
+                f"{w - size - 2 * margin + 1}x{h - size - 2 * margin + 1} centres of "
+                f"{size}px tiles in {w}x{h}"
+            )
         half = size // 2
 
         def axis(length: int, count: int):
@@ -247,7 +259,11 @@ class TileGrid:
 
 
 class GridEdges(NamedTuple):
-    """Softened edge maps of one plane, one per block of ``grid``."""
+    """Edge maps of one plane, one per block of ``grid``.
+
+    Each map is the block's uint8 hysteresis output, one byte a pixel;
+    ``_soften`` of it is the float64 map that tiles are cut from.
+    """
 
     grid: TileGrid
     maps: list[np.ndarray]
@@ -275,24 +291,26 @@ def _disjoint_cover(blocks: list[tuple[slice, slice]]) -> list[tuple[slice, slic
 
 
 def grid_edges(plane: np.ndarray, grids: list[TileGrid]) -> list[GridEdges]:
-    """Softened Canny edge maps of a plane over the blocks of each grid.
+    """Canny edge maps of a plane over the blocks of each grid, as hysteresis bytes.
 
     The plane is suppressed once over the union of all grids' blocks, one
-    disjoint rectangle at a time.  Each grid then assembles its blocks from
-    the rectangles and runs the thresholds, the hysteresis and the unit
-    blur per block.  The maps thus depend only on the pixels near a grid's
-    blocks, and a plane equal to another there gets the same maps on that
-    grid whether it was built alone or together with other grids.
+    disjoint rectangle at a time.  Each block is assembled from the
+    rectangles it reads and gets its own thresholds and hysteresis.  The
+    maps thus depend only on the pixels near a grid's blocks, and a plane
+    equal to another there gets the same maps on that grid whether it was
+    built alone or together with other grids.
 
-    A block that lies in one rectangle reads it in place, and a rectangle
-    is released once the last block that reads it is assembled, so each
-    suppressed pixel is held once: as a rectangle until its blocks are
-    done, then in their maps.
+    The blocks of all grids are visited in spatial order (first line, then
+    first column).  A rectangle is suppressed when the first block that
+    reads it is assembled and released after the last one, and a block
+    that lies in one rectangle reads it in place.  Only the rectangles
+    between their first and last reader are held as float64; each grid's
+    maps come back in its block order.
     """
     plane = np.asarray(plane)
     blocks = [block for grid in grids for block in grid.blocks]
     rects = _disjoint_cover(blocks)
-    pieces = [_suppress(plane, rect) for rect in rects]
+    pieces = {}
 
     def overlap(a, b):
         return tuple(slice(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(a, b))
@@ -304,7 +322,7 @@ def grid_edges(plane: np.ndarray, grids: list[TileGrid]) -> list[GridEdges]:
 
     def assemble(block, parts):
         if len(parts) == 1:
-            return crop(parts[0], block)    # hysteresis and blur only read it
+            return crop(parts[0], block)    # hysteresis only reads it
         rows, cols = block
         nms = np.empty((rows.stop - rows.start, cols.stop - cols.start))
         for i in parts:
@@ -318,13 +336,16 @@ def grid_edges(plane: np.ndarray, grids: list[TileGrid]) -> list[GridEdges]:
                               & (bounds[:, 2] < cols.stop) & (bounds[:, 3] > cols.start)).tolist()
                for rows, cols in blocks]
     left = collections.Counter(i for parts in readers for i in parts)
-    maps = []
-    for block, parts in zip(blocks, readers):
-        maps.append(_soften(_hysteresis(assemble(block, parts))))
-        for i in parts:
+    maps = [None] * len(blocks)
+    for b in sorted(range(len(blocks)), key=lambda b: (blocks[b][0].start, blocks[b][1].start)):
+        for i in readers[b]:
+            if i not in pieces:
+                pieces[i] = _suppress(plane, rects[i])
+        maps[b] = _hysteresis(assemble(blocks[b], readers[b]))
+        for i in readers[b]:
             left[i] -= 1
             if not left[i]:
-                pieces[i] = None
+                del pieces[i]
     maps = iter(maps)
     return [GridEdges(grid, list(itertools.islice(maps, len(grid.blocks)))) for grid in grids]
 
@@ -413,7 +434,7 @@ def fft_xcorr(tile_ref: np.ndarray, tile_tgt: np.ndarray) -> tuple[float, float,
     return _correlate(ref, tgt)
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchPoint:
     """One tile-matching observation: target shift relative to reference."""
 
@@ -429,11 +450,12 @@ def match_bands(ref_edges: GridEdges, tgt_planes: list[np.ndarray], min_score: f
                 workers: int = 1) -> list[list[MatchPoint]]:
     """Match the tile grid of ``ref_edges`` against each target plane.
 
-    The grid is walked block by block.  Each target plane gets its map of
-    the block (the map ``grid_edges`` builds for this grid alone: a grid's
-    blocks are their own disjoint cover), then each reference tile is
-    prepared once and correlated with the same tile of every target.  The
-    tiles of a block go over ``workers`` threads.  Tiles that are flat in
+    The grid is walked block by block.  The reference map of the block is
+    softened, and each target plane gets its softened map of the block
+    (the map ``grid_edges`` builds for this grid alone: a grid's blocks
+    are their own disjoint cover).  Each reference tile is then prepared
+    once and correlated with the same tile of every target.  The tiles of
+    a block go over ``workers`` threads.  Tiles that are flat in
     either plane, or score under ``min_score``, are dropped.  One list of
     matches per target comes back, sorted by tile_id; it may be empty.
     """
@@ -444,12 +466,12 @@ def match_bands(ref_edges: GridEdges, tgt_planes: list[np.ndarray], min_score: f
             raise OutOfBounds(f"plane shape {plane.shape} is not the grid's {grid.shape}")
     size, half = grid.tile_size, grid.tile_size // 2
 
-    def match_tile(tile, maps):
+    def match_tile(tile, ref_map, maps):
         tile_id, cx, cy, k = tile
         rows, cols = grid.blocks[k]
         y0, x0 = cy - half - rows.start, cx - half - cols.start
         window = (slice(y0, y0 + size), slice(x0, x0 + size))
-        ref = _prepare_tile(ref_edges.maps[k][window])
+        ref = _prepare_tile(ref_map[window])
         found = [None] * len(maps)
         if ref is None:
             return found
@@ -467,9 +489,10 @@ def match_bands(ref_edges: GridEdges, tgt_planes: list[np.ndarray], min_score: f
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         run = pool.map if workers > 1 else map
         for k, block in enumerate(grid.blocks):
+            ref_map = _soften(ref_edges.maps[k])
             maps = [_soften(_hysteresis(_suppress(plane, block))) for plane in planes]
             tiles = [tile for tile in grid.tiles if tile[3] == k]
-            for found in run(match_tile, tiles, itertools.repeat(maps)):
+            for found in run(match_tile, tiles, itertools.repeat(ref_map), itertools.repeat(maps)):
                 for kept, match in zip(matches, found):
                     if match is not None:
                         kept.append(match)
@@ -792,7 +815,29 @@ def _bilinear(flat: np.ndarray, shape: tuple[int, int], src_x: np.ndarray,
     return acc
 
 
-def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray, np.ndarray]:
+def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> int:
+    """A bound <= 0 on the source lines a warp of ``shape`` reads above each output line.
+
+    Output line y reads no source line above y + min(dy).  Normalized
+    coordinates lie in [0, X] x [0, Y], so dy >= c0 + sum of
+    min(c_k, 0) X^i Y^j; the bound keeps 2 lines of margin and the
+    rounding of the field's sums.  A field without a finite bound may
+    read any line of the plane.
+    """
+    h, w = shape
+    big_x = (w - 1) / max(model.width - 1, 1)
+    big_y = (h - 1) / max(model.height - 1, 1)
+    c0, *coeffs = np.asarray(model.coeff_dy, dtype=np.float64).tolist()
+    powers = [big_x ** (total - j) * big_y ** j
+              for total in range(1, model.order + 1) for j in range(total + 1)]
+    least = c0 + sum(min(c, 0.0) * p for c, p in zip(coeffs, powers))
+    size = abs(c0) + sum(abs(c) * p for c, p in zip(coeffs, powers)) + h
+    reach = least - 2.0 - 1e-9 * size
+    return min(math.floor(reach), 0) if math.isfinite(reach) else -h
+
+
+def resample(tgt_plane: np.ndarray, model: DistortionModel,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Warp the target plane onto the reference geometry.
 
     Inverse mapping with bilinear interpolation:
@@ -800,18 +845,38 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray,
     outside the plane produce 0 DN and a cleared bit in the validity mask.
     The plane is warped in blocks of ``block_lines(width)`` lines; each
     block evaluates the model from a column of line indices and a row of
-    column indices, so memory beyond the output stays at one block.
-    Sampling (``_bilinear``) is pointwise and gives the bits of scipy's
-    order-1 ``map_coordinates`` rounded half up, so the result does not
-    depend on the block size.
+    column indices, so working memory stays at a few blocks.  Sampling
+    (``_bilinear``) is pointwise and gives the bits of scipy's order-1
+    ``map_coordinates`` rounded half up, so the result does not depend on
+    the block size.
+
+    The warp is written into ``out``, an array of the plane's shape and
+    dtype, or into a new one when ``out`` is None, which leaves the plane
+    untouched.  ``out`` may be ``tgt_plane`` itself: the band is then
+    warped in place, each finished block held until no later block can
+    read the source lines it overwrites (``_line_reach``; when the field
+    may reach anywhere, every block is held).  Any other overlap of
+    ``out`` with the plane raises ``ValueError``.  Returns the warp and
+    the validity mask.
     """
     plane = np.asarray(tgt_plane)
     h, w = plane.shape
-    out = np.empty((h, w), dtype=plane.dtype)
+    reach = 0
+    if out is None:
+        out = np.empty((h, w), dtype=plane.dtype)
+    elif out.shape != plane.shape or out.dtype != plane.dtype:
+        raise ValueError(f"out must be {plane.dtype} of shape {plane.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    elif np.shares_memory(out, plane):
+        if out.__array_interface__["data"][0] != plane.__array_interface__["data"][0] \
+                or out.strides != plane.strides:
+            raise ValueError("out overlaps tgt_plane without being it")
+        reach = _line_reach(model, (h, w))
     valid = np.empty((h, w), dtype=bool)
     flat = plane.ravel()
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
     step = block_lines(w)
+    held = collections.deque()
     for y0 in range(0, h, step):
         y1 = min(y0 + step, h)
         lines = np.arange(y0, y1, dtype=np.float64)[:, np.newaxis]
@@ -823,8 +888,18 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel) -> tuple[np.ndarray,
         ok &= src_x <= w - 1
         ok &= src_y >= 0
         ok &= src_y <= h - 1
-        out[y0:y1] = _bilinear(flat, (h, w), src_x, src_y, ok)
-        del src_x, src_y    # freed before the next block's warp is evaluated
+        sampled = _bilinear(flat, (h, w), src_x, src_y, ok)
+        if reach == 0:
+            out[y0:y1] = sampled
+        else:
+            held.append((y0, y1, sampled.astype(plane.dtype)))
+        del src_x, src_y, sampled   # freed before the next block's warp is evaluated
+        # The next block, from line y1, reads no line above y1 + reach.
+        while held and held[0][1] <= y1 + reach:
+            a, b, block = held.popleft()
+            out[a:b] = block
+    for a, b, block in held:
+        out[a:b] = block
     return out, valid
 
 

@@ -163,13 +163,14 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
                  config: PipelineConfig, report: QualityReport) -> RawScene:
     """Align every band to the reference band, in place.
 
-    The stage owns ``scene``: each aligned band is written over its source
-    plane, which no later step reads.  The reference edge maps of the match
-    grid and of the residual grid are built once, in one ``grid_edges``
-    call.  All target bands are matched on the match grid together, so
-    each reference tile is prepared once per grid; the match-grid maps are
-    then released, each band is fitted and resampled in band order, and the
-    aligned bands are matched together on the residual grid.
+    The stage owns ``scene``: each band is warped in place, over its
+    source plane, which no later step reads.  The reference edge maps of
+    the match grid and of the residual grid are built once, in one
+    ``grid_edges`` call, as hysteresis bytes.  All target bands are matched
+    on the match grid together, so each reference tile is prepared once
+    per grid; the match-grid maps are then released, each band is fitted
+    and resampled in band order, and the aligned bands are matched
+    together on the residual grid.
     """
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
@@ -180,7 +181,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     ref_match, ref_residual = coreg_mod.grid_edges(ref_plane, [match_grid, residual_grid])
     found = coreg_mod.match_bands(ref_match, [scene.band(band) for band in targets],
                                   min_score=config.min_score, workers=config.workers)
-    del ref_match   # not kept through resampling
+    del ref_match, match_grid   # not kept through resampling
     metrics: dict = {"reference_band": BAND_NAMES[ref_band], "bands": {}}
     for band, matches in zip(targets, found):
         coreg_mod.require_matches(matches)
@@ -196,7 +197,8 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
         model = coreg_mod.fit_distortion(
             inliers, order=config.poly_order, width=scene.width, height=scene.lines
         )
-        scene.planes[int(band)], valid = coreg_mod.resample(scene.band(band), model)
+        plane = scene.band(band)
+        _, valid = coreg_mod.resample(plane, model, out=plane)
         masked = valid.size - int(np.count_nonzero(valid))
         del valid   # not kept through the next band's resampling
         metrics["bands"][BAND_NAMES[band]] = {

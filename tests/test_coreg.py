@@ -1,4 +1,5 @@
 import collections
+import gc
 import tracemalloc
 
 import numpy as np
@@ -305,9 +306,12 @@ def per_band_matches(ref_plane, tgt_plane, grid, min_score):
     """One band's matches, tile by tile through ``fft_xcorr``, and why tiles dropped.
 
     The per-band path ``match_bands`` replaced: both planes get their own
-    ``grid_edges`` maps and every tile pair is transformed afresh.
+    ``grid_edges`` maps, softened whole, and every tile pair is transformed
+    afresh.
     """
     [ref], [tgt] = coreg.grid_edges(ref_plane, [grid]), coreg.grid_edges(tgt_plane, [grid])
+    ref_maps = [coreg._soften(m) for m in ref.maps]
+    tgt_maps = [coreg._soften(m) for m in tgt.maps]
     half = grid.tile_size // 2
     matches, dropped = [], collections.Counter()
     for tile_id, cx, cy, k in grid.tiles:
@@ -315,9 +319,9 @@ def per_band_matches(ref_plane, tgt_plane, grid, min_score):
         y0, x0 = cy - half - rows.start, cx - half - cols.start
         window = (slice(y0, y0 + grid.tile_size), slice(x0, x0 + grid.tile_size))
         try:
-            dx, dy, score = coreg.fft_xcorr(ref.maps[k][window], tgt.maps[k][window])
+            dx, dy, score = coreg.fft_xcorr(ref_maps[k][window], tgt_maps[k][window])
         except errors.FlatTile:
-            dropped["flat reference" if np.ptp(ref.maps[k][window]) == 0 else "flat target"] += 1
+            dropped["flat reference" if np.ptp(ref_maps[k][window]) == 0 else "flat target"] += 1
             continue
         if score < min_score:
             dropped["low score"] += 1
@@ -427,13 +431,36 @@ class TestTileGrid:
         for tile_id, cx, cy, k in grid.tiles:
             assert k == tile_id // 5
 
+    @pytest.mark.parametrize("shape, margin", [((512, 512), 0), ((300, 200), 8)])
+    def test_more_tiles_than_centres_rejected(self, shape, margin):
+        h, w = shape
+        nx, ny = w - 64 - 2 * margin + 1, h - 64 - 2 * margin + 1
+        grid = coreg.TileGrid(shape, 64, nx, 2, margin)
+        assert len({cx for _, cx, _, _ in grid.tiles}) == nx
+        coreg.TileGrid(shape, 64, 2, ny, margin)
+        for bad in ((nx + 1, 2), (2, ny + 1), (600, 600), (10**6, 10**6)):
+            with pytest.raises(errors.OutOfBounds):
+                coreg.TileGrid(shape, 64, *bad, margin)
+
+    def test_residual_grid_inherits_the_bound(self):
+        with pytest.raises(errors.OutOfBounds):
+            coreg.residual_grid((512, 512), 10**12)
+
+    @pytest.mark.parametrize("shape", [(512, 512), (200, 200), (64, 64)])
+    def test_default_grids_build(self, shape):
+        if min(shape) >= 128:
+            assert len(coreg.TileGrid(shape, 128, 8, 8).tiles) == 64
+        assert len(coreg.residual_grid(shape, 50).tiles) == 56
+
 
 class TestGridEdges:
     def test_whole_plane_block_equals_edge_map(self):
         plane = (smooth_texture(24, 300) * 20).astype(np.uint16)
         [edges] = coreg.grid_edges(plane, [coreg.TileGrid(plane.shape, 64, 8, 8)])
         assert len(edges.maps) == 1
-        np.testing.assert_array_equal(edges.maps[0], coreg.edge_map(plane))
+        assert edges.maps[0].dtype == np.uint8
+        np.testing.assert_array_equal(edges.maps[0], coreg.canny_edges(plane))
+        np.testing.assert_array_equal(coreg._soften(edges.maps[0]), coreg.edge_map(plane))
 
     def test_shared_call_equals_separate_calls(self):
         plane = (smooth_texture(25, 700) * 20).astype(np.uint16)
@@ -473,10 +500,33 @@ class TestGridEdges:
         finally:
             tracemalloc.stop()
         assert len(edges.maps) == 64
-        # Beyond the maps, one block's suppression working arrays: 7.9 float64
-        # arrays of a block with its halo.  Holding every suppressed block
-        # and copying it into a fresh array measured 50 (one per block).
+        # Beyond the byte maps, one block's suppression working arrays: 8.9
+        # float64 arrays of a block with its halo.  Holding every suppressed
+        # block and copying it into a fresh array measured 50 (one per block).
         assert peak - sum(m.nbytes for m in edges.maps) <= 10 * block
+
+    def test_overlapping_grids_hold_a_few_rectangles_beyond_their_maps(self):
+        # Six by six 128-pixel tiles and a residual grid of four by four on a
+        # 1024-pixel plane: both sparse, and their blocks overlap.
+        plane = (smooth_texture(28, 1024) * 20).astype(np.uint16)
+        grids = [coreg.TileGrid(plane.shape, 128, 6, 6), coreg.residual_grid(plane.shape, 16)]
+        assert block_mask(plane.shape, grids[0].blocks + grids[1].blocks).max() == 2
+        halo = int(4.0 * 1.4 + 0.5) + 2
+        rect = 8 * max((r.stop - r.start + 2 * halo) * (c.stop - c.start + 2 * halo)
+                       for r, c in coreg._disjoint_cover(grids[0].blocks + grids[1].blocks))
+        tracemalloc.start()
+        try:
+            found = coreg.grid_edges(plane, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(m.dtype == np.uint8 for edges in found for m in edges.maps)
+        # Beyond the byte maps, 8.8 float64 arrays of the largest disjoint
+        # rectangle with its halo: the rectangles between their first and
+        # last reader, and one suppression's working arrays.  Suppressing
+        # every rectangle before reducing any, into float64 maps, measured
+        # 23.0 beyond the maps' bytes.
+        assert peak - sum(m.nbytes for edges in found for m in edges.maps) <= 10 * rect
 
 
 def stage_scene(seed, size, identical_bands=False):
@@ -540,26 +590,39 @@ class TestCoregStageEdges:
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
 
         scene = stage_scene(34, 512)
-        ref_maps, prepared = [], collections.Counter()
-        grid_edges, prepare_tile = coreg.grid_edges, coreg._prepare_tile
+        ref_maps, softened, prepared = [], [], collections.Counter()
+        grid_edges, soften, prepare_tile = coreg.grid_edges, coreg._soften, coreg._prepare_tile
 
         def edges_spy(plane, grids):
             found = grid_edges(plane, grids)
             ref_maps.extend(m for edges in found for m in edges.maps)
             return found
 
+        # A reference tile is cut from the blur of one of the reference's
+        # hysteresis maps; a target tile from the blur of a map built in
+        # matching.
+        def soften_spy(edges):
+            blurred = soften(edges)
+            if any(edges is m for m in ref_maps):
+                softened.append(blurred)
+            return blurred
+
         def prepare_spy(tile):
-            on_ref = any(np.shares_memory(tile, m) for m in ref_maps)
+            on_ref = any(np.shares_memory(tile, m) for m in softened)
             prepared["reference" if on_ref else "target"] += 1
             return prepare_tile(tile)
 
         monkeypatch.setattr(coreg, "grid_edges", edges_spy)
+        monkeypatch.setattr(coreg, "_soften", soften_spy)
         monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
         _stage_coreg(scene, None, PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE),
                      QualityReport())
-        # grid_edges ran once, on the reference; no reference tile is flat here.
-        tiles = len(coreg.TileGrid(scene.planes[0].shape, 64, 4, 4).tiles) \
-            + len(coreg.residual_grid(scene.planes[0].shape, 10).tiles)
+        # grid_edges ran once, on the reference, and each of its maps was
+        # blurred once; no reference tile is flat here.
+        grids = [coreg.TileGrid(scene.planes[0].shape, 64, 4, 4),
+                 coreg.residual_grid(scene.planes[0].shape, 10)]
+        tiles = sum(len(grid.tiles) for grid in grids)
+        assert len(softened) == len(ref_maps) == sum(len(grid.blocks) for grid in grids)
         assert prepared == {"reference": tiles, "target": 3 * tiles}
 
     def test_match_grid_maps_released_before_resampling(self, monkeypatch):
@@ -574,17 +637,22 @@ class TestCoregStageEdges:
         residual_grid = coreg.residual_grid(shape, 16)
         assert len(match_grid.blocks) == 36 and len(residual_grid.blocks) == 16
 
-        def map_bytes(grid):
-            return sum((r.stop - r.start) * (c.stop - c.start) * 8 for r, c in grid.blocks)
-
+        map_bytes = {}      # of each grid's reference maps, which the spy does not keep
         held = []
-        resample = coreg.resample
+        grid_edges, resample = coreg.grid_edges, coreg.resample
 
-        def spy(plane, model):
+        def edges_spy(plane, grids):
+            found = grid_edges(plane, grids)
+            map_bytes.update((edges.grid, sum(m.nbytes for m in edges.maps)) for edges in found)
+            return found
+
+        def spy(plane, model, **kwargs):
             if not held:
+                gc.collect()    # empties the interpreter's free lists of tuples and floats
                 held.append(tracemalloc.get_traced_memory()[0])
-            return resample(plane, model)
+            return resample(plane, model, **kwargs)
 
+        monkeypatch.setattr(coreg, "grid_edges", edges_spy)
         monkeypatch.setattr(coreg, "resample", spy)
         config = PipelineConfig(raw_path="unused", out_dir="unused", tile_size=128, grid_nx=6,
                                 grid_ny=6, residual_points=16)
@@ -594,10 +662,10 @@ class TestCoregStageEdges:
         finally:
             tracemalloc.stop()
         # At the first resample the residual grid's reference maps are held,
-        # and beyond them 0.014 of the match grid's maps.  Matching band by
-        # band, which keeps the match grid's maps until the last band is
-        # resampled, measured 1.02.
-        assert held[0] - map_bytes(residual_grid) <= 0.1 * map_bytes(match_grid)
+        # and beyond them 0.06 of the match grid's maps (mostly the matches).
+        # Matching band by band, which keeps the match grid's maps until the
+        # last band is resampled, measured 1.02.
+        assert held[0] - map_bytes[residual_grid] <= 0.1 * map_bytes[match_grid]
 
     def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
@@ -615,10 +683,12 @@ class TestCoregStageEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.12 float64 planes here: the block maps, one aligned band and its
-        # mask; the bound leaves 0.13 planes of margin.  Every suppressed block
-        # held with its copy measured 1.27, full-plane edge maps 4.2.
-        assert peak <= 1.25 * scene.width * scene.lines * 8
+        # 0.36 float64 planes here: the byte maps, one band's mask and the
+        # warp's blocks; the bound leaves 0.04 planes of margin.  Float64
+        # block maps and a second plane for each aligned band measured 0.83,
+        # every suppressed block held with its copy 1.27, full-plane edge
+        # maps 4.2.
+        assert peak <= 0.4 * scene.width * scene.lines * 8
 
 
 def nadir_metadata(row_offset_nir=0.0, line_period=None, altitude=510.0):
@@ -974,6 +1044,90 @@ class TestResample:
         # five 64-line block arrays of float64 and the four gathered corners.
         # 256-line blocks with scipy's sampling measured 2.3.
         assert peak - out.nbytes - valid.nbytes < 0.375 * n * n * 8
+
+
+class TestResampleInPlace:
+    @staticmethod
+    def field(data, n, extent, whole):
+        """``n`` coefficients up to ``extent`` px, at times with c0 a shift of ``whole`` px."""
+        coeffs = data.draw(st.lists(st.floats(-extent, extent), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            coeffs[0] = data.draw(st.sampled_from([-whole, whole]))
+        return np.array(coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("block_pixels", [1, 53, 371])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_in_place_equals_pure(self, order, block_pixels, data):
+        h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        plane = rng.integers(0, np.iinfo(dtype).max, (h, w), endpoint=True).astype(dtype)
+        n = coreg.n_coefficients(order)
+        # The model's own size may differ from the plane's.
+        model = coreg.DistortionModel(
+            order=order, coeff_dx=self.field(data, n, 1.5 * w, w),
+            coeff_dy=self.field(data, n, 1.5 * h, h),
+            width=data.draw(st.sampled_from([w, data.draw(st.integers(1, 80))])),
+            height=data.draw(st.sampled_from([h, data.draw(st.integers(1, 80))])))
+        with pytest.MonkeyPatch.context() as patch:
+            # One line at a time up to seven lines of 53 columns.
+            patch.setattr(raster, "BLOCK_PIXELS", block_pixels)
+            want, want_valid = coreg.resample(plane, model)
+            warped, valid = coreg.resample(plane, model, out=plane)
+        assert warped is plane
+        assert warped.dtype == want.dtype
+        np.testing.assert_array_equal(warped, want)
+        np.testing.assert_array_equal(valid, want_valid)
+
+    def test_separate_out_leaves_plane(self):
+        plane = np.random.default_rng(41).integers(0, 65536, (37, 53)).astype(np.uint16)
+        source = plane.copy()
+        model = TestResample.random_model(np.random.default_rng(42), 2, plane.shape, 4.0)
+        out = np.zeros_like(plane)
+        got, valid = coreg.resample(plane, model, out=out)
+        assert got is out
+        np.testing.assert_array_equal(plane, source)
+        want, want_valid = coreg.resample(plane, model)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(valid, want_valid)
+
+    def test_overlapping_out_rejected(self):
+        big = np.random.default_rng(43).integers(0, 256, (20, 12)).astype(np.uint8)
+        plane = big[:10, :10]
+        model = coreg.DistortionModel(order=0, coeff_dx=np.array([0.5]),
+                                      coeff_dy=np.array([-0.5]), width=10, height=10)
+        for out in (big[1:11, :10], big[:10, 2:12], plane.T, big[::2, :10]):
+            with pytest.raises(ValueError):
+                coreg.resample(plane, model, out=out)
+        for out in (np.empty((10, 10), np.uint16), np.empty((10, 11), np.uint8)):
+            with pytest.raises(ValueError):
+                coreg.resample(plane, model, out=out)
+        np.testing.assert_array_equal(big, np.random.default_rng(43).integers(
+            0, 256, (20, 12)).astype(np.uint8))
+
+    def test_in_place_holds_mask_and_a_few_blocks(self):
+        n = 1024
+        plane = (smooth_texture(19, n) * 300).astype(np.uint16)
+        # dy reaches 5.9 lines up, so each 64-line block is held until the
+        # next one is warped.
+        model = coreg.DistortionModel(order=2,
+                                      coeff_dx=np.array([1.4, -4.2, 2.1, 1.4, -1.4, 0.7]),
+                                      coeff_dy=np.array([-1.0, 2.1, -3.9, 0.7, 1.4, -1.0]),
+                                      width=n, height=n)
+        want, _ = coreg.resample(plane, model)
+        tracemalloc.start()
+        try:
+            warped, valid = coreg.resample(plane, model, out=plane)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(warped, want)
+        # Beyond the mask, 0.36 of a float64 plane: the block arrays of
+        # the pure warp and two held uint16 blocks.  Warping into a new
+        # plane, as the stage did, measured 0.58 beyond the mask.
+        assert peak - valid.nbytes < 0.4 * n * n * 8
 
 
 class TestCoregResidual:

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -344,9 +345,9 @@ class TestCli:
         resampled = []
         resample = coreg.resample
 
-        def spy(plane, model):
+        def spy(plane, model, **kwargs):
             resampled.append(plane)
-            return resample(plane, model)
+            return resample(plane, model, **kwargs)
 
         monkeypatch.setattr(coreg, "resample", spy)
         rc = self.run_cli("preprocess", "--raw", str(tmp_path / "flat.l3raw"),
@@ -355,6 +356,24 @@ class TestCli:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert (err["error"]["stage"], err["error"]["type"]) == ("coreg", "NoMatches")
         assert len(resampled) == ["blue", "green", "nir"].index(flat)
+
+    @pytest.mark.parametrize("doc", [{"grid_nx": 10**6, "grid_ny": 10**6},
+                                     {"residual_points": 10**12}])
+    def test_unbounded_tile_grid_fails_coreg_at_once(self, synth_inputs, tmp_path, capsys,
+                                                     doc):
+        # A grid with more tiles than centres is refused before any tile
+        # list is built: 10**12 tiles would not fit in memory.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        rc = self.run_cli("preprocess", "--config", str(cfg_path),
+                          "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--out", str(tmp_path / "o"), "--skip-vignetting", "--skip-georef")
+        elapsed = time.perf_counter() - t0
+        assert rc == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (err["error"]["stage"], err["error"]["type"]) == ("coreg", "OutOfBounds")
+        assert elapsed < 1.0
 
     def test_stage_failure_exit_3_names_stage(self, synth_inputs, tmp_path, capsys):
         # georef without metadata: the error names the georef stage
