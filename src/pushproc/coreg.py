@@ -14,11 +14,16 @@ The chain mirrors the production flow for pushbroom band alignment:
    builds the reference maps of all its grids in one call, which
    suppresses each reference pixel once, and hands each grid's maps to
    ``match_bands``, which blurs a block's map when it reaches the block.
+   The filters are NumPy kernels that repeat the arithmetic of
+   ``scipy.ndimage``: the Gaussian and Sobel passes (``_taps``) add the
+   taps in the order of its ``NI_Correlate1D`` and give its bits, and the
+   hysteresis joins runs of weak pixels instead of labelling them, with
+   the same result.  The tests keep ``scipy.ndimage`` as their oracle.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.  ``match_bands`` walks the grid block by
    block: it builds every target band's map of the block, prepares each
    reference tile once (mean removed, energy, padded spectrum) and
-   correlates it with the same tile of every target band.
+   correlates it with the same tile of every target.
 3. Matches are gated around an attitude-derived shift prior, then cleaned
    by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
@@ -39,6 +44,7 @@ results are independent of worker count.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -47,7 +53,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     AllRejected,
@@ -75,86 +80,281 @@ _TAN_22_5 = math.tan(math.radians(22.5))
 BLUR_RADIUS = 4
 
 
+@functools.lru_cache
+def _gaussian_weights(sigma: float) -> list[float]:
+    """Taps of scipy's ``gaussian_filter1d`` (truncate 4), in the order it correlates them."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return (phi / phi.sum())[::-1].tolist()
+
+
+def _taps(src: np.ndarray, step: int, weights: list[float], out: np.ndarray,
+          tmp: np.ndarray) -> None:
+    """Symmetric correlation along one axis of flat line-major buffers.
+
+    ``out[m] = src[m + r step] w[r] + sum over k = r .. 1 of
+    (src[m + (r - k) step] + src[m + (r + k) step]) w[r - k]``, for the
+    ``2r + 1`` weights ``w``: ``step`` is the buffer's line stride for a
+    pass down the columns, 1 for a pass along the lines.  The centre tap
+    comes first and the pairs follow from the outermost inward, which is
+    the order of scipy's ``NI_Correlate1D``, so the sums carry its bits.
+    ``tmp`` holds at least ``out.size`` values.
+    """
+    n, r = out.size, len(weights) // 2
+    pair = tmp[:n]
+    np.multiply(src[r * step : r * step + n], weights[r], out=out)
+    for k in range(r, 0, -1):
+        np.add(src[(r - k) * step : (r - k) * step + n], src[(r + k) * step : (r + k) * step + n],
+               out=pair)
+        pair *= weights[r - k]
+        out += pair
+
+
+def _reflect(i: int, n: int) -> int:
+    """The index that sample ``i`` of a line of ``n`` samples reads under scipy's ``reflect``."""
+    i %= 2 * n
+    return i if i < n else 2 * n - 1 - i
+
+
+def _load(buf: np.ndarray, plane: np.ndarray, rows: slice, cols: slice, r: int) -> None:
+    """Copy ``plane[rows, cols]`` widened by ``r`` on every side into ``buf`` as float64.
+
+    ``buf`` is 2-D, ``r`` lines and columns larger than the window on each
+    side.  The widening reads the plane where it has samples and mirrors
+    them beyond its border (``reflect``, period 2n for lines shorter than
+    ``r``), which is what a whole-plane filter reads there.
+    """
+    h, w = plane.shape
+    top, left = rows.start - r, cols.start - r
+    ya, yb = max(top, 0), min(rows.stop + r, h)
+    xa, xb = max(left, 0), min(cols.stop + r, w)
+    np.copyto(buf[ya - top : yb - top, xa - left : xb - left], plane[ya:yb, xa:xb],
+              casting="unsafe")
+    lines = buf[ya - top : yb - top]
+    for x in itertools.chain(range(left, xa), range(xb, cols.stop + r)):
+        lines[:, x - left] = lines[:, _reflect(x, w) - left]
+    for y in itertools.chain(range(top, ya), range(yb, rows.stop + r)):
+        buf[y - top] = buf[_reflect(y, h) - top]
+
+
+def _gaussian(plane: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(plane, sigma)`` into float64, bit for bit.
+
+    Mode ``reflect``, truncate 4: down the columns first, then along the
+    lines, as scipy does.  The plane is walked in blocks of ``block_lines``
+    lines, each read with the radius more on every side (``_load``).  A
+    block's result is written after the next block is read, and blocks are
+    at least the radius tall, so ``out`` may be a float64 ``plane`` itself.
+    Returns ``out``, a new array when it is None.
+    """
+    plane = np.asarray(plane)
+    h, w = plane.shape
+    if out is None:
+        out = np.empty((h, w))
+    weights = _gaussian_weights(sigma)
+    r = len(weights) // 2
+    stride = w + 2 * r
+    step = max(block_lines(stride), r)
+    tallest = min(step, h)
+    loaded = np.empty((tallest + 2 * r) * stride)
+    across, smooth = np.empty(tallest * stride), np.empty(tallest * stride)
+    done = None
+
+    def write(a: int, b: int) -> None:
+        out[a:b] = smooth[: (b - a) * stride].reshape(b - a, stride)[:, :w]
+
+    for y0 in range(0, h, step):
+        y1 = min(y0 + step, h)
+        _load(loaded[: (y1 - y0 + 2 * r) * stride].reshape(-1, stride), plane,
+              slice(y0, y1), slice(0, w), r)
+        if done is not None:
+            write(*done)
+        n = (y1 - y0) * stride
+        _taps(loaded, stride, weights, across[:n], smooth)
+        _taps(across, 1, weights, smooth[: n - 2 * r], loaded)
+        done = (y0, y1)
+    write(*done)
+    return out
+
+
+def _buffers(lines: int, width: int, r: int) -> list[np.ndarray]:
+    """The five flat float64 buffers ``_gradients`` works in, for blocks up to ``lines`` x ``width``."""
+    stride = width + 2 * r
+    # Zeroed, so the values computed between a block's lines and never
+    # kept are finite.
+    return [np.zeros((lines + 2 * r) * stride)] + [np.zeros((lines + 2) * stride)
+                                                   for _ in range(4)]
+
+
+def _gradients(plane: np.ndarray, rows: slice, cols: slice, weights: list[float],
+               buffers: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sobel gradients of the Gaussian of a plane over one block, and their magnitude.
+
+    The Gaussian is the whole plane's on the block (``_load`` reads its
+    radius around it); Sobel then treats the block as a plane of its own
+    (``reflect`` at its border), as ``scipy.ndimage.sobel`` of the
+    smoothed block would.  Every buffer has the line stride
+    ``width + 2r``: the gradients at block pixel (i, j) are at
+    ``i * stride + j`` of the returned flat ``gx`` and ``gy``, and the
+    magnitude, zero-padded by one pixel, at ``(i + 1) * stride + j + 1``
+    of the returned ``mag``.  The arithmetic is scipy's: each pass of
+    ``_taps``, and Sobel as the difference ``x[i+1] - x[i-1]`` (exactly
+    ``(x[i-1] - x[i+1]) * -1``) smoothed as ``(x[i-1] + x[i+1]) + 2 x[i]``.
+    """
+    r = len(weights) // 2
+    h, w = rows.stop - rows.start, cols.stop - cols.start
+    stride = w + 2 * r
+    loaded, across, smooth, gx, gy = buffers
+    n = h * stride - 2
+    # Each Gaussian pass writes the next one's input; the smoothed block
+    # lands inside a one-pixel border, which mirrors it.
+    _load(loaded[: (h + 2 * r) * stride].reshape(-1, stride), plane, rows, cols, r)
+    _taps(loaded, stride, weights, across[: h * stride], smooth)
+    _taps(across, 1, weights, smooth[stride + 1 : (h + 1) * stride - 2 * r + 1], loaded)
+    padded = smooth[: (h + 2) * stride].reshape(h + 2, stride)
+    padded[1 : h + 1, 0] = padded[1 : h + 1, 1]
+    padded[1 : h + 1, w + 1] = padded[1 : h + 1, w]
+    padded[0] = padded[1]
+    padded[h + 1] = padded[h]
+    # gx: the difference along the lines, smoothed down the columns.
+    diff, twice = loaded, across
+    np.subtract(smooth[2 : (h + 2) * stride], smooth[: (h + 2) * stride - 2],
+                out=diff[: (h + 2) * stride - 2])
+    np.add(diff[stride : stride + n], diff[stride : stride + n], out=twice[:n])
+    np.add(diff[:n], diff[2 * stride : 2 * stride + n], out=gx[:n])
+    gx[:n] += twice[:n]
+    # gy: the difference down the columns, smoothed along the lines.
+    np.subtract(smooth[2 * stride : (h + 2) * stride], smooth[: h * stride],
+                out=diff[: h * stride])
+    np.add(diff[1 : 1 + n], diff[1 : 1 + n], out=twice[:n])
+    np.add(diff[:n], diff[2 : 2 + n], out=gy[:n])
+    gy[:n] += twice[:n]
+    mag = loaded[: (h + 2) * stride]
+    np.hypot(gx[:n], gy[:n], out=mag[stride + 1 : stride + 1 + n])
+    grid = mag.reshape(h + 2, stride)
+    grid[0] = 0.0
+    grid[h + 1 :] = 0.0
+    grid[1 : h + 1, 0] = 0.0
+    grid[1 : h + 1, w + 1] = 0.0
+    return gx, gy, mag
+
+
 def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4) -> np.ndarray:
     """Non-maximum-suppressed gradient magnitude over one window of a plane.
 
     Gaussian smoothing, Sobel gradients, then suppression against the two
     neighbours along the gradient direction, quantized into four sectors
     centred on 0, 45, 90 and 135 degrees.  The window is walked in blocks
-    of ``block_lines`` of its width plus both halos, each read with a halo
-    of the Gaussian radius plus one pixel for Sobel and one for the
-    suppression neighbours on every side, so every value equals that of a
-    whole-plane pass; at the plane border that pass's ``reflect`` and zero
-    padding apply.
+    of ``block_lines`` of its width plus the Gaussian radius and two pixels
+    on each side.  Each block is filtered with a halo of one pixel for
+    Sobel and one for the suppression neighbours (``_gradients``), so every
+    value equals that of a whole-plane pass; at the plane border that
+    pass's ``reflect`` and zero padding apply.  The buffers are allocated
+    once per call.
     """
     h, w = plane.shape
     rows, cols = window
-    halo = int(4.0 * sigma + 0.5) + 2
+    weights = _gaussian_weights(sigma)
+    r, halo = len(weights) // 2, 2
     ca, cb = max(cols.start - halo, 0), min(cols.stop + halo, w)
     left, width = cols.start - ca, cols.stop - cols.start
+    stride = cb - ca + 2 * r
     nms = np.zeros((rows.stop - rows.start, width), dtype=np.float64)
-    step = block_lines(width + 2 * halo)
-    # Each block is filtered in buffers allocated once per call; a block
-    # uses their first b - a lines.  The padded magnitude's border stays 0.
-    tallest = min(step, rows.stop - rows.start) + 2 * halo
-    smooth, sobel_x, sobel_y = (np.empty((tallest, cb - ca)) for _ in range(3))
-    magnitude = np.zeros((tallest + 2, cb - ca + 2))
+    step = block_lines(width + 2 * (halo + r))
+    buffers = _buffers(min(step, rows.stop - rows.start) + 2 * halo, cb - ca, r)
     for y0 in range(rows.start, rows.stop, step):
         y1 = min(y0 + step, rows.stop)
         a, b = max(y0 - halo, 0), min(y1 + halo, h)
-        img = smooth[: b - a]
-        np.copyto(img, plane[a:b, ca:cb], casting="unsafe")
-        ndimage.gaussian_filter(img, sigma, output=img)
-        gx = ndimage.sobel(img, axis=1, output=sobel_x[: b - a])
-        gy = ndimage.sobel(img, axis=0, output=sobel_y[: b - a])
-        # Zero padding stands in for the neighbours beyond the plane border;
-        # inside the plane the halo supplies them.  The line under this block
-        # may hold a taller block's magnitude.
-        padded = magnitude[: b - a + 2]
-        np.hypot(gx, gy, out=padded[1:-1, 1:-1])
-        padded[-1] = 0.0
-        top = y0 - a
-        gx = gx[top : top + y1 - y0, left : left + width]
-        gy = gy[top : top + y1 - y0, left : left + width]
+        gx, gy, mag = _gradients(plane, slice(a, b), slice(ca, cb), weights, buffers)
+        # The window's pixels as one flat run of the block's buffers: the
+        # values between its lines are computed and never kept.
+        start, n = (y0 - a) * stride + left, (y1 - y0 - 1) * stride + width
+        gx, gy = gx[start : start + n], gy[start : start + n]
+        centre = stride + 1 + start
 
         def shifted(dy: int, dx: int) -> np.ndarray:
-            return padded[top + 1 + dy : top + 1 + dy + y1 - y0,
-                          left + 1 + dx : left + 1 + dx + width]
+            at = centre + dy * stride + dx
+            return mag[at : at + n]
 
-        mag = shifted(0, 0)
         # The sector from |gy| against tan(22.5 deg) |gx| and the signs, with
         # the boundaries of the angle atan2(gy, gx) folded into [0, 180).
-        ax, ay = np.abs(gx), np.abs(gy)
-        horizontal = ay < _TAN_22_5 * ax
-        vertical = ax < _TAN_22_5 * ay
-        diagonal = ~(horizontal | vertical)
-        rising = (gx > 0) == (gy > 0)
-        sectors = [
-            (horizontal, (0, 1), (0, -1)),
-            (diagonal & rising, (1, 1), (-1, -1)),      # diagonal /
-            (vertical, (1, 0), (-1, 0)),
-            (diagonal & ~rising, (1, -1), (-1, 1)),     # diagonal \
-        ]
-        # The sectors are disjoint, so one masked write takes every kept pixel.
-        keep = np.zeros(mag.shape, dtype=bool)
-        for mask, (dy1, dx1), (dy2, dx2) in sectors:
-            keep |= mask & (mag >= shifted(dy1, dx1)) & (mag >= shifted(dy2, dx2))
-        np.copyto(nms[y0 - rows.start : y1 - rows.start], mag, where=keep)
+        falling = np.not_equal(gx > 0, gy > 0)
+        ax, ay = np.abs(gx, out=gx), np.abs(gy, out=gy)
+        scaled = buffers[1][:n]
+        horizontal = ay < np.multiply(ax, _TAN_22_5, out=scaled)
+        vertical = ax < np.multiply(ay, _TAN_22_5, out=scaled)
+        # The larger of the two neighbours along each pixel's sector; a
+        # pixel is kept when it is not below it.
+        nearest, other = scaled, buffers[2][:n]
+        np.maximum(shifted(1, 1), shifted(-1, -1), out=nearest)          # diagonal /
+        np.copyto(nearest, np.maximum(shifted(1, -1), shifted(-1, 1), out=other),
+                  where=falling)                                          # diagonal \
+        np.copyto(nearest, np.maximum(shifted(1, 0), shifted(-1, 0), out=other), where=vertical)
+        np.copyto(nearest, np.maximum(shifted(0, 1), shifted(0, -1), out=other),
+                  where=horizontal)
+        lines = y1 - y0
+        keep = np.zeros(lines * stride, dtype=bool)
+        np.greater_equal(shifted(0, 0), nearest, out=keep[:n])
+        np.copyto(nms[y0 - rows.start : y1 - rows.start],
+                  mag.reshape(-1, stride)[y0 - a + 1 : y1 - a + 1, left + 1 : left + 1 + width],
+                  where=keep.reshape(lines, stride)[:, :width])
     return nms
 
 
 def _hysteresis(nms: np.ndarray, t_low: float = 0.1, t_high: float = 0.3) -> np.ndarray:
     """Double-threshold hysteresis over 8-connected edges, as a uint8 map.
 
-    The thresholds are fractions of the peak of ``nms``.
+    The thresholds are fractions of the peak of ``nms``.  The weak pixels
+    (at least ``t_low`` of the peak) are taken as runs along the lines;
+    two runs on neighbouring lines touch when their columns come within
+    one pixel, and ``searchsorted`` finds every such pair.  The runs are
+    joined into components by hooking each component onto the smallest
+    label it touches and jumping pointers until every label is a root
+    (Shiloach and Vishkin), and the runs of each component that holds a
+    strong pixel (at least ``t_high`` of the peak) are painted.
     """
+    h, w = nms.shape
     peak = float(nms.max())
     if peak == 0.0:
-        return np.zeros(nms.shape, dtype=np.uint8)
-    labels, n = ndimage.label(nms >= t_low * peak, structure=np.ones((3, 3), dtype=int))
-    strong = np.zeros(n + 1, dtype=np.uint8)
-    strong[labels[nms >= t_high * peak]] = 1
-    return strong[labels]
+        return np.zeros((h, w), dtype=np.uint8)
+    # A false column ends every line, so no run spans two lines; the plane
+    # sits one place into the flags, after a leading false.
+    line = w + 1
+    flags = np.zeros(h * line + 1, dtype=bool)
+    marks = flags[1:].reshape(h, line)[:, :w]
+    np.greater_equal(nms, t_low * peak, out=marks)
+    bounds = np.flatnonzero(flags[1:] != flags[:-1]) + 1
+    starts, stops = bounds[0::2], bounds[1::2]
+    # The runs of the next line that touch a run [s, e): those whose last
+    # pixel is at column s - 1 or later and whose first is at e or earlier.
+    first = np.searchsorted(stops, starts + line)
+    count = np.searchsorted(starts, stops + line, side="right") - first
+    upper = np.repeat(np.arange(starts.size), count)
+    lower = np.arange(upper.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    label = np.arange(starts.size)
+    a, b = upper, lower
+    while not np.array_equal(a, b):
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+        a, b = label[upper], label[lower]
+    # A run is strong when it holds a strong pixel (none lies between runs),
+    # and a component when one of its runs is.
+    np.greater_equal(nms, t_high * peak, out=marks)
+    strong = np.zeros(starts.size, dtype=bool)
+    strong[label[np.logical_or.reduceat(flags, starts)]] = True
+    # The flags as alternating gaps and runs, each run painted by its
+    # component, without the false column.
+    values = np.zeros(2 * starts.size + 1, dtype=np.uint8)
+    values[1::2] = strong[label]
+    painted = np.repeat(values, np.diff(bounds, prepend=0, append=flags.size))
+    return painted[1:].reshape(h, line)[:, :w].copy()
 
 
 def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
@@ -178,7 +378,7 @@ def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
 
 def _soften(edges: np.ndarray) -> np.ndarray:
     # The blur makes the correlation peak smooth enough for subpixel fitting.
-    return ndimage.gaussian_filter(edges, 1.0, output=np.float64)
+    return _gaussian(edges, 1.0)
 
 
 def edge_map(plane: np.ndarray) -> np.ndarray:
@@ -390,12 +590,16 @@ def _prepare_tile(tile: np.ndarray) -> _PreparedTile | None:
         padded = np.zeros((ph, pw))
         padded[:h, :w] = a
         a = padded
-    return _PreparedTile(np.fft.rfft2(a), energy, (ph, pw))
+    # rfft2 is these two transforms, in this order; called directly they
+    # skip its argument handling.
+    return _PreparedTile(np.fft.fft(np.fft.rfft(a, axis=1), axis=0), energy, (ph, pw))
 
 
 def _correlate(ref: _PreparedTile, tgt: _PreparedTile) -> tuple[float, float, float]:
     """Shift and score of a prepared target tile against a prepared reference tile."""
-    corr = np.fft.irfft2(tgt.spectrum * np.conj(ref.spectrum), s=ref.shape)
+    # irfft2, as ifft down the columns and then irfft along the lines.
+    corr = np.fft.irfft(np.fft.ifft(tgt.spectrum * np.conj(ref.spectrum), axis=0),
+                        n=ref.shape[1], axis=1)
     corr /= ref.energy * tgt.energy
     peak_y, peak_x = np.unravel_index(int(np.argmax(corr)), corr.shape)
     score = float(np.clip(corr[peak_y, peak_x], 0.0, 1.0))

@@ -10,6 +10,7 @@ under the ``timing`` key so reports stay byte-comparable without them.
 from __future__ import annotations
 
 import json
+import math
 import time
 import typing
 from contextlib import contextmanager
@@ -159,6 +160,13 @@ def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityR
     return corrected
 
 
+def _coreg_grids(shape: tuple[int, int],
+                 config: PipelineConfig) -> tuple[coreg_mod.TileGrid, coreg_mod.TileGrid]:
+    """The match grid and the residual grid of a plane of ``shape``; ``OutOfBounds`` if either fails."""
+    return (coreg_mod.TileGrid(shape, config.tile_size, config.grid_nx, config.grid_ny),
+            coreg_mod.residual_grid(shape, config.residual_points))
+
+
 def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
                  config: PipelineConfig, report: QualityReport) -> RawScene:
     """Align every band to the reference band, in place.
@@ -175,9 +183,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
     targets = [band for band in BandId if band != ref_band]
-    match_grid = coreg_mod.TileGrid(ref_plane.shape, config.tile_size,
-                                    config.grid_nx, config.grid_ny)
-    residual_grid = coreg_mod.residual_grid(ref_plane.shape, config.residual_points)
+    match_grid, residual_grid = _coreg_grids(ref_plane.shape, config)
     ref_match, ref_residual = coreg_mod.grid_edges(ref_plane, [match_grid, residual_grid])
     found = coreg_mod.match_bands(ref_match, [scene.band(band) for band in targets],
                                   min_score=config.min_score, workers=config.workers)
@@ -287,6 +293,9 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
                     and np.array_equal(truth_grid.columns,
                                        _sample_indices(scene.width, config.grid_step))):
                 raise ConfigInvalid("truth grid nodes differ from the configured grid_step sampling")
+        if config.coreg:
+            # Both tile grids must fit the scene; the stage builds them again.
+            _coreg_grids((scene.lines, scene.width), config)
     except PushprocError as exc:
         raise StageFailure("input", exc) from exc
     if config.vignetting and calib is None:
@@ -324,35 +333,67 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
     return report
 
 
+def _percentiles(plane: np.ndarray) -> list[float]:
+    """``np.percentile(plane, [2, 98])`` (method ``linear``) of a uint16 plane, from its histogram.
+
+    The histogram is counted ``block_lines`` lines at a time, so no copy of
+    the plane is sorted.  Each order statistic is the first value whose
+    cumulative count passes its rank, and the two around a percentile are
+    blended with ``np.percentile``'s own arithmetic: virtual index
+    (n - 1) q / 100, and ``a + (b - a) t`` below t = 0.5 but
+    ``b - (b - a)(1 - t)`` from there on.
+    """
+    h, w = plane.shape
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    step = block_lines(w)
+    for y0 in range(0, h, step):
+        counts += np.bincount(plane[y0 : y0 + step].ravel(), minlength=counts.size)
+    cumulative = np.cumsum(counts)
+    n = h * w
+
+    def order(k: int) -> float:
+        return float(np.searchsorted(cumulative, k, side="right"))
+
+    found = []
+    for q in (2.0, 98.0):
+        virtual = (n - 1) * (q / 100)
+        if virtual >= n - 1:
+            found.append(order(n - 1))
+            continue
+        below = math.floor(virtual)
+        a, b, t = order(below), order(below + 1), virtual - below
+        found.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return found
+
+
 def quicklook(scene: RawScene, bands, path) -> None:
     """8-bit PGM (one band) or PPM (three bands) with a 2-98% stretch.
 
     The stretch maps the 2nd percentile to 0 and the 98th to 255, which
     keeps hot pixels from crushing the display range.  Deterministic.  The
-    percentiles are taken on the integer plane, whose interpolation between
-    two integer samples gives the float64 plane's values, and each band is
-    stretched ``block_lines(width)`` lines at a time into the 8-bit image,
-    so no float64 plane is built.
+    percentiles come from each band's histogram (``_percentiles``), and
+    the image is stretched and written ``block_lines(width)`` lines at a
+    time, so neither a float64 plane nor the whole 8-bit image is built.
     """
     bands = [BandId(int(b)) for b in bands]
     if len(bands) not in (1, 3):
         raise BadBandSelection(f"need 1 or 3 bands, got {len(bands)}")
     h, w = scene.lines, scene.width
-    image = np.zeros((h, w, len(bands)), dtype=np.uint8)
+    planes = [scene.band(band) for band in bands]
+    cuts = [_percentiles(plane) for plane in planes]
     step = block_lines(w)
-    for k, band in enumerate(bands):
-        plane = scene.band(band)
-        lo, hi = np.percentile(plane, [2.0, 98.0]).tolist()
-        if hi <= lo:
-            continue
-        for y0 in range(0, h, step):
-            data = plane[y0 : y0 + step].astype(np.float64)
-            scaled = np.clip((data - lo) / (hi - lo) * 255.0, 0.0, 255.0)
-            image[y0 : y0 + step, :, k] = np.floor(scaled + 0.5)
     magic = "P5" if len(bands) == 1 else "P6"
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{w} {h}\n255\n".encode())
-        fh.write(image)
+        for y0 in range(0, h, step):
+            image = np.zeros((min(step, h - y0), w, len(bands)), dtype=np.uint8)
+            for k, (plane, (lo, hi)) in enumerate(zip(planes, cuts)):
+                if hi <= lo:
+                    continue
+                data = plane[y0 : y0 + step].astype(np.float64)
+                scaled = np.clip((data - lo) / (hi - lo) * 255.0, 0.0, 255.0)
+                image[:, :, k] = np.floor(scaled + 0.5)
+            fh.write(image)
 
 
 def report_timing(report: QualityReport | dict) -> str:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionMismatch, GridMismatch, IoFailure, SpecInvalid, TruthInvalid
 from .raster import BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene
@@ -164,6 +163,10 @@ def _texture_checkerboard(spec: SynthSpec) -> np.ndarray:
 
 
 def _texture_fractal(spec: SynthSpec) -> np.ndarray:
+    # scipy is imported here, so that loading a truth pack or another
+    # texture does not import it.
+    from scipy import ndimage
+
     rng = np.random.default_rng([spec.seed, 23])
     out = np.zeros((spec.lines, spec.width))
     weight_total = 0.0

@@ -105,6 +105,115 @@ class TestSuppression:
             expected[r0:r1, c0:c1])
 
 
+class TestKernelsEqualScipy:
+    """The NumPy Gaussian, Sobel and hysteresis give the bits of ``scipy.ndimage``."""
+
+    @staticmethod
+    def plane(data, dtype, lines, width):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if dtype is np.float64:
+            return rng.uniform(-1e4, 1e4, (lines, width))
+        return rng.integers(0, np.iinfo(dtype).max, (lines, width), endpoint=True).astype(dtype)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float64])
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 1.4, 2.5])
+    def test_gaussian(self, sigma, dtype, data):
+        # Planes of one to three lines or columns are shorter than every
+        # radius here (3 to 10), so the mirror repeats with period 2n.
+        lines = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
+        width = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
+        plane = self.plane(data, dtype, lines, width)
+        in_place = dtype is np.float64 and data.draw(st.booleans())
+        expected = ndimage.gaussian_filter(plane, sigma, output=np.float64)
+        # Blocks of a few lines put block edges inside the plane; in place,
+        # a block is written only after the next one has been read.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "BLOCK_PIXELS", data.draw(st.sampled_from([1, 97, 1 << 16])))
+            got = coreg._gaussian(plane, sigma, out=plane if in_place else None)
+        assert (got is plane) == in_place
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
+    @pytest.mark.parametrize("sigma", [0.7, 1.4, 2.5])
+    def test_sobel_of_gaussian(self, sigma, dtype, data):
+        lines, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        plane = self.plane(data, dtype, lines, width)
+        r0 = data.draw(st.integers(0, lines - 1))
+        r1 = data.draw(st.integers(r0 + 1, lines))
+        c0 = data.draw(st.integers(0, width - 1))
+        c1 = data.draw(st.integers(c0 + 1, width))
+        weights = coreg._gaussian_weights(sigma)
+        r = len(weights) // 2
+        h, w, stride = r1 - r0, c1 - c0, c1 - c0 + 2 * r
+        gx, gy, mag = coreg._gradients(plane, slice(r0, r1), slice(c0, c1), weights,
+                                       coreg._buffers(h, w, r))
+        # The whole plane's Gaussian on the block, and Sobel of the block
+        # alone.  scipy may give -0.0 where the kernels give 0.0; they
+        # compare equal.
+        smooth = ndimage.gaussian_filter(plane.astype(np.float64), sigma)[r0:r1, c0:c1]
+        sobel_x, sobel_y = ndimage.sobel(smooth, axis=1), ndimage.sobel(smooth, axis=0)
+        np.testing.assert_array_equal(gx[: h * stride].reshape(h, stride)[:, :w], sobel_x)
+        np.testing.assert_array_equal(gy[: h * stride].reshape(h, stride)[:, :w], sobel_y)
+        padded = mag.reshape(h + 2, stride)[:, : w + 2]
+        np.testing.assert_array_equal(padded[1:-1, 1:-1], np.hypot(sobel_x, sobel_y))
+        assert not padded[[0, -1]].any() and not padded[:, [0, -1]].any()
+
+    @staticmethod
+    def label_hysteresis(nms, t_low=0.1, t_high=0.3):
+        """Hysteresis through ``ndimage.label`` over 8-connected weak pixels."""
+        peak = float(nms.max())
+        if peak == 0.0:
+            return np.zeros(nms.shape, dtype=np.uint8)
+        labels, n = ndimage.label(nms >= t_low * peak, structure=np.ones((3, 3), dtype=int))
+        strong = np.zeros(n + 1, dtype=np.uint8)
+        strong[labels[nms >= t_high * peak]] = 1
+        return strong[labels]
+
+    def assert_hysteresis(self, nms, *thresholds):
+        got = coreg._hysteresis(nms, *thresholds)
+        assert got.dtype == np.uint8 and got.shape == nms.shape
+        np.testing.assert_array_equal(got, self.label_hysteresis(nms, *thresholds))
+        return got
+
+    def test_hysteresis_empty_and_full(self):
+        assert not self.assert_hysteresis(np.zeros((7, 9))).any()
+        assert self.assert_hysteresis(np.full((7, 9), 3.0)).all()
+        # One strong pixel holds a plane of weak ones.
+        weak = np.full((7, 9), 0.2)
+        weak[6, 8] = 1.0
+        assert self.assert_hysteresis(weak).all()
+
+    def test_hysteresis_diagonal_chains(self):
+        n = 12
+        nms = np.zeros((n, n))
+        idx = np.arange(n)
+        nms[idx, idx] = 0.2                 # touches only at corners
+        nms[0, 0] = 1.0
+        nms[idx[:-2], n - 1 - idx[:-2]] = 0.2     # anti-diagonal, no strong pixel
+        nms[5, 0] = nms[4, n - 1] = 0.2     # end of one line, start of the next
+        got = self.assert_hysteresis(nms)
+        assert got[idx, idx].all()
+        assert got[5, 0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_hysteresis_random(self, data):
+        lines, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        density = data.draw(st.sampled_from([0.05, 0.3, 0.6, 0.9]))
+        values = rng.uniform(0, 1, (lines, width + 2)) * (rng.random((lines, width + 2)) < density)
+        # A window of a wider map is not contiguous, as blocks cut from a
+        # suppressed rectangle are not.
+        nms = values[:, 1:-1] if data.draw(st.booleans()) else values[:, :width].copy()
+        t_low = data.draw(st.sampled_from([0.05, 0.1, 0.3]))
+        self.assert_hysteresis(nms, t_low, t_low + data.draw(st.sampled_from([0.05, 0.2, 0.5])))
+
+
 class TestCanny:
     def test_constant_plane_no_edges(self):
         edges = coreg.canny_edges(np.full((32, 48), 60.0), 1.0, 0.1, 0.3)

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis import strategies as st
 
 from pushproc import errors
 from pushproc.cli import main
-from pushproc.pipeline import PipelineConfig, QualityReport, quicklook, report_timing, run_pipeline
+from pushproc.pipeline import (PipelineConfig, QualityReport, _percentiles, quicklook,
+                               report_timing, run_pipeline)
 from pushproc.raster import BandId, RawScene, block_lines, load_raw, save_calibration, save_raw
 from pushproc.synthscene import SynthSpec, generate
 from pushproc.georef.metadata import save_metadata
@@ -245,6 +250,8 @@ class TestQuicklookBlocks:
         lo, hi = np.percentile(plane, [2.0, 98.0])
         assert lo == np.percentile(as_float, 2.0)
         assert hi == np.percentile(as_float, 98.0)
+        # The quicklook's percentiles, from the histogram.
+        assert _percentiles(plane.reshape(1, -1)) == [lo, hi]
 
     @pytest.mark.parametrize("bit_depth", [8, 16])
     @pytest.mark.parametrize("bands", [[BandId.NIR], [BandId.RED, BandId.GREEN, BandId.BLUE]])
@@ -268,10 +275,12 @@ class TestQuicklookBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Beyond the 8-bit image, the percentiles' uint16 copy of one band
-        # and a few block arrays: 0.25 (one band) and 0.38 (three bands) of a
-        # float64 plane.  Float64 planes and their scaled copies measured 3.9.
-        assert peak - n * n * len(bands) < n * n * 8
+        # Each band's histogram and one block of lines of the image with its
+        # float64 stretch: 0.26 (one band) and 0.27 (three bands) of a
+        # float64 plane in all, the whole image never built.  The whole
+        # image beside np.percentile's uint16 copy of a band measured 0.38
+        # and 0.76; float64 planes and their scaled copies 3.9 beyond it.
+        assert peak < 0.32 * n * n * 8
 
 
 class TestReportTiming:
@@ -362,7 +371,8 @@ class TestCli:
     def test_unbounded_tile_grid_fails_coreg_at_once(self, synth_inputs, tmp_path, capsys,
                                                      doc):
         # A grid with more tiles than centres is refused before any tile
-        # list is built: 10**12 tiles would not fit in memory.
+        # list is built (10**12 tiles would not fit in memory), and in the
+        # input phase, before any stage runs or the output directory is made.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         t0 = time.perf_counter()
@@ -370,9 +380,10 @@ class TestCli:
                           "--raw", str(synth_inputs / "scene.l3raw"),
                           "--out", str(tmp_path / "o"), "--skip-vignetting", "--skip-georef")
         elapsed = time.perf_counter() - t0
-        assert rc == 3
+        assert rc == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
-        assert (err["error"]["stage"], err["error"]["type"]) == ("coreg", "OutOfBounds")
+        assert (err["error"]["stage"], err["error"]["type"]) == ("input", "OutOfBounds")
+        assert not (tmp_path / "o").exists()
         assert elapsed < 1.0
 
     def test_stage_failure_exit_3_names_stage(self, synth_inputs, tmp_path, capsys):
@@ -445,3 +456,44 @@ class TestCli:
         spec_path.write_text(json.dumps({"texture": "marble"}))
         rc = self.run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"))
         assert rc == 2
+
+
+class TestImportFootprint:
+    def test_pipeline_never_imports_scipy(self, tmp_path):
+        # A fresh interpreter: the CLI and a whole run with a truth sidecar
+        # load no scipy; only the fractal-noise texture of the generator does.
+        code = """
+import sys
+from pathlib import Path
+import pushproc.cli
+from pushproc.georef.metadata import save_metadata
+from pushproc.pipeline import PipelineConfig, run_pipeline
+from pushproc.raster import save_calibration, save_raw
+from pushproc.synthscene import SynthSpec, generate, save_truth
+
+out = Path(sys.argv[1])
+spec = SynthSpec(seed=26, width=256, lines=256, texture="urban-blocks", grid_step=64,
+                 band_warp={"nir": {"order": 1, "coeff_dx": [1.0, 0.5, -0.5],
+                                    "coeff_dy": [-0.5, 0.3, 0.2]}})
+raw, truth = generate(spec)
+save_raw(raw, out / "scene.l3raw")
+save_calibration(truth.calib, out / "calib.json")
+save_metadata(truth.metadata, out / "metadata.json")
+save_truth(truth, out / "truth.json")
+report = run_pipeline(PipelineConfig(
+    raw_path=str(out / "scene.l3raw"), calib_path=str(out / "calib.json"),
+    meta_path=str(out / "metadata.json"), truth_path=str(out / "truth.json"),
+    out_dir=str(out / "run"), grid_step=64, residual_points=16, quicklook=True))
+assert set(report.stages) == {"vignetting", "coreg", "georef"}
+assert "error_stats" in report.stages["georef"]
+print("scipy" in sys.modules)
+fractal, _ = generate(SynthSpec(seed=27, width=64, lines=64, texture="fractal-noise"))
+assert fractal.planes.std() > 0
+print("scipy" in sys.modules)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
