@@ -89,7 +89,7 @@ def _cmd_preprocess(args) -> int:
             config.workers = args.workers
         if args.quicklook:
             config.quicklook = True
-    except (PushprocError, json.JSONDecodeError, OSError) as exc:
+    except (PushprocError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(_error_json("config", exc))
         return EXIT_INPUT
 
@@ -107,7 +107,7 @@ def _cmd_synth(args) -> int:
     try:
         spec = SynthSpec.from_dict(json.loads(Path(args.spec).read_text()))
         spec.validate()
-    except (PushprocError, json.JSONDecodeError, OSError, TypeError) as exc:
+    except (PushprocError, json.JSONDecodeError, UnicodeDecodeError, OSError, TypeError) as exc:
         print(_error_json("spec", exc))
         return EXIT_INPUT
     try:
@@ -130,7 +130,7 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     try:
         text = report_timing(json.loads(Path(args.report_in).read_text()))
-    except (ReportInvalid, json.JSONDecodeError, OSError) as exc:
+    except (ReportInvalid, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(_error_json("report", exc))
         return EXIT_INPUT
     print(text)

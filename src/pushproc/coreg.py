@@ -6,14 +6,12 @@ The chain mirrors the production flow for pushbroom band alignment:
    filter, so matching keys on structure rather than band radiometry.
    Edges are built only where a tile grid reads them.  A ``TileGrid``
    holds its tiles in blocks (tile windows widened by the blur radius and
-   merged along lines and columns), and ``grid_edges`` builds one
-   hysteresis map of bytes per block: smoothing, gradients and non-maximum
-   suppression read the block with a halo, so they equal a whole-plane
-   pass, while the thresholds and the hysteresis over connected edges are
-   the block's own.  A caller aligning several bands to one reference
-   builds the reference maps of all its grids in one call, which
-   suppresses each reference pixel once, and hands each grid's maps to
-   ``match_bands``, which blurs a block's map when it reaches the block.
+   merged along lines and columns), and ``match_bands`` builds one
+   hysteresis map of bytes per block and plane, the reference included:
+   smoothing, gradients and non-maximum suppression read the block with a
+   halo, so they equal a whole-plane pass, while the thresholds and the
+   hysteresis over connected edges are the block's own.  A map is blurred
+   as soon as it is built and lives only while its block is matched.
    The filters are NumPy kernels that repeat the arithmetic of
    ``scipy.ndimage``: the Gaussian and Sobel passes (``_taps``) add the
    taps in the order of its ``NI_Correlate1D`` and give its bits, and the
@@ -21,9 +19,9 @@ The chain mirrors the production flow for pushbroom band alignment:
    the same result.  The tests keep ``scipy.ndimage`` as their oracle.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.  ``match_bands`` walks the grid block by
-   block: it builds every target band's map of the block, prepares each
-   reference tile once (mean removed, energy, padded spectrum) and
-   correlates it with the same tile of every target.
+   block: it builds the reference's and every target band's map of the
+   block, prepares each reference tile once (mean removed, energy, padded
+   spectrum) and correlates it with the same tile of every target.
 3. Matches are gated around an attitude-derived shift prior, then cleaned
    by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
@@ -138,43 +136,31 @@ def _load(buf: np.ndarray, plane: np.ndarray, rows: slice, cols: slice, r: int) 
         buf[y - top] = buf[_reflect(y, h) - top]
 
 
-def _gaussian(plane: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``scipy.ndimage.gaussian_filter(plane, sigma)`` into float64, bit for bit.
+def _gaussian(plane: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(plane, sigma)`` into a new float64 array, bit for bit.
 
     Mode ``reflect``, truncate 4: down the columns first, then along the
     lines, as scipy does.  The plane is walked in blocks of ``block_lines``
-    lines, each read with the radius more on every side (``_load``).  A
-    block's result is written after the next block is read, and blocks are
-    at least the radius tall, so ``out`` may be a float64 ``plane`` itself.
-    Returns ``out``, a new array when it is None.
+    lines, each read with the radius more on every side (``_load``).
     """
     plane = np.asarray(plane)
     h, w = plane.shape
-    if out is None:
-        out = np.empty((h, w))
+    out = np.empty((h, w))
     weights = _gaussian_weights(sigma)
     r = len(weights) // 2
     stride = w + 2 * r
-    step = max(block_lines(stride), r)
+    step = block_lines(stride)
     tallest = min(step, h)
     loaded = np.empty((tallest + 2 * r) * stride)
     across, smooth = np.empty(tallest * stride), np.empty(tallest * stride)
-    done = None
-
-    def write(a: int, b: int) -> None:
-        out[a:b] = smooth[: (b - a) * stride].reshape(b - a, stride)[:, :w]
-
     for y0 in range(0, h, step):
         y1 = min(y0 + step, h)
         _load(loaded[: (y1 - y0 + 2 * r) * stride].reshape(-1, stride), plane,
               slice(y0, y1), slice(0, w), r)
-        if done is not None:
-            write(*done)
         n = (y1 - y0) * stride
         _taps(loaded, stride, weights, across[:n], smooth)
         _taps(across, 1, weights, smooth[: n - 2 * r], loaded)
-        done = (y0, y1)
-    write(*done)
+        out[y0:y1] = smooth[:n].reshape(y1 - y0, stride)[:, :w]
     return out
 
 
@@ -384,8 +370,8 @@ def _soften(edges: np.ndarray) -> np.ndarray:
 def edge_map(plane: np.ndarray) -> np.ndarray:
     """Default Canny edge map of a whole plane as float64, softened by a unit Gaussian.
 
-    It is the blur ``match_bands`` gives the map ``grid_edges`` builds for
-    a grid whose one block is the whole plane.
+    It is the map ``match_bands`` cuts tiles from on a grid whose one block
+    is the whole plane.
     """
     return _soften(canny_edges(plane))
 
@@ -456,98 +442,6 @@ class TileGrid:
                  for j in range(self.grid_ny) for i in range(self.grid_nx)]
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "tiles", tiles)
-
-
-class GridEdges(NamedTuple):
-    """Edge maps of one plane, one per block of ``grid``.
-
-    Each map is the block's uint8 hysteresis output, one byte a pixel;
-    ``_soften`` of it is the float64 map that tiles are cut from.
-    """
-
-    grid: TileGrid
-    maps: list[np.ndarray]
-
-
-def _disjoint_cover(blocks: list[tuple[slice, slice]]) -> list[tuple[slice, slice]]:
-    """Disjoint rectangles whose union is the union of ``blocks``.
-
-    The plane is cut along every block edge.  In each band of lines between
-    two cuts the covered cells merge into column runs, and consecutive
-    bands with the same runs merge into one rectangle per run.
-    """
-    ys = sorted({v for rows, _ in blocks for v in (rows.start, rows.stop)})
-    xs = sorted({v for _, cols in blocks for v in (cols.start, cols.stop)})
-    covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
-    for rows, cols in blocks:
-        covered[ys.index(rows.start) : ys.index(rows.stop),
-                xs.index(cols.start) : xs.index(cols.stop)] = True
-    rects = []
-    for runs, band in itertools.groupby(range(len(ys) - 1), key=lambda i: _runs(covered[i])):
-        band = list(band)
-        lines = slice(ys[band[0]], ys[band[-1] + 1])
-        rects += [(lines, slice(xs[a], xs[b])) for a, b in runs]
-    return rects
-
-
-def grid_edges(plane: np.ndarray, grids: list[TileGrid]) -> list[GridEdges]:
-    """Canny edge maps of a plane over the blocks of each grid, as hysteresis bytes.
-
-    The plane is suppressed once over the union of all grids' blocks, one
-    disjoint rectangle at a time.  Each block is assembled from the
-    rectangles it reads and gets its own thresholds and hysteresis.  The
-    maps thus depend only on the pixels near a grid's blocks, and a plane
-    equal to another there gets the same maps on that grid whether it was
-    built alone or together with other grids.
-
-    The blocks of all grids are visited in spatial order (first line, then
-    first column).  A rectangle is suppressed when the first block that
-    reads it is assembled and released after the last one, and a block
-    that lies in one rectangle reads it in place.  Only the rectangles
-    between their first and last reader are held as float64; each grid's
-    maps come back in its block order.
-    """
-    plane = np.asarray(plane)
-    blocks = [block for grid in grids for block in grid.blocks]
-    rects = _disjoint_cover(blocks)
-    pieces = {}
-
-    def overlap(a, b):
-        return tuple(slice(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(a, b))
-
-    def crop(i, window):
-        (prows, pcols), (rows, cols) = rects[i], window
-        return pieces[i][rows.start - prows.start : rows.stop - prows.start,
-                         cols.start - pcols.start : cols.stop - pcols.start]
-
-    def assemble(block, parts):
-        if len(parts) == 1:
-            return crop(parts[0], block)    # hysteresis only reads it
-        rows, cols = block
-        nms = np.empty((rows.stop - rows.start, cols.stop - cols.start))
-        for i in parts:
-            r, c = overlap(block, rects[i])
-            nms[r.start - rows.start : r.stop - rows.start,
-                c.start - cols.start : c.stop - cols.start] = crop(i, (r, c))
-        return nms
-
-    bounds = np.array([(r.start, r.stop, c.start, c.stop) for r, c in rects])
-    readers = [np.flatnonzero((bounds[:, 0] < rows.stop) & (bounds[:, 1] > rows.start)
-                              & (bounds[:, 2] < cols.stop) & (bounds[:, 3] > cols.start)).tolist()
-               for rows, cols in blocks]
-    left = collections.Counter(i for parts in readers for i in parts)
-    maps = [None] * len(blocks)
-    for b in sorted(range(len(blocks)), key=lambda b: (blocks[b][0].start, blocks[b][1].start)):
-        for i in readers[b]:
-            if i not in pieces:
-                pieces[i] = _suppress(plane, rects[i])
-        maps[b] = _hysteresis(assemble(blocks[b], readers[b]))
-        for i in readers[b]:
-            left[i] -= 1
-            if not left[i]:
-                del pieces[i]
-    maps = iter(maps)
-    return [GridEdges(grid, list(itertools.islice(maps, len(grid.blocks)))) for grid in grids]
 
 
 # --------------------------------------------------------------- matching
@@ -650,22 +544,23 @@ class MatchPoint:
     score: float
 
 
-def match_bands(ref_edges: GridEdges, tgt_planes: list[np.ndarray], min_score: float = 0.1,
-                workers: int = 1) -> list[list[MatchPoint]]:
-    """Match the tile grid of ``ref_edges`` against each target plane.
+def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarray],
+                min_score: float = 0.1, workers: int = 1) -> list[list[MatchPoint]]:
+    """Match the tiles of ``grid`` on the reference plane against each target plane.
 
-    The grid is walked block by block.  The reference map of the block is
-    softened, and each target plane gets its softened map of the block
-    (the map ``grid_edges`` builds for this grid alone: a grid's blocks
-    are their own disjoint cover).  Each reference tile is then prepared
-    once and correlated with the same tile of every target.  The tiles of
-    a block go over ``workers`` threads.  Tiles that are flat in
-    either plane, or score under ``min_score``, are dropped.  One list of
-    matches per target comes back, sorted by tile_id; it may be empty.
+    The grid is walked block by block.  The reference and every target get
+    their softened edge map of the block: the block's own thresholds and
+    hysteresis over suppression that equals a whole-plane pass, so a map
+    depends only on the pixels near its block.  Each reference tile is
+    then prepared once and correlated with the same tile of every target,
+    and the block's maps are dropped.  The tiles of a block go over
+    ``workers`` threads.  Tiles that are flat in either plane, or score
+    under ``min_score``, are dropped.  One list of matches per target comes
+    back, sorted by tile_id; it may be empty.
     """
-    grid = ref_edges.grid
+    ref_plane = np.asarray(ref_plane)
     planes = [np.asarray(plane) for plane in tgt_planes]
-    for plane in planes:
+    for plane in [ref_plane, *planes]:
         if plane.shape != grid.shape:
             raise OutOfBounds(f"plane shape {plane.shape} is not the grid's {grid.shape}")
     size, half = grid.tile_size, grid.tile_size // 2
@@ -693,8 +588,8 @@ def match_bands(ref_edges: GridEdges, tgt_planes: list[np.ndarray], min_score: f
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         run = pool.map if workers > 1 else map
         for k, block in enumerate(grid.blocks):
-            ref_map = _soften(ref_edges.maps[k])
-            maps = [_soften(_hysteresis(_suppress(plane, block))) for plane in planes]
+            ref_map, *maps = [_soften(_hysteresis(_suppress(plane, block)))
+                              for plane in [ref_plane, *planes]]
             tiles = [tile for tile in grid.tiles if tile[3] == k]
             for found in run(match_tile, tiles, itertools.repeat(ref_map), itertools.repeat(maps)):
                 for kept, match in zip(matches, found):
@@ -719,17 +614,14 @@ def collect_matches(
     min_score: float = 0.1,
     margin: int = 0,
     workers: int = 1,
-    ref_edges: GridEdges | None = None,
 ) -> list[MatchPoint]:
     """Match a tile grid between two band planes on their edge maps.
 
     The one-band call of ``match_bands``: both planes get edge maps over
     the blocks of the grid and each tile is a crop of its block's map.
-    ``ref_edges``, when given, are the reference maps on this grid from an
-    earlier ``grid_edges`` call.  Tiles whose score falls under
-    ``min_score`` (or that are structureless) are dropped; the survivors
-    come back sorted by tile_id, and ``NoMatches`` is raised when none is
-    left.
+    Tiles whose score falls under ``min_score`` (or that are
+    structureless) are dropped; the survivors come back sorted by tile_id,
+    and ``NoMatches`` is raised when none is left.
     """
     if tile_size < 32:
         raise OutOfBounds(f"tile_size {tile_size} < 32")
@@ -739,11 +631,7 @@ def collect_matches(
         raise OutOfBounds(f"plane shapes differ: {ref_plane.shape} vs {tgt_plane.shape}")
 
     grid = TileGrid(ref_plane.shape, tile_size, grid_nx, grid_ny, margin)
-    if ref_edges is None:
-        [ref_edges] = grid_edges(ref_plane, [grid])
-    elif ref_edges.grid != grid:
-        raise OutOfBounds(f"ref_edges were built for {ref_edges.grid}, not {grid}")
-    [matches] = match_bands(ref_edges, [tgt_plane], min_score, workers)
+    [matches] = match_bands(ref_plane, grid, [tgt_plane], min_score, workers)
     return require_matches(matches)
 
 
@@ -1130,20 +1018,18 @@ def coreg_residual(
     tile_size: int = 128,
     min_score: float = 0.1,
     margin: int = 16,
-    ref_edges: GridEdges | None = None,
 ) -> tuple[float, float]:
     """Residual misalignment of an aligned pair, as control-point statistics.
 
     Re-runs tiled matching on ``residual_grid`` and reports the mean and
     RMS of the residual shift magnitudes in pixels.  Control tiles stay
     ``margin`` pixels away from the borders, where the aligned band may
-    carry masked-out samples.  ``ref_edges`` (the reference maps on that
-    grid) is passed on to ``collect_matches``.
+    carry masked-out samples.
     """
     grid = residual_grid(np.shape(ref_plane), n_points, tile_size, margin)
     return residual_stats(collect_matches(
         ref_plane, aligned_plane, tile_size=grid.tile_size, grid_nx=grid.grid_nx,
-        grid_ny=grid.grid_ny, min_score=min_score, margin=margin, ref_edges=ref_edges,
+        grid_ny=grid.grid_ny, min_score=min_score, margin=margin,
     ))
 
 

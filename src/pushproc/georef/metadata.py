@@ -92,7 +92,7 @@ def load_metadata(path) -> AcqMetadata:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FieldParse(f"{path}: not valid JSON: {exc}") from exc
     return metadata_from_dict(doc)
 

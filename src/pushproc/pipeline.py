@@ -172,22 +172,18 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     """Align every band to the reference band, in place.
 
     The stage owns ``scene``: each band is warped in place, over its
-    source plane, which no later step reads.  The reference edge maps of
-    the match grid and of the residual grid are built once, in one
-    ``grid_edges`` call, as hysteresis bytes.  All target bands are matched
+    source plane, which no later step reads.  All target bands are matched
     on the match grid together, so each reference tile is prepared once
-    per grid; the match-grid maps are then released, each band is fitted
-    and resampled in band order, and the aligned bands are matched
-    together on the residual grid.
+    per grid; each band is then fitted and resampled in band order, and
+    the aligned bands are matched together on the residual grid.  No edge
+    map outlives the block ``match_bands`` builds it for.
     """
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
     targets = [band for band in BandId if band != ref_band]
     match_grid, residual_grid = _coreg_grids(ref_plane.shape, config)
-    ref_match, ref_residual = coreg_mod.grid_edges(ref_plane, [match_grid, residual_grid])
-    found = coreg_mod.match_bands(ref_match, [scene.band(band) for band in targets],
+    found = coreg_mod.match_bands(ref_plane, match_grid, [scene.band(band) for band in targets],
                                   min_score=config.min_score, workers=config.workers)
-    del ref_match, match_grid   # not kept through resampling
     metrics: dict = {"reference_band": BAND_NAMES[ref_band], "bands": {}}
     for band, matches in zip(targets, found):
         coreg_mod.require_matches(matches)
@@ -215,7 +211,8 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             "fit_rms_px": model.rms_fit,
             "masked_pixels": masked,
         }
-    residuals = coreg_mod.match_bands(ref_residual, [scene.band(band) for band in targets],
+    residuals = coreg_mod.match_bands(ref_plane, residual_grid,
+                                      [scene.band(band) for band in targets],
                                       min_score=config.min_score, workers=config.workers)
     for band, matches in zip(targets, residuals):
         mean_px, rms_px = coreg_mod.residual_stats(coreg_mod.require_matches(matches))

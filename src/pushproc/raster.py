@@ -255,7 +255,7 @@ def load_calibration(path) -> CalibrationTable:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise HeaderInvalid(f"{path}: not valid JSON: {exc}") from exc
     try:
         bands = doc["bands"]

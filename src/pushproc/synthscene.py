@@ -615,11 +615,7 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
     arrays that do not match the node lists, or a zero track direction.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
         grid_doc = doc["truth_grid"]
         grid = GeoGrid(
             lines=np.asarray(grid_doc["lines"], dtype=int),
@@ -629,6 +625,8 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
             alt=np.asarray(grid_doc["alt_m"], dtype=np.float64),
         )
         track_dir = tuple(float(v) for v in doc["track_dir_en"])
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise TruthInvalid(f"{path}: malformed truth sidecar: {exc}") from exc
     nodes = (grid.lines.size, grid.columns.size)

@@ -125,14 +125,11 @@ class TestKernelsEqualScipy:
         lines = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
         width = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
         plane = self.plane(data, dtype, lines, width)
-        in_place = dtype is np.float64 and data.draw(st.booleans())
         expected = ndimage.gaussian_filter(plane, sigma, output=np.float64)
-        # Blocks of a few lines put block edges inside the plane; in place,
-        # a block is written only after the next one has been read.
+        # Blocks of a few lines put block edges inside the plane.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(raster, "BLOCK_PIXELS", data.draw(st.sampled_from([1, 97, 1 << 16])))
-            got = coreg._gaussian(plane, sigma, out=plane if in_place else None)
-        assert (got is plane) == in_place
+            got = coreg._gaussian(plane, sigma)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -392,35 +389,15 @@ class TestCollectMatches:
             (m.tile_id, m.dx, m.dy, m.score) for m in m4
         ]
 
-    def test_shared_ref_edges_same_matches(self):
-        plane = smooth_texture(16, size=400)
-        target = np.roll(plane, (1, 3), axis=(0, 1))
-        grid = coreg.TileGrid(plane.shape, 64, 3, 3)
-        other = coreg.residual_grid(plane.shape, 10, 64)
-        fresh = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3)
-        ref_edges, _ = coreg.grid_edges(plane, [grid, other])
-        reused = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3,
-                                       ref_edges=ref_edges)
-        assert reused == fresh
-
-    def test_ref_edges_of_other_grid_rejected(self):
-        plane = smooth_texture(17, size=200)
-        [ref_edges] = coreg.grid_edges(plane, [coreg.TileGrid(plane.shape, 64, 3, 2)])
-        with pytest.raises(errors.OutOfBounds):
-            coreg.collect_matches(plane, plane, tile_size=64, grid_nx=2, grid_ny=2,
-                                  ref_edges=ref_edges)
-
 
 def per_band_matches(ref_plane, tgt_plane, grid, min_score):
     """One band's matches, tile by tile through ``fft_xcorr``, and why tiles dropped.
 
-    The per-band path ``match_bands`` replaced: both planes get their own
-    ``grid_edges`` maps, softened whole, and every tile pair is transformed
-    afresh.
+    The per-band path ``match_bands`` replaced: both planes get all their
+    softened block maps first, and every tile pair is transformed afresh.
     """
-    [ref], [tgt] = coreg.grid_edges(ref_plane, [grid]), coreg.grid_edges(tgt_plane, [grid])
-    ref_maps = [coreg._soften(m) for m in ref.maps]
-    tgt_maps = [coreg._soften(m) for m in tgt.maps]
+    ref_maps, tgt_maps = ([coreg._soften(coreg._hysteresis(coreg._suppress(plane, block)))
+                           for block in grid.blocks] for plane in (ref_plane, tgt_plane))
     half = grid.tile_size // 2
     matches, dropped = [], collections.Counter()
     for tile_id, cx, cy, k in grid.tiles:
@@ -469,8 +446,7 @@ class TestMatchBands:
         grid = coreg.TileGrid(*LAYOUTS[layout])
         assert len(grid.blocks) == (1 if layout == "dense" else len(grid.tiles))
         ref, targets = matching_planes(grid.shape[0], grid)
-        [ref_edges] = coreg.grid_edges(ref, [grid])
-        together = coreg.match_bands(ref_edges, targets, min_score=0.15, workers=workers)
+        together = coreg.match_bands(ref, grid, targets, min_score=0.15, workers=workers)
         assert len(together) == len(targets)
         dropped = collections.Counter()
         for tgt, got in zip(targets, together):
@@ -494,17 +470,60 @@ class TestMatchBands:
     def test_featureless_target_gives_empty_list(self):
         grid = coreg.TileGrid(*LAYOUTS["sparse"])
         ref, [shifted, *_] = matching_planes(600, grid)
-        [ref_edges] = coreg.grid_edges(ref, [grid])
-        kept, none = coreg.match_bands(ref_edges, [shifted, np.full(ref.shape, 40, np.uint16)])
+        kept, none = coreg.match_bands(ref, grid, [shifted, np.full(ref.shape, 40, np.uint16)])
         assert kept and none == []
         with pytest.raises(errors.NoMatches):
             coreg.require_matches(none)
 
     def test_plane_of_other_shape_rejected(self):
         grid = coreg.TileGrid(*LAYOUTS["sparse"])
-        [ref_edges] = coreg.grid_edges(np.zeros(grid.shape), [grid])
         with pytest.raises(errors.OutOfBounds):
-            coreg.match_bands(ref_edges, [np.zeros((600, 601))])
+            coreg.match_bands(np.zeros(grid.shape), grid, [np.zeros((600, 601))])
+        with pytest.raises(errors.OutOfBounds):
+            coreg.match_bands(np.zeros((600, 601)), grid, [np.zeros(grid.shape)])
+
+    @staticmethod
+    def softened(monkeypatch, ref_plane, grid, tgt_planes):
+        """The matches of ``match_bands`` and every (map, blur) pair it softened, in order."""
+        pairs, soften = [], coreg._soften
+
+        def spy(edges):
+            pairs.append((edges, soften(edges)))
+            return pairs[-1][1]
+
+        monkeypatch.setattr(coreg, "_soften", spy)
+        matches = coreg.match_bands(ref_plane, grid, tgt_planes)
+        monkeypatch.setattr(coreg, "_soften", soften)
+        return matches, pairs
+
+    def test_whole_plane_block_equals_edge_map(self, monkeypatch):
+        plane = (smooth_texture(24, 300) * 20).astype(np.uint16)
+        grid = coreg.TileGrid(plane.shape, 64, 8, 8)
+        assert len(grid.blocks) == 1
+        [matches], pairs = self.softened(monkeypatch, plane, grid, [plane])
+        assert len(matches) == 64 and all((m.dx, m.dy) == (0.0, 0.0) for m in matches)
+        # The reference's map, then the target's: both of the same plane.
+        assert len(pairs) == 2
+        for edges, blurred in pairs:
+            assert edges.dtype == np.uint8
+            np.testing.assert_array_equal(edges, coreg.canny_edges(plane))
+            np.testing.assert_array_equal(blurred, coreg.edge_map(plane))
+
+    def test_block_maps_depend_only_on_their_block(self, monkeypatch):
+        # Pixels farther than the halo from every block do not move any map.
+        plane = (smooth_texture(26, 700) * 20).astype(np.uint16)
+        grid = coreg.TileGrid(plane.shape, 64, 4, 4)
+        far = block_mask(plane.shape, [(slice(max(r.start - 8, 0), r.stop + 8),
+                                        slice(max(c.start - 8, 0), c.stop + 8))
+                                       for r, c in grid.blocks]) == 0
+        assert far.any()
+        changed = plane.copy()
+        changed[far] = 0
+        a, a_pairs = self.softened(monkeypatch, plane, grid, [changed])
+        b, b_pairs = self.softened(monkeypatch, changed, grid, [plane])
+        assert a == b and len(a_pairs) == len(b_pairs) == 2 * len(grid.blocks)
+        for (x, _), (y, _) in zip(a_pairs, b_pairs):
+            np.testing.assert_array_equal(x, y)
 
 
 def block_mask(shape, blocks):
@@ -562,82 +581,6 @@ class TestTileGrid:
         assert len(coreg.residual_grid(shape, 50).tiles) == 56
 
 
-class TestGridEdges:
-    def test_whole_plane_block_equals_edge_map(self):
-        plane = (smooth_texture(24, 300) * 20).astype(np.uint16)
-        [edges] = coreg.grid_edges(plane, [coreg.TileGrid(plane.shape, 64, 8, 8)])
-        assert len(edges.maps) == 1
-        assert edges.maps[0].dtype == np.uint8
-        np.testing.assert_array_equal(edges.maps[0], coreg.canny_edges(plane))
-        np.testing.assert_array_equal(coreg._soften(edges.maps[0]), coreg.edge_map(plane))
-
-    def test_shared_call_equals_separate_calls(self):
-        plane = (smooth_texture(25, 700) * 20).astype(np.uint16)
-        grids = [coreg.TileGrid(plane.shape, 64, 4, 4), coreg.residual_grid(plane.shape, 10, 96)]
-        together = coreg.grid_edges(plane, grids)
-        for grid, shared in zip(grids, together):
-            [alone] = coreg.grid_edges(plane, [grid])
-            assert shared.grid == alone.grid == grid
-            assert len(shared.maps) == len(grid.blocks)
-            for a, b in zip(shared.maps, alone.maps):
-                np.testing.assert_array_equal(a, b)
-
-    def test_block_maps_depend_only_on_their_block(self):
-        # Pixels farther than the halo from every block do not move any map.
-        plane = (smooth_texture(26, 700) * 20).astype(np.uint16)
-        grid = coreg.TileGrid(plane.shape, 64, 4, 4)
-        far = block_mask(plane.shape, [(slice(max(r.start - 8, 0), r.stop + 8),
-                                        slice(max(c.start - 8, 0), c.stop + 8))
-                                       for r, c in grid.blocks]) == 0
-        assert far.any()
-        changed = plane.copy()
-        changed[far] = 0
-        [a], [b] = coreg.grid_edges(plane, [grid]), coreg.grid_edges(changed, [grid])
-        for x, y in zip(a.maps, b.maps):
-            np.testing.assert_array_equal(x, y)
-
-    def test_sparse_call_holds_one_block_beyond_its_maps(self):
-        plane = (smooth_texture(27, 1024) * 20).astype(np.uint16)
-        grid = coreg.TileGrid(plane.shape, 64, 8, 8)
-        rows, cols = grid.blocks[0]
-        halo = int(4.0 * 1.4 + 0.5) + 2
-        block = (rows.stop - rows.start + 2 * halo) * (cols.stop - cols.start + 2 * halo) * 8
-        tracemalloc.start()
-        try:
-            [edges] = coreg.grid_edges(plane, [grid])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(edges.maps) == 64
-        # Beyond the byte maps, one block's suppression working arrays: 8.9
-        # float64 arrays of a block with its halo.  Holding every suppressed
-        # block and copying it into a fresh array measured 50 (one per block).
-        assert peak - sum(m.nbytes for m in edges.maps) <= 10 * block
-
-    def test_overlapping_grids_hold_a_few_rectangles_beyond_their_maps(self):
-        # Six by six 128-pixel tiles and a residual grid of four by four on a
-        # 1024-pixel plane: both sparse, and their blocks overlap.
-        plane = (smooth_texture(28, 1024) * 20).astype(np.uint16)
-        grids = [coreg.TileGrid(plane.shape, 128, 6, 6), coreg.residual_grid(plane.shape, 16)]
-        assert block_mask(plane.shape, grids[0].blocks + grids[1].blocks).max() == 2
-        halo = int(4.0 * 1.4 + 0.5) + 2
-        rect = 8 * max((r.stop - r.start + 2 * halo) * (c.stop - c.start + 2 * halo)
-                       for r, c in coreg._disjoint_cover(grids[0].blocks + grids[1].blocks))
-        tracemalloc.start()
-        try:
-            found = coreg.grid_edges(plane, grids)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(m.dtype == np.uint8 for edges in found for m in edges.maps)
-        # Beyond the byte maps, 8.8 float64 arrays of the largest disjoint
-        # rectangle with its halo: the rectangles between their first and
-        # last reader, and one suppression's working arrays.  Suppressing
-        # every rectangle before reducing any, into float64 maps, measured
-        # 23.0 beyond the maps' bytes.
-        assert peak - sum(m.nbytes for edges in found for m in edges.maps) <= 10 * rect
-
-
 def stage_scene(seed, size, identical_bands=False):
     from pushproc.raster import RawScene
     from pushproc.synthscene import SynthSpec, generate
@@ -673,87 +616,81 @@ class TestCoregStageEdges:
             assert metrics["residual_rms_px"] == 0.0
             assert metrics["masked_pixels"] == 0
 
-    def test_reference_suppressed_at_most_once(self, monkeypatch):
+    def test_each_plane_suppressed_once_per_grid(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
 
         scene = stage_scene(32, 1024)
-        ref = scene.planes[int(BandId.RED)]
-        count = np.zeros(ref.shape, dtype=int)
+        shape = scene.planes[0].shape
+        count = np.zeros(scene.planes.shape, dtype=int)
         original = coreg._suppress
 
         def spy(plane, window, *args, **kwargs):
-            if np.shares_memory(plane, ref):
-                count[window] += 1
+            [band] = [b for b in range(len(count)) if np.shares_memory(plane, scene.planes[b])]
+            count[band][window] += 1
             return original(plane, window, *args, **kwargs)
 
         monkeypatch.setattr(coreg, "_suppress", spy)
         _stage_coreg(scene, None, PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE),
                      QualityReport())
-        assert count.max() == 1
-        # Every tile window of both grids was suppressed, and nothing else.
-        grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
-        assert np.array_equal(count, block_mask(ref.shape, grids[0].blocks + grids[1].blocks) > 0)
-        assert count.mean() < 0.4
+        # Every plane, the reference included, is suppressed over each grid's
+        # blocks once per grid, and nowhere else.
+        grids = [coreg.TileGrid(shape, 64, 4, 4), coreg.residual_grid(shape, 10)]
+        expected = block_mask(shape, grids[0].blocks) + block_mask(shape, grids[1].blocks)
+        assert expected.max() == 2
+        for band_count in count:
+            np.testing.assert_array_equal(band_count, expected)
 
     def test_reference_tiles_prepared_once_per_grid(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
 
         scene = stage_scene(34, 512)
-        ref_maps, softened, prepared = [], [], collections.Counter()
-        grid_edges, soften, prepare_tile = coreg.grid_edges, coreg._soften, coreg._prepare_tile
+        ref = scene.planes[int(BandId.RED)]
+        on_ref, softened, prepared = [], [], collections.Counter()
+        suppress, soften, prepare_tile = coreg._suppress, coreg._soften, coreg._prepare_tile
 
-        def edges_spy(plane, grids):
-            found = grid_edges(plane, grids)
-            ref_maps.extend(m for edges in found for m in edges.maps)
-            return found
+        def suppress_spy(plane, window, *args, **kwargs):
+            on_ref.append(np.shares_memory(plane, ref))
+            return suppress(plane, window, *args, **kwargs)
 
-        # A reference tile is cut from the blur of one of the reference's
-        # hysteresis maps; a target tile from the blur of a map built in
-        # matching.
+        # Maps are built one at a time, so the n-th map blurred is that of
+        # the n-th suppression.  A reference tile is cut from the blur of a
+        # reference map.
         def soften_spy(edges):
-            blurred = soften(edges)
-            if any(edges is m for m in ref_maps):
-                softened.append(blurred)
-            return blurred
+            softened.append((on_ref[len(softened)], soften(edges)))
+            return softened[-1][1]
 
         def prepare_spy(tile):
-            on_ref = any(np.shares_memory(tile, m) for m in softened)
-            prepared["reference" if on_ref else "target"] += 1
+            is_ref = any(np.shares_memory(tile, m) for from_ref, m in softened if from_ref)
+            prepared["reference" if is_ref else "target"] += 1
             return prepare_tile(tile)
 
-        monkeypatch.setattr(coreg, "grid_edges", edges_spy)
+        monkeypatch.setattr(coreg, "_suppress", suppress_spy)
         monkeypatch.setattr(coreg, "_soften", soften_spy)
         monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
         _stage_coreg(scene, None, PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE),
                      QualityReport())
-        # grid_edges ran once, on the reference, and each of its maps was
-        # blurred once; no reference tile is flat here.
-        grids = [coreg.TileGrid(scene.planes[0].shape, 64, 4, 4),
-                 coreg.residual_grid(scene.planes[0].shape, 10)]
+        # Each plane was suppressed and blurred once per block of each grid;
+        # no reference tile is flat here.
+        grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
         tiles = sum(len(grid.tiles) for grid in grids)
-        assert len(softened) == len(ref_maps) == sum(len(grid.blocks) for grid in grids)
+        blocks = sum(len(grid.blocks) for grid in grids)
+        assert len(softened) == len(on_ref) == 4 * blocks and sum(on_ref) == blocks
         assert prepared == {"reference": tiles, "target": 3 * tiles}
 
     def test_match_grid_maps_released_before_resampling(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
 
         # Six by six 128-pixel tiles and a residual grid of four by four are
-        # both sparse on a 1024-pixel plane; the match grid's maps are the
-        # larger.
+        # both sparse on a 1024-pixel plane.
         scene = stage_scene(35, 1024)
         shape = scene.planes[0].shape
         match_grid = coreg.TileGrid(shape, 128, 6, 6)
-        residual_grid = coreg.residual_grid(shape, 16)
-        assert len(match_grid.blocks) == 36 and len(residual_grid.blocks) == 16
+        assert len(match_grid.blocks) == 36 and len(coreg.residual_grid(shape, 16).blocks) == 16
+        # One byte a pixel: the reference's hysteresis maps of the match grid.
+        map_bytes = sum((r.stop - r.start) * (c.stop - c.start) for r, c in match_grid.blocks)
 
-        map_bytes = {}      # of each grid's reference maps, which the spy does not keep
         held = []
-        grid_edges, resample = coreg.grid_edges, coreg.resample
-
-        def edges_spy(plane, grids):
-            found = grid_edges(plane, grids)
-            map_bytes.update((edges.grid, sum(m.nbytes for m in edges.maps)) for edges in found)
-            return found
+        resample = coreg.resample
 
         def spy(plane, model, **kwargs):
             if not held:
@@ -761,7 +698,6 @@ class TestCoregStageEdges:
                 held.append(tracemalloc.get_traced_memory()[0])
             return resample(plane, model, **kwargs)
 
-        monkeypatch.setattr(coreg, "grid_edges", edges_spy)
         monkeypatch.setattr(coreg, "resample", spy)
         config = PipelineConfig(raw_path="unused", out_dir="unused", tile_size=128, grid_nx=6,
                                 grid_ny=6, residual_points=16)
@@ -770,11 +706,11 @@ class TestCoregStageEdges:
             _stage_coreg(scene, None, config, QualityReport())
         finally:
             tracemalloc.stop()
-        # At the first resample the residual grid's reference maps are held,
-        # and beyond them 0.06 of the match grid's maps (mostly the matches).
-        # Matching band by band, which keeps the match grid's maps until the
-        # last band is resampled, measured 1.02.
-        assert held[0] - map_bytes[residual_grid] <= 0.1 * map_bytes[match_grid]
+        # At the first resample no edge map is held: 0.07 of the match grid's
+        # reference maps (mostly the matches).  Building the residual grid's
+        # reference maps ahead, in one call with the match grid's, measured
+        # 0.53.
+        assert held[0] <= 0.1 * map_bytes
 
     def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
         from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
@@ -792,9 +728,9 @@ class TestCoregStageEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 0.36 float64 planes here: the byte maps, one band's mask and the
-        # warp's blocks; the bound leaves 0.04 planes of margin.  Float64
-        # block maps and a second plane for each aligned band measured 0.83,
+        # 0.31 float64 planes here: one band's mask and the warp's blocks.
+        # Holding the reference's byte maps of both grids measured 0.35,
+        # float64 block maps and a second plane for each aligned band 0.83,
         # every suppressed block held with its copy 1.27, full-plane edge
         # maps 4.2.
         assert peak <= 0.4 * scene.width * scene.lines * 8

@@ -121,7 +121,7 @@ class TestRunPipeline:
         def spy(*args, **kwargs):
             raise AssertionError("co-registration started before the georef check")
 
-        monkeypatch.setattr(coreg, "grid_edges", spy)
+        monkeypatch.setattr(coreg, "_suppress", spy)
         monkeypatch.setattr(coreg, "match_bands", spy)
         cfg = base_config(synth_inputs, tmp_path / "nometa")
         cfg.meta_path = None
@@ -450,6 +450,32 @@ class TestCli:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert (err["error"]["stage"], err["error"]["type"]) == ("input", error)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, stage, error", [
+        ("--config", "config", "UnicodeDecodeError"),
+        ("--calib", "input", "HeaderInvalid"),
+        ("--meta", "input", "FieldParse"),
+        ("--truth", "input", "TruthInvalid"),
+        ("--spec", "spec", "UnicodeDecodeError"),
+        ("--in", "report", "UnicodeDecodeError"),
+    ])
+    def test_non_utf8_input_exit_2(self, synth_inputs, tmp_path, capsys, flag, stage, error):
+        path = tmp_path / "binary.json"
+        path.write_bytes(bytes.fromhex("fffe0067617262616765"))
+        if flag == "--spec":
+            argv = ["synth", flag, str(path), "--out", str(tmp_path / "s")]
+        elif flag == "--in":
+            argv = ["report", flag, str(path)]
+        else:
+            argv = ["preprocess", "--raw", str(synth_inputs / "scene.l3raw"), flag, str(path),
+                    "--out", str(tmp_path / "o")]
+        rc = self.run_cli(*argv)
+        assert rc == 2
+        out, err = capsys.readouterr()
+        found = json.loads(out.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == (stage, error)
+        assert "Traceback" not in out + err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "bad_spec.json"
