@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import PushprocError, ReportInvalid, StageFailure
+from .errors import PushprocError, ReportInvalid, SpecInvalid, StageFailure
 from .pipeline import PipelineConfig, report_timing, run_pipeline
 from .raster import save_calibration, save_raw
 from .synthscene import SynthSpec, generate, save_truth
@@ -35,6 +35,14 @@ def _error_json(stage: str, exc: Exception) -> str:
         {"error": {"stage": stage, "type": type(exc).__name__, "message": str(exc)}},
         sort_keys=True,
     )
+
+
+def _load_json(path, error: type[PushprocError]):
+    """The JSON document in ``path``; text that is not UTF-8 JSON raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,7 +97,7 @@ def _cmd_preprocess(args) -> int:
             config.workers = args.workers
         if args.quicklook:
             config.quicklook = True
-    except (PushprocError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (PushprocError, OSError) as exc:
         print(_error_json("config", exc))
         return EXIT_INPUT
 
@@ -105,9 +113,9 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        spec = SynthSpec.from_dict(json.loads(Path(args.spec).read_text()))
+        spec = SynthSpec.from_dict(_load_json(args.spec, SpecInvalid))
         spec.validate()
-    except (PushprocError, json.JSONDecodeError, UnicodeDecodeError, OSError, TypeError) as exc:
+    except (PushprocError, OSError, TypeError) as exc:
         print(_error_json("spec", exc))
         return EXIT_INPUT
     try:
@@ -129,8 +137,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        text = report_timing(json.loads(Path(args.report_in).read_text()))
-    except (ReportInvalid, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        text = report_timing(_load_json(args.report_in, ReportInvalid))
+    except (ReportInvalid, OSError) as exc:
         print(_error_json("report", exc))
         return EXIT_INPUT
     print(text)

@@ -701,6 +701,17 @@ def predict_shift_prior(
     return ShiftPrior(dx=0.0, dy=float(dy), gate_radius=gate_radius)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of finite values: the middle one, or the mean of the middle two.
+
+    Sorting directly skips ``np.median``'s NaN check, which imports
+    ``numpy.ma`` on first use.
+    """
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    return float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def remove_outliers(
     matches: list[MatchPoint],
     prior: ShiftPrior | None = None,
@@ -717,7 +728,7 @@ def remove_outliers(
     dx = np.array([m.dx for m in matches])
     dy = np.array([m.dy for m in matches])
     if prior is None:
-        prior = ShiftPrior(dx=float(np.median(dx)), dy=float(np.median(dy)))
+        prior = ShiftPrior(dx=_median(dx), dy=_median(dy))
 
     dist = np.hypot(dx - prior.dx, dy - prior.dy)
     gate_keep = dist <= prior.gate_radius
@@ -728,9 +739,9 @@ def remove_outliers(
 
     kept_dx = dx[gate_keep]
     kept_dy = dy[gate_keep]
-    med_dx, med_dy = np.median(kept_dx), np.median(kept_dy)
-    mad_dx = max(float(np.median(np.abs(kept_dx - med_dx))), mad_floor)
-    mad_dy = max(float(np.median(np.abs(kept_dy - med_dy))), mad_floor)
+    med_dx, med_dy = _median(kept_dx), _median(kept_dy)
+    mad_dx = max(_median(np.abs(kept_dx - med_dx)), mad_floor)
+    mad_dy = max(_median(np.abs(kept_dy - med_dy)), mad_floor)
     final_keep = gate_keep & (np.abs(dx - med_dx) <= mad_scale * mad_dx) \
         & (np.abs(dy - med_dy) <= mad_scale * mad_dy)
     if not final_keep.any():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import IoFailure, NoIntersection, OutOfBounds
+from ..errors import HeaderInvalid, IoFailure, NoIntersection, OutOfBounds
 from ..raster import BandId, RawScene
 from .attitude import slerp_attitude
 from .camera import ImagerModel, pixel_los
@@ -218,12 +218,17 @@ def load_geogrid(json_path) -> GeoGrid:
         doc = json.loads(Path(json_path).read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read {json_path}: {exc}") from exc
-    return GeoGrid(
-        lines=np.asarray(doc["lines"], dtype=int),
-        columns=np.asarray(doc["columns"], dtype=int),
-        lat=np.asarray(doc["lat"]),
-        lon=np.asarray(doc["lon"]),
-        alt=np.asarray(doc["alt_m"]),
-        corners={k: tuple(v) for k, v in doc["corners"].items()},
-        mean_gsd_m=float(doc["mean_gsd_m"]),
-    )
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise HeaderInvalid(f"{json_path}: not valid JSON: {exc}") from exc
+    try:
+        return GeoGrid(
+            lines=np.asarray(doc["lines"], dtype=int),
+            columns=np.asarray(doc["columns"], dtype=int),
+            lat=np.asarray(doc["lat"]),
+            lon=np.asarray(doc["lon"]),
+            alt=np.asarray(doc["alt_m"]),
+            corners={k: tuple(v) for k, v in doc["corners"].items()},
+            mean_gsd_m=float(doc["mean_gsd_m"]),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise HeaderInvalid(f"{json_path}: malformed grid document: {exc}") from exc

@@ -89,7 +89,10 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
     @classmethod
@@ -126,7 +129,9 @@ class QualityReport:
 
 
 def _metric_rows(scene: RawScene, count: int = 16) -> np.ndarray:
-    return np.unique(np.linspace(0, scene.lines - 1, count).astype(int))
+    """``count`` evenly spaced line indices, repeats dropped (``np.unique`` of the sorted rows)."""
+    rows = np.linspace(0, scene.lines - 1, count).astype(int)
+    return rows[np.diff(rows, prepend=-1) > 0]
 
 
 def _center_region(scene: RawScene):
@@ -331,7 +336,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
 
 
 def _percentiles(plane: np.ndarray) -> list[float]:
-    """``np.percentile(plane, [2, 98])`` (method ``linear``) of a uint16 plane, from its histogram.
+    """``np.percentile(plane, [2, 98])`` (method ``linear``) of an integer plane, from its histogram.
 
     The histogram is counted ``block_lines`` lines at a time, so no copy of
     the plane is sorted.  Each order statistic is the first value whose

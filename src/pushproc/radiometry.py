@@ -10,11 +10,12 @@ walks each band in blocks of ``block_lines(width)`` lines.  Called without
 ``out`` it is pure: it returns a new scene and leaves its input untouched.
 Given ``out=scene.planes`` it corrects the scene's own planes in place,
 each block read before it is written; the pipeline, which owns the scene
-it loaded, takes that path, so no second cube is built.  Integer output
-uses round-half-up and clamps to the DN range; a float-valued path is
-exposed so metric code and property tests are not polluted by
-quantization.  The metrics convert only the lines or the region they read
-to float64, never the whole plane.
+it loaded, takes that path, so no second cube is built, and an 8-bit
+scene stays uint8.  Integer output uses round-half-up and clamps to the
+DN range; a float-valued path is exposed so metric code and property
+tests are not polluted by quantization.  The metrics convert only the
+lines they read, or one block of their region at a time, to float64,
+never the whole plane.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     ZeroCenterMean,
     ZeroMean,
 )
-from .raster import BAND_COUNT, CalibrationTable, RawScene, block_lines
+from .raster import BAND_COUNT, BLOCK_PIXELS, CalibrationTable, RawScene, block_lines
 
 
 def round_half_up(x: np.ndarray) -> np.ndarray:
@@ -60,17 +61,20 @@ def correct_vignetting(scene: RawScene, calib: CalibrationTable,
 
     Each band is corrected ``block_lines(width)`` lines at a time, so the
     float64 intermediates never exceed one block.  The result is written
-    into ``out``, a uint16 array of the planes' shape, or into a new one
-    when ``out`` is None, which leaves ``scene`` untouched.  ``out`` may be
-    ``scene.planes`` itself: each block is read before it is written, so a
-    caller that owns the scene corrects it in place without a second cube.
+    into ``out``, an unsigned integer array of the planes' shape whose type
+    holds ``scene.max_dn``, or into a new uint16 one when ``out`` is None,
+    which leaves ``scene`` untouched.  ``out`` may be ``scene.planes``
+    itself, uint8 planes of an 8-bit scene included: each block is read
+    before it is written, so a caller that owns the scene corrects it in
+    place without a second cube.
     """
     calib.validate(scene.width)
     if out is None:
         out = np.empty(scene.planes.shape, dtype=np.uint16)
-    elif out.shape != scene.planes.shape or out.dtype != np.uint16:
-        raise ValueError(f"out must be uint16 of shape {scene.planes.shape}, "
-                         f"got {out.dtype} {out.shape}")
+    elif out.shape != scene.planes.shape or out.dtype.kind != "u" \
+            or np.iinfo(out.dtype).max < scene.max_dn:
+        raise ValueError(f"out must be unsigned, holding DN {scene.max_dn}, of shape "
+                         f"{scene.planes.shape}; got {out.dtype} {out.shape}")
     step = block_lines(scene.width)
     for band in range(BAND_COUNT):
         for y0 in range(0, scene.lines, step):
@@ -170,14 +174,53 @@ def fit_profile_poly2(plane: np.ndarray, rows) -> LineProfile:
     return LineProfile(values=rel, poly2=tuple(float(c) for c in coeffs), rms_residual=rms)
 
 
+def _copy_flat(rows: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+    """Write samples ``start:stop`` of ``rows``, in line order, into ``out``."""
+    w = rows.shape[1]
+    r0, c0 = divmod(start, w)
+    r1, c1 = divmod(stop, w)
+    if r0 == r1:
+        out[:] = rows[r0, c0:c1]
+        return
+    head, body = w - c0, (r1 - r0 - 1) * w
+    out[:head] = rows[r0, c0:]
+    out[head : head + body].reshape(-1, w)[...] = rows[r0 + 1 : r1]
+    if c1:
+        out[head + body :] = rows[r1, :c1]
+
+
+def _squared_deviation_sum(rows: np.ndarray, mean: float, start: int, stop: int,
+                           block: np.ndarray) -> float:
+    """Sum of (x - mean)^2 over samples ``start:stop`` of ``rows``, as NumPy adds them.
+
+    NumPy sums a contiguous float64 array pairwise: it splits n at n // 2,
+    rounded down to a multiple of 8, until a range is short enough to add
+    directly.  This follows the same splits down to ranges that fit in
+    ``block``, whose sums ``np.add.reduce`` then takes itself, so the total
+    has the bits of summing all the deviations at once.
+    """
+    n = stop - start
+    if n > block.size:
+        half = n // 2 - n // 2 % 8
+        return (_squared_deviation_sum(rows, mean, start, start + half, block)
+                + _squared_deviation_sum(rows, mean, start + half, stop, block))
+    dev = block[:n]
+    _copy_flat(rows, start, stop, dev)
+    dev -= mean
+    np.square(dev, out=dev)
+    return np.add.reduce(dev)
+
+
 def uniformity_std(plane: np.ndarray, region=None) -> float:
     """Relative spread of a (nominally uniform) region: 100 * std / mean.
 
-    The mean is taken on the region as it is.  Only the deviations from it
-    are held as float64, squared in place, so one region-sized array is
-    alive.  The result equals ``ndarray.std`` over ``mean`` of the float64
-    region: the squared deviations are summed in the order ``std`` sums
-    them, and an integer region's sum is exact in any order.
+    The mean is taken on the region as it is.  The deviations from it are
+    converted to float64 and squared ``BLOCK_PIXELS`` samples at a time,
+    so one block of float64 is alive, whatever the region's size.  The
+    result equals ``ndarray.std`` over ``mean`` of the float64 region: the
+    blocks' sums are added along the tree NumPy sums a whole array by
+    (``_squared_deviation_sum``), and an integer region's mean is exact in
+    any order.
     """
     plane = np.asarray(plane)
     if region is None:
@@ -188,10 +231,10 @@ def uniformity_std(plane: np.ndarray, region=None) -> float:
     mean = float(sub.mean(dtype=np.float64))
     if mean == 0.0:
         raise ZeroMean("region mean is zero")
-    dev = sub.astype(np.float64)
-    dev -= mean
-    np.square(dev, out=dev)
-    return 100.0 * math.sqrt(float(dev.mean())) / mean
+    rows = sub.reshape(-1, sub.shape[-1]) if sub.ndim else sub.reshape(1, 1)
+    block = np.empty(min(sub.size, BLOCK_PIXELS), dtype=np.float64)
+    total = _squared_deviation_sum(rows, mean, 0, sub.size, block)
+    return 100.0 * math.sqrt(float(total / sub.size)) / mean
 
 
 def calibration_from_flat_field(scene: RawScene, dark_level: float | np.ndarray = 0.0,

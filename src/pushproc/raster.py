@@ -1,12 +1,14 @@
 """Scene container, band access, and L3RAW file I/O.
 
 A :class:`RawScene` holds the four band planes of a pushbroom acquisition
-plus per-line timestamps.  Planes are stored planar (band major) as uint16
-regardless of the nominal bit depth, so intermediate products of the
-calibration math can exceed the 8-bit range without silent wraparound; the
-nominal depth is enforced at serialization time.  Code that walks a plane
-in blocks of lines takes ``block_lines(width)`` lines at a time, so each
-block holds about ``BLOCK_PIXELS`` pixels whatever the plane's width.
+plus per-line timestamps.  Planes are stored planar (band major) as uint8
+or uint16, as given: a loaded scene keeps its file's sample type, so an
+8-bit scene costs one byte a sample.  Planes of any other type are
+converted to uint16.  A uint16 plane is never narrowed to the nominal bit
+depth; ``validate`` refuses a DN beyond it, and so does serialization.
+Code that walks a plane in blocks of lines takes ``block_lines(width)``
+lines at a time, so each block holds about ``BLOCK_PIXELS`` pixels
+whatever the plane's width.
 
 L3RAW container layout (little-endian throughout)::
 
@@ -85,7 +87,9 @@ class RawScene:
     bit_depth: int = 8
 
     def __post_init__(self):
-        self.planes = np.asarray(self.planes, dtype=np.uint16)
+        self.planes = np.asarray(self.planes)
+        if self.planes.dtype not in (np.uint8, np.uint16):
+            self.planes = self.planes.astype(np.uint16)
         self.line_times = np.asarray(self.line_times, dtype=np.float64)
 
     @property
@@ -154,8 +158,8 @@ def _read_into(fh, array: np.ndarray, path) -> None:
 def load_raw(path) -> RawScene:
     """Read an L3RAW container back into a RawScene.
 
-    The samples are read straight into the scene's own writable uint16
-    planes; an 8-bit file goes through one band of bytes at a time.
+    The samples are read with one ``readinto`` straight into the scene's
+    own writable planes, of the file's sample type: uint8 or uint16.
     """
     try:
         with open(path, "rb") as fh:
@@ -180,15 +184,9 @@ def load_raw(path) -> RawScene:
                 raise Truncated(f"{path}: {size} bytes, header promises {expected}")
 
             times = np.empty(lines, dtype="<f8")
-            planes = np.empty((BAND_COUNT, lines, width), dtype="<u2")
+            planes = np.empty((BAND_COUNT, lines, width), dtype=f"<u{bit_depth // 8}")
             _read_into(fh, times, path)
-            if bit_depth == 16:
-                _read_into(fh, planes, path)
-            else:
-                band = np.empty((lines, width), dtype="<u1")
-                for plane in planes:
-                    _read_into(fh, band, path)
-                    plane[...] = band
+            _read_into(fh, planes, path)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     scene = RawScene(planes, times, bit_depth)

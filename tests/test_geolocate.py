@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -281,3 +282,16 @@ class TestWorldFile:
         np.testing.assert_allclose(loaded.lat, grid.lat)
         np.testing.assert_allclose(loaded.lon, grid.lon)
         assert loaded.mean_gsd_m == pytest.approx(grid.mean_gsd_m)
+
+    def test_load_geogrid_malformed_is_header_invalid(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_bytes(bytes.fromhex("fffe0067617262616765"))
+        with pytest.raises(errors.HeaderInvalid):
+            load_geogrid(path)
+        path.write_text('{"lines": [0],')
+        with pytest.raises(errors.HeaderInvalid):
+            load_geogrid(path)
+        path.write_text(json.dumps({"lines": [0], "columns": [0], "lon": [[0.0]],
+                                    "alt_m": [[0.0]], "corners": {}, "mean_gsd_m": 1.0}))
+        with pytest.raises(errors.HeaderInvalid, match="lat"):
+            load_geogrid(path)

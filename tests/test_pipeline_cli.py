@@ -64,6 +64,27 @@ class TestRunPipeline:
         stage_sum = sum(v for k, v in report.timing.items() if k != "total")
         assert report.timing["total"] >= 0.99 * stage_sum
 
+    def test_uint8_planes_give_the_products_of_uint16_planes(self, synth_inputs, tmp_path,
+                                                             monkeypatch):
+        from pushproc import pipeline
+
+        assert load_raw(synth_inputs / "scene.l3raw").planes.dtype == np.uint8
+        run_pipeline(base_config(synth_inputs, tmp_path / "narrow", quicklook=True))
+
+        def load_wide(path):
+            scene = load_raw(path)
+            return RawScene(scene.planes.astype(np.uint16), scene.line_times, scene.bit_depth)
+
+        monkeypatch.setattr(pipeline, "load_raw", load_wide)
+        run_pipeline(base_config(synth_inputs, tmp_path / "wide", quicklook=True))
+        narrow, wide = tmp_path / "narrow", tmp_path / "wide"
+        for name in ("corrected.l3raw", "grid.json", "quicklook.ppm"):
+            assert (narrow / name).read_bytes() == (wide / name).read_bytes()
+        reports = [json.loads((run / "report.json").read_text()) for run in (narrow, wide)]
+        for report in reports:
+            del report["timing"], report["outputs"]
+        assert reports[0] == reports[1]
+
     def test_vignetting_only_identity_calib(self, tmp_path):
         scene, truth = generate(SynthSpec(seed=22, width=128, lines=128,
                                           texture="checkerboard", vignette_falloff=0.0))
@@ -452,12 +473,12 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, stage, error", [
-        ("--config", "config", "UnicodeDecodeError"),
+        ("--config", "config", "ConfigInvalid"),
         ("--calib", "input", "HeaderInvalid"),
         ("--meta", "input", "FieldParse"),
         ("--truth", "input", "TruthInvalid"),
-        ("--spec", "spec", "UnicodeDecodeError"),
-        ("--in", "report", "UnicodeDecodeError"),
+        ("--spec", "spec", "SpecInvalid"),
+        ("--in", "report", "ReportInvalid"),
     ])
     def test_non_utf8_input_exit_2(self, synth_inputs, tmp_path, capsys, flag, stage, error):
         path = tmp_path / "binary.json"
@@ -487,7 +508,8 @@ class TestCli:
 class TestImportFootprint:
     def test_pipeline_never_imports_scipy(self, tmp_path):
         # A fresh interpreter: the CLI and a whole run with a truth sidecar
-        # load no scipy; only the fractal-noise texture of the generator does.
+        # load no scipy and no numpy.ma; only the fractal-noise texture of
+        # the generator loads scipy.
         code = """
 import sys
 from pathlib import Path
@@ -512,7 +534,7 @@ report = run_pipeline(PipelineConfig(
     out_dir=str(out / "run"), grid_step=64, residual_points=16, quicklook=True))
 assert set(report.stages) == {"vignetting", "coreg", "georef"}
 assert "error_stats" in report.stages["georef"]
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "numpy.ma" in sys.modules)
 fractal, _ = generate(SynthSpec(seed=27, width=64, lines=64, texture="fractal-noise"))
 assert fractal.planes.std() > 0
 print("scipy" in sys.modules)
@@ -522,4 +544,4 @@ print("scipy" in sys.modules)
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                               text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.split() == ["False", "False", "True"]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushproc import errors, radiometry
-from pushproc.raster import CalibrationTable, RawScene, block_lines
+from pushproc.raster import BLOCK_PIXELS, CalibrationTable, RawScene, block_lines
 
 from conftest import make_scene
 
@@ -149,9 +150,32 @@ class TestCorrectInPlace:
     def test_out_must_match_planes(self, small_scene):
         calib = identity_calib(small_scene.width)
         for out in (np.empty(small_scene.planes.shape, dtype=np.float64),
+                    np.empty(small_scene.planes.shape, dtype=np.int16),
                     np.empty(small_scene.planes[:, 1:].shape, dtype=np.uint16)):
             with pytest.raises(ValueError):
                 radiometry.correct_vignetting(small_scene, calib, out=out)
+
+    def test_out_must_hold_the_dn_range(self, rng):
+        scene = RawScene(rng.integers(0, 1 << 16, (4, 3, 5)).astype(np.uint16),
+                         np.arange(3, dtype=float), 16)
+        with pytest.raises(ValueError):
+            radiometry.correct_vignetting(scene, identity_calib(5),
+                                          out=np.empty(scene.planes.shape, dtype=np.uint8))
+
+    def test_uint8_planes_corrected_in_place(self, rng):
+        lines, width = block_lines(40) + 11, 40
+        planes = rng.integers(0, 256, (4, lines, width)).astype(np.uint8)
+        wide = RawScene(planes.astype(np.uint16), np.arange(lines, dtype=float), 8)
+        scene = RawScene(planes, np.arange(lines, dtype=float), 8)
+        calib = CalibrationTable(response=0.5 + rng.uniform(0, 3, (4, width)),
+                                 dark=rng.uniform(0, 30, (4, width)))
+        pure = radiometry.correct_vignetting(scene, calib)
+        assert pure.planes.dtype == np.uint16
+        in_place = radiometry.correct_vignetting(scene, calib, out=scene.planes)
+        assert in_place.planes is scene.planes and scene.planes.dtype == np.uint8
+        np.testing.assert_array_equal(in_place.planes, pure.planes)
+        np.testing.assert_array_equal(pure.planes,
+                                      radiometry.correct_vignetting(wide, calib).planes)
 
     def test_stage_peak_under_half_the_cube(self, rng):
         from pushproc.pipeline import QualityReport, _stage_vignetting
@@ -167,8 +191,9 @@ class TestCorrectInPlace:
         finally:
             tracemalloc.stop()
         assert corrected.planes is scene.planes
-        # Beyond the loaded scene, 0.25 of the uint16 cube: the float64 centre
-        # region of the metrics.  A corrected copy of the cube measured 1.50.
+        # Beyond the loaded scene, 0.19 of the uint16 cube: the correction's
+        # float64 blocks.  The metrics' float64 centre region measured 0.25,
+        # a corrected copy of the cube 1.50.
         assert peak < scene.planes.nbytes / 2
 
 
@@ -264,6 +289,18 @@ class TestUniformityStd:
             radiometry.uniformity_std(np.zeros((2, 2)))
 
 
+def _assert_uniformity_exact(plane, region):
+    """Block sums and result have the bits of squaring all of the region's float64 deviations."""
+    sub = plane[region]
+    mean = float(sub.mean(dtype=np.float64))
+    squares = (sub.astype(np.float64) - mean) ** 2
+    block = np.empty(BLOCK_PIXELS)
+    assert radiometry._squared_deviation_sum(sub, mean, 0, sub.size, block) \
+        == np.add.reduce(squares, axis=None)
+    assert radiometry.uniformity_std(plane, region) \
+        == 100.0 * math.sqrt(float(np.mean(squares))) / mean
+
+
 class TestMetricsConvertWhatTheyRead:
     """The metrics convert only the rows or region they read to float64."""
 
@@ -293,10 +330,46 @@ class TestMetricsConvertWhatTheyRead:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The deviations of the region, squared in place, are a quarter of a
-        # float64 plane (0.25 measured).  The region and its deviations
-        # measured 0.50, converting the whole plane first 1.26.
+        # One float64 block of the region's deviations is alive (0.06 of a
+        # float64 plane).  The whole region's deviations measured 0.25, the
+        # region and its deviations 0.50, converting the whole plane 1.26.
         assert peak < 0.3 * n * n * 8
+
+    def test_uniformity_memory_one_float64_block(self, rng):
+        n = 2000
+        plane = rng.integers(0, 256, (n, n)).astype(np.uint8)
+        region = (slice(n // 4, n - n // 4), slice(n // 4, n - n // 4))
+        tracemalloc.start()
+        try:
+            radiometry.uniformity_std(plane, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 1000^2 region's deviations as float64 would be 8 MB.
+        assert peak <= BLOCK_PIXELS * 8 + 128 * 1024
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (256, 256), (1, BLOCK_PIXELS + 1),
+                                       (37, 7085), (1000, 1000)])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_block_sums_equal_whole_region_sum(self, rng, shape, dtype):
+        for _ in range(4):
+            plane = rng.integers(1, np.iinfo(dtype).max, shape).astype(dtype)
+            _assert_uniformity_exact(plane, (slice(None), slice(None)))
+        h, w = shape
+        _assert_uniformity_exact(plane, (slice(h // 4, h - h // 4), slice(w // 4, w - w // 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_block_sums_equal_whole_region_sum_property(self, data):
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16]))
+        lines = data.draw(st.integers(1, 700))
+        width = data.draw(st.integers(1, 1500))
+        plane = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+            1, np.iinfo(dtype).max, (lines, width)).astype(dtype)
+        y0, x0 = data.draw(st.integers(0, lines - 1)), data.draw(st.integers(0, width - 1))
+        region = (slice(y0, None, data.draw(st.integers(1, 3))),
+                  slice(x0, None, data.draw(st.integers(1, 3))))
+        _assert_uniformity_exact(plane, region)
 
     def test_float64_plane_read_not_written(self, rng):
         plane = rng.normal(100.0, 30.0, (301, 517))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pushproc import errors
 from pushproc.raster import (
+    BAND_COUNT,
     CalibrationTable,
     RawScene,
     load_calibration,
@@ -58,7 +59,21 @@ class TestL3RawRoundtrip:
         save_raw(make_scene(seed=3, width=31, lines=7, bit_depth=bit_depth), path)
         planes = load_raw(path).planes
         assert planes.flags.writeable and planes.flags.owndata
-        assert planes.dtype == np.uint16
+        assert planes.dtype == (np.uint8 if bit_depth == 8 else np.uint16)
+
+    def test_8bit_load_holds_only_its_uint8_planes(self, tmp_path):
+        n = 512
+        path = tmp_path / "scene.l3raw"
+        save_raw(make_scene(seed=5, width=n, lines=n, bit_depth=8), path)
+        tracemalloc.start()
+        try:
+            loaded = load_raw(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.planes.dtype == np.uint8
+        # One byte a sample; widening to uint16 would double the planes.
+        assert peak <= BAND_COUNT * n * n + 64 * 1024
 
     @pytest.mark.parametrize("bit_depth", [8, 16])
     def test_io_memory_one_band_beyond_the_planes(self, tmp_path, bit_depth):
@@ -122,6 +137,20 @@ class TestL3RawErrors:
         with pytest.raises(errors.HeaderInvalid):
             save_raw(scene, path)
         assert not path.exists()
+
+    def test_wide_planes_never_narrowed_to_the_bit_depth(self):
+        planes = np.zeros((4, 2, 2), dtype=np.uint16)
+        planes[1, 1, 0] = 300
+        scene = RawScene(planes, np.array([0.0, 1.0]), 8)
+        assert scene.planes.dtype == np.uint16 and scene.planes[1, 1, 0] == 300
+        with pytest.raises(errors.HeaderInvalid):
+            scene.validate()
+
+    @pytest.mark.parametrize("dtype, kept", [(np.uint8, np.uint8), (np.uint16, np.uint16),
+                                             (np.int64, np.uint16), (np.float64, np.uint16)])
+    def test_planes_kept_uint8_or_uint16(self, dtype, kept):
+        scene = RawScene(np.ones((4, 2, 3), dtype=dtype), np.array([0.0, 1.0]), 8)
+        assert scene.planes.dtype == kept
 
     def test_non_monotonic_times_refused(self, tmp_path):
         scene = make_scene(width=4, lines=3)
