@@ -4,7 +4,7 @@ Subcommands::
 
     pushproc preprocess --raw F --calib F --meta F --out DIR
                         [--skip-vignetting] [--skip-coreg] [--skip-georef]
-                        [--config F] [--workers N] [--quicklook]
+                        [--config F] [--quicklook]
     pushproc synth --spec F --out DIR
     pushproc report --in F
 
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import PushprocError, ReportInvalid, SpecInvalid, StageFailure
 from .pipeline import PipelineConfig, report_timing, run_pipeline
-from .raster import save_calibration, save_raw
+from .raster import read_json, save_calibration, save_raw
 from .synthscene import SynthSpec, generate, save_truth
 from .georef.metadata import save_metadata
 
@@ -35,14 +35,6 @@ def _error_json(stage: str, exc: Exception) -> str:
         {"error": {"stage": stage, "type": type(exc).__name__, "message": str(exc)}},
         sort_keys=True,
     )
-
-
-def _load_json(path, error: type[PushprocError]):
-    """The JSON document in ``path``; text that is not UTF-8 JSON raises ``error``."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--skip-coreg", action="store_true")
     pre.add_argument("--skip-georef", action="store_true")
     pre.add_argument("--config", help="config JSON; CLI flags override file values")
-    pre.add_argument("--workers", type=int)
     pre.add_argument("--quicklook", action="store_true")
 
     synth = sub.add_parser("synth", help="generate a synthetic scene with ground truth")
@@ -93,11 +84,9 @@ def _cmd_preprocess(args) -> int:
             config.coreg = False
         if args.skip_georef:
             config.georef = False
-        if args.workers is not None:
-            config.workers = args.workers
         if args.quicklook:
             config.quicklook = True
-    except (PushprocError, OSError) as exc:
+    except PushprocError as exc:
         print(_error_json("config", exc))
         return EXIT_INPUT
 
@@ -113,9 +102,9 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        spec = SynthSpec.from_dict(_load_json(args.spec, SpecInvalid))
+        spec = SynthSpec.from_dict(read_json(args.spec, SpecInvalid))
         spec.validate()
-    except (PushprocError, OSError, TypeError) as exc:
+    except (PushprocError, TypeError) as exc:
         print(_error_json("spec", exc))
         return EXIT_INPUT
     try:
@@ -137,8 +126,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        text = report_timing(_load_json(args.report_in, ReportInvalid))
-    except (ReportInvalid, OSError) as exc:
+        text = report_timing(read_json(args.report_in, ReportInvalid))
+    except PushprocError as exc:
         print(_error_json("report", exc))
         return EXIT_INPUT
     print(text)

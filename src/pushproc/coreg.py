@@ -34,9 +34,6 @@ The chain mirrors the production flow for pushbroom band alignment:
    only until no later block reads the lines it overwrites.
 
 All operations are pure, except ``resample`` into an ``out`` it is given.
-The tiles of a block may be spread across threads, one tile with all its
-target bands per task, and the matches are reduced in tile_id order, so
-results are independent of worker count.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ import functools
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -545,7 +541,7 @@ class MatchPoint:
 
 
 def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarray],
-                min_score: float = 0.1, workers: int = 1) -> list[list[MatchPoint]]:
+                min_score: float = 0.1) -> list[list[MatchPoint]]:
     """Match the tiles of ``grid`` on the reference plane against each target plane.
 
     The grid is walked block by block.  The reference and every target get
@@ -553,10 +549,10 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
     hysteresis over suppression that equals a whole-plane pass, so a map
     depends only on the pixels near its block.  Each reference tile is
     then prepared once and correlated with the same tile of every target,
-    and the block's maps are dropped.  The tiles of a block go over
-    ``workers`` threads.  Tiles that are flat in either plane, or score
-    under ``min_score``, are dropped.  One list of matches per target comes
-    back, sorted by tile_id; it may be empty.
+    and the block's maps are dropped.  Tiles that are flat in either plane,
+    or score under ``min_score``, are dropped.  One list of matches per
+    target comes back, sorted by tile_id (merged blocks can visit tiles out
+    of id order); it may be empty.
     """
     ref_plane = np.asarray(ref_plane)
     planes = [np.asarray(plane) for plane in tgt_planes]
@@ -564,37 +560,26 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
         if plane.shape != grid.shape:
             raise OutOfBounds(f"plane shape {plane.shape} is not the grid's {grid.shape}")
     size, half = grid.tile_size, grid.tile_size // 2
-
-    def match_tile(tile, ref_map, maps):
-        tile_id, cx, cy, k = tile
-        rows, cols = grid.blocks[k]
-        y0, x0 = cy - half - rows.start, cx - half - cols.start
-        window = (slice(y0, y0 + size), slice(x0, x0 + size))
-        ref = _prepare_tile(ref_map[window])
-        found = [None] * len(maps)
-        if ref is None:
-            return found
-        for i, tgt_map in enumerate(maps):
-            tgt = _prepare_tile(tgt_map[window])
-            if tgt is None:
-                continue
-            dx, dy, score = _correlate(ref, tgt)
-            if score >= min_score:
-                found[i] = MatchPoint(tile_id=tile_id, x_ref=float(cx), y_ref=float(cy),
-                                      dx=dx, dy=dy, score=score)
-        return found
-
     matches = [[] for _ in planes]
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        run = pool.map if workers > 1 else map
-        for k, block in enumerate(grid.blocks):
-            ref_map, *maps = [_soften(_hysteresis(_suppress(plane, block)))
-                              for plane in [ref_plane, *planes]]
-            tiles = [tile for tile in grid.tiles if tile[3] == k]
-            for found in run(match_tile, tiles, itertools.repeat(ref_map), itertools.repeat(maps)):
-                for kept, match in zip(matches, found):
-                    if match is not None:
-                        kept.append(match)
+    for k, (rows, cols) in enumerate(grid.blocks):
+        ref_map, *maps = [_soften(_hysteresis(_suppress(plane, (rows, cols))))
+                          for plane in [ref_plane, *planes]]
+        for tile_id, cx, cy, owner in grid.tiles:
+            if owner != k:
+                continue
+            y0, x0 = cy - half - rows.start, cx - half - cols.start
+            window = (slice(y0, y0 + size), slice(x0, x0 + size))
+            ref = _prepare_tile(ref_map[window])
+            if ref is None:
+                continue
+            for kept, tgt_map in zip(matches, maps):
+                tgt = _prepare_tile(tgt_map[window])
+                if tgt is None:
+                    continue
+                dx, dy, score = _correlate(ref, tgt)
+                if score >= min_score:
+                    kept.append(MatchPoint(tile_id=tile_id, x_ref=float(cx), y_ref=float(cy),
+                                           dx=dx, dy=dy, score=score))
     return [sorted(kept, key=lambda m: m.tile_id) for kept in matches]
 
 
@@ -613,7 +598,6 @@ def collect_matches(
     grid_ny: int = 8,
     min_score: float = 0.1,
     margin: int = 0,
-    workers: int = 1,
 ) -> list[MatchPoint]:
     """Match a tile grid between two band planes on their edge maps.
 
@@ -631,7 +615,7 @@ def collect_matches(
         raise OutOfBounds(f"plane shapes differ: {ref_plane.shape} vs {tgt_plane.shape}")
 
     grid = TileGrid(ref_plane.shape, tile_size, grid_nx, grid_ny, margin)
-    [matches] = match_bands(ref_plane, grid, [tgt_plane], min_score, workers)
+    [matches] = match_bands(ref_plane, grid, [tgt_plane], min_score)
     return require_matches(matches)
 
 

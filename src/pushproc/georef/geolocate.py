@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import HeaderInvalid, IoFailure, NoIntersection, OutOfBounds
-from ..raster import BandId, RawScene
+from ..raster import BandId, RawScene, read_json
 from .attitude import slerp_attitude
 from .camera import ImagerModel, pixel_los
 from .frames import WGS84_A_KM, WGS84_B_KM, ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
@@ -214,12 +214,7 @@ def save_geogrid(grid: GeoGrid, json_path, world_path=None) -> tuple[tuple[float
 
 
 def load_geogrid(json_path) -> GeoGrid:
-    try:
-        doc = json.loads(Path(json_path).read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {json_path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise HeaderInvalid(f"{json_path}: not valid JSON: {exc}") from exc
+    doc = read_json(json_path, HeaderInvalid)
     try:
         return GeoGrid(
             lines=np.asarray(doc["lines"], dtype=int),

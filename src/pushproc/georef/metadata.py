@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import FieldParse, IoFailure
-from ..raster import BAND_BY_NAME, BAND_NAMES, BandId
+from ..raster import BAND_BY_NAME, BAND_NAMES, BandId, read_json
 from .attitude import AttitudeSample, Quaternion, sign_align
 from .camera import ImagerModel
 from .orbits import orbit_from_spec
@@ -40,6 +40,9 @@ class AcqMetadata:
 
 
 def metadata_from_dict(doc: dict) -> AcqMetadata:
+    """The acquisition metadata of a sidecar document; ``FieldParse`` when it is malformed."""
+    if not isinstance(doc, dict):
+        raise FieldParse(f"metadata must be a JSON object, got {type(doc).__name__}")
     orbit = orbit_from_spec(doc)
     try:
         samples = [
@@ -54,16 +57,21 @@ def metadata_from_dict(doc: dict) -> AcqMetadata:
         }
         for band in BandId:
             row_offsets.setdefault(band, 0.0)
+        boresight = tuple(float(v) for v in img.get("boresight_rpy_deg", (0, 0, 0)))
+        if len(boresight) != 3:
+            raise FieldParse(f"boresight_rpy_deg must hold 3 angles, got {len(boresight)}")
         imager = ImagerModel(
             focal_length_mm=float(img["focal_length_mm"]),
             pixel_pitch_um=float(img["pixel_pitch_um"]),
             columns=int(img["columns"]),
             band_row_offset=row_offsets,
-            boresight_rpy_deg=tuple(float(v) for v in img.get("boresight_rpy_deg", (0, 0, 0))),
+            boresight_rpy_deg=boresight,
             time_offset_s=float(img.get("time_offset_s", 0.0)),
         )
         line_period = float(doc.get("line_period_s", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+    # AttributeError: an object field given as another JSON type;
+    # OverflowError: a number beyond float range.
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise FieldParse(f"malformed metadata document: {exc}") from exc
     return AcqMetadata(orbit=orbit, attitude=samples, line_period_s=line_period, imager=imager)
 
@@ -88,13 +96,7 @@ def metadata_to_dict(meta: AcqMetadata) -> dict:
 
 
 def load_metadata(path) -> AcqMetadata:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FieldParse(f"{path}: not valid JSON: {exc}") from exc
-    return metadata_from_dict(doc)
+    return metadata_from_dict(read_json(path, FieldParse))
 
 
 def save_metadata(meta: AcqMetadata, path) -> None:

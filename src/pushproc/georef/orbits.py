@@ -103,8 +103,9 @@ def orbit_from_spec(doc: dict):
     """Build an orbit model from a metadata document fragment."""
     if "tle" in doc and doc["tle"]:
         lines = doc["tle"]
-        if len(lines) != 2:
-            raise FieldParse(f"'tle' must hold two lines, got {len(lines)}")
+        if not (isinstance(lines, list) and len(lines) == 2
+                and all(isinstance(line, str) for line in lines)):
+            raise FieldParse(f"'tle' must be a list of two strings, got {lines!r:.80}")
         return TleOrbit(lines[0], lines[1])
     if "circular_orbit" in doc:
         params = doc["circular_orbit"]
@@ -116,6 +117,6 @@ def orbit_from_spec(doc: dict):
                 arg_lat0_deg=float(params.get("arg_lat0_deg", 0.0)),
                 epoch_unix=float(params.get("epoch_unix", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FieldParse(f"malformed circular_orbit spec: {exc}") from exc
     raise FieldParse("metadata carries neither 'tle' nor 'circular_orbit'")

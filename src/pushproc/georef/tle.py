@@ -21,7 +21,7 @@ def tle_checksum(line: str) -> int:
     """Mod-10 checksum over a line body: digits count as value, '-' as 1."""
     total = 0
     for ch in line[:68]:
-        if ch.isdigit():
+        if ch.isdecimal():
             total += int(ch)
         elif ch == "-":
             total += 1
@@ -59,6 +59,13 @@ class TleElements:
         return self.mean_motion_revday * 2.0 * math.pi / 1440.0
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise FieldParse(f"cannot parse {what} from {text!r}") from exc
+
+
 def _parse_float(text: str, what: str) -> float:
     try:
         return float(text)
@@ -89,7 +96,7 @@ def parse_tle(line1: str, line2: str) -> TleElements:
     for idx, line in ((1, line1), (2, line2)):
         if len(line) != _LINE_LEN:
             raise BadLength(f"line {idx} has {len(line)} characters, expected {_LINE_LEN}")
-        if not line[68].isdigit():
+        if not line[68].isdecimal():
             raise BadChecksum(f"line {idx} checksum column is {line[68]!r}")
         want = int(line[68])
         got = tle_checksum(line)
@@ -98,14 +105,11 @@ def parse_tle(line1: str, line2: str) -> TleElements:
     if line1[0] != "1" or line2[0] != "2":
         raise FieldParse("line numbers must be '1' and '2'")
 
-    try:
-        satnum = int(line1[2:7])
-    except ValueError as exc:
-        raise FieldParse(f"cannot parse satellite number from {line1[2:7]!r}") from exc
-    if int(line2[2:7]) != satnum:
+    satnum = _parse_int(line1[2:7], "satellite number")
+    if _parse_int(line2[2:7], "line 2 satellite number") != satnum:
         raise FieldParse("satellite numbers differ between lines")
 
-    yy = int(line1[18:20])
+    yy = _parse_int(line1[18:20], "epoch year")
     epoch_year = 1900 + yy if yy >= 57 else 2000 + yy
     epoch_day = _parse_float(line1[20:32], "epoch day")
     ndot = _parse_float(line1[33:43], "ndot")
@@ -119,6 +123,9 @@ def parse_tle(line1: str, line2: str) -> TleElements:
     mean_anomaly = _parse_float(line2[43:51], "mean anomaly")
     mean_motion = _parse_float(line2[52:63], "mean motion")
 
+    # Day 1.0 is 1 January 00:00; a leap year ends before day 367.
+    if not 1.0 <= epoch_day < 367.0:
+        raise FieldParse(f"epoch day {epoch_day} outside [1, 367)")
     if not 0.0 <= eccentricity < 1.0:
         raise FieldParse(f"eccentricity {eccentricity} outside [0, 1)")
     if mean_motion <= 0.0:

@@ -24,7 +24,6 @@ from . import radiometry
 from .errors import (
     BadBandSelection,
     ConfigInvalid,
-    MissingAttitude,
     PushprocError,
     ReportInvalid,
     StageFailure,
@@ -32,7 +31,7 @@ from .errors import (
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
-                     load_calibration, load_raw, save_raw)
+                     load_calibration, load_raw, read_json, save_raw)
 
 STAGES = ("vignetting", "coreg", "georef")
 
@@ -83,17 +82,16 @@ class PipelineConfig:
             raise ConfigInvalid(f"poly_order {self.poly_order} not in 1..3")
         # The lower bounds the stages themselves enforce, checked before any runs.
         for name, low in (("tile_size", 32), ("grid_nx", 1), ("grid_ny", 1),
-                          ("grid_step", 1), ("residual_points", 10), ("workers", 1)):
+                          ("grid_step", 1), ("residual_points", 10)):
             if getattr(self, name) < low:
                 raise ConfigInvalid(f"{name} {getattr(self, name)} < {low}")
+        # Co-registration runs on one thread; the field stays for configs that name it.
+        if self.workers != 1:
+            raise ConfigInvalid(f"workers must be 1, got {self.workers}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, ConfigInvalid))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -173,6 +171,7 @@ def _coreg_grids(shape: tuple[int, int],
 
 
 def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
+                 grids: tuple[coreg_mod.TileGrid, coreg_mod.TileGrid],
                  config: PipelineConfig, report: QualityReport) -> RawScene:
     """Align every band to the reference band, in place.
 
@@ -181,25 +180,23 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     on the match grid together, so each reference tile is prepared once
     per grid; each band is then fitted and resampled in band order, and
     the aligned bands are matched together on the residual grid.  No edge
-    map outlives the block ``match_bands`` builds it for.
+    map outlives the block ``match_bands`` builds it for.  ``grids`` are
+    the match grid and the residual grid (``_coreg_grids``).
     """
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
     targets = [band for band in BandId if band != ref_band]
-    match_grid, residual_grid = _coreg_grids(ref_plane.shape, config)
+    match_grid, residual_grid = grids
     found = coreg_mod.match_bands(ref_plane, match_grid, [scene.band(band) for band in targets],
-                                  min_score=config.min_score, workers=config.workers)
+                                  min_score=config.min_score)
     metrics: dict = {"reference_band": BAND_NAMES[ref_band], "bands": {}}
     for band, matches in zip(targets, found):
         coreg_mod.require_matches(matches)
         prior = None
         if metadata is not None and metadata.attitude:
-            try:
-                prior = coreg_mod.predict_shift_prior(
-                    metadata, (ref_band, band), gate_radius=config.gate_radius
-                )
-            except MissingAttitude:
-                prior = None
+            prior = coreg_mod.predict_shift_prior(
+                metadata, (ref_band, band), gate_radius=config.gate_radius
+            )
         inliers = coreg_mod.remove_outliers(matches, prior)
         model = coreg_mod.fit_distortion(
             inliers, order=config.poly_order, width=scene.width, height=scene.lines
@@ -218,7 +215,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
         }
     residuals = coreg_mod.match_bands(ref_plane, residual_grid,
                                       [scene.band(band) for band in targets],
-                                      min_score=config.min_score, workers=config.workers)
+                                      min_score=config.min_score)
     for band, matches in zip(targets, residuals):
         mean_px, rms_px = coreg_mod.residual_stats(coreg_mod.require_matches(matches))
         metrics["bands"][BAND_NAMES[band]].update(residual_mean_px=mean_px,
@@ -295,9 +292,8 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
                     and np.array_equal(truth_grid.columns,
                                        _sample_indices(scene.width, config.grid_step))):
                 raise ConfigInvalid("truth grid nodes differ from the configured grid_step sampling")
-        if config.coreg:
-            # Both tile grids must fit the scene; the stage builds them again.
-            _coreg_grids((scene.lines, scene.width), config)
+        # Both tile grids must fit the scene before any stage runs.
+        grids = _coreg_grids((scene.lines, scene.width), config) if config.coreg else None
     except PushprocError as exc:
         raise StageFailure("input", exc) from exc
     if config.vignetting and calib is None:
@@ -314,7 +310,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
             scene = _stage_vignetting(scene, calib, report)
     if config.coreg:
         with _stage("coreg", report):
-            scene = _stage_coreg(scene, metadata, config, report)
+            scene = _stage_coreg(scene, metadata, grids, config, report)
     if config.georef:
         with _stage("georef", report):
             _stage_georef(scene, metadata, truth, config, out_dir, report)
@@ -338,15 +334,15 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
 def _percentiles(plane: np.ndarray) -> list[float]:
     """``np.percentile(plane, [2, 98])`` (method ``linear``) of an integer plane, from its histogram.
 
-    The histogram is counted ``block_lines`` lines at a time, so no copy of
-    the plane is sorted.  Each order statistic is the first value whose
+    The histogram has one bin per value of the plane's type and is counted
+    ``block_lines`` lines at a time, so no copy of the plane is sorted.  Each order statistic is the first value whose
     cumulative count passes its rank, and the two around a percentile are
     blended with ``np.percentile``'s own arithmetic: virtual index
     (n - 1) q / 100, and ``a + (b - a) t`` below t = 0.5 but
     ``b - (b - a)(1 - t)`` from there on.
     """
     h, w = plane.shape
-    counts = np.zeros(1 << 16, dtype=np.int64)
+    counts = np.zeros(np.iinfo(plane.dtype).max + 1, dtype=np.int64)
     step = block_lines(w)
     for y0 in range(0, h, step):
         counts += np.bincount(plane[y0 : y0 + step].ravel(), minlength=counts.size)

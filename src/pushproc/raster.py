@@ -38,6 +38,7 @@ from .errors import (
     BadMagic,
     HeaderInvalid,
     IoFailure,
+    PushprocError,
     Truncated,
     WidthMismatch,
     NonPositiveResponse,
@@ -248,13 +249,22 @@ def save_calibration(table: CalibrationTable, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def load_calibration(path) -> CalibrationTable:
+def read_json(path, error: type[PushprocError]):
+    """The JSON document in ``path``.
+
+    A file that cannot be read raises ``IoFailure``; bytes that are not
+    UTF-8 JSON raise ``error``, the reader's own error for a bad document.
+    """
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise HeaderInvalid(f"{path}: not valid JSON: {exc}") from exc
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_calibration(path) -> CalibrationTable:
+    doc = read_json(path, HeaderInvalid)
     try:
         bands = doc["bands"]
         response = np.array([bands[BAND_NAMES[b]]["R"] for b in BandId], dtype=np.float64)

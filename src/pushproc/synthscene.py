@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, IoFailure, SpecInvalid, TruthInvalid
-from .raster import BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene
+from .errors import DimensionMismatch, GridMismatch, SpecInvalid, TruthInvalid
+from .raster import (BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene,
+                     read_json)
 from .georef.accuracy import GeorefErrorStats
 from .georef.attitude import AttitudeSample, Quaternion
 from .georef.camera import ImagerModel, rpy_matrix
@@ -614,8 +615,8 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
     is not a truth sidecar: missing keys, non-numeric values, coordinate
     arrays that do not match the node lists, or a zero track direction.
     """
+    doc = read_json(path, TruthInvalid)
     try:
-        doc = json.loads(Path(path).read_text())
         grid_doc = doc["truth_grid"]
         grid = GeoGrid(
             lines=np.asarray(grid_doc["lines"], dtype=int),
@@ -625,8 +626,6 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
             alt=np.asarray(grid_doc["alt_m"], dtype=np.float64),
         )
         track_dir = tuple(float(v) for v in doc["track_dir_en"])
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise TruthInvalid(f"{path}: malformed truth sidecar: {exc}") from exc
     nodes = (grid.lines.size, grid.columns.size)

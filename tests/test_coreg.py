@@ -380,15 +380,6 @@ class TestCollectMatches:
         with pytest.raises(errors.OutOfBounds):
             coreg.collect_matches(plane, plane, tile_size=16, grid_nx=2, grid_ny=2)
 
-    def test_worker_count_invariance(self):
-        plane = smooth_texture(10, size=300)
-        target = np.roll(plane, (2, -3), axis=(0, 1))
-        m1 = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3, workers=1)
-        m4 = coreg.collect_matches(plane, target, tile_size=64, grid_nx=3, grid_ny=3, workers=4)
-        assert [(m.tile_id, m.dx, m.dy, m.score) for m in m1] == [
-            (m.tile_id, m.dx, m.dy, m.score) for m in m4
-        ]
-
 
 def per_band_matches(ref_plane, tgt_plane, grid, min_score):
     """One band's matches, tile by tile through ``fft_xcorr``, and why tiles dropped.
@@ -440,20 +431,19 @@ LAYOUTS = {"dense": ((512, 512), 128, 8, 8, 0), "sparse": ((600, 600), 64, 4, 4,
 
 
 class TestMatchBands:
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_equals_per_band_matching(self, layout, workers):
+    def test_equals_per_band_matching(self, layout):
         grid = coreg.TileGrid(*LAYOUTS[layout])
         assert len(grid.blocks) == (1 if layout == "dense" else len(grid.tiles))
         ref, targets = matching_planes(grid.shape[0], grid)
-        together = coreg.match_bands(ref, grid, targets, min_score=0.15, workers=workers)
+        together = coreg.match_bands(ref, grid, targets, min_score=0.15)
         assert len(together) == len(targets)
         dropped = collections.Counter()
         for tgt, got in zip(targets, together):
             want, why = per_band_matches(ref, tgt, grid, 0.15)
             assert got == want
             assert coreg.collect_matches(ref, tgt, grid.tile_size, grid.grid_nx, grid.grid_ny,
-                                         0.15, grid.margin, workers) == want
+                                         0.15, grid.margin) == want
             dropped += why
         # Every way a tile can drop happened at least once.
         assert set(dropped) == {"flat reference", "flat target", "low score"}
@@ -617,7 +607,7 @@ class TestCoregStageEdges:
             assert metrics["masked_pixels"] == 0
 
     def test_each_plane_suppressed_once_per_grid(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
+        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
 
         scene = stage_scene(32, 1024)
         shape = scene.planes[0].shape
@@ -630,8 +620,8 @@ class TestCoregStageEdges:
             return original(plane, window, *args, **kwargs)
 
         monkeypatch.setattr(coreg, "_suppress", spy)
-        _stage_coreg(scene, None, PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE),
-                     QualityReport())
+        config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
+        _stage_coreg(scene, None, _coreg_grids(shape, config), config, QualityReport())
         # Every plane, the reference included, is suppressed over each grid's
         # blocks once per grid, and nowhere else.
         grids = [coreg.TileGrid(shape, 64, 4, 4), coreg.residual_grid(shape, 10)]
@@ -641,7 +631,7 @@ class TestCoregStageEdges:
             np.testing.assert_array_equal(band_count, expected)
 
     def test_reference_tiles_prepared_once_per_grid(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
+        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
 
         scene = stage_scene(34, 512)
         ref = scene.planes[int(BandId.RED)]
@@ -667,8 +657,8 @@ class TestCoregStageEdges:
         monkeypatch.setattr(coreg, "_suppress", suppress_spy)
         monkeypatch.setattr(coreg, "_soften", soften_spy)
         monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
-        _stage_coreg(scene, None, PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE),
-                     QualityReport())
+        config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
+        _stage_coreg(scene, None, _coreg_grids(ref.shape, config), config, QualityReport())
         # Each plane was suppressed and blurred once per block of each grid;
         # no reference tile is flat here.
         grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
@@ -678,7 +668,7 @@ class TestCoregStageEdges:
         assert prepared == {"reference": tiles, "target": 3 * tiles}
 
     def test_match_grid_maps_released_before_resampling(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
+        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
 
         # Six by six 128-pixel tiles and a residual grid of four by four are
         # both sparse on a 1024-pixel plane.
@@ -703,7 +693,7 @@ class TestCoregStageEdges:
                                 grid_ny=6, residual_points=16)
         tracemalloc.start()
         try:
-            _stage_coreg(scene, None, config, QualityReport())
+            _stage_coreg(scene, None, _coreg_grids(shape, config), config, QualityReport())
         finally:
             tracemalloc.stop()
         # At the first resample no edge map is held: 0.07 of the match grid's
@@ -713,7 +703,7 @@ class TestCoregStageEdges:
         assert held[0] <= 0.1 * map_bytes
 
     def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _stage_coreg
+        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
 
         # Small blocks keep resampling's and suppression's working arrays
         # small, so the peak shows what spans the plane: resampling takes 32
@@ -724,7 +714,8 @@ class TestCoregStageEdges:
                                 residual_points=16)
         tracemalloc.start()
         try:
-            _stage_coreg(scene, None, config, QualityReport())
+            _stage_coreg(scene, None, _coreg_grids((scene.lines, scene.width), config), config,
+                         QualityReport())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushproc import errors
+from pushproc.georef.attitude import AttitudeSample, Quaternion
 from pushproc.georef.camera import ImagerModel, pixel_los
 from pushproc.georef.frames import (
     WGS84_A_KM,
@@ -20,8 +23,12 @@ from pushproc.georef.geolocate import (
     load_geogrid,
     save_geogrid,
 )
+from pushproc.georef.metadata import AcqMetadata, metadata_from_dict, metadata_to_dict
+from pushproc.georef.orbits import CircularOrbit, TleOrbit
+from pushproc.georef.tle import format_tle
 from pushproc.raster import BandId
 from pushproc.synthscene import SynthSpec, generate, truth_georef_error
+from test_tle_sgp4 import leo_elements
 
 
 def default_imager(columns=8000):
@@ -295,3 +302,43 @@ class TestWorldFile:
                                     "alt_m": [[0.0]], "corners": {}, "mean_gsd_m": 1.0}))
         with pytest.raises(errors.HeaderInvalid, match="lat"):
             load_geogrid(path)
+
+
+def sidecar(orbit) -> dict:
+    """A valid metadata sidecar document with ``orbit``."""
+    level = Quaternion(1.0, 0.0, 0.0, 0.0)
+    return metadata_to_dict(AcqMetadata(
+        orbit=orbit, attitude=[AttitudeSample(0.0, level), AttitudeSample(10.0, level)],
+        line_period_s=0.002, imager=default_imager()))
+
+
+SIDECARS = [sidecar(CircularOrbit(altitude_km=510.0, inclination_deg=97.6)),
+            sidecar(TleOrbit(*format_tle(leo_elements())))]
+
+# Any JSON value Python's reader can return, NaN, infinities and integers
+# beyond float range included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=10)
+
+
+class TestMetadataSidecar:
+    @pytest.mark.parametrize("doc", SIDECARS, ids=["circular", "tle"])
+    def test_valid_sidecar_round_trips(self, doc):
+        assert metadata_to_dict(metadata_from_dict(doc)) == doc
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(SIDECARS),
+           field=st.sampled_from(["tle", "circular_orbit", "attitude", "line_period_s", "imager",
+                                  *(f"imager.{name}" for name in SIDECARS[0]["imager"])]),
+           value=JSON_VALUES)
+    def test_any_field_value_parses_or_raises_pushproc_error(self, base, field, value):
+        doc = json.loads(json.dumps(base))
+        *parent, name = field.split(".")
+        (doc[parent[0]] if parent else doc)[name] = value
+        try:
+            metadata_from_dict(doc)
+        except errors.PushprocError:
+            pass

@@ -18,6 +18,7 @@ from pushproc.pipeline import (PipelineConfig, QualityReport, _percentiles, quic
 from pushproc.raster import BandId, RawScene, block_lines, load_raw, save_calibration, save_raw
 from pushproc.synthscene import SynthSpec, generate
 from pushproc.georef.metadata import save_metadata
+from test_tle_sgp4 import mangled_tle
 
 WARP = {"order": 2, "coeff_dx": [1.5, -2.0, 1.0, 0.5, -0.5, 0.3],
         "coeff_dy": [-1.0, 1.5, -2.0, 0.3, 0.8, -0.5]}
@@ -186,19 +187,15 @@ class TestRunPipeline:
         assert cfg.ref_band is BandId.NIR
 
     def test_determinism_and_worker_independence(self, synth_inputs, tmp_path):
-        def run(workers, out):
-            cfg = base_config(synth_inputs, out, workers=workers)
-            run_pipeline(cfg)
+        def run(out):
+            run_pipeline(base_config(synth_inputs, out, workers=1))
             report = json.loads((out / "report.json").read_text())
             report.pop("timing")
             report.pop("outputs")  # paths differ between run dirs by design
             return ((out / "corrected.l3raw").read_bytes(),
                     (out / "grid.json").read_bytes(), report)
 
-        first = run(1, tmp_path / "d1")
-        second = run(1, tmp_path / "d2")
-        threaded = run(4, tmp_path / "d4")
-        assert first == second == threaded
+        assert run(tmp_path / "d1") == run(tmp_path / "d2")
 
 
 class TestQuicklook:
@@ -264,9 +261,11 @@ class TestQuicklookBlocks:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), size=st.integers(1, 3000),
-           top=st.sampled_from([1, 2, 255, 4095, 65535]))
-    def test_integer_percentiles_equal_float64(self, seed, size, top):
-        plane = np.random.default_rng(seed).integers(0, top + 1, size).astype(np.uint16)
+           top=st.sampled_from([1, 2, 255, 4095, 65535]),
+           dtype=st.sampled_from([np.uint8, np.uint16]))
+    def test_integer_percentiles_equal_float64(self, seed, size, top, dtype):
+        top = min(top, np.iinfo(dtype).max)
+        plane = np.random.default_rng(seed).integers(0, top + 1, size).astype(dtype)
         as_float = plane.astype(np.float64)
         lo, hi = np.percentile(plane, [2.0, 98.0])
         assert lo == np.percentile(as_float, 2.0)
@@ -436,6 +435,7 @@ class TestCli:
         {"ref_band": 9}, {"ref_band": "red"}, {"tile_size": "x"},
         {"grid_step": 2.5}, {"min_score": None}, {"vignetting": "no"}, [],
         {"grid_step": 0}, {"tile_size": 16}, {"grid_nx": 0}, {"residual_points": 5},
+        {"workers": 2},
     ])
     def test_wrongly_typed_config_exit_2(self, synth_inputs, tmp_path, capsys, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -472,6 +472,37 @@ class TestCli:
         assert (err["error"]["stage"], err["error"]["type"]) == ("input", error)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        (None, ["tle"]),
+        ("tle", 5),
+        ("tle", [1, 2]),
+        ("tle", mangled_tle(1, 18, "AB")),
+        ("tle", mangled_tle(2, 2, "ABCDE")),
+        ("imager", []),
+        ("band_row_offset", [1]),
+        ("boresight_rpy_deg", [1.0]),
+    ])
+    def test_malformed_metadata_exit_2(self, synth_inputs, tmp_path, capsys, field, value):
+        # ``field`` of the sidecar (of its imager, where it has one) set to
+        # ``value``; None replaces the whole document.
+        doc = json.loads((synth_inputs / "metadata.json").read_text())
+        if field is None:
+            doc = value
+        else:
+            (doc["imager"] if field in doc["imager"] else doc)[field] = value
+        meta_path = tmp_path / "metadata.json"
+        meta_path.write_text(json.dumps(doc))
+        rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--calib", str(synth_inputs / "calib.json"), "--meta", str(meta_path),
+                          "--out", str(tmp_path / "o"))
+        assert rc == 2
+        out, err = capsys.readouterr()
+        found = json.loads(out.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("input", "FieldParse")
+        assert "Traceback" not in out + err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["non-utf8", "missing"])
     @pytest.mark.parametrize("flag, stage, error", [
         ("--config", "config", "ConfigInvalid"),
         ("--calib", "input", "HeaderInvalid"),
@@ -480,9 +511,15 @@ class TestCli:
         ("--spec", "spec", "SpecInvalid"),
         ("--in", "report", "ReportInvalid"),
     ])
-    def test_non_utf8_input_exit_2(self, synth_inputs, tmp_path, capsys, flag, stage, error):
+    def test_non_utf8_input_exit_2(self, synth_inputs, tmp_path, capsys, flag, stage, error,
+                                   missing):
+        # Each JSON reader reports bytes that are not UTF-8 as its own
+        # error, and a file that cannot be read as IoFailure.
         path = tmp_path / "binary.json"
-        path.write_bytes(bytes.fromhex("fffe0067617262616765"))
+        if missing:
+            error = "IoFailure"
+        else:
+            path.write_bytes(bytes.fromhex("fffe0067617262616765"))
         if flag == "--spec":
             argv = ["synth", flag, str(path), "--out", str(tmp_path / "s")]
         elif flag == "--in":
@@ -507,13 +544,14 @@ class TestCli:
 
 class TestImportFootprint:
     def test_pipeline_never_imports_scipy(self, tmp_path):
-        # A fresh interpreter: the CLI and a whole run with a truth sidecar
-        # load no scipy and no numpy.ma; only the fractal-noise texture of
-        # the generator loads scipy.
+        # A fresh interpreter: the CLI loads no thread pool, and the CLI and
+        # a whole run with a truth sidecar load no scipy and no numpy.ma;
+        # only the fractal-noise texture of the generator loads scipy.
         code = """
 import sys
 from pathlib import Path
 import pushproc.cli
+print("concurrent.futures" in sys.modules)
 from pushproc.georef.metadata import save_metadata
 from pushproc.pipeline import PipelineConfig, run_pipeline
 from pushproc.raster import save_calibration, save_raw
@@ -544,4 +582,4 @@ print("scipy" in sys.modules)
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                               text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False", "True"]
+        assert proc.stdout.split() == ["False", "False", "False", "True"]

@@ -27,6 +27,15 @@ def leo_elements(**overrides):
     return TleElements(**base)
 
 
+def mangled_tle(line: int, column: int, text: str) -> list[str]:
+    """The ``leo_elements`` pair with ``text`` written into line ``line`` from
+    ``column``, its checksum fixed up so that only the field is wrong."""
+    pair = list(format_tle(leo_elements()))
+    body = pair[line - 1][:column] + text + pair[line - 1][column + len(text) : 68]
+    pair[line - 1] = body + str(tle_checksum(body))
+    return pair
+
+
 class TestTleParsing:
     def test_format_parse_roundtrip(self):
         elements = leo_elements()
@@ -58,12 +67,16 @@ class TestTleParsing:
         with pytest.raises(errors.BadLength):
             parse_tle(line1[:-1], line2)
 
-    def test_garbage_field(self):
-        line1, line2 = format_tle(leo_elements())
-        mangled = line1[:20] + "xx" + line1[22:]
-        mangled = mangled[:68] + str(tle_checksum(mangled))
+    @pytest.mark.parametrize("line, column, text", [
+        (1, 20, "xx"),              # epoch day
+        (1, 18, "AB"),              # epoch year
+        (2, 2, "ABCDE"),            # line 2 satellite number
+        (1, 20, "999999999999"),    # epoch day beyond any date
+        (1, 60, "\u00b2"),          # a digit to str.isdigit, not to int
+    ])
+    def test_garbage_field(self, line, column, text):
         with pytest.raises(errors.FieldParse):
-            parse_tle(mangled, line2)
+            parse_tle(*mangled_tle(line, column, text))
 
     def test_epoch_century_split(self):
         assert leo_elements(epoch_year=2018).epoch_datetime.year == 2018
