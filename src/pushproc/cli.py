@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import PushprocError, ReportInvalid, SpecInvalid, StageFailure
 from .pipeline import PipelineConfig, report_timing, run_pipeline
-from .raster import read_json, save_calibration, save_raw
+from .raster import make_dir, read_json, save_calibration, save_raw
 from .synthscene import SynthSpec, generate, save_truth
 from .georef.metadata import save_metadata
 
@@ -108,9 +107,12 @@ def _cmd_synth(args) -> int:
         print(_error_json("spec", exc))
         return EXIT_INPUT
     try:
+        out = make_dir(args.out)
+    except PushprocError as exc:
+        print(_error_json("input", exc))
+        return EXIT_INPUT
+    try:
         raw, truth = generate(spec)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         save_raw(raw, out / "scene.l3raw")
         save_raw(truth.clean, out / "clean.l3raw")
         save_calibration(truth.calib, out / "calib.json")

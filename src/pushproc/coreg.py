@@ -4,10 +4,11 @@ The chain mirrors the production flow for pushbroom band alignment:
 
 1. Canny edge maps of the reference and target planes act as the high-pass
    filter, so matching keys on structure rather than band radiometry.
-   Edges are built only where a tile grid reads them.  A ``TileGrid``
-   holds its tiles in blocks (tile windows widened by the blur radius and
-   merged along lines and columns), and ``match_bands`` builds one
-   hysteresis map of bytes per block and plane, the reference included:
+   Edges are built only where a tile grid reads them, and only by
+   ``match_bands``.  A ``TileGrid`` holds its tiles in blocks (tile
+   windows widened by the blur radius and merged along lines and
+   columns), and ``match_bands`` builds one hysteresis map of bytes per
+   block and plane, the reference included:
    smoothing, gradients and non-maximum suppression read the block with a
    halo, so they equal a whole-plane pass, while the thresholds and the
    hysteresis over connected edges are the block's own.  A map is blurred
@@ -29,11 +30,13 @@ The chain mirrors the production flow for pushbroom band alignment:
    block of ``block_lines(width)`` lines at a time, so no full-plane
    coordinate grid is built.  The NumPy kernel repeats the arithmetic of
    scipy's order-1 ``map_coordinates``, so its samples are bit-identical
-   to that call's.  A caller that owns the band warps it in place
-   (``resample(band, model, out=band)``): each finished block is held
-   only until no later block reads the lines it overwrites.
+   to that call's.  The warp always overwrites its source, in place
+   (``resample(band, model, out=band)``) or in a copy (``out=None``): each
+   finished block is held only until no later block reads the lines it
+   overwrites.  Each block counts its own masked pixels, so no
+   plane-sized mask is built.
 
-All operations are pure, except ``resample`` into an ``out`` it is given.
+All operations are pure, except ``resample`` with ``out=tgt_plane``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,7 +52,6 @@ import numpy as np
 
 from .errors import (
     AllRejected,
-    BadThresholds,
     FlatTile,
     MissingAttitude,
     NoMatches,
@@ -339,37 +340,9 @@ def _hysteresis(nms: np.ndarray, t_low: float = 0.1, t_high: float = 0.3) -> np.
     return painted[1:].reshape(h, line)[:, :w].copy()
 
 
-def canny_edges(plane: np.ndarray, sigma: float = 1.4, t_low: float = 0.1,
-                t_high: float = 0.3) -> np.ndarray:
-    """Binary Canny edge map of one band plane.
-
-    Gaussian smoothing, Sobel gradients, non-maximum suppression along the
-    quantized gradient direction, then double-threshold hysteresis.  The
-    thresholds are fractions of the maximum suppressed gradient magnitude.
-    Suppression walks the plane in line blocks with a halo, so only the
-    suppressed magnitude and the hysteresis labels span the whole plane.
-    """
-    if not 0.0 < t_low < t_high:
-        raise BadThresholds(f"need 0 < t_low < t_high, got {t_low}, {t_high}")
-    if sigma <= 0:
-        raise BadThresholds(f"sigma {sigma} must be positive")
-    plane = np.asarray(plane)
-    h, w = plane.shape
-    return _hysteresis(_suppress(plane, (slice(0, h), slice(0, w)), sigma), t_low, t_high)
-
-
 def _soften(edges: np.ndarray) -> np.ndarray:
     # The blur makes the correlation peak smooth enough for subpixel fitting.
     return _gaussian(edges, 1.0)
-
-
-def edge_map(plane: np.ndarray) -> np.ndarray:
-    """Default Canny edge map of a whole plane as float64, softened by a unit Gaussian.
-
-    It is the map ``match_bands`` cuts tiles from on a grid whose one block
-    is the whole plane.
-    """
-    return _soften(canny_edges(plane))
 
 
 def _runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -789,22 +762,19 @@ class DistortionModel:
                 k += 1
         return dx, dy
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "coeff_dx": [float(c) for c in self.coeff_dx],
-                "coeff_dy": [float(c) for c in self.coeff_dy],
-                "width": self.width,
-                "height": self.height,
-                "rms_fit": self.rms_fit,
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        """The model as plain JSON values, as the report stores it."""
+        return {
+            "order": self.order,
+            "coeff_dx": [float(c) for c in self.coeff_dx],
+            "coeff_dy": [float(c) for c in self.coeff_dy],
+            "width": self.width,
+            "height": self.height,
+            "rms_fit": self.rms_fit,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "DistortionModel":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "DistortionModel":
         return cls(
             order=int(doc["order"]),
             coeff_dx=np.asarray(doc["coeff_dx"], dtype=np.float64),
@@ -924,70 +894,57 @@ def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> int:
 
 
 def resample(tgt_plane: np.ndarray, model: DistortionModel,
-             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+             out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Warp the target plane onto the reference geometry.
 
     Inverse mapping with bilinear interpolation:
     output(x, y) = tgt(x + dx(x, y), y + dy(x, y)).  Source coordinates
-    outside the plane produce 0 DN and a cleared bit in the validity mask.
-    The plane is warped in blocks of ``block_lines(width)`` lines; each
-    block evaluates the model from a column of line indices and a row of
-    column indices, so working memory stays at a few blocks.  Sampling
-    (``_bilinear``) is pointwise and gives the bits of scipy's order-1
-    ``map_coordinates`` rounded half up, so the result does not depend on
-    the block size.
+    outside the plane produce 0 DN and count as masked.  The plane is
+    warped in blocks of ``block_lines(width)`` lines; each block evaluates
+    the model from a column of line indices and a row of column indices,
+    so working memory stays at a few blocks.  Sampling (``_bilinear``) is
+    pointwise and gives the bits of scipy's order-1 ``map_coordinates``
+    rounded half up, so the result does not depend on the block size.
 
-    The warp is written into ``out``, an array of the plane's shape and
-    dtype, or into a new one when ``out`` is None, which leaves the plane
-    untouched.  ``out`` may be ``tgt_plane`` itself: the band is then
-    warped in place, each finished block held until no later block can
-    read the source lines it overwrites (``_line_reach``; when the field
-    may reach anywhere, every block is held).  Any other overlap of
-    ``out`` with the plane raises ``ValueError``.  Returns the warp and
-    the validity mask.
+    ``out`` is None, which warps a copy and leaves the plane untouched, or
+    ``tgt_plane`` itself, which warps the plane in place; any other
+    ``out`` raises ``ValueError``.  Either way the warp overwrites its own
+    source, so each finished block is held until no later block can read
+    the lines it overwrites (``_line_reach``; when the field may reach
+    anywhere, every block is held).  Returns the warp and the number of
+    masked pixels.
     """
-    plane = np.asarray(tgt_plane)
-    h, w = plane.shape
-    reach = 0
     if out is None:
-        out = np.empty((h, w), dtype=plane.dtype)
-    elif out.shape != plane.shape or out.dtype != plane.dtype:
-        raise ValueError(f"out must be {plane.dtype} of shape {plane.shape}, "
-                         f"got {out.dtype} {out.shape}")
-    elif np.shares_memory(out, plane):
-        if out.__array_interface__["data"][0] != plane.__array_interface__["data"][0] \
-                or out.strides != plane.strides:
-            raise ValueError("out overlaps tgt_plane without being it")
-        reach = _line_reach(model, (h, w))
-    valid = np.empty((h, w), dtype=bool)
-    flat = plane.ravel()
+        out = np.array(tgt_plane, order="C")
+    elif out is not tgt_plane:
+        raise ValueError("out must be None or tgt_plane itself")
+    h, w = out.shape
+    reach = _line_reach(model, (h, w))
+    flat = out.ravel()
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
     step = block_lines(w)
     held = collections.deque()
+    masked = 0
     for y0 in range(0, h, step):
         y1 = min(y0 + step, h)
         lines = np.arange(y0, y1, dtype=np.float64)[:, np.newaxis]
         src_x, src_y = model.evaluate(cols, lines)
         src_x += cols
         src_y += lines
-        ok = valid[y0:y1]
-        np.greater_equal(src_x, 0, out=ok)
+        ok = src_x >= 0
         ok &= src_x <= w - 1
         ok &= src_y >= 0
         ok &= src_y <= h - 1
-        sampled = _bilinear(flat, (h, w), src_x, src_y, ok)
-        if reach == 0:
-            out[y0:y1] = sampled
-        else:
-            held.append((y0, y1, sampled.astype(plane.dtype)))
-        del src_x, src_y, sampled   # freed before the next block's warp is evaluated
+        masked += ok.size - int(np.count_nonzero(ok))
+        held.append((y0, y1, _bilinear(flat, (h, w), src_x, src_y, ok).astype(out.dtype)))
+        del src_x, src_y, ok   # freed before the next block's warp is evaluated
         # The next block, from line y1, reads no line above y1 + reach.
         while held and held[0][1] <= y1 + reach:
             a, b, block = held.popleft()
             out[a:b] = block
     for a, b, block in held:
         out[a:b] = block
-    return out, valid
+    return out, masked
 
 
 def residual_grid(shape: tuple[int, int], n_points: int = 50, tile_size: int = 128,
@@ -1022,10 +979,8 @@ def coreg_residual(
     carry masked-out samples.
     """
     grid = residual_grid(np.shape(ref_plane), n_points, tile_size, margin)
-    return residual_stats(collect_matches(
-        ref_plane, aligned_plane, tile_size=grid.tile_size, grid_nx=grid.grid_nx,
-        grid_ny=grid.grid_ny, min_score=min_score, margin=margin,
-    ))
+    [matches] = match_bands(ref_plane, grid, [aligned_plane], min_score)
+    return residual_stats(require_matches(matches))
 
 
 def residual_stats(matches: list[MatchPoint]) -> tuple[float, float]:

@@ -60,10 +60,6 @@ class DegenerateFit(PushprocError):
 
 # ------------------------------------------------------------ co-registration
 
-class BadThresholds(PushprocError):
-    """Hysteresis thresholds violate 0 < low < high."""
-
-
 class FlatTile(PushprocError):
     """Tile has zero variance; correlation undefined."""
 

@@ -31,7 +31,7 @@ from .errors import (
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
-                     load_calibration, load_raw, read_json, save_raw)
+                     load_calibration, load_raw, make_dir, read_json, save_raw)
 
 STAGES = ("vignetting", "coreg", "georef")
 
@@ -202,14 +202,12 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             inliers, order=config.poly_order, width=scene.width, height=scene.lines
         )
         plane = scene.band(band)
-        _, valid = coreg_mod.resample(plane, model, out=plane)
-        masked = valid.size - int(np.count_nonzero(valid))
-        del valid   # not kept through the next band's resampling
+        _, masked = coreg_mod.resample(plane, model, out=plane)
         metrics["bands"][BAND_NAMES[band]] = {
             "matches": len(matches),
             "inliers": len(inliers),
             "prior": None if prior is None else {"dx": prior.dx, "dy": prior.dy},
-            "model": json.loads(model.to_json()),
+            "model": model.to_dict(),
             "fit_rms_px": model.rms_fit,
             "masked_pixels": masked,
         }
@@ -301,8 +299,11 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
     if config.georef and metadata is None:
         raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # The output directory is the last step of the input phase.
+    try:
+        out_dir = make_dir(config.out_dir)
+    except PushprocError as exc:
+        raise StageFailure("input", exc) from exc
     report = QualityReport()
 
     if config.vignetting:

@@ -263,6 +263,16 @@ def read_json(path, error: type[PushprocError]):
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+def make_dir(path) -> Path:
+    """``path`` as a directory, made with its parents if missing; ``IoFailure`` if it cannot be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot make directory {path}: {exc}") from exc
+    return path
+
+
 def load_calibration(path) -> CalibrationTable:
     doc = read_json(path, HeaderInvalid)
     try:

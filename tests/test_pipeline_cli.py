@@ -535,6 +535,26 @@ class TestCli:
         assert "Traceback" not in out + err
         assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "inside-file"])
+    @pytest.mark.parametrize("command", ["preprocess", "synth"])
+    def test_out_not_a_directory_exit_2(self, synth_inputs, tmp_path, capsys, command, under):
+        # --out names an existing regular file, or a path inside one.
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / "run" if under else taken
+        if command == "synth":
+            argv = ["synth", "--spec", str(synth_inputs / "spec.json"), "--out", str(out)]
+        else:
+            argv = ["preprocess", "--raw", str(synth_inputs / "scene.l3raw"), "--out", str(out),
+                    "--skip-vignetting", "--skip-georef"]
+        rc = self.run_cli(*argv)
+        assert rc == 2
+        printed, err = capsys.readouterr()
+        found = json.loads(printed.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("input", "IoFailure")
+        assert "Traceback" not in printed + err
+        assert taken.read_text() == "not a directory"
+
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "bad_spec.json"
         spec_path.write_text(json.dumps({"texture": "marble"}))
