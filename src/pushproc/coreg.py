@@ -30,11 +30,17 @@ The chain mirrors the production flow for pushbroom band alignment:
    block of ``block_lines(width)`` lines at a time, so no full-plane
    coordinate grid is built.  The NumPy kernel repeats the arithmetic of
    scipy's order-1 ``map_coordinates``, so its samples are bit-identical
-   to that call's.  The warp always overwrites its source, in place
+   to that call's.  Each block reads only the source lines its field can
+   reach (``_line_reach``), so a plane kept in a file is read in windows.
+   The warp always overwrites its source, in place
    (``resample(band, model, out=band)``) or in a copy (``out=None``): each
    finished block is held only until no later block reads the lines it
    overwrites.  Each block counts its own masked pixels, so no
    plane-sized mask is built.
+
+Planes are read only through ``plane[rows, cols]`` windows and their
+``shape``, so every step takes a plane in memory or the plane of a file
+(``raster.ScenePlanes``) alike.
 
 All operations are pure, except ``resample`` with ``out=tgt_plane``.
 """
@@ -140,7 +146,6 @@ def _gaussian(plane: np.ndarray, sigma: float) -> np.ndarray:
     lines, as scipy does.  The plane is walked in blocks of ``block_lines``
     lines, each read with the radius more on every side (``_load``).
     """
-    plane = np.asarray(plane)
     h, w = plane.shape
     out = np.empty((h, w))
     weights = _gaussian_weights(sigma)
@@ -527,8 +532,7 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
     target comes back, sorted by tile_id (merged blocks can visit tiles out
     of id order); it may be empty.
     """
-    ref_plane = np.asarray(ref_plane)
-    planes = [np.asarray(plane) for plane in tgt_planes]
+    planes = list(tgt_planes)
     for plane in [ref_plane, *planes]:
         if plane.shape != grid.shape:
             raise OutOfBounds(f"plane shape {plane.shape} is not the grid's {grid.shape}")
@@ -733,7 +737,8 @@ class DistortionModel:
     height: int
     rms_fit: float = 0.0
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, x: np.ndarray, y: np.ndarray,
+                 out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Shift (dx, dy) in pixels at pixel coordinates (x, y).
 
         ``x`` and ``y`` broadcast against each other, so a row of columns
@@ -741,13 +746,21 @@ class DistortionModel:
         c_k * x^i * y^j are added one at a time, in the order of
         ``_poly_terms``, without stacking the monomials.  A pure term is
         the power alone (x^0 = y^0 = 1 exactly, so the sum is the same), and
-        only a mixed term spans the broadcast shape.
+        only a mixed term spans the broadcast shape.  ``out``, when given,
+        is four float64 arrays of the broadcast shape: dx and dy are written
+        into the first two, and a mixed term and its product with a
+        coefficient are formed in the other two, so a caller that evaluates
+        block after block allocates no array of the block's shape.
         """
         xn = np.asarray(x, dtype=np.float64) / max(self.width - 1, 1)
         yn = np.asarray(y, dtype=np.float64) / max(self.height - 1, 1)
         shape = np.broadcast_shapes(xn.shape, yn.shape)
-        dx = np.full(shape, self.coeff_dx[0], dtype=np.float64)
-        dy = np.full(shape, self.coeff_dy[0], dtype=np.float64)
+        if out is None:
+            dx, dy, mixed, scaled = np.empty(shape), np.empty(shape), None, None
+        else:
+            dx, dy, mixed, scaled = out
+        dx[...] = self.coeff_dx[0]
+        dy[...] = self.coeff_dy[0]
         k = 1
         for total in range(1, self.order + 1):
             for j in range(total + 1):
@@ -756,9 +769,10 @@ class DistortionModel:
                 elif j == total:
                     term = yn ** total
                 else:
-                    term = xn ** (total - j) * yn ** j
-                dx += self.coeff_dx[k] * term
-                dy += self.coeff_dy[k] * term
+                    term = np.multiply(xn ** (total - j), yn ** j, out=mixed)
+                product = scaled if term is mixed else None
+                dx += np.multiply(term, self.coeff_dx[k], out=product)
+                dy += np.multiply(term, self.coeff_dy[k], out=product)
                 k += 1
         return dx, dy
 
@@ -816,30 +830,39 @@ def fit_distortion(
 
 
 def _bilinear(flat: np.ndarray, shape: tuple[int, int], src_x: np.ndarray,
-              src_y: np.ndarray, ok: np.ndarray) -> np.ndarray:
+              src_y: np.ndarray, ok: np.ndarray, first: int,
+              work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Bilinear samples of a plane, rounded half up, with 0 where not ``ok``.
 
-    ``flat`` is the plane's samples in line order and ``src_x``/``src_y``
-    are the coordinates of in-bounds samples where ``ok`` holds; both
-    coordinate arrays are overwritten.  The arithmetic is that of scipy's
+    ``flat`` is the samples of a plane of ``shape`` in line order, from
+    line ``first`` on through every line the samples read, and
+    ``src_x``/``src_y`` are the coordinates of in-bounds samples where
+    ``ok`` holds; the coordinate arrays and ``ok`` are overwritten, and
+    the coordinates where ``ok`` fails are moved to the window's first
+    sample.  The arithmetic is that of scipy's
     order-1 ``map_coordinates``: per axis the weights are w0 = 1 - t and
     w1 = 1 - w0, and the corners are added in line-major order, each as
     (value * y weight) * x weight.  The far neighbour is clipped to the
     plane, so a sample on the last line or column reads it with weight 0.
-    Intermediates are written in place, so about four block arrays of
-    float64 are alive at a time.
+    Intermediates are written in place, into the coordinate arrays and
+    the two float64 arrays of their shape in ``work``, and the samples
+    come back in the second of these.
     """
     h, w = shape
-    off = ~ok
+    off = np.logical_not(ok, out=ok)
     np.copyto(src_x, 0.0, where=off)
-    np.copyto(src_y, 0.0, where=off)
+    np.copyto(src_y, float(first), where=off)
     step_x = src_x < w - 1
     step_y = src_y < h - 1
-    # Flat index of the near corner; the float to integer cast truncates,
-    # which is the floor of a coordinate that is not negative.
-    index = src_y.astype(np.intp)
+    # Flat index of the near corner in the window, held in ``part``'s
+    # memory until the corners are gathered; the float to integer cast
+    # truncates, which is the floor of a coordinate that is not negative.
+    part, acc = work
+    index = part.view(np.int64)
+    np.copyto(index, src_y, casting="unsafe")
+    index -= first
     index *= w
-    np.add(index, src_x, out=index, dtype=np.intp, casting="unsafe")
+    np.add(index, src_x, out=index, dtype=np.int64, casting="unsafe")
     v00 = flat.take(index)
     index += step_x
     v01 = flat.take(index)
@@ -848,11 +871,11 @@ def _bilinear(flat: np.ndarray, shape: tuple[int, int], src_x: np.ndarray,
     index -= step_x
     v10 = flat.take(index)
     del index, step_x, step_y
-    part = np.floor(src_x)
+    np.floor(src_x, out=part)
     wx0 = np.subtract(1.0, np.subtract(src_x, part, out=src_x), out=src_x)
     np.floor(src_y, out=part)
     wy0 = np.subtract(1.0, np.subtract(src_y, part, out=src_y), out=src_y)
-    acc = np.subtract(1.0, wx0)                 # wx1
+    np.subtract(1.0, wx0, out=acc)              # wx1
     np.multiply(v01, wy0, out=part)
     part *= acc                                 # corner (y0, x1)
     np.multiply(v00, wy0, out=acc)
@@ -872,14 +895,15 @@ def _bilinear(flat: np.ndarray, shape: tuple[int, int], src_x: np.ndarray,
     return acc
 
 
-def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> int:
-    """A bound <= 0 on the source lines a warp of ``shape`` reads above each output line.
+def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> tuple[int, int]:
+    """Bounds ``low <= 0 < high`` on the source lines a warp of ``shape`` reads.
 
-    Output line y reads no source line above y + min(dy).  Normalized
-    coordinates lie in [0, X] x [0, Y], so dy >= c0 + sum of
-    min(c_k, 0) X^i Y^j; the bound keeps 2 lines of margin and the
-    rounding of the field's sums.  A field without a finite bound may
-    read any line of the plane.
+    Output line y reads source lines from y + min(dy) to its far
+    neighbour at y + max(dy) + 1, all in [y + low, y + high).  Normalized
+    coordinates lie in [0, X] x [0, Y], so dy lies between
+    c0 + sum of min(c_k, 0) X^i Y^j and c0 + sum of max(c_k, 0) X^i Y^j;
+    the bounds keep 2 lines of margin and the rounding of the field's
+    sums.  A field without finite bounds may read any line of the plane.
     """
     h, w = shape
     big_x = (w - 1) / max(model.width - 1, 1)
@@ -888,9 +912,11 @@ def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> int:
     powers = [big_x ** (total - j) * big_y ** j
               for total in range(1, model.order + 1) for j in range(total + 1)]
     least = c0 + sum(min(c, 0.0) * p for c, p in zip(coeffs, powers))
-    size = abs(c0) + sum(abs(c) * p for c, p in zip(coeffs, powers)) + h
-    reach = least - 2.0 - 1e-9 * size
-    return min(math.floor(reach), 0) if math.isfinite(reach) else -h
+    most = c0 + sum(max(c, 0.0) * p for c, p in zip(coeffs, powers))
+    slack = 2.0 + 1e-9 * (abs(c0) + sum(abs(c) * p for c, p in zip(coeffs, powers)) + h)
+    if not (math.isfinite(least - slack) and math.isfinite(most + slack)):
+        return -h, h
+    return min(math.floor(least - slack), 0), max(math.ceil(most + slack), 1)
 
 
 def resample(tgt_plane: np.ndarray, model: DistortionModel,
@@ -902,6 +928,7 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel,
     outside the plane produce 0 DN and count as masked.  The plane is
     warped in blocks of ``block_lines(width)`` lines; each block evaluates
     the model from a column of line indices and a row of column indices,
+    and reads only the source lines its field can reach (``_line_reach``),
     so working memory stays at a few blocks.  Sampling (``_bilinear``) is
     pointwise and gives the bits of scipy's order-1 ``map_coordinates``
     rounded half up, so the result does not depend on the block size.
@@ -910,25 +937,31 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel,
     ``tgt_plane`` itself, which warps the plane in place; any other
     ``out`` raises ``ValueError``.  Either way the warp overwrites its own
     source, so each finished block is held until no later block can read
-    the lines it overwrites (``_line_reach``; when the field may reach
-    anywhere, every block is held).  Returns the warp and the number of
-    masked pixels.
+    the lines it overwrites (when the field may reach anywhere, every
+    block is held).  ``tgt_plane`` may be the plane of a file, warped in
+    place: each block's source lines are read from it, and each finished
+    block is written back to it when released.  Returns the warp and the
+    number of masked pixels.
     """
     if out is None:
         out = np.array(tgt_plane, order="C")
     elif out is not tgt_plane:
         raise ValueError("out must be None or tgt_plane itself")
     h, w = out.shape
-    reach = _line_reach(model, (h, w))
-    flat = out.ravel()
+    low, high = _line_reach(model, (h, w))
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
     step = block_lines(w)
+    # The block arrays of the field and of the sampling, allocated once.
+    # Allocated anew for every block, they went back to the system and
+    # were faulted in again, block after block.
+    floats = np.empty((4, min(step, h), w))
     held = collections.deque()
     masked = 0
     for y0 in range(0, h, step):
         y1 = min(y0 + step, h)
         lines = np.arange(y0, y1, dtype=np.float64)[:, np.newaxis]
-        src_x, src_y = model.evaluate(cols, lines)
+        src_x, src_y, spare, other = floats[:, : y1 - y0]
+        model.evaluate(cols, lines, out=(src_x, src_y, spare, other))
         src_x += cols
         src_y += lines
         ok = src_x >= 0
@@ -936,10 +969,13 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel,
         ok &= src_y >= 0
         ok &= src_y <= h - 1
         masked += ok.size - int(np.count_nonzero(ok))
-        held.append((y0, y1, _bilinear(flat, (h, w), src_x, src_y, ok).astype(out.dtype)))
-        del src_x, src_y, ok   # freed before the next block's warp is evaluated
-        # The next block, from line y1, reads no line above y1 + reach.
-        while held and held[0][1] <= y1 + reach:
+        first = max(y0 + low, 0)
+        window = out[first : min(y1 + high, h)]
+        held.append((y0, y1, _bilinear(window.ravel(), (h, w), src_x, src_y, ok, first,
+                                       (spare, other)).astype(out.dtype)))
+        del ok, window   # freed before the next block's warp is evaluated
+        # The next block, from line y1, reads no line above y1 + low.
+        while held and held[0][1] <= y1 + low:
             a, b, block = held.popleft()
             out[a:b] = block
     for a, b, block in held:

@@ -42,10 +42,6 @@ class NonPositiveResponse(PushprocError):
     """Relative response table contains a value <= 0."""
 
 
-class TooFewLines(PushprocError):
-    """Dark scene has fewer lines than the configured minimum."""
-
-
 class ZeroCenterMean(PushprocError):
     """Center window mean is zero; falloff ratio undefined."""
 

@@ -2,18 +2,27 @@
 
 Stages run in a fixed order because the radiometric correction is
 per-detector-column and must happen before resampling mixes columns.
-Disabled stages pass the scene through untouched.  Everything the run
-learned lands in a :class:`QualityReport`; wall-clock numbers live only
-under the ``timing`` key so reports stay byte-comparable without them.
+Disabled stages pass the scene through untouched.  The scene is never
+held in memory: the input phase reads only the raw file's header and line
+times, and the scene lives in the product file, ``corrected.l3raw.partial``
+in the output directory.  Vignetting correction (or, when it is skipped, a
+copy) writes the raw samples there block by block, co-registration warps
+the bands in place there, and every stage reads windows of the file
+(``raster.ScenePlanes``).  When every stage has succeeded the file is
+renamed to ``corrected.l3raw``; when one fails it is removed, so a failed
+run leaves no half-written product.  Everything the run learned lands in
+a :class:`QualityReport`; wall-clock numbers live only under the
+``timing`` key so reports stay byte-comparable without them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import typing
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -30,8 +39,8 @@ from .errors import (
 )
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
-from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
-                     load_calibration, load_raw, make_dir, read_json, save_raw)
+from .raster import (BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
+                     create_raw, load_calibration, make_dir, open_raw, read_json)
 
 STAGES = ("vignetting", "coreg", "georef")
 
@@ -68,6 +77,9 @@ class PipelineConfig:
             if (isinstance(value, bool) and expected is not bool) \
                     or not isinstance(value, allowed):
                 raise ConfigInvalid(f"{f.name} must be {f.type}, got {value!r}")
+            # JSON readers accept NaN and Infinity.
+            if expected is float and not math.isfinite(value):
+                raise ConfigInvalid(f"{f.name} must be finite, got {value!r}")
         if not self.raw_path:
             raise ConfigInvalid("raw input path is required")
         if not self.out_dir:
@@ -85,6 +97,10 @@ class PipelineConfig:
                           ("grid_step", 1), ("residual_points", 10)):
             if getattr(self, name) < low:
                 raise ConfigInvalid(f"{name} {getattr(self, name)} < {low}")
+        if not 0.0 <= self.min_score <= 1.0:
+            raise ConfigInvalid(f"min_score {self.min_score} not in [0, 1]")
+        if self.gate_radius <= 0:
+            raise ConfigInvalid(f"gate_radius {self.gate_radius} <= 0")
         # Co-registration runs on one thread; the field stays for configs that name it.
         if self.workers != 1:
             raise ConfigInvalid(f"workers must be 1, got {self.workers}")
@@ -150,17 +166,28 @@ def _radiometry_metrics(scene: RawScene) -> dict:
     return out
 
 
-def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityReport) -> RawScene:
-    """Correct ``scene`` in place, between the metrics before and after.
+def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityReport,
+                      out) -> RawScene:
+    """Correct ``scene`` into ``out``, between the metrics before and after.
 
-    The stage owns ``scene`` (``run_pipeline`` loaded it), so the corrected
-    planes overwrite the loaded ones and no second cube is built.
+    ``out`` is the planes of the product file in a run (``run_pipeline``),
+    or ``scene.planes`` to correct an owned scene in place; either way no
+    second cube is built.
     """
     before = _radiometry_metrics(scene)
-    corrected = radiometry.correct_vignetting(scene, calib, out=scene.planes)
+    corrected = radiometry.correct_vignetting(scene, calib, out=out)
     after = _radiometry_metrics(corrected)
     report.stages["vignetting"] = {"before": before, "after": after}
     return corrected
+
+
+def _copy_planes(scene: RawScene, out) -> RawScene:
+    """``scene``'s samples copied into ``out`` block by block, as a scene over ``out``."""
+    step = block_lines(scene.width)
+    for band in range(BAND_COUNT):
+        for y0 in range(0, scene.lines, step):
+            out[band, y0 : y0 + step] = scene.planes[band, y0 : y0 + step]
+    return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 
 
 def _coreg_grids(shape: tuple[int, int],
@@ -175,8 +202,9 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
                  config: PipelineConfig, report: QualityReport) -> RawScene:
     """Align every band to the reference band, in place.
 
-    The stage owns ``scene``: each band is warped in place, over its
-    source plane, which no later step reads.  All target bands are matched
+    The stage owns ``scene``, the product file's planes in a run: each
+    band is warped in place, over its source plane, which no later step
+    reads.  All target bands are matched
     on the match grid together, so each reference tile is prepared once
     per grid; each band is then fitted and resampled in band order, and
     the aligned bands are matched together on the residual grid.  No edge
@@ -268,62 +296,80 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
     """Execute the enabled stages in order and write all products.
 
     Every input is read, and every enabled stage's inputs are checked,
-    before the first stage runs.  Raises StageFailure naming the failing
-    stage; input problems are attributed to the pseudo-stage "input".
+    before the first stage runs; of the raw scene only the header and the
+    line times are read.  Raises StageFailure naming the failing stage;
+    input problems are attributed to the pseudo-stage "input".  The
+    stages work in ``corrected.l3raw.partial``, which becomes
+    ``corrected.l3raw`` when they all succeed and is removed when one
+    fails.
     """
     t_start = time.perf_counter()
-    try:
-        config.validate()
-        scene = load_raw(config.raw_path)
-        calib = load_calibration(config.calib_path) if config.calib_path else None
-        metadata = load_metadata(config.meta_path) if config.meta_path else None
-        truth = None
-        if config.truth_path:
-            # Imported here so that importing the pipeline does not pull in
-            # the synthetic-scene generator.
-            from .synthscene import load_truth_grid
+    with ExitStack() as files:
+        try:
+            config.validate()
+            scene = open_raw(config.raw_path)
+            files.callback(scene.planes.close)
+            calib = load_calibration(config.calib_path) if config.calib_path else None
+            metadata = load_metadata(config.meta_path) if config.meta_path else None
+            truth = None
+            if config.truth_path:
+                # Imported here so that importing the pipeline does not pull in
+                # the synthetic-scene generator.
+                from .synthscene import load_truth_grid
 
-            truth = load_truth_grid(config.truth_path)
-            truth_grid = truth[0]
-            if config.georef and not (
-                    np.array_equal(truth_grid.lines, _sample_indices(scene.lines, config.grid_step))
-                    and np.array_equal(truth_grid.columns,
-                                       _sample_indices(scene.width, config.grid_step))):
-                raise ConfigInvalid("truth grid nodes differ from the configured grid_step sampling")
-        # Both tile grids must fit the scene before any stage runs.
-        grids = _coreg_grids((scene.lines, scene.width), config) if config.coreg else None
-    except PushprocError as exc:
-        raise StageFailure("input", exc) from exc
-    if config.vignetting and calib is None:
-        raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
-    if config.georef and metadata is None:
-        raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
+                truth = load_truth_grid(config.truth_path)
+                truth_grid = truth[0]
+                if config.georef and not (
+                        np.array_equal(truth_grid.lines,
+                                       _sample_indices(scene.lines, config.grid_step))
+                        and np.array_equal(truth_grid.columns,
+                                           _sample_indices(scene.width, config.grid_step))):
+                    raise ConfigInvalid(
+                        "truth grid nodes differ from the configured grid_step sampling")
+            # Both tile grids must fit the scene before any stage runs.
+            grids = _coreg_grids((scene.lines, scene.width), config) if config.coreg else None
+            partial = Path(config.out_dir) / "corrected.l3raw.partial"
+            if partial.exists() and partial.samefile(config.raw_path):
+                raise ConfigInvalid(f"the raw input is the run's own working file {partial}")
+        except PushprocError as exc:
+            raise StageFailure("input", exc) from exc
+        if config.vignetting and calib is None:
+            raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
+        if config.georef and metadata is None:
+            raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
 
-    # The output directory is the last step of the input phase.
-    try:
-        out_dir = make_dir(config.out_dir)
-    except PushprocError as exc:
-        raise StageFailure("input", exc) from exc
-    report = QualityReport()
+        # The output directory and the working file are the last steps of
+        # the input phase.
+        try:
+            out_dir = make_dir(config.out_dir)
+            product = create_raw(partial, scene)
+        except PushprocError as exc:
+            raise StageFailure("input", exc) from exc
+        files.callback(product.planes.close)
+        report = QualityReport()
+        corrected_path = out_dir / "corrected.l3raw"
+        try:
+            if config.vignetting:
+                with _stage("vignetting", report):
+                    scene = _stage_vignetting(scene, calib, report, product.planes)
+            else:
+                scene = _copy_planes(scene, product.planes)
+            if config.coreg:
+                with _stage("coreg", report):
+                    scene = _stage_coreg(scene, metadata, grids, config, report)
+            if config.georef:
+                with _stage("georef", report):
+                    _stage_georef(scene, metadata, truth, config, out_dir, report)
+            os.replace(partial, corrected_path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+        report.outputs["corrected"] = str(corrected_path)
 
-    if config.vignetting:
-        with _stage("vignetting", report):
-            scene = _stage_vignetting(scene, calib, report)
-    if config.coreg:
-        with _stage("coreg", report):
-            scene = _stage_coreg(scene, metadata, grids, config, report)
-    if config.georef:
-        with _stage("georef", report):
-            _stage_georef(scene, metadata, truth, config, out_dir, report)
-
-    corrected_path = out_dir / "corrected.l3raw"
-    save_raw(scene, corrected_path)
-    report.outputs["corrected"] = str(corrected_path)
-
-    if config.quicklook:
-        ql_path = out_dir / ("quicklook.ppm")
-        quicklook(scene, [BandId.RED, BandId.GREEN, BandId.BLUE], ql_path)
-        report.outputs["quicklook"] = str(ql_path)
+        if config.quicklook:
+            ql_path = out_dir / ("quicklook.ppm")
+            quicklook(scene, [BandId.RED, BandId.GREEN, BandId.BLUE], ql_path)
+            report.outputs["quicklook"] = str(ql_path)
 
     report.timing["total"] = time.perf_counter() - t_start
     report_path = out_dir / "report.json"

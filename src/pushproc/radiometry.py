@@ -8,14 +8,16 @@ where R is the relative response and D the dark level of the calibration
 table.  Each image line is corrected independently, so ``correct_vignetting``
 walks each band in blocks of ``block_lines(width)`` lines.  Called without
 ``out`` it is pure: it returns a new scene and leaves its input untouched.
-Given ``out=scene.planes`` it corrects the scene's own planes in place,
-each block read before it is written; the pipeline, which owns the scene
-it loaded, takes that path, so no second cube is built, and an 8-bit
-scene stays uint8.  Integer output uses round-half-up and clamps to the
-DN range; a float-valued path is exposed so metric code and property
-tests are not polluted by quantization.  The metrics convert only the
-lines they read, or one block of their region at a time, to float64,
-never the whole plane.
+Given ``out`` it writes each corrected block there: ``out=scene.planes``
+corrects a scene's own planes in place, each block read before it is
+written, and the pipeline passes the planes of its ``.partial`` output
+file (``raster.ScenePlanes``), so the corrected scene goes from the raw
+file to the product file one block at a time and an 8-bit scene stays
+uint8.  Integer output uses round-half-up and clamps to the DN range; a
+float-valued path is exposed so metric code and property tests are not
+polluted by quantization.  The metrics read only the lines they use, or
+one block of lines of their region at a time, and convert only those to
+float64, so they take a plane in memory or in a file alike.
 """
 
 from __future__ import annotations
@@ -27,21 +29,24 @@ import numpy as np
 
 from .errors import (
     DegenerateFit,
-    TooFewLines,
     ZeroCenterMean,
     ZeroMean,
 )
 from .raster import BAND_COUNT, BLOCK_PIXELS, CalibrationTable, RawScene, block_lines
 
 
-def round_half_up(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer with ties going up (0.5 -> 1)."""
-    return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
+def round_half_up(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to nearest integer with ties going up (0.5 -> 1), as float64, into ``out`` when given."""
+    return np.floor(np.add(x, 0.5, out=out, dtype=np.float64), out=out)
 
 
-def _correct_lines(lines: np.ndarray, calib: CalibrationTable, band: int) -> np.ndarray:
-    """R * max(X - D, 0) of some lines of one band, as float64."""
-    return calib.response[band] * np.maximum(lines.astype(np.float64) - calib.dark[band], 0.0)
+def _correct_lines(lines: np.ndarray, calib: CalibrationTable, band: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """R * max(X - D, 0) of some lines of one band, as float64, into ``out`` when given."""
+    found = np.subtract(lines, calib.dark[band], out=out, dtype=np.float64)
+    np.maximum(found, 0.0, out=found)
+    found *= calib.response[band]
+    return found
 
 
 def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.ndarray:
@@ -66,7 +71,8 @@ def correct_vignetting(scene: RawScene, calib: CalibrationTable,
     which leaves ``scene`` untouched.  ``out`` may be ``scene.planes``
     itself, uint8 planes of an 8-bit scene included: each block is read
     before it is written, so a caller that owns the scene corrects it in
-    place without a second cube.
+    place without a second cube.  It may also be the planes of a file
+    (``raster.ScenePlanes``), which each block is written to.
     """
     calib.validate(scene.width)
     if out is None:
@@ -76,29 +82,17 @@ def correct_vignetting(scene: RawScene, calib: CalibrationTable,
         raise ValueError(f"out must be unsigned, holding DN {scene.max_dn}, of shape "
                          f"{scene.planes.shape}; got {out.dtype} {out.shape}")
     step = block_lines(scene.width)
+    # One block of float64, allocated once: allocated anew for every block,
+    # it went back to the system and was faulted in again, block after block.
+    work = np.empty((min(step, scene.lines), scene.width))
     for band in range(BAND_COUNT):
         for y0 in range(0, scene.lines, step):
             block = slice(y0, y0 + step)
-            out[band, block] = np.clip(
-                round_half_up(_correct_lines(scene.planes[band, block], calib, band)),
-                0, scene.max_dn)
+            lines = scene.planes[band, block]
+            found = _correct_lines(lines, calib, band, out=work[: len(lines)])
+            round_half_up(found, out=found)
+            out[band, block] = np.clip(found, 0, scene.max_dn, out=found)
     return RawScene(out, scene.line_times.copy(), scene.bit_depth)
-
-
-def build_dark_from_scene(dark_scene: RawScene, min_lines: int = 32) -> np.ndarray:
-    """Estimate per-band per-column dark levels from a dark acquisition.
-
-    Deep-space or night-ocean scenes substitute for pre-flight dark frames;
-    the estimate is the per-column mean over all lines, rounded to DN.
-
-    Returns
-    -------
-    dark : float64 [4, width]
-    """
-    if dark_scene.lines < min_lines:
-        raise TooFewLines(f"{dark_scene.lines} lines < minimum {min_lines}")
-    means = dark_scene.planes.astype(np.float64).mean(axis=1)
-    return round_half_up(means)
 
 
 def _edge_center_windows(width: int, window_frac: float):
@@ -117,7 +111,6 @@ def edge_center_ratio(plane: np.ndarray, rows, window_frac: float = 0.05) -> flo
 
         falloff = 100 * (1 - min(mean_left, mean_right) / mean_center)
     """
-    plane = np.asarray(plane)
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         raise ZeroCenterMean("no rows given")
@@ -174,67 +167,84 @@ def fit_profile_poly2(plane: np.ndarray, rows) -> LineProfile:
     return LineProfile(values=rel, poly2=tuple(float(c) for c in coeffs), rms_residual=rms)
 
 
-def _copy_flat(rows: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
-    """Write samples ``start:stop`` of ``rows``, in line order, into ``out``."""
-    w = rows.shape[1]
-    r0, c0 = divmod(start, w)
-    r1, c1 = divmod(stop, w)
-    if r0 == r1:
-        out[:] = rows[r0, c0:c1]
-        return
-    head, body = w - c0, (r1 - r0 - 1) * w
-    out[:head] = rows[r0, c0:]
-    out[head : head + body].reshape(-1, w)[...] = rows[r0 + 1 : r1]
-    if c1:
-        out[head + body :] = rows[r1, :c1]
+def _squared_deviation_sum(runs, mean: float, n: int, block: np.ndarray) -> float:
+    """Sum of (x - mean)^2 over the first ``n`` samples of ``runs``, as NumPy adds them.
 
-
-def _squared_deviation_sum(rows: np.ndarray, mean: float, start: int, stop: int,
-                           block: np.ndarray) -> float:
-    """Sum of (x - mean)^2 over samples ``start:stop`` of ``rows``, as NumPy adds them.
-
-    NumPy sums a contiguous float64 array pairwise: it splits n at n // 2,
-    rounded down to a multiple of 8, until a range is short enough to add
-    directly.  This follows the same splits down to ranges that fit in
-    ``block``, whose sums ``np.add.reduce`` then takes itself, so the total
-    has the bits of summing all the deviations at once.
+    ``runs`` yields the samples in order, as arrays taken in line order (a
+    2-D array yields its lines).  NumPy sums a contiguous float64 array
+    pairwise: it splits n at n // 2, rounded down to a multiple of 8,
+    until a range is short enough to add directly.  This follows the same
+    splits down to ranges that fit in ``block`` (``_pairwise_sum``), whose
+    sums ``np.add.reduce`` then takes itself, so the total has the bits of
+    summing all the deviations at once.  The ranges come in sample order,
+    so each is copied from the runs as they arrive.
     """
-    n = stop - start
+    runs, run = iter(runs), np.empty(0)
+
+    def fill(out: np.ndarray) -> None:
+        nonlocal run
+        done = 0
+        while done < out.size:
+            if not run.size:
+                run = np.ravel(next(runs))
+            k = min(out.size - done, run.size)
+            out[done : done + k] = run[:k]
+            run, done = run[k:], done + k
+
+    return _pairwise_sum(fill, mean, n, block)
+
+
+def _pairwise_sum(fill, mean: float, n: int, block: np.ndarray) -> float:
+    """The squared deviations of the next ``n`` samples ``fill`` gives, summed along NumPy's tree."""
     if n > block.size:
         half = n // 2 - n // 2 % 8
-        return (_squared_deviation_sum(rows, mean, start, start + half, block)
-                + _squared_deviation_sum(rows, mean, start + half, stop, block))
+        return (_pairwise_sum(fill, mean, half, block)
+                + _pairwise_sum(fill, mean, n - half, block))
     dev = block[:n]
-    _copy_flat(rows, start, stop, dev)
+    fill(dev)
     dev -= mean
     np.square(dev, out=dev)
     return np.add.reduce(dev)
 
 
-def uniformity_std(plane: np.ndarray, region=None) -> float:
+def uniformity_std(plane, region=None) -> float:
     """Relative spread of a (nominally uniform) region: 100 * std / mean.
 
-    The mean is taken on the region as it is.  The deviations from it are
-    converted to float64 and squared ``BLOCK_PIXELS`` samples at a time,
-    so one block of float64 is alive, whatever the region's size.  The
-    result equals ``ndarray.std`` over ``mean`` of the float64 region: the
-    blocks' sums are added along the tree NumPy sums a whole array by
-    (``_squared_deviation_sum``), and an integer region's mean is exact in
-    any order.
+    ``region`` is a pair of slices of positive step (the whole plane when
+    None), and the plane an array or a plane in a file.  The region is read
+    one block of the plane's lines at a time, twice: once for the
+    mean, then for the deviations from it, which are converted to float64
+    and squared ``BLOCK_PIXELS`` samples at a time, so one block of float64
+    is alive, whatever the region's size.  The result equals
+    ``ndarray.std`` over ``mean`` of the float64 region: the blocks' sums
+    are added along the tree NumPy sums a whole array by
+    (``_squared_deviation_sum``), and an integer region's mean is its exact
+    integer sum over its size.  A float plane, which is only ever in
+    memory, takes NumPy's own mean of the region.
     """
-    plane = np.asarray(plane)
     if region is None:
         region = (slice(None), slice(None))
-    sub = plane[region]
-    if sub.size == 0:
+    rows = range(plane.shape[0])[region[0]]
+    cols = region[1]
+    n = len(rows) * len(range(plane.shape[1])[cols])
+    if n == 0:
         raise ZeroMean("empty region")
-    mean = float(sub.mean(dtype=np.float64))
+    # Each read spans at most one block of the plane's lines.
+    step = max(1, block_lines(plane.shape[1]) // rows.step)
+
+    def blocks():
+        for a in range(0, len(rows), step):
+            b = min(a + step, len(rows))
+            yield plane[rows[a] : rows[b - 1] + 1][:: rows.step, cols]
+
+    if plane.dtype.kind == "f":
+        mean = float(plane[region].mean(dtype=np.float64))
+    else:
+        mean = sum(int(lines.sum(dtype=np.int64)) for lines in blocks()) / n
     if mean == 0.0:
         raise ZeroMean("region mean is zero")
-    rows = sub.reshape(-1, sub.shape[-1]) if sub.ndim else sub.reshape(1, 1)
-    block = np.empty(min(sub.size, BLOCK_PIXELS), dtype=np.float64)
-    total = _squared_deviation_sum(rows, mean, 0, sub.size, block)
-    return 100.0 * math.sqrt(float(total / sub.size)) / mean
+    block = np.empty(min(n, BLOCK_PIXELS), dtype=np.float64)
+    return 100.0 * math.sqrt(float(_squared_deviation_sum(blocks(), mean, n, block) / n)) / mean
 
 
 def calibration_from_flat_field(scene: RawScene, dark_level: float | np.ndarray = 0.0,

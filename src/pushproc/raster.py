@@ -1,14 +1,21 @@
 """Scene container, band access, and L3RAW file I/O.
 
 A :class:`RawScene` holds the four band planes of a pushbroom acquisition
-plus per-line timestamps.  Planes are stored planar (band major) as uint8
-or uint16, as given: a loaded scene keeps its file's sample type, so an
-8-bit scene costs one byte a sample.  Planes of any other type are
-converted to uint16.  A uint16 plane is never narrowed to the nominal bit
-depth; ``validate`` refuses a DN beyond it, and so does serialization.
-Code that walks a plane in blocks of lines takes ``block_lines(width)``
-lines at a time, so each block holds about ``BLOCK_PIXELS`` pixels
-whatever the plane's width.
+plus per-line timestamps.  Its planes are either an array in memory or a
+:class:`ScenePlanes`, the planes of an L3RAW file that stay in the file:
+``open_raw`` reads only a file's header and line times, and
+``create_raw`` makes a new file to write a scene into.  Both kinds answer
+``planes[band]`` and ``plane[rows, cols]`` with arrays of the same
+values, so code that reads a plane in windows and writes it back in runs
+of lines (``plane[rows] = block``) takes one path for both; the pipeline
+keeps its scene in files this way.  In-memory planes are stored planar
+(band major) as uint8 or uint16, as given: a loaded scene keeps its
+file's sample type, so an 8-bit scene costs one byte a sample.  Planes of
+any other type are converted to uint16.  A uint16 plane is never narrowed
+to the nominal bit depth; ``validate`` refuses a DN beyond it, and so does
+serialization.  Code that walks a plane in blocks of lines takes
+``block_lines(width)`` lines at a time, so each block holds about
+``BLOCK_PIXELS`` pixels whatever the plane's width.
 
 L3RAW container layout (little-endian throughout)::
 
@@ -79,18 +86,114 @@ BAND_NAMES = {BandId.BLUE: "blue", BandId.GREEN: "green", BandId.RED: "red", Ban
 BAND_BY_NAME = {name: band for band, name in BAND_NAMES.items()}
 
 
+class ScenePlanes:
+    """The band planes [4, lines, width] of an open L3RAW file, kept in the file.
+
+    ``planes[band]`` is one band's plane, of shape (lines, width).  A read,
+    ``plane[rows]`` or ``plane[rows, cols]`` with ``rows`` a slice of step
+    1 or a sequence of line indices, comes back as a fresh array of the
+    file's sample type; ``planes[band, rows]`` is short for
+    ``planes[band][rows]``.  A write, ``plane[rows] = lines`` with a slice,
+    stores whole lines in the file's sample type.  Each band's lines are
+    contiguous in the file, so a run of lines is one ``os.preadv`` or
+    ``os.pwrite``.  ``np.asarray`` of the planes raises ``TypeError``:
+    they are read in windows, never whole.
+    """
+
+    def __init__(self, fh, lines: int, width: int, bit_depth: int, band: int | None = None):
+        self.fh = fh
+        self.bit_depth = bit_depth
+        self.dtype = np.dtype(f"<u{bit_depth // 8}")
+        self.band = band
+        self.shape = (lines, width) if band is not None else (BAND_COUNT, lines, width)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("scene planes in a file are read in windows: index them")
+
+    def close(self) -> None:
+        self.fh.close()
+
+    def _offset(self, line: int) -> int:
+        lines, width = self.shape
+        return (_HEADER.size + 8 * lines
+                + (self.band * lines + line) * width * self.dtype.itemsize)
+
+    def _split(self, key) -> tuple["ScenePlanes", tuple]:
+        """The band plane a key indexes, and the rest of the key."""
+        key = key if isinstance(key, tuple) else (key,)
+        if self.band is not None:
+            return self, key
+        band, *rest = key
+        plane = ScenePlanes(self.fh, *self.shape[1:], self.bit_depth, int(band))
+        return plane, tuple(rest)
+
+    def _span(self, rows: slice) -> tuple[int, int]:
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise IndexError("scene planes in a file are read in runs of lines: step must be 1")
+        return start, max(start, stop)
+
+    def _read(self, out: np.ndarray, line: int) -> np.ndarray:
+        try:
+            done = os.preadv(self.fh.fileno(), [out], self._offset(line)) if out.size else 0
+        except OSError as exc:
+            raise IoFailure(f"cannot read {self.fh.name}: {exc}") from exc
+        if done != out.nbytes:
+            raise Truncated(f"{self.fh.name}: ended before its samples")
+        return out
+
+    def __getitem__(self, key):
+        plane, key = self._split(key)
+        if plane is not self and not key:
+            return plane
+        rows, cols = (*key, slice(None), slice(None))[:2]
+        width = plane.shape[1]
+        if isinstance(rows, slice):
+            start, stop = plane._span(rows)
+            lines = plane._read(np.empty((stop - start, width), plane.dtype), start)
+        else:
+            index = np.arange(plane.shape[0])[np.asarray(rows, dtype=np.intp)]
+            lines = np.empty((index.size, width), plane.dtype)
+            for k, line in enumerate(index.tolist()):
+                plane._read(lines[k], line)
+        return lines if cols == slice(None) else lines[:, cols]
+
+    def __setitem__(self, key, value) -> None:
+        plane, key = self._split(key)
+        if len(key) > 1 and key[1] != slice(None):
+            raise IndexError("scene planes in a file are written in whole lines")
+        start, stop = plane._span(key[0] if key else slice(None))
+        data = np.ascontiguousarray(np.broadcast_to(value, (stop - start, plane.shape[1])),
+                                    dtype=plane.dtype)
+        view, at = memoryview(data.reshape(-1).view(np.uint8)), plane._offset(start)
+        try:
+            while view:
+                done = os.pwrite(plane.fh.fileno(), view, at)
+                view, at = view[done:], at + done
+        except OSError as exc:
+            raise IoFailure(f"cannot write {plane.fh.name}: {exc}") from exc
+
+
 @dataclass
 class RawScene:
-    """Multi-band pushbroom scene: planes[band, line, column] plus line times."""
+    """Multi-band pushbroom scene: planes[band, line, column] plus line times.
+
+    ``planes`` is an array, or the :class:`ScenePlanes` of a file.
+    """
 
     planes: np.ndarray
     line_times: np.ndarray
     bit_depth: int = 8
 
     def __post_init__(self):
-        self.planes = np.asarray(self.planes)
-        if self.planes.dtype not in (np.uint8, np.uint16):
-            self.planes = self.planes.astype(np.uint16)
+        if not isinstance(self.planes, ScenePlanes):
+            self.planes = np.asarray(self.planes)
+            if self.planes.dtype not in (np.uint8, np.uint16):
+                self.planes = self.planes.astype(np.uint16)
         self.line_times = np.asarray(self.line_times, dtype=np.float64)
 
     @property
@@ -122,12 +225,21 @@ class RawScene:
             )
         if self.lines > 1 and not np.all(np.diff(self.line_times) > 0):
             raise HeaderInvalid("line_times must be strictly increasing")
-        peak = int(self.planes.max()) if self.planes.size else 0
-        if peak > self.max_dn:
-            raise HeaderInvalid(f"DN {peak} exceeds {self.bit_depth}-bit range")
+        # Only planes wider than the bit depth can hold a DN beyond it; a
+        # file's samples never are, so its planes are not read here.
+        if np.iinfo(self.planes.dtype).max > self.max_dn:
+            peak = int(self.planes.max()) if self.planes.size else 0
+            if peak > self.max_dn:
+                raise HeaderInvalid(f"DN {peak} exceeds {self.bit_depth}-bit range")
 
     def copy(self) -> "RawScene":
         return RawScene(self.planes.copy(), self.line_times.copy(), self.bit_depth)
+
+
+def _head(scene: RawScene) -> bytes:
+    """The header and line times of ``scene`` as an L3RAW file starts."""
+    return _HEADER.pack(MAGIC, VERSION, scene.width, scene.lines, scene.bit_depth, BAND_COUNT,
+                        b"\x00" * 4) + scene.line_times.astype("<f8").tobytes()
 
 
 def save_raw(scene: RawScene, path) -> None:
@@ -138,13 +250,9 @@ def save_raw(scene: RawScene, path) -> None:
     """
     scene.validate()
     sample = "<u1" if scene.bit_depth == 8 else "<u2"
-    header = _HEADER.pack(
-        MAGIC, VERSION, scene.width, scene.lines, scene.bit_depth, BAND_COUNT, b"\x00" * 4
-    )
     try:
         with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(scene.line_times.astype("<f8").tobytes())
+            fh.write(_head(scene))
             for plane in scene.planes:
                 fh.write(np.ascontiguousarray(plane, dtype=sample))
     except OSError as exc:
@@ -156,6 +264,36 @@ def _read_into(fh, array: np.ndarray, path) -> None:
         raise Truncated(f"{path}: ended before its samples")
 
 
+def _read_head(fh, path) -> tuple[int, int, int, np.ndarray]:
+    """Width, lines, bit depth and line times of the L3RAW file open in ``fh``.
+
+    The header is checked, and so is that the file is long enough for the
+    samples it promises; ``fh`` is left at the first sample.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise Truncated(f"{path}: shorter than the 20-byte header")
+    magic, version, width, lines, bit_depth, band_count, _ = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise BadMagic(f"{path}: magic {magic!r} != {MAGIC!r}")
+    if version != VERSION:
+        raise HeaderInvalid(f"{path}: unsupported version {version}")
+    if bit_depth not in (8, 16):
+        raise HeaderInvalid(f"{path}: bit_depth {bit_depth} not in (8, 16)")
+    if band_count != BAND_COUNT:
+        raise HeaderInvalid(f"{path}: band_count {band_count} != {BAND_COUNT}")
+    if not (0 < width <= _MAX_DIM) or not (0 < lines <= _MAX_DIM):
+        raise HeaderInvalid(f"{path}: width={width} lines={lines} out of range")
+
+    expected = _HEADER.size + 8 * lines + BAND_COUNT * lines * width * (bit_depth // 8)
+    if size < expected:
+        raise Truncated(f"{path}: {size} bytes, header promises {expected}")
+    times = np.empty(lines, dtype="<f8")
+    _read_into(fh, times, path)
+    return width, lines, bit_depth, times
+
+
 def load_raw(path) -> RawScene:
     """Read an L3RAW container back into a RawScene.
 
@@ -164,35 +302,60 @@ def load_raw(path) -> RawScene:
     """
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise Truncated(f"{path}: shorter than the 20-byte header")
-            magic, version, width, lines, bit_depth, band_count, _ = _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise BadMagic(f"{path}: magic {magic!r} != {MAGIC!r}")
-            if version != VERSION:
-                raise HeaderInvalid(f"{path}: unsupported version {version}")
-            if bit_depth not in (8, 16):
-                raise HeaderInvalid(f"{path}: bit_depth {bit_depth} not in (8, 16)")
-            if band_count != BAND_COUNT:
-                raise HeaderInvalid(f"{path}: band_count {band_count} != {BAND_COUNT}")
-            if not (0 < width <= _MAX_DIM) or not (0 < lines <= _MAX_DIM):
-                raise HeaderInvalid(f"{path}: width={width} lines={lines} out of range")
-
-            expected = _HEADER.size + 8 * lines + BAND_COUNT * lines * width * (bit_depth // 8)
-            if size < expected:
-                raise Truncated(f"{path}: {size} bytes, header promises {expected}")
-
-            times = np.empty(lines, dtype="<f8")
+            width, lines, bit_depth, times = _read_head(fh, path)
             planes = np.empty((BAND_COUNT, lines, width), dtype=f"<u{bit_depth // 8}")
-            _read_into(fh, times, path)
             _read_into(fh, planes, path)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     scene = RawScene(planes, times, bit_depth)
     scene.validate()
     return scene
+
+
+def open_raw(path) -> RawScene:
+    """The L3RAW file at ``path`` as a RawScene whose planes stay in the file.
+
+    Only the header and the line times are read, and checked as
+    ``load_raw`` checks them; the planes are a read-only
+    :class:`ScenePlanes`, which the caller closes.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        width, lines, bit_depth, times = _read_head(fh, path)
+        scene = RawScene(ScenePlanes(fh, lines, width, bit_depth), times, bit_depth)
+        scene.validate()
+    except OSError as exc:
+        fh.close()
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except BaseException:
+        fh.close()
+        raise
+    return scene
+
+
+def create_raw(path, like: RawScene) -> RawScene:
+    """A new L3RAW file at ``path`` with the size, bit depth and line times of ``like``.
+
+    The header and line times are written and the samples start at 0.
+    The file comes back as a RawScene over writable :class:`ScenePlanes`,
+    which the caller closes.
+    """
+    try:
+        fh = open(path, "w+b")
+        try:
+            fh.write(_head(like))
+            fh.truncate(fh.tell() + BAND_COUNT * like.lines * like.width * (like.bit_depth // 8))
+            fh.flush()
+        except BaseException:
+            fh.close()
+            raise
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return RawScene(ScenePlanes(fh, like.lines, like.width, like.bit_depth),
+                    like.line_times.copy(), like.bit_depth)
 
 
 # --------------------------------------------------------------- calibration

@@ -164,10 +164,6 @@ def _texture_checkerboard(spec: SynthSpec) -> np.ndarray:
 
 
 def _texture_fractal(spec: SynthSpec) -> np.ndarray:
-    # scipy is imported here, so that loading a truth pack or another
-    # texture does not import it.
-    from scipy import ndimage
-
     rng = np.random.default_rng([spec.seed, 23])
     out = np.zeros((spec.lines, spec.width))
     weight_total = 0.0
@@ -175,9 +171,7 @@ def _texture_fractal(spec: SynthSpec) -> np.ndarray:
         weight = 1.0 / (octave + 1)
         coarse = rng.standard_normal((spec.lines // cell + 2, spec.width // cell + 2))
         yy, xx = np.mgrid[0 : spec.lines, 0 : spec.width]
-        out += weight * ndimage.map_coordinates(
-            coarse, [yy / cell, xx / cell], order=1, mode="nearest"
-        )
+        out += weight * _bilinear_clamped(coarse, xx / cell, yy / cell)
         weight_total += weight
     out /= weight_total
     scale = spec.texture_contrast / max(out.std() * 2.0, 1e-9)

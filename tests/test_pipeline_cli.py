@@ -67,16 +67,20 @@ class TestRunPipeline:
 
     def test_uint8_planes_give_the_products_of_uint16_planes(self, synth_inputs, tmp_path,
                                                              monkeypatch):
-        from pushproc import pipeline
+        from pushproc.raster import ScenePlanes
 
         assert load_raw(synth_inputs / "scene.l3raw").planes.dtype == np.uint8
         run_pipeline(base_config(synth_inputs, tmp_path / "narrow", quicklook=True))
 
-        def load_wide(path):
-            scene = load_raw(path)
-            return RawScene(scene.planes.astype(np.uint16), scene.line_times, scene.bit_depth)
+        # Every window the stages read of the raw file and of the product
+        # file comes back widened to uint16.
+        read = ScenePlanes.__getitem__
 
-        monkeypatch.setattr(pipeline, "load_raw", load_wide)
+        def read_wide(planes, key):
+            found = read(planes, key)
+            return found.astype(np.uint16) if isinstance(found, np.ndarray) else found
+
+        monkeypatch.setattr(ScenePlanes, "__getitem__", read_wide)
         run_pipeline(base_config(synth_inputs, tmp_path / "wide", quicklook=True))
         narrow, wide = tmp_path / "narrow", tmp_path / "wide"
         for name in ("corrected.l3raw", "grid.json", "quicklook.ppm"):
@@ -435,7 +439,9 @@ class TestCli:
         {"ref_band": 9}, {"ref_band": "red"}, {"tile_size": "x"},
         {"grid_step": 2.5}, {"min_score": None}, {"vignetting": "no"}, [],
         {"grid_step": 0}, {"tile_size": 16}, {"grid_nx": 0}, {"residual_points": 5},
-        {"workers": 2},
+        {"workers": 2}, {"min_score": float("nan")}, {"min_score": float("inf")},
+        {"min_score": -0.5}, {"min_score": 1.5}, {"gate_radius": -1}, {"gate_radius": 0},
+        {"gate_radius": float("inf")},
     ])
     def test_wrongly_typed_config_exit_2(self, synth_inputs, tmp_path, capsys, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -562,21 +568,122 @@ class TestCli:
         assert rc == 2
 
 
+class TestSceneInItsOutputFile:
+    """The run keeps its scene in ``corrected.l3raw.partial``, renamed on success."""
+
+    def test_failed_stage_leaves_no_product(self, synth_inputs, tmp_path, capsys):
+        # Flat bands stay flat through an identity calibration and leave
+        # co-registration no tile to match.
+        from pushproc.raster import CalibrationTable
+
+        scene = load_raw(synth_inputs / "scene.l3raw")
+        scene.planes[:] = 100
+        save_raw(scene, tmp_path / "flat.l3raw")
+        save_calibration(CalibrationTable(np.ones((4, scene.width)), np.zeros((4, scene.width))),
+                         tmp_path / "identity.json")
+        out = tmp_path / "o"
+        rc = main(["preprocess", "--raw", str(tmp_path / "flat.l3raw"),
+                   "--calib", str(tmp_path / "identity.json"), "--out", str(out),
+                   "--skip-georef"])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (err["error"]["stage"], err["error"]["type"]) == ("coreg", "NoMatches")
+        assert out.is_dir() and not (out / "corrected.l3raw").exists()
+        assert not (out / "corrected.l3raw.partial").exists()
+
+    def test_reprocessing_a_product_in_place_equals_processing_a_copy(self, synth_inputs,
+                                                                      tmp_path):
+        first = tmp_path / "first"
+        run_pipeline(base_config(synth_inputs, first))
+        copy = tmp_path / "copy.l3raw"
+        copy.write_bytes((first / "corrected.l3raw").read_bytes())
+        cfg = base_config(synth_inputs, first, raw_path=str(first / "corrected.l3raw"))
+        run_pipeline(cfg)
+        run_pipeline(base_config(synth_inputs, tmp_path / "again", raw_path=str(copy)))
+        for name in ("corrected.l3raw", "grid.json"):
+            assert (first / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+        assert (first / "corrected.l3raw").read_bytes() != copy.read_bytes()
+        assert not (first / "corrected.l3raw.partial").exists()
+
+    def test_raw_input_that_is_the_working_file_exit_2(self, synth_inputs, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        partial = out / "corrected.l3raw.partial"
+        partial.write_bytes((synth_inputs / "scene.l3raw").read_bytes())
+        rc = main(["preprocess", "--raw", str(partial), "--out", str(out),
+                   "--skip-vignetting", "--skip-georef"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (err["error"]["stage"], err["error"]["type"]) == ("input", "ConfigInvalid")
+        assert partial.read_bytes() == (synth_inputs / "scene.l3raw").read_bytes()
+
+    def test_peak_memory_does_not_grow_with_scene_length(self, tmp_path):
+        # A 1000-column 16-bit scene of 2000 lines, and the same scene four
+        # times over, 8000 lines: each run in a fresh interpreter that
+        # reports its own peak RSS.  It is started through a small launcher
+        # process, because a process started straight from this one would
+        # begin its peak at this process's size.  The 8000-line scene held
+        # in memory (64 MB of planes) measured 44 MB above the short one.
+        spec = SynthSpec(seed=29, width=1000, lines=2000, bit_depth=16, texture="urban-blocks",
+                         texture_base=2000.0, texture_contrast=1500.0, vignette_falloff=30.0,
+                         dark_level=40.0)
+        short, truth = generate(spec)
+        save_raw(short, tmp_path / "short.l3raw")
+        long_planes = np.concatenate([short.planes] * 4, axis=1)
+        save_raw(RawScene(long_planes, short.line_times[0] + np.arange(8000) * 0.002, 16),
+                 tmp_path / "long.l3raw")
+        del long_planes
+        save_calibration(truth.calib, tmp_path / "calib.json")
+        code = """
+import resource, sys
+from pushproc.pipeline import PipelineConfig, run_pipeline
+
+run_pipeline(PipelineConfig(raw_path=sys.argv[1], calib_path=sys.argv[2], out_dir=sys.argv[3],
+                            georef=False))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+        launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        runs = [subprocess.Popen([sys.executable, "-c", launcher, sys.executable, "-c", code,
+                                  str(tmp_path / f"{name}.l3raw"), str(tmp_path / "calib.json"),
+                                  str(tmp_path / name)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+                for name in ("short", "long")]
+        peaks_kb = []
+        for run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            peaks_kb.append(int(out.split()[-1]))
+        assert (tmp_path / "long" / "corrected.l3raw").stat().st_size > 60 * 2 ** 20
+        assert peaks_kb[1] - peaks_kb[0] < 8 * 1024
+
+
 class TestImportFootprint:
     def test_pipeline_never_imports_scipy(self, tmp_path):
-        # A fresh interpreter: the CLI loads no thread pool, and the CLI and
-        # a whole run with a truth sidecar load no scipy and no numpy.ma;
-        # only the fractal-noise texture of the generator loads scipy.
+        # A fresh interpreter whose import system refuses scipy: the CLI
+        # loads no thread pool, the generator makes every texture, and a
+        # whole run with a truth sidecar, through the CLI, loads no numpy.ma.
         code = """
 import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused here")
+
+
+sys.meta_path.insert(0, RefuseScipy())
 from pathlib import Path
 import pushproc.cli
 print("concurrent.futures" in sys.modules)
 from pushproc.georef.metadata import save_metadata
-from pushproc.pipeline import PipelineConfig, run_pipeline
 from pushproc.raster import save_calibration, save_raw
-from pushproc.synthscene import SynthSpec, generate, save_truth
+from pushproc.synthscene import TEXTURES, SynthSpec, generate, save_truth
 
+for texture in TEXTURES:
+    scene, _ = generate(SynthSpec(seed=27, width=64, lines=64, texture=texture))
+    assert texture == "flat" or scene.planes.std() > 0, texture
 out = Path(sys.argv[1])
 spec = SynthSpec(seed=26, width=256, lines=256, texture="urban-blocks", grid_step=64,
                  band_warp={"nir": {"order": 1, "coeff_dx": [1.0, 0.5, -0.5],
@@ -586,20 +693,22 @@ save_raw(raw, out / "scene.l3raw")
 save_calibration(truth.calib, out / "calib.json")
 save_metadata(truth.metadata, out / "metadata.json")
 save_truth(truth, out / "truth.json")
-report = run_pipeline(PipelineConfig(
-    raw_path=str(out / "scene.l3raw"), calib_path=str(out / "calib.json"),
-    meta_path=str(out / "metadata.json"), truth_path=str(out / "truth.json"),
-    out_dir=str(out / "run"), grid_step=64, residual_points=16, quicklook=True))
-assert set(report.stages) == {"vignetting", "coreg", "georef"}
-assert "error_stats" in report.stages["georef"]
+(out / "cfg.json").write_text('{"grid_step": 64, "residual_points": 16}')
+rc = pushproc.cli.main([
+    "preprocess", "--config", str(out / "cfg.json"), "--raw", str(out / "scene.l3raw"),
+    "--calib", str(out / "calib.json"), "--meta", str(out / "metadata.json"),
+    "--truth", str(out / "truth.json"), "--out", str(out / "run"), "--quicklook"])
+assert rc == 0
 print("scipy" in sys.modules, "numpy.ma" in sys.modules)
-fractal, _ = generate(SynthSpec(seed=27, width=64, lines=64, texture="fractal-noise"))
-assert fractal.planes.std() > 0
-print("scipy" in sys.modules)
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                               text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False", "False", "True"]
+        lines = proc.stdout.split("\n")
+        assert lines[0] == "False" and lines[-2] == "False False", proc.stdout
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert set(report["stages"]) == {"vignetting", "coreg", "georef"}
+        assert "error_stats" in report["stages"]["georef"]
+        assert (tmp_path / "run" / "quicklook.ppm").exists()

@@ -186,7 +186,7 @@ class TestCorrectInPlace:
         calib = CalibrationTable(response=np.full((4, n), 1.3), dark=np.full((4, n), 2.0))
         tracemalloc.start()
         try:
-            corrected = _stage_vignetting(scene, calib, QualityReport())
+            corrected = _stage_vignetting(scene, calib, QualityReport(), scene.planes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,30 +195,6 @@ class TestCorrectInPlace:
         # float64 blocks.  The metrics' float64 centre region measured 0.25,
         # a corrected copy of the cube 1.50.
         assert peak < scene.planes.nbytes / 2
-
-
-class TestDarkEstimation:
-    def test_all_zero(self):
-        scene = uniform_scene(0, lines=32)
-        np.testing.assert_array_equal(radiometry.build_dark_from_scene(scene), 0)
-
-    def test_constant_scene(self):
-        scene = uniform_scene(12, lines=40)
-        np.testing.assert_array_equal(radiometry.build_dark_from_scene(scene), 12)
-
-    def test_too_few_lines(self):
-        scene = uniform_scene(3, lines=8)
-        with pytest.raises(errors.TooFewLines):
-            radiometry.build_dark_from_scene(scene)
-
-    def test_gaussian_noise_sampling_bound(self):
-        # mean of 1000 samples of N(10, 2) stays within +-1 DN per column
-        rng = np.random.default_rng(42)
-        noisy = np.clip(rng.normal(10.0, 2.0, (4, 1000, 64)), 0, 255)
-        scene = RawScene(np.floor(noisy + 0.5).astype(np.uint16),
-                         np.arange(1000, dtype=float), 8)
-        dark = radiometry.build_dark_from_scene(scene)
-        assert dark.min() >= 9 and dark.max() <= 11
 
 
 class TestEdgeCenterRatio:
@@ -295,7 +271,7 @@ def _assert_uniformity_exact(plane, region):
     mean = float(sub.mean(dtype=np.float64))
     squares = (sub.astype(np.float64) - mean) ** 2
     block = np.empty(BLOCK_PIXELS)
-    assert radiometry._squared_deviation_sum(sub, mean, 0, sub.size, block) \
+    assert radiometry._squared_deviation_sum(sub, mean, sub.size, block) \
         == np.add.reduce(squares, axis=None)
     assert radiometry.uniformity_std(plane, region) \
         == 100.0 * math.sqrt(float(np.mean(squares))) / mean

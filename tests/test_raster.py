@@ -10,8 +10,10 @@ from pushproc.raster import (
     BAND_COUNT,
     CalibrationTable,
     RawScene,
+    create_raw,
     load_calibration,
     load_raw,
+    open_raw,
     save_calibration,
     save_raw,
 )
@@ -161,6 +163,66 @@ class TestL3RawErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(errors.IoFailure):
             load_raw(tmp_path / "nope.l3raw")
+
+
+class TestScenePlanes:
+    """A scene whose planes stay in its L3RAW file, read in windows and written in lines."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_windows_equal_the_loaded_planes(self, tmp_path, bit_depth):
+        scene = make_scene(seed=5, width=23, lines=37, bit_depth=bit_depth)
+        save_raw(scene, tmp_path / "s.l3raw")
+        opened = open_raw(tmp_path / "s.l3raw")
+        try:
+            assert opened.planes.shape == scene.planes.shape
+            assert (opened.width, opened.lines, opened.bit_depth) == (23, 37, bit_depth)
+            np.testing.assert_array_equal(opened.line_times, scene.line_times)
+            for band in range(BAND_COUNT):
+                plane, expected = opened.planes[band], scene.planes[band]
+                assert plane.shape == expected.shape
+                for window in [(slice(5, 9), slice(3, 7)), (slice(None),),
+                               (slice(30, None), slice(0, 23)), (slice(4, 4),)]:
+                    got = plane[window]
+                    assert got.dtype == np.dtype(f"<u{bit_depth // 8}")
+                    np.testing.assert_array_equal(got, expected[window])
+                np.testing.assert_array_equal(plane[[0, 3, 36, -1]], expected[[0, 3, 36, -1]])
+                np.testing.assert_array_equal(opened.planes[band, 2:6], expected[2:6])
+        finally:
+            opened.planes.close()
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_lines_written_give_the_bytes_of_save_raw(self, tmp_path, bit_depth):
+        scene = make_scene(seed=6, width=19, lines=29, bit_depth=bit_depth)
+        made = create_raw(tmp_path / "made.l3raw", scene)
+        try:
+            for band in range(BAND_COUNT):
+                made.planes[band, :10] = scene.planes[band, :10]
+                # Float lines are stored in the file's sample type.
+                made.planes[band][10:] = scene.planes[band, 10:].astype(np.float64)
+        finally:
+            made.planes.close()
+        save_raw(scene, tmp_path / "saved.l3raw")
+        assert (tmp_path / "made.l3raw").read_bytes() == (tmp_path / "saved.l3raw").read_bytes()
+
+    def test_refuses_to_become_an_array(self, tmp_path, small_scene):
+        save_raw(small_scene, tmp_path / "s.l3raw")
+        opened = open_raw(tmp_path / "s.l3raw")
+        try:
+            for planes in (opened.planes, opened.planes[0]):
+                with pytest.raises(TypeError):
+                    np.asarray(planes)
+        finally:
+            opened.planes.close()
+
+    def test_open_reads_and_checks_only_the_head(self, tmp_path, small_scene):
+        path = tmp_path / "s.l3raw"
+        save_raw(small_scene, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1])
+        with pytest.raises(errors.Truncated):
+            open_raw(path)
+        with pytest.raises(errors.IoFailure):
+            open_raw(tmp_path / "nope.l3raw")
 
 
 class TestCalibrationIo:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pushproc import coreg, errors
+from pushproc import coreg, errors, synthscene
 from pushproc.raster import BandId
 from pushproc.synthscene import (
     SynthSpec,
+    _texture_fractal,
     eval_warp,
     generate,
     truth_coreg_residual,
@@ -117,6 +118,29 @@ class TestGenerate:
                          vignette_falloff=40.0, dark_level=10.0, noise_sigma=3.0)
         raw, _ = generate(spec)
         assert raw.planes.max() <= 255
+
+
+    def test_fractal_noise_equals_its_scipy_sampling(self, monkeypatch):
+        # The texture samples its noise lattices with the generator's own
+        # clamped bilinear sampler; scipy's order-1 map_coordinates gave the
+        # same texture to within 1e-12 and the same samples.
+        from scipy import ndimage
+
+        spec = SynthSpec(seed=27, width=300, lines=200, texture="fractal-noise")
+        rng = np.random.default_rng([spec.seed, 23])
+        out, weight_total = np.zeros((spec.lines, spec.width)), 0.0
+        for octave, cell in enumerate((128, 64, 32, 16)):
+            coarse = rng.standard_normal((spec.lines // cell + 2, spec.width // cell + 2))
+            yy, xx = np.mgrid[0 : spec.lines, 0 : spec.width]
+            out += ndimage.map_coordinates(coarse, [yy / cell, xx / cell], order=1,
+                                           mode="nearest") / (octave + 1)
+            weight_total += 1.0 / (octave + 1)
+        out /= weight_total
+        texture = spec.texture_base + out * (spec.texture_contrast / max(out.std() * 2.0, 1e-9))
+        np.testing.assert_allclose(_texture_fractal(spec), texture, rtol=0, atol=1e-12)
+        raw, _ = generate(spec)
+        monkeypatch.setitem(synthscene._TEXTURE_FN, "fractal-noise", lambda _: texture)
+        np.testing.assert_array_equal(generate(spec)[0].planes, raw.planes)
 
 
 class TestSpecValidation:
