@@ -67,8 +67,7 @@ from .errors import (
 )
 from .raster import BandId, block_lines
 from .georef.attitude import slerp_attitude
-from .georef.camera import ImagerModel
-from .georef.frames import eci_to_ecef
+from .georef.frames import WGS84_A_KM, eci_to_ecef
 from .georef.metadata import AcqMetadata
 
 
@@ -610,7 +609,6 @@ class ShiftPrior:
 def predict_shift_prior(
     metadata: AcqMetadata,
     band_pair: tuple[BandId, BandId],
-    imager: ImagerModel | None = None,
     gate_radius: float = 5.0,
 ) -> ShiftPrior:
     """Predict the bulk shift between two bands from geometry and attitude.
@@ -625,10 +623,9 @@ def predict_shift_prior(
     each ground feature earlier, i.e. at lower line indices, so the
     predicted dy carries the opposite sign of the row separation.
     """
-    if imager is None:
-        imager = metadata.imager
     if not metadata.attitude:
         raise MissingAttitude("metadata carries no attitude samples")
+    imager = metadata.imager
     ref_band, tgt_band = band_pair
     delta_rows = imager.band_row_offset.get(tgt_band, 0.0) - imager.band_row_offset.get(
         ref_band, 0.0
@@ -645,11 +642,9 @@ def predict_shift_prior(
 
     # Ground speed from the Earth-fixed motion of the subsatellite point.
     dt = 1.0
-    r0 = eci_to_ecef(metadata.orbit.state_at(t_mid).r_eci, t_mid)
+    r0 = eci_to_ecef(state.r_eci, t_mid)
     r1 = eci_to_ecef(metadata.orbit.state_at(t_mid + dt).r_eci, t_mid + dt)
     radius = float(np.linalg.norm(r0))
-    from .georef.frames import WGS84_A_KM
-
     ground_speed_kms = float(np.linalg.norm(r1 - r0)) / dt * (WGS84_A_KM / radius)
     altitude_km = radius - WGS84_A_KM
     gsd_km = altitude_km * imager.ifov_rad
@@ -676,13 +671,13 @@ def _median(values: np.ndarray) -> float:
 def remove_outliers(
     matches: list[MatchPoint],
     prior: ShiftPrior | None = None,
-    mad_scale: float = 3.0,
-    mad_floor: float = 0.5,
 ) -> list[MatchPoint]:
     """Two-pass robust rejection: prior gate, then median/MAD clipping.
 
     Without attitude metadata the prior falls back to the match medians
-    with the same gate radius.  Order is preserved.
+    with the same gate radius.  The second pass keeps shifts within 3
+    MADs (at least 0.5 px each) of the gated median on each axis.  Order
+    is preserved.
     """
     if not matches:
         raise AllRejected("no matches supplied")
@@ -701,10 +696,10 @@ def remove_outliers(
     kept_dx = dx[gate_keep]
     kept_dy = dy[gate_keep]
     med_dx, med_dy = _median(kept_dx), _median(kept_dy)
-    mad_dx = max(_median(np.abs(kept_dx - med_dx)), mad_floor)
-    mad_dy = max(_median(np.abs(kept_dy - med_dy)), mad_floor)
-    final_keep = gate_keep & (np.abs(dx - med_dx) <= mad_scale * mad_dx) \
-        & (np.abs(dy - med_dy) <= mad_scale * mad_dy)
+    mad_dx = max(_median(np.abs(kept_dx - med_dx)), 0.5)
+    mad_dy = max(_median(np.abs(kept_dy - med_dy)), 0.5)
+    final_keep = gate_keep & (np.abs(dx - med_dx) <= 3.0 * mad_dx) \
+        & (np.abs(dy - med_dy) <= 3.0 * mad_dy)
     if not final_keep.any():
         raise AllRejected("median/MAD pass rejected every match")
     return [m for m, keep in zip(matches, final_keep) if keep]

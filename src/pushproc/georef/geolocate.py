@@ -185,8 +185,8 @@ def fit_world_file(grid: GeoGrid) -> tuple[tuple[float, ...], float]:
     return (float(a), float(d), float(b), float(e), float(c), float(f)), rms
 
 
-def save_geogrid(grid: GeoGrid, json_path, world_path=None) -> tuple[tuple[float, ...], float]:
-    """Write the grid JSON and, optionally, the six-line ESRI world file.
+def save_geogrid(grid: GeoGrid, json_path, world_path) -> tuple[tuple[float, ...], float]:
+    """Write the grid JSON and the six-line ESRI world file.
 
     Returns the world-file fit written into both, as ``fit_world_file``
     gives it.
@@ -205,9 +205,7 @@ def save_geogrid(grid: GeoGrid, json_path, world_path=None) -> tuple[tuple[float
     }
     try:
         Path(json_path).write_text(json.dumps(doc, sort_keys=True))
-        if world_path is not None:
-            lines = "\n".join(f"{v:.12f}" for v in coeffs) + "\n"
-            Path(world_path).write_text(lines)
+        Path(world_path).write_text("\n".join(f"{v:.12f}" for v in coeffs) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write geogrid: {exc}") from exc
     return coeffs, rms

@@ -5,14 +5,15 @@ per-detector-column and must happen before resampling mixes columns.
 Disabled stages pass the scene through untouched.  The scene is never
 held in memory: the input phase reads only the raw file's header and line
 times, and the scene lives in the product file, ``corrected.l3raw.partial``
-in the output directory.  Vignetting correction (or, when it is skipped, a
-copy) writes the raw samples there block by block, co-registration warps
-the bands in place there, and every stage reads windows of the file
-(``raster.ScenePlanes``).  When every stage has succeeded the file is
-renamed to ``corrected.l3raw``; when one fails it is removed, so a failed
-run leaves no half-written product.  Everything the run learned lands in
-a :class:`QualityReport`; wall-clock numbers live only under the
-``timing`` key so reports stay byte-comparable without them.
+in the output directory.  Vignetting correction (or, when it is skipped,
+``raster.copy_planes``) writes the raw samples there block by block,
+co-registration warps the bands in place there, and every stage reads
+windows of the file (``raster.ScenePlanes``).  When every stage has
+succeeded the file is renamed to ``corrected.l3raw``; when one fails it
+is removed, so a failed run leaves no half-written product.  Everything
+the run learned lands in a :class:`QualityReport`; wall-clock numbers
+live only under the ``timing`` key so reports stay byte-comparable
+without them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
-from .raster import (BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
+from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines, copy_planes,
                      create_raw, load_calibration, make_dir, open_raw, read_json)
 
 STAGES = ("vignetting", "coreg", "georef")
@@ -142,9 +143,9 @@ class QualityReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
-def _metric_rows(scene: RawScene, count: int = 16) -> np.ndarray:
-    """``count`` evenly spaced line indices, repeats dropped (``np.unique`` of the sorted rows)."""
-    rows = np.linspace(0, scene.lines - 1, count).astype(int)
+def _metric_rows(scene: RawScene) -> np.ndarray:
+    """16 evenly spaced line indices, repeats dropped (``np.unique`` of the sorted rows)."""
+    rows = np.linspace(0, scene.lines - 1, 16).astype(int)
     return rows[np.diff(rows, prepend=-1) > 0]
 
 
@@ -179,15 +180,6 @@ def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityR
     after = _radiometry_metrics(corrected)
     report.stages["vignetting"] = {"before": before, "after": after}
     return corrected
-
-
-def _copy_planes(scene: RawScene, out) -> RawScene:
-    """``scene``'s samples copied into ``out`` block by block, as a scene over ``out``."""
-    step = block_lines(scene.width)
-    for band in range(BAND_COUNT):
-        for y0 in range(0, scene.lines, step):
-            out[band, y0 : y0 + step] = scene.planes[band, y0 : y0 + step]
-    return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 
 
 def _coreg_grids(shape: tuple[int, int],
@@ -353,7 +345,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
                 with _stage("vignetting", report):
                     scene = _stage_vignetting(scene, calib, report, product.planes)
             else:
-                scene = _copy_planes(scene, product.planes)
+                scene = copy_planes(scene, product.planes)
             if config.coreg:
                 with _stage("coreg", report):
                     scene = _stage_coreg(scene, metadata, grids, config, report)

@@ -95,26 +95,26 @@ def correct_vignetting(scene: RawScene, calib: CalibrationTable,
     return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 
 
-def _edge_center_windows(width: int, window_frac: float):
-    n = max(1, int(round(width * window_frac)))
+def _edge_center_windows(width: int):
+    n = max(1, int(round(width * 0.05)))
     mid = width // 2
     half = n // 2
     center = slice(max(0, mid - half), max(0, mid - half) + n)
     return slice(0, n), slice(width - n, width), center
 
 
-def edge_center_ratio(plane: np.ndarray, rows, window_frac: float = 0.05) -> float:
+def edge_center_ratio(plane: np.ndarray, rows) -> float:
     """Brightness falloff from image center to the darker edge, in percent.
 
     Averages the given rows, then compares the outer and middle windows of
-    ``window_frac`` of the columns:
+    5% of the columns:
 
         falloff = 100 * (1 - min(mean_left, mean_right) / mean_center)
     """
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         raise ZeroCenterMean("no rows given")
-    left, right, center = _edge_center_windows(plane.shape[1], window_frac)
+    left, right, center = _edge_center_windows(plane.shape[1])
     sub = plane[rows].astype(np.float64)
     center_mean = float(sub[:, center].mean())
     if center_mean == 0.0:

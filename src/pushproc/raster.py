@@ -4,7 +4,10 @@ A :class:`RawScene` holds the four band planes of a pushbroom acquisition
 plus per-line timestamps.  Its planes are either an array in memory or a
 :class:`ScenePlanes`, the planes of an L3RAW file that stay in the file:
 ``open_raw`` reads only a file's header and line times, and
-``create_raw`` makes a new file to write a scene into.  Both kinds answer
+``create_raw`` makes a new file to write a scene into.  ``ScenePlanes``
+is the only code that reads or writes a file's samples: ``save_raw`` is
+``create_raw`` plus ``copy_planes``, one block at a time, and
+``load_raw`` is ``open_raw`` plus one read per band.  Both kinds answer
 ``planes[band]`` and ``plane[rows, cols]`` with arrays of the same
 values, so code that reads a plane in windows and writes it back in runs
 of lines (``plane[rows] = block``) takes one path for both; the pipeline
@@ -33,6 +36,7 @@ L3RAW container layout (little-endian throughout)::
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -93,11 +97,12 @@ class ScenePlanes:
     ``plane[rows]`` or ``plane[rows, cols]`` with ``rows`` a slice of step
     1 or a sequence of line indices, comes back as a fresh array of the
     file's sample type; ``planes[band, rows]`` is short for
-    ``planes[band][rows]``.  A write, ``plane[rows] = lines`` with a slice,
-    stores whole lines in the file's sample type.  Each band's lines are
-    contiguous in the file, so a run of lines is one ``os.preadv`` or
-    ``os.pwrite``.  ``np.asarray`` of the planes raises ``TypeError``:
-    they are read in windows, never whole.
+    ``planes[band][rows]``; the band is indexed as an ndarray's first axis.
+    A write, ``plane[rows] = lines`` with a slice, stores whole lines in
+    the file's sample type.  Each band's lines are contiguous in the file,
+    so a run of lines is one ``os.preadv`` or ``os.pwrite`` (more only past
+    the 2 GiB that Linux moves in one call).  ``np.asarray`` of the planes
+    raises ``TypeError``: they are read in windows, never whole.
     """
 
     def __init__(self, fh, lines: int, width: int, bit_depth: int, band: int | None = None):
@@ -118,9 +123,10 @@ class ScenePlanes:
         self.fh.close()
 
     def _offset(self, line: int) -> int:
+        """Where ``line`` of this band starts: after the header, the line times and the lines
+        of the bands before it.  Line ``lines`` of the last band is the end of the file."""
         lines, width = self.shape
-        return (_HEADER.size + 8 * lines
-                + (self.band * lines + line) * width * self.dtype.itemsize)
+        return _HEADER.size + 8 * lines + (self.band * lines + line) * width * self.dtype.itemsize
 
     def _split(self, key) -> tuple["ScenePlanes", tuple]:
         """The band plane a key indexes, and the rest of the key."""
@@ -128,8 +134,8 @@ class ScenePlanes:
         if self.band is not None:
             return self, key
         band, *rest = key
-        plane = ScenePlanes(self.fh, *self.shape[1:], self.bit_depth, int(band))
-        return plane, tuple(rest)
+        band = range(BAND_COUNT)[operator.index(band)]
+        return ScenePlanes(self.fh, *self.shape[1:], self.bit_depth, band), tuple(rest)
 
     def _span(self, rows: slice) -> tuple[int, int]:
         start, stop, step = rows.indices(self.shape[0])
@@ -137,13 +143,19 @@ class ScenePlanes:
             raise IndexError("scene planes in a file are read in runs of lines: step must be 1")
         return start, max(start, stop)
 
-    def _read(self, out: np.ndarray, line: int) -> np.ndarray:
+    def _read(self, out: np.ndarray, at: int) -> np.ndarray:
+        """The contiguous ``out`` filled from byte ``at`` on, in as many reads as it takes.
+
+        Linux reads at most about 2 GiB in one ``os.preadv``."""
+        view = memoryview(out.reshape(-1).view(np.uint8))
         try:
-            done = os.preadv(self.fh.fileno(), [out], self._offset(line)) if out.size else 0
+            while view:
+                done = os.preadv(self.fh.fileno(), [view], at)
+                if not done:
+                    raise Truncated(f"{self.fh.name}: ended before its samples")
+                view, at = view[done:], at + done
         except OSError as exc:
             raise IoFailure(f"cannot read {self.fh.name}: {exc}") from exc
-        if done != out.nbytes:
-            raise Truncated(f"{self.fh.name}: ended before its samples")
         return out
 
     def __getitem__(self, key):
@@ -154,12 +166,12 @@ class ScenePlanes:
         width = plane.shape[1]
         if isinstance(rows, slice):
             start, stop = plane._span(rows)
-            lines = plane._read(np.empty((stop - start, width), plane.dtype), start)
+            lines = plane._read(np.empty((stop - start, width), plane.dtype), plane._offset(start))
         else:
             index = np.arange(plane.shape[0])[np.asarray(rows, dtype=np.intp)]
             lines = np.empty((index.size, width), plane.dtype)
             for k, line in enumerate(index.tolist()):
-                plane._read(lines[k], line)
+                plane._read(lines[k], plane._offset(line))
         return lines if cols == slice(None) else lines[:, cols]
 
     def __setitem__(self, key, value) -> None:
@@ -236,41 +248,50 @@ class RawScene:
         return RawScene(self.planes.copy(), self.line_times.copy(), self.bit_depth)
 
 
-def _head(scene: RawScene) -> bytes:
-    """The header and line times of ``scene`` as an L3RAW file starts."""
-    return _HEADER.pack(MAGIC, VERSION, scene.width, scene.lines, scene.bit_depth, BAND_COUNT,
-                        b"\x00" * 4) + scene.line_times.astype("<f8").tobytes()
+def copy_planes(scene: RawScene, out) -> RawScene:
+    """``scene``'s samples copied into ``out`` block by block, as a scene over ``out``."""
+    step = block_lines(scene.width)
+    for band in range(BAND_COUNT):
+        for y0 in range(0, scene.lines, step):
+            out[band, y0 : y0 + step] = scene.planes[band, y0 : y0 + step]
+    return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 
 
 def save_raw(scene: RawScene, path) -> None:
-    """Write a scene as L3RAW, bit-exactly and deterministically.
+    """Write a scene, in memory or another file's, as L3RAW, bit-exactly and deterministically.
 
-    Bands are written one at a time, so at most one band is converted to
-    the file's sample type at once.
+    The samples are copied into ``create_raw``'s file one block at a time.
     """
     scene.validate()
-    sample = "<u1" if scene.bit_depth == 8 else "<u2"
+    made = create_raw(path, scene)
     try:
-        with open(path, "wb") as fh:
-            fh.write(_head(scene))
-            for plane in scene.planes:
-                fh.write(np.ascontiguousarray(plane, dtype=sample))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        copy_planes(scene, made.planes)
+    finally:
+        made.planes.close()
 
 
-def _read_into(fh, array: np.ndarray, path) -> None:
-    if fh.readinto(array) != array.nbytes:
-        raise Truncated(f"{path}: ended before its samples")
+def load_raw(path) -> RawScene:
+    """Read an L3RAW container back into a RawScene.
+
+    Each band is read straight into the scene's own writable planes, of
+    the file's sample type: uint8 or uint16.
+    """
+    opened = open_raw(path)
+    try:
+        planes = np.empty(opened.planes.shape, opened.planes.dtype)
+        for plane, stored in zip(planes, opened.planes):
+            stored._read(plane, stored._offset(0))
+    finally:
+        opened.planes.close()
+    return RawScene(planes, opened.line_times, opened.bit_depth)
 
 
-def _read_head(fh, path) -> tuple[int, int, int, np.ndarray]:
-    """Width, lines, bit depth and line times of the L3RAW file open in ``fh``.
+def _read_head(fh, path) -> RawScene:
+    """The L3RAW file open in ``fh`` as a RawScene over its :class:`ScenePlanes`.
 
     The header is checked, and so is that the file is long enough for the
-    samples it promises; ``fh`` is left at the first sample.
+    samples it promises; of the rest only the line times are read.
     """
-    size = os.fstat(fh.fileno()).st_size
     head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise Truncated(f"{path}: shorter than the 20-byte header")
@@ -286,46 +307,26 @@ def _read_head(fh, path) -> tuple[int, int, int, np.ndarray]:
     if not (0 < width <= _MAX_DIM) or not (0 < lines <= _MAX_DIM):
         raise HeaderInvalid(f"{path}: width={width} lines={lines} out of range")
 
-    expected = _HEADER.size + 8 * lines + BAND_COUNT * lines * width * (bit_depth // 8)
+    planes = ScenePlanes(fh, lines, width, bit_depth)
+    size, expected = os.fstat(fh.fileno()).st_size, planes[-1]._offset(lines)
     if size < expected:
         raise Truncated(f"{path}: {size} bytes, header promises {expected}")
-    times = np.empty(lines, dtype="<f8")
-    _read_into(fh, times, path)
-    return width, lines, bit_depth, times
-
-
-def load_raw(path) -> RawScene:
-    """Read an L3RAW container back into a RawScene.
-
-    The samples are read with one ``readinto`` straight into the scene's
-    own writable planes, of the file's sample type: uint8 or uint16.
-    """
-    try:
-        with open(path, "rb") as fh:
-            width, lines, bit_depth, times = _read_head(fh, path)
-            planes = np.empty((BAND_COUNT, lines, width), dtype=f"<u{bit_depth // 8}")
-            _read_into(fh, planes, path)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    scene = RawScene(planes, times, bit_depth)
-    scene.validate()
-    return scene
+    times = planes._read(np.empty(lines, dtype="<f8"), _HEADER.size)
+    return RawScene(planes, times, bit_depth)
 
 
 def open_raw(path) -> RawScene:
     """The L3RAW file at ``path`` as a RawScene whose planes stay in the file.
 
-    Only the header and the line times are read, and checked as
-    ``load_raw`` checks them; the planes are a read-only
-    :class:`ScenePlanes`, which the caller closes.
+    Only the header and the line times are read, and checked; the planes
+    are a read-only :class:`ScenePlanes`, which the caller closes.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
-        width, lines, bit_depth, times = _read_head(fh, path)
-        scene = RawScene(ScenePlanes(fh, lines, width, bit_depth), times, bit_depth)
+        scene = _read_head(fh, path)
         scene.validate()
     except OSError as exc:
         fh.close()
@@ -341,21 +342,27 @@ def create_raw(path, like: RawScene) -> RawScene:
 
     The header and line times are written and the samples start at 0.
     The file comes back as a RawScene over writable :class:`ScenePlanes`,
-    which the caller closes.
+    which the caller closes.  ``path`` may not be the file ``like`` is
+    read from, which this would empty.
     """
     try:
+        if isinstance(like.planes, ScenePlanes) and os.path.exists(path) \
+                and os.path.samestat(os.stat(path), os.fstat(like.planes.fh.fileno())):
+            raise IoFailure(f"cannot write {path}: the scene to be written is read from it")
         fh = open(path, "w+b")
         try:
-            fh.write(_head(like))
-            fh.truncate(fh.tell() + BAND_COUNT * like.lines * like.width * (like.bit_depth // 8))
+            planes = ScenePlanes(fh, like.lines, like.width, like.bit_depth)
+            fh.write(_HEADER.pack(MAGIC, VERSION, like.width, like.lines, like.bit_depth,
+                                  BAND_COUNT, b"\x00" * 4))
+            fh.write(like.line_times.astype("<f8").tobytes())
+            fh.truncate(planes[-1]._offset(like.lines))
             fh.flush()
         except BaseException:
             fh.close()
             raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return RawScene(ScenePlanes(fh, like.lines, like.width, like.bit_depth),
-                    like.line_times.copy(), like.bit_depth)
+    return RawScene(planes, like.line_times.copy(), like.bit_depth)
 
 
 # --------------------------------------------------------------- calibration

@@ -287,7 +287,7 @@ class TestMetricsConvertWhatTheyRead:
         rows = np.unique(np.linspace(0, lines - 1, 16).astype(int))
         region = (slice(lines // 4, lines - lines // 4), slice(width // 4, width - width // 4))
         whole = plane.astype(np.float64)
-        left, right, center = radiometry._edge_center_windows(width, 0.05)
+        left, right, center = radiometry._edge_center_windows(width)
         sub = whole[rows]
         falloff = 100.0 * (1.0 - min(sub[:, left].mean(), sub[:, right].mean())
                            / sub[:, center].mean())

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,52 @@ class TestScenePlanes:
                     np.testing.assert_array_equal(got, expected[window])
                 np.testing.assert_array_equal(plane[[0, 3, 36, -1]], expected[[0, 3, 36, -1]])
                 np.testing.assert_array_equal(opened.planes[band, 2:6], expected[2:6])
+            # The band axis is indexed as an ndarray's first axis.
+            np.testing.assert_array_equal(opened.planes[-1][:], scene.planes[-1])
+            assert len(list(opened.planes)) == BAND_COUNT
+            for band in (BAND_COUNT, -BAND_COUNT - 1):
+                with pytest.raises(IndexError):
+                    opened.planes[band]
+        finally:
+            opened.planes.close()
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_save_of_an_open_file_writes_its_bytes(self, tmp_path, bit_depth):
+        save_raw(make_scene(seed=8, width=21, lines=33, bit_depth=bit_depth), tmp_path / "a.l3raw")
+        opened = open_raw(tmp_path / "a.l3raw")
+        try:
+            save_raw(opened, tmp_path / "b.l3raw")
+        finally:
+            opened.planes.close()
+        assert (tmp_path / "b.l3raw").read_bytes() == (tmp_path / "a.l3raw").read_bytes()
+
+    def test_save_over_its_own_file_refused(self, tmp_path, small_scene):
+        path = tmp_path / "s.l3raw"
+        save_raw(small_scene, path)
+        blob = path.read_bytes()
+        opened = open_raw(path)
+        try:
+            with pytest.raises(errors.IoFailure):
+                save_raw(opened, path)
+        finally:
+            opened.planes.close()
+        assert path.read_bytes() == blob
+
+    def test_short_reads_are_repeated(self, tmp_path, monkeypatch):
+        scene = make_scene(seed=9, width=300, lines=40, bit_depth=16)
+        save_raw(scene, tmp_path / "s.l3raw")
+        preadv = os.preadv
+
+        def short_preadv(fd, buffers, offset):
+            return preadv(fd, [memoryview(buffers[0]).cast("B")[:1000]], offset)
+
+        monkeypatch.setattr(os, "preadv", short_preadv)
+        loaded = load_raw(tmp_path / "s.l3raw")
+        np.testing.assert_array_equal(loaded.planes, scene.planes)
+        np.testing.assert_array_equal(loaded.line_times, scene.line_times)
+        opened = open_raw(tmp_path / "s.l3raw")
+        try:
+            np.testing.assert_array_equal(opened.planes[2][:], scene.planes[2])
         finally:
             opened.planes.close()
 
