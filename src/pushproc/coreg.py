@@ -11,8 +11,13 @@ The chain mirrors the production flow for pushbroom band alignment:
    block and plane, the reference included:
    smoothing, gradients and non-maximum suppression read the block with a
    halo, so they equal a whole-plane pass, while the thresholds and the
-   hysteresis over connected edges are the block's own.  A map is blurred
-   as soon as it is built and lives only while its block is matched.
+   hysteresis over connected edges are the block's own.  The four byte
+   maps of a block are built before any is blurred, and live only while
+   their block is matched.  Only the lines the block's tiles read are
+   blurred (``_gaussian`` over a range of lines gives those lines of the
+   whole map's blur): a block that fits in a tile and a blur block of
+   lines in one call, a taller one line of tiles by line of tiles, so at
+   most ``tile_size`` lines of a tall block's blurred maps are held.
    The filters are NumPy kernels that repeat the arithmetic of
    ``scipy.ndimage``: the Gaussian and Sobel passes (``_taps``) add the
    taps in the order of its ``NI_Correlate1D`` and give its bits, and the
@@ -138,30 +143,37 @@ def _load(buf: np.ndarray, plane: np.ndarray, rows: slice, cols: slice, r: int) 
         buf[y - top] = buf[_reflect(y, h) - top]
 
 
-def _gaussian(plane: np.ndarray, sigma: float) -> np.ndarray:
-    """``scipy.ndimage.gaussian_filter(plane, sigma)`` into a new float64 array, bit for bit.
+def _gaussian(plane: np.ndarray, sigma: float, rows: slice | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Lines ``rows`` of ``scipy.ndimage.gaussian_filter(plane, sigma)`` as float64, bit for bit.
 
     Mode ``reflect``, truncate 4: down the columns first, then along the
-    lines, as scipy does.  The plane is walked in blocks of ``block_lines``
-    lines, each read with the radius more on every side (``_load``).
+    lines, as scipy does.  ``rows`` is a slice of step 1 within the plane,
+    every line by default.  The lines are walked in blocks of
+    ``block_lines`` lines, each read with the radius more on every side
+    (``_load``), so each line is the whole plane's, whatever the range.
+    They are written into ``out`` when it is given (float64, one line per
+    line of the range), or into a new array, which is returned.
     """
     h, w = plane.shape
-    out = np.empty((h, w))
+    rows = slice(0, h) if rows is None else rows
+    if out is None:
+        out = np.empty((rows.stop - rows.start, w))
     weights = _gaussian_weights(sigma)
     r = len(weights) // 2
     stride = w + 2 * r
     step = block_lines(stride)
-    tallest = min(step, h)
+    tallest = min(step, rows.stop - rows.start)
     loaded = np.empty((tallest + 2 * r) * stride)
     across, smooth = np.empty(tallest * stride), np.empty(tallest * stride)
-    for y0 in range(0, h, step):
-        y1 = min(y0 + step, h)
+    for y0 in range(rows.start, rows.stop, step):
+        y1 = min(y0 + step, rows.stop)
         _load(loaded[: (y1 - y0 + 2 * r) * stride].reshape(-1, stride), plane,
               slice(y0, y1), slice(0, w), r)
         n = (y1 - y0) * stride
         _taps(loaded, stride, weights, across[:n], smooth)
         _taps(across, 1, weights, smooth[: n - 2 * r], loaded)
-        out[y0:y1] = smooth[:n].reshape(y1 - y0, stride)[:, :w]
+        out[y0 - rows.start : y1 - rows.start] = smooth[:n].reshape(y1 - y0, stride)[:, :w]
     return out
 
 
@@ -344,9 +356,10 @@ def _hysteresis(nms: np.ndarray, t_low: float = 0.1, t_high: float = 0.3) -> np.
     return painted[1:].reshape(h, line)[:, :w].copy()
 
 
-def _soften(edges: np.ndarray) -> np.ndarray:
+def _soften(edges: np.ndarray, rows: slice | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     # The blur makes the correlation peak smooth enough for subpixel fitting.
-    return _gaussian(edges, 1.0)
+    return _gaussian(edges, 1.0, rows, out)
 
 
 def _runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -522,14 +535,19 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
     """Match the tiles of ``grid`` on the reference plane against each target plane.
 
     The grid is walked block by block.  The reference and every target get
-    their softened edge map of the block: the block's own thresholds and
+    their edge map of the block, as bytes: the block's own thresholds and
     hysteresis over suppression that equals a whole-plane pass, so a map
-    depends only on the pixels near its block.  Each reference tile is
-    then prepared once and correlated with the same tile of every target,
-    and the block's maps are dropped.  Tiles that are flat in either plane,
-    or score under ``min_score``, are dropped.  One list of matches per
-    target comes back, sorted by tile_id (merged blocks can visit tiles out
-    of id order); it may be empty.
+    depends only on the pixels near its block.  The block's tiles are then
+    visited in tile_id order, which never moves up the block, and the maps
+    are blurred as the tiles reach new lines: all of a block no taller than
+    ``tile_size`` plus ``block_lines`` of its width at the first tile, a
+    taller block down to each tile's last line.  Only the blurred lines
+    from the current tile's first on are held, and no line is blurred
+    twice.  Each reference tile is prepared once and correlated with the
+    same tile of every target, and the block's maps are dropped.  Tiles
+    that are flat in either plane, or score under ``min_score``, are
+    dropped.  One list of matches per target comes back, sorted by tile_id
+    (merged blocks can visit tiles out of id order); it may be empty.
     """
     planes = list(tgt_planes)
     for plane in [ref_plane, *planes]:
@@ -538,18 +556,35 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
     size, half = grid.tile_size, grid.tile_size // 2
     matches = [[] for _ in planes]
     for k, (rows, cols) in enumerate(grid.blocks):
-        ref_map, *maps = [_soften(_hysteresis(_suppress(plane, (rows, cols))))
-                          for plane in [ref_plane, *planes]]
+        maps = [_hysteresis(_suppress(plane, (rows, cols))) for plane in [ref_plane, *planes]]
+        lines, width = maps[0].shape
+        # A block no taller than a tile and a blur block is blurred whole,
+        # in one call per map; a taller one a line of tiles at a time.
+        whole = lines <= size + block_lines(width + 2 * BLUR_RADIUS)
+        # Lines [top, stop) of the block's blurred maps are held, from line 0 of ``held``.
+        held = np.empty((len(maps), lines if whole else size, width))
+        top = stop = 0
         for tile_id, cx, cy, owner in grid.tiles:
             if owner != k:
                 continue
             y0, x0 = cy - half - rows.start, cx - half - cols.start
-            window = (slice(y0, y0 + size), slice(x0, x0 + size))
-            ref = _prepare_tile(ref_map[window])
+            if y0 + size > stop:
+                # Keep the held lines from y0 on and blur the lines after them.
+                start = max(stop, y0)
+                stop = lines if whole else y0 + size
+                for soft, edges in zip(held, maps):
+                    # As one flat run the kept lines move up in place; NumPy
+                    # copies an overlapping 2-D move through a temporary.
+                    flat = soft.reshape(-1)
+                    flat[: (start - y0) * width] = flat[(y0 - top) * width : (start - top) * width]
+                    _soften(edges, slice(start, stop), out=soft[start - y0 : stop - y0])
+                top = y0
+            window = (slice(y0 - top, y0 - top + size), slice(x0, x0 + size))
+            ref = _prepare_tile(held[0][window])
             if ref is None:
                 continue
-            for kept, tgt_map in zip(matches, maps):
-                tgt = _prepare_tile(tgt_map[window])
+            for kept, soft in zip(matches, held[1:]):
+                tgt = _prepare_tile(soft[window])
                 if tgt is None:
                     continue
                 dx, dy, score = _correlate(ref, tgt)

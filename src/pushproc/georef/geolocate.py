@@ -188,6 +188,9 @@ def fit_world_file(grid: GeoGrid) -> tuple[tuple[float, ...], float]:
 def save_geogrid(grid: GeoGrid, json_path, world_path) -> tuple[tuple[float, ...], float]:
     """Write the grid JSON and the six-line ESRI world file.
 
+    The JSON is the bytes of ``json.dumps(doc, sort_keys=True)`` of the
+    whole document, written one grid row of ``lat``, ``lon`` and ``alt_m``
+    at a time, so no list or string of a whole node array is built.
     Returns the world-file fit written into both, as ``fit_world_file``
     gives it.
     """
@@ -196,15 +199,26 @@ def save_geogrid(grid: GeoGrid, json_path, world_path) -> tuple[tuple[float, ...
         "schema": 1,
         "lines": [int(v) for v in grid.lines],
         "columns": [int(v) for v in grid.columns],
-        "lat": grid.lat.tolist(),
-        "lon": grid.lon.tolist(),
-        "alt_m": grid.alt.tolist(),
+        "lat": grid.lat,
+        "lon": grid.lon,
+        "alt_m": grid.alt,
         "corners": {k: list(v) for k, v in grid.corners.items()},
         "mean_gsd_m": grid.mean_gsd_m,
         "world_file": {"coefficients": list(coeffs), "rms_residual_deg": rms},
     }
     try:
-        Path(json_path).write_text(json.dumps(doc, sort_keys=True))
+        with open(json_path, "w") as fh:
+            for i, key in enumerate(sorted(doc)):
+                fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+                value = doc[key]
+                if isinstance(value, np.ndarray):
+                    fh.write("[")
+                    for j, row in enumerate(value):
+                        fh.write((", " if j else "") + json.dumps(row.tolist()))
+                    fh.write("]")
+                else:
+                    fh.write(json.dumps(value, sort_keys=True))
+            fh.write("}")
         Path(world_path).write_text("\n".join(f"{v:.12f}" for v in coeffs) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write geogrid: {exc}") from exc

@@ -95,8 +95,9 @@ class ScenePlanes:
 
     ``planes[band]`` is one band's plane, of shape (lines, width).  A read,
     ``plane[rows]`` or ``plane[rows, cols]`` with ``rows`` a slice of step
-    1 or a sequence of line indices, comes back as a fresh array of the
-    file's sample type; ``planes[band, rows]`` is short for
+    1, one line index (which drops the line axis), a sequence of line
+    indices or a boolean mask of lines, as on an ndarray, comes back as a
+    fresh array of the file's sample type; ``planes[band, rows]`` is short for
     ``planes[band][rows]``; the band is indexed as an ndarray's first axis.
     A write, ``plane[rows] = lines`` with a slice, stores whole lines in
     the file's sample type.  Each band's lines are contiguous in the file,
@@ -168,11 +169,13 @@ class ScenePlanes:
             start, stop = plane._span(rows)
             lines = plane._read(np.empty((stop - start, width), plane.dtype), plane._offset(start))
         else:
-            index = np.arange(plane.shape[0])[np.asarray(rows, dtype=np.intp)]
-            lines = np.empty((index.size, width), plane.dtype)
-            for k, line in enumerate(index.tolist()):
-                plane._read(lines[k], plane._offset(line))
-        return lines if cols == slice(None) else lines[:, cols]
+            # The lines an ndarray's first axis gives for ``rows``: one line
+            # for an index, a line for each index of a sequence or a mask.
+            index = np.asarray(np.arange(plane.shape[0])[rows])
+            lines = np.empty((*index.shape, width), plane.dtype)
+            for line, out in zip(index.reshape(-1).tolist(), lines.reshape(-1, width)):
+                plane._read(out, plane._offset(line))
+        return lines[..., cols]
 
     def __setitem__(self, key, value) -> None:
         plane, key = self._split(key)

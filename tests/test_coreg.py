@@ -385,7 +385,8 @@ def per_band_matches(ref_plane, tgt_plane, grid, min_score):
     """One band's matches, tile by tile through ``fft_xcorr``, and why tiles dropped.
 
     The per-band path ``match_bands`` replaced: both planes get all their
-    softened block maps first, and every tile pair is transformed afresh.
+    block maps, each blurred whole, first, and every tile pair is
+    transformed afresh.
     """
     ref_maps, tgt_maps = ([coreg._soften(coreg._hysteresis(coreg._suppress(plane, block)))
                            for block in grid.blocks] for plane in (ref_plane, tgt_plane))
@@ -474,30 +475,38 @@ class TestMatchBands:
 
     @staticmethod
     def softened(monkeypatch, ref_plane, grid, tgt_planes):
-        """The matches of ``match_bands`` and every (map, blur) pair it softened, in order."""
-        pairs, soften = [], coreg._soften
+        """The matches of ``match_bands`` and every (map, lines, blur) it softened, in order."""
+        calls, soften = [], coreg._soften
 
-        def spy(edges):
-            pairs.append((edges, soften(edges)))
-            return pairs[-1][1]
+        def spy(edges, rows, out):
+            calls.append((edges, rows, soften(edges, rows, out).copy()))
+            return out
 
         monkeypatch.setattr(coreg, "_soften", spy)
         matches = coreg.match_bands(ref_plane, grid, tgt_planes)
         monkeypatch.setattr(coreg, "_soften", soften)
-        return matches, pairs
+        return matches, calls
 
     def test_whole_plane_block_equals_edge_map(self, monkeypatch):
         plane = (smooth_texture(24, 300) * 20).astype(np.uint16)
         grid = coreg.TileGrid(plane.shape, 64, 8, 8)
         assert len(grid.blocks) == 1
-        [matches], pairs = self.softened(monkeypatch, plane, grid, [plane])
+        [matches], calls = self.softened(monkeypatch, plane, grid, [plane])
         assert len(matches) == 64 and all((m.dx, m.dy) == (0.0, 0.0) for m in matches)
-        # The reference's map, then the target's: both of the same plane.
-        assert len(pairs) == 2
-        for edges, blurred in pairs:
-            assert edges.dtype == np.uint8
-            np.testing.assert_array_equal(edges, canny(plane))
-            np.testing.assert_array_equal(blurred, coreg._soften(canny(plane)))
+        # The block is taller than a tile and a blur block of lines
+        # (block_lines(300 + 8) = 212), so both maps, the reference's
+        # first, are blurred a line of tiles at a time, down to its last line.
+        edges = canny(plane)
+        blurred = coreg._soften(edges)
+        bottoms = sorted({cy - 32 + 64 for _, _, cy, _ in grid.tiles})
+        spans = list(zip([0, *bottoms[:-1]], bottoms))
+        assert [(r.start, r.stop) for _, r, _ in calls] == [span for span in spans for _ in "rt"]
+        ref_maps = {id(m) for m, _, _ in calls[::2]}
+        assert len(ref_maps) == 1 and ref_maps.isdisjoint(id(m) for m, _, _ in calls[1::2])
+        for m, rows, lines in calls:
+            assert m.dtype == np.uint8
+            np.testing.assert_array_equal(m, edges)
+            np.testing.assert_array_equal(lines, blurred[rows])
 
     def test_block_maps_depend_only_on_their_block(self, monkeypatch):
         # Pixels farther than the halo from every block do not move any map.
@@ -509,11 +518,101 @@ class TestMatchBands:
         assert far.any()
         changed = plane.copy()
         changed[far] = 0
-        a, a_pairs = self.softened(monkeypatch, plane, grid, [changed])
-        b, b_pairs = self.softened(monkeypatch, changed, grid, [plane])
-        assert a == b and len(a_pairs) == len(b_pairs) == 2 * len(grid.blocks)
-        for (x, _), (y, _) in zip(a_pairs, b_pairs):
+        a, a_calls = self.softened(monkeypatch, plane, grid, [changed])
+        b, b_calls = self.softened(monkeypatch, changed, grid, [plane])
+        # A sparse block is blurred in one call per map, as a whole.
+        assert a == b and len(a_calls) == len(b_calls) == 2 * len(grid.blocks)
+        for (x, _, _), (y, _, _) in zip(a_calls, b_calls):
             np.testing.assert_array_equal(x, y)
+
+
+# Grids whose blocks span several lines of tiles: tiles that overlap, tile
+# lines that only touch once widened by the blur radius (so the 6 lines
+# between them lie in no tile), and blocks merged along the columns alone.
+MERGED = {"overlapping": ((300, 300), 64, 8, 8), "touching": ((204, 204), 64, 3, 3),
+          "columns": ((600, 300), 64, 5, 3)}
+
+
+class TestBandedBlur:
+    @pytest.mark.parametrize("rows", [(0, 1), (0, 3), (0, 40), (1, 4), (17, 58), (60, 99),
+                                      (96, 99), (98, 99), (0, 99), (30, 30)])
+    @pytest.mark.parametrize("sigma", [1.0, 1.4])
+    @pytest.mark.parametrize("pixels", [1, 97 * 11, 1 << 16])
+    def test_lines_of_the_whole_plane_filter(self, monkeypatch, rows, sigma, pixels):
+        # Ranges at the top, the middle and the bottom, some shorter than
+        # the radius (4 and 6), walked in blocks of one line up to all.
+        plane = np.random.default_rng(11).integers(0, 256, (99, 37)).astype(np.uint8)
+        expected = ndimage.gaussian_filter(plane, sigma, output=np.float64)[slice(*rows)]
+        monkeypatch.setattr(raster, "BLOCK_PIXELS", pixels)
+        got = coreg._gaussian(plane, sigma, slice(*rows))
+        assert got.shape == expected.shape and got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        out = np.full((rows[1] - rows[0] + 3, 37), np.nan)
+        assert coreg._gaussian(plane, sigma, slice(*rows), out=out[2:-1]).base is out
+        np.testing.assert_array_equal(out[2:-1].view(np.int64), expected.view(np.int64))
+        assert np.isnan(out[:2]).all() and np.isnan(out[-1]).all()
+
+    @pytest.mark.parametrize("layout", sorted(MERGED))
+    @pytest.mark.parametrize("pixels", [1, 40 * 308, None])
+    def test_match_bands_equals_whole_block_maps(self, monkeypatch, layout, pixels):
+        grid = coreg.TileGrid(*MERGED[layout])
+        assert len(grid.blocks) < len(grid.tiles)
+        ref, targets = matching_planes(max(grid.shape), grid)
+        ref, targets = ref[: grid.shape[0], : grid.shape[1]], [
+            t[: grid.shape[0], : grid.shape[1]] for t in targets]
+        want = [per_band_matches(ref, tgt, grid, 0.15)[0] for tgt in targets]
+        assert any(want)
+        if pixels is not None:
+            # Blur blocks of one line, and of 40 lines of the widest block.
+            monkeypatch.setattr(raster, "BLOCK_PIXELS", pixels)
+        size = grid.tile_size
+        blurred, soften = {}, coreg._soften
+
+        # Each map is kept with the lines blurred from it, so no id is reused.
+        def spy(edges, rows, out):
+            lines, width = edges.shape
+            # What is held of a map: at most a tile and a blur block of lines.
+            assert out.base.shape[1] <= size + raster.block_lines(width + 8)
+            blurred.setdefault(id(edges), (edges, []))[1].append((rows.start, rows.stop))
+            return soften(edges, rows, out)
+
+        monkeypatch.setattr(coreg, "_soften", spy)
+        assert coreg.match_bands(ref, grid, targets, min_score=0.15) == want
+        # Each map's lines are blurred down the block, none twice: a block
+        # that fits in what may be held in one call, a taller one down to
+        # the last line of each line of tiles.
+        assert len(blurred) == 4 * len(grid.blocks)
+        bottoms = {cy - size // 2 + size - grid.blocks[k][0].start for _, _, cy, k in grid.tiles}
+        for edges, spans in blurred.values():
+            assert all(a < b <= c for (a, b), (c, _) in zip(spans, spans[1:]))
+            lines, width = edges.shape
+            if lines <= size + raster.block_lines(width + 8):
+                assert spans[-1][1] == lines and len(spans) == 1
+            else:
+                assert {b for _, b in spans} <= bottoms
+
+    def test_dense_stage_memory_bound(self):
+        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
+
+        # The default 8x8 grid of 128-pixel tiles is one block on a
+        # 1024-pixel plane; the residual grid's blocks are seven strips of
+        # the plane's height.
+        scene = stage_scene(36, 1024)
+        config = PipelineConfig(raw_path="unused", out_dir="unused")
+        grids = _coreg_grids((scene.lines, scene.width), config)
+        assert [len(grid.blocks) for grid in grids] == [1, 7]
+        tracemalloc.start()
+        try:
+            _stage_coreg(scene, None, grids, config, QualityReport())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2.33 float64 planes, in the hysteresis of the block's last map:
+        # the map's float64 magnitude, which the thresholds need whole, the
+        # byte maps built before it and the hysteresis's run arrays.
+        # Holding the blurred maps of all four planes for the whole block
+        # measured 4.96.
+        assert peak <= 3.0 * scene.width * scene.lines * 8
 
 
 def block_mask(shape, blocks):
@@ -635,36 +734,43 @@ class TestCoregStageEdges:
 
         scene = stage_scene(34, 512)
         ref = scene.planes[int(BandId.RED)]
-        on_ref, softened, prepared = [], [], collections.Counter()
-        suppress, soften, prepare_tile = coreg._suppress, coreg._soften, coreg._prepare_tile
+        on_ref, maps, softened, prepared = [], [], [], collections.Counter()
+        suppress, hysteresis = coreg._suppress, coreg._hysteresis
+        soften, prepare_tile = coreg._soften, coreg._prepare_tile
 
         def suppress_spy(plane, window, *args, **kwargs):
             on_ref.append(np.shares_memory(plane, ref))
             return suppress(plane, window, *args, **kwargs)
 
-        # Maps are built one at a time, so the n-th map blurred is that of
-        # the n-th suppression.  A reference tile is cut from the blur of a
-        # reference map.
-        def soften_spy(edges):
-            softened.append((on_ref[len(softened)], soften(edges)))
-            return softened[-1][1]
+        # The n-th map is that of the n-th suppression.  A reference tile
+        # is cut from the blurred lines of a reference map.
+        def hysteresis_spy(nms, *args):
+            maps.append((on_ref[len(maps)], hysteresis(nms, *args)))
+            return maps[-1][1]
+
+        def soften_spy(edges, rows, out):
+            [(k, from_ref)] = [(k, from_ref) for k, (from_ref, m) in enumerate(maps) if m is edges]
+            softened.append((k, from_ref, soften(edges, rows, out)))
+            return out
 
         def prepare_spy(tile):
-            is_ref = any(np.shares_memory(tile, m) for from_ref, m in softened if from_ref)
+            is_ref = any(np.shares_memory(tile, m) for _, from_ref, m in softened if from_ref)
             prepared["reference" if is_ref else "target"] += 1
             return prepare_tile(tile)
 
         monkeypatch.setattr(coreg, "_suppress", suppress_spy)
+        monkeypatch.setattr(coreg, "_hysteresis", hysteresis_spy)
         monkeypatch.setattr(coreg, "_soften", soften_spy)
         monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
         config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
         _stage_coreg(scene, None, _coreg_grids(ref.shape, config), config, QualityReport())
-        # Each plane was suppressed and blurred once per block of each grid;
-        # no reference tile is flat here.
+        # Each plane was suppressed and blurred once per block of each grid
+        # (every block here fits in one blur); no reference tile is flat.
         grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
         tiles = sum(len(grid.tiles) for grid in grids)
         blocks = sum(len(grid.blocks) for grid in grids)
-        assert len(softened) == len(on_ref) == 4 * blocks and sum(on_ref) == blocks
+        assert len(maps) == len(on_ref) == 4 * blocks and sum(on_ref) == blocks
+        assert [k for k, _, _ in softened] == list(range(len(maps)))
         assert prepared == {"reference": tiles, "target": 3 * tiles}
 
     def test_match_grid_maps_released_before_resampling(self, monkeypatch):

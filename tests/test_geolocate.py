@@ -16,6 +16,7 @@ from pushproc.georef.frames import (
     geodetic_to_ecef,
 )
 from pushproc.georef.geolocate import (
+    GeoGrid,
     build_geogrid,
     fit_world_file,
     georeference_line,
@@ -289,6 +290,30 @@ class TestWorldFile:
         np.testing.assert_allclose(loaded.lat, grid.lat)
         np.testing.assert_allclose(loaded.lon, grid.lon)
         assert loaded.mean_gsd_m == pytest.approx(grid.mean_gsd_m)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 5), (6, 1)])
+    def test_grid_json_is_the_whole_document_dumped(self, tmp_path, shape):
+        # Floats that print in every form: negative zero, exponents, long repr.
+        rng = np.random.default_rng(sum(shape))
+        odd = np.array([-0.0, 1e-17, 1e22, 0.1 + 0.2, -123.456, 5e-324])
+        lat, lon, alt = (np.where(rng.random(shape) < 0.3, rng.choice(odd, shape),
+                                  rng.uniform(-90, 90, shape)) for _ in range(3))
+        grid = GeoGrid(lines=np.arange(shape[0]) * 7, columns=np.arange(shape[1]) * 5, lat=lat,
+                       lon=lon, alt=alt, corners={"ul": (1.5, 2.0), "lr": (-3.0, 4.25)},
+                       mean_gsd_m=np.float64(9.75))
+        coeffs, rms = save_geogrid(grid, tmp_path / "grid.json", tmp_path / "grid.wld")
+        doc = {
+            "schema": 1,
+            "lines": [int(v) for v in grid.lines],
+            "columns": [int(v) for v in grid.columns],
+            "lat": grid.lat.tolist(),
+            "lon": grid.lon.tolist(),
+            "alt_m": grid.alt.tolist(),
+            "corners": {k: list(v) for k, v in grid.corners.items()},
+            "mean_gsd_m": grid.mean_gsd_m,
+            "world_file": {"coefficients": list(coeffs), "rms_residual_deg": rms},
+        }
+        assert (tmp_path / "grid.json").read_text() == json.dumps(doc, sort_keys=True)
 
     def test_load_geogrid_malformed_is_header_invalid(self, tmp_path):
         path = tmp_path / "grid.json"

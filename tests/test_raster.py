@@ -197,6 +197,29 @@ class TestScenePlanes:
         finally:
             opened.planes.close()
 
+    def test_line_indices_as_on_an_array(self, tmp_path):
+        scene = make_scene(seed=6, width=23, lines=37, bit_depth=16)
+        save_raw(scene, tmp_path / "s.l3raw")
+        opened = open_raw(tmp_path / "s.l3raw")
+        try:
+            plane, expected = opened.planes[2], scene.planes[2]
+            mask = np.arange(37) % 5 == 1
+            for key in [2, 0, 36, -1, -37, np.int64(5), (2, slice(5, 9)), (-3, slice(None)),
+                        (4, 7), (4, -1), mask, (mask, slice(2, 4)), (slice(3, 9), np.array([1, 2]))]:
+                got = plane[key]
+                assert np.shape(got) == np.shape(expected[key])
+                np.testing.assert_array_equal(got, expected[key])
+            np.testing.assert_array_equal(opened.planes[1, 3], scene.planes[1, 3])
+            # Iteration walks the lines and stops at the last.
+            np.testing.assert_array_equal(np.stack(list(plane)), expected)
+            for line in (37, -38, 10**9, 2.0, mask[:-1]):
+                with pytest.raises(IndexError):
+                    plane[line]
+                with pytest.raises(IndexError):
+                    plane[line, 5:9]
+        finally:
+            opened.planes.close()
+
     @pytest.mark.parametrize("bit_depth", [8, 16])
     def test_save_of_an_open_file_writes_its_bytes(self, tmp_path, bit_depth):
         save_raw(make_scene(seed=8, width=21, lines=33, bit_depth=bit_depth), tmp_path / "a.l3raw")
