@@ -15,9 +15,8 @@ The chain mirrors the production flow for pushbroom band alignment:
    maps of a block are built before any is blurred, and live only while
    their block is matched.  Only the lines the block's tiles read are
    blurred (``_gaussian`` over a range of lines gives those lines of the
-   whole map's blur): a block that fits in a tile and a blur block of
-   lines in one call, a taller one line of tiles by line of tiles, so at
-   most ``tile_size`` lines of a tall block's blurred maps are held.
+   whole map's blur), line of tiles by line of tiles, so at most
+   ``tile_size`` lines of a block's blurred maps are held.
    The filters are NumPy kernels that repeat the arithmetic of
    ``scipy.ndimage``: the Gaussian and Sobel passes (``_taps``) add the
    taps in the order of its ``NI_Correlate1D`` and give its bits, and the
@@ -539,15 +538,14 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
     hysteresis over suppression that equals a whole-plane pass, so a map
     depends only on the pixels near its block.  The block's tiles are then
     visited in tile_id order, which never moves up the block, and the maps
-    are blurred as the tiles reach new lines: all of a block no taller than
-    ``tile_size`` plus ``block_lines`` of its width at the first tile, a
-    taller block down to each tile's last line.  Only the blurred lines
-    from the current tile's first on are held, and no line is blurred
-    twice.  Each reference tile is prepared once and correlated with the
-    same tile of every target, and the block's maps are dropped.  Tiles
-    that are flat in either plane, or score under ``min_score``, are
-    dropped.  One list of matches per target comes back, sorted by tile_id
-    (merged blocks can visit tiles out of id order); it may be empty.
+    are blurred as the tiles reach new lines, down to each tile's last
+    line.  Only the ``tile_size`` blurred lines from the current tile's
+    first on are held, and no line is blurred twice.  Each reference tile
+    is prepared once and correlated with the same tile of every target,
+    and the block's maps are dropped.  Tiles that are flat in either
+    plane, or score under ``min_score``, are dropped.  One list of matches
+    per target comes back, sorted by tile_id (merged blocks can visit
+    tiles out of id order); it may be empty.
     """
     planes = list(tgt_planes)
     for plane in [ref_plane, *planes]:
@@ -557,12 +555,9 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
     matches = [[] for _ in planes]
     for k, (rows, cols) in enumerate(grid.blocks):
         maps = [_hysteresis(_suppress(plane, (rows, cols))) for plane in [ref_plane, *planes]]
-        lines, width = maps[0].shape
-        # A block no taller than a tile and a blur block is blurred whole,
-        # in one call per map; a taller one a line of tiles at a time.
-        whole = lines <= size + block_lines(width + 2 * BLUR_RADIUS)
+        width = maps[0].shape[1]
         # Lines [top, stop) of the block's blurred maps are held, from line 0 of ``held``.
-        held = np.empty((len(maps), lines if whole else size, width))
+        held = np.empty((len(maps), size, width))
         top = stop = 0
         for tile_id, cx, cy, owner in grid.tiles:
             if owner != k:
@@ -571,7 +566,7 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
             if y0 + size > stop:
                 # Keep the held lines from y0 on and blur the lines after them.
                 start = max(stop, y0)
-                stop = lines if whole else y0 + size
+                stop = y0 + size
                 for soft, edges in zip(held, maps):
                     # As one flat run the kept lines move up in place; NumPy
                     # copies an overlapping 2-D move through a temporary.

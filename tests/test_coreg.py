@@ -520,7 +520,7 @@ class TestMatchBands:
         changed[far] = 0
         a, a_calls = self.softened(monkeypatch, plane, grid, [changed])
         b, b_calls = self.softened(monkeypatch, changed, grid, [plane])
-        # A sparse block is blurred in one call per map, as a whole.
+        # A sparse block holds one tile, so each map is blurred in one call.
         assert a == b and len(a_calls) == len(b_calls) == 2 * len(grid.blocks)
         for (x, _, _), (y, _, _) in zip(a_calls, b_calls):
             np.testing.assert_array_equal(x, y)
@@ -570,26 +570,20 @@ class TestBandedBlur:
 
         # Each map is kept with the lines blurred from it, so no id is reused.
         def spy(edges, rows, out):
-            lines, width = edges.shape
-            # What is held of a map: at most a tile and a blur block of lines.
-            assert out.base.shape[1] <= size + raster.block_lines(width + 8)
+            # What is held of a map: a tile's lines.
+            assert out.base.shape[1] == size
             blurred.setdefault(id(edges), (edges, []))[1].append((rows.start, rows.stop))
             return soften(edges, rows, out)
 
         monkeypatch.setattr(coreg, "_soften", spy)
         assert coreg.match_bands(ref, grid, targets, min_score=0.15) == want
-        # Each map's lines are blurred down the block, none twice: a block
-        # that fits in what may be held in one call, a taller one down to
-        # the last line of each line of tiles.
+        # Each map's lines are blurred down the block, none twice, to the
+        # last line of each line of tiles.
         assert len(blurred) == 4 * len(grid.blocks)
         bottoms = {cy - size // 2 + size - grid.blocks[k][0].start for _, _, cy, k in grid.tiles}
         for edges, spans in blurred.values():
             assert all(a < b <= c for (a, b), (c, _) in zip(spans, spans[1:]))
-            lines, width = edges.shape
-            if lines <= size + raster.block_lines(width + 8):
-                assert spans[-1][1] == lines and len(spans) == 1
-            else:
-                assert {b for _, b in spans} <= bottoms
+            assert {b for _, b in spans} <= bottoms
 
     def test_dense_stage_memory_bound(self):
         from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
@@ -764,13 +758,13 @@ class TestCoregStageEdges:
         monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
         config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
         _stage_coreg(scene, None, _coreg_grids(ref.shape, config), config, QualityReport())
-        # Each plane was suppressed and blurred once per block of each grid
-        # (every block here fits in one blur); no reference tile is flat.
+        # Each plane was suppressed once per block of each grid, and every
+        # map was blurred; no reference tile is flat.
         grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
         tiles = sum(len(grid.tiles) for grid in grids)
         blocks = sum(len(grid.blocks) for grid in grids)
         assert len(maps) == len(on_ref) == 4 * blocks and sum(on_ref) == blocks
-        assert [k for k, _, _ in softened] == list(range(len(maps)))
+        assert {k for k, _, _ in softened} == set(range(len(maps)))
         assert prepared == {"reference": tiles, "target": 3 * tiles}
 
     def test_match_grid_maps_released_before_resampling(self, monkeypatch):
