@@ -11,17 +11,19 @@ The chain mirrors the production flow for pushbroom band alignment:
    block and plane, the reference included:
    smoothing, gradients and non-maximum suppression read the block with a
    halo, so they equal a whole-plane pass, while the thresholds and the
-   hysteresis over connected edges are the block's own.  The four byte
-   maps of a block are built before any is blurred, and live only while
-   their block is matched.  Only the lines the block's tiles read are
-   blurred (``_gaussian`` over a range of lines gives those lines of the
-   whole map's blur), line of tiles by line of tiles, so at most
-   ``tile_size`` lines of a block's blurred maps are held.
+   hysteresis over connected edges are the block's own.  One Gaussian,
+   ``_gaussian``, gives any window of the whole-plane filter: suppression
+   smooths each of its blocks through it, into the Sobel buffers, and the
+   byte maps are blurred through it.  The four byte maps of a block are
+   built before any is blurred, and live only while their block is
+   matched.  Only the lines the block's tiles read are blurred, line of
+   tiles by line of tiles, so at most ``tile_size`` lines of a block's
+   blurred maps are held.
    The filters are NumPy kernels that repeat the arithmetic of
-   ``scipy.ndimage``: the Gaussian and Sobel passes (``_taps``) add the
-   taps in the order of its ``NI_Correlate1D`` and give its bits, and the
-   hysteresis joins runs of weak pixels instead of labelling them, with
-   the same result.  The tests keep ``scipy.ndimage`` as their oracle.
+   ``scipy.ndimage`` and give its bits: the Gaussian's passes (``_taps``)
+   add the taps in the order of its ``NI_Correlate1D``, Sobel forms its
+   differences and sums in scipy's order, and the hysteresis joins runs
+   of weak pixels instead of labelling them, with the same result.  The tests keep ``scipy.ndimage`` as their oracle.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.  ``match_bands`` walks the grid block by
    block: it builds the reference's and every target band's map of the
@@ -142,100 +144,48 @@ def _load(buf: np.ndarray, plane: np.ndarray, rows: slice, cols: slice, r: int) 
         buf[y - top] = buf[_reflect(y, h) - top]
 
 
-def _gaussian(plane: np.ndarray, sigma: float, rows: slice | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Lines ``rows`` of ``scipy.ndimage.gaussian_filter(plane, sigma)`` as float64, bit for bit.
+def _gaussian(plane: np.ndarray, sigma: float, window: tuple[slice, slice] | None = None,
+              out: np.ndarray | None = None,
+              work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """A window of ``scipy.ndimage.gaussian_filter(plane, sigma)`` as float64, bit for bit.
 
     Mode ``reflect``, truncate 4: down the columns first, then along the
-    lines, as scipy does.  ``rows`` is a slice of step 1 within the plane,
-    every line by default.  The lines are walked in blocks of
-    ``block_lines`` lines, each read with the radius more on every side
-    (``_load``), so each line is the whole plane's, whatever the range.
-    They are written into ``out`` when it is given (float64, one line per
-    line of the range), or into a new array, which is returned.
+    lines, as scipy does.  ``window`` is a (lines, columns) pair of slices
+    of step 1 within the plane, the whole plane by default.  Its lines are
+    walked in blocks, each read with the radius more on every side
+    (``_load``), so every value is the whole plane's, whatever the window.
+    They are written into ``out`` when it is given (float64 of the
+    window's shape), or into a new array, which is returned.  ``work`` is
+    three flat float64 buffers to work in, for a caller that smooths
+    window after window: with ``stride`` the window's width plus twice
+    the radius, blocks of ``n`` lines need ``(n + 2 radius) stride``
+    values in the first and ``n stride`` in the others, and the blocks are
+    as tall as the first holds.  Without ``work``, buffers for blocks of
+    ``block_lines(stride)`` lines are allocated.
     """
     h, w = plane.shape
-    rows = slice(0, h) if rows is None else rows
+    rows, cols = (slice(0, h), slice(0, w)) if window is None else window
+    width = cols.stop - cols.start
     if out is None:
-        out = np.empty((rows.stop - rows.start, w))
+        out = np.empty((rows.stop - rows.start, width))
     weights = _gaussian_weights(sigma)
     r = len(weights) // 2
-    stride = w + 2 * r
-    step = block_lines(stride)
-    tallest = min(step, rows.stop - rows.start)
-    loaded = np.empty((tallest + 2 * r) * stride)
-    across, smooth = np.empty(tallest * stride), np.empty(tallest * stride)
+    stride = width + 2 * r
+    if work is None:
+        tallest = min(block_lines(stride), rows.stop - rows.start)
+        work = (np.empty((tallest + 2 * r) * stride), np.empty(tallest * stride),
+                np.empty(tallest * stride))
+    loaded, across, smooth = work
+    step = max(loaded.size // stride - 2 * r, 1)
     for y0 in range(rows.start, rows.stop, step):
         y1 = min(y0 + step, rows.stop)
         _load(loaded[: (y1 - y0 + 2 * r) * stride].reshape(-1, stride), plane,
-              slice(y0, y1), slice(0, w), r)
+              slice(y0, y1), cols, r)
         n = (y1 - y0) * stride
         _taps(loaded, stride, weights, across[:n], smooth)
         _taps(across, 1, weights, smooth[: n - 2 * r], loaded)
-        out[y0 - rows.start : y1 - rows.start] = smooth[:n].reshape(y1 - y0, stride)[:, :w]
+        out[y0 - rows.start : y1 - rows.start] = smooth[:n].reshape(y1 - y0, stride)[:, :width]
     return out
-
-
-def _buffers(lines: int, width: int, r: int) -> list[np.ndarray]:
-    """The five flat float64 buffers ``_gradients`` works in, for blocks up to ``lines`` x ``width``."""
-    stride = width + 2 * r
-    # Zeroed, so the values computed between a block's lines and never
-    # kept are finite.
-    return [np.zeros((lines + 2 * r) * stride)] + [np.zeros((lines + 2) * stride)
-                                                   for _ in range(4)]
-
-
-def _gradients(plane: np.ndarray, rows: slice, cols: slice, weights: list[float],
-               buffers: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sobel gradients of the Gaussian of a plane over one block, and their magnitude.
-
-    The Gaussian is the whole plane's on the block (``_load`` reads its
-    radius around it); Sobel then treats the block as a plane of its own
-    (``reflect`` at its border), as ``scipy.ndimage.sobel`` of the
-    smoothed block would.  Every buffer has the line stride
-    ``width + 2r``: the gradients at block pixel (i, j) are at
-    ``i * stride + j`` of the returned flat ``gx`` and ``gy``, and the
-    magnitude, zero-padded by one pixel, at ``(i + 1) * stride + j + 1``
-    of the returned ``mag``.  The arithmetic is scipy's: each pass of
-    ``_taps``, and Sobel as the difference ``x[i+1] - x[i-1]`` (exactly
-    ``(x[i-1] - x[i+1]) * -1``) smoothed as ``(x[i-1] + x[i+1]) + 2 x[i]``.
-    """
-    r = len(weights) // 2
-    h, w = rows.stop - rows.start, cols.stop - cols.start
-    stride = w + 2 * r
-    loaded, across, smooth, gx, gy = buffers
-    n = h * stride - 2
-    # Each Gaussian pass writes the next one's input; the smoothed block
-    # lands inside a one-pixel border, which mirrors it.
-    _load(loaded[: (h + 2 * r) * stride].reshape(-1, stride), plane, rows, cols, r)
-    _taps(loaded, stride, weights, across[: h * stride], smooth)
-    _taps(across, 1, weights, smooth[stride + 1 : (h + 1) * stride - 2 * r + 1], loaded)
-    padded = smooth[: (h + 2) * stride].reshape(h + 2, stride)
-    padded[1 : h + 1, 0] = padded[1 : h + 1, 1]
-    padded[1 : h + 1, w + 1] = padded[1 : h + 1, w]
-    padded[0] = padded[1]
-    padded[h + 1] = padded[h]
-    # gx: the difference along the lines, smoothed down the columns.
-    diff, twice = loaded, across
-    np.subtract(smooth[2 : (h + 2) * stride], smooth[: (h + 2) * stride - 2],
-                out=diff[: (h + 2) * stride - 2])
-    np.add(diff[stride : stride + n], diff[stride : stride + n], out=twice[:n])
-    np.add(diff[:n], diff[2 * stride : 2 * stride + n], out=gx[:n])
-    gx[:n] += twice[:n]
-    # gy: the difference down the columns, smoothed along the lines.
-    np.subtract(smooth[2 * stride : (h + 2) * stride], smooth[: h * stride],
-                out=diff[: h * stride])
-    np.add(diff[1 : 1 + n], diff[1 : 1 + n], out=twice[:n])
-    np.add(diff[:n], diff[2 : 2 + n], out=gy[:n])
-    gy[:n] += twice[:n]
-    mag = loaded[: (h + 2) * stride]
-    np.hypot(gx[:n], gy[:n], out=mag[stride + 1 : stride + 1 + n])
-    grid = mag.reshape(h + 2, stride)
-    grid[0] = 0.0
-    grid[h + 1 :] = 0.0
-    grid[1 : h + 1, 0] = 0.0
-    grid[1 : h + 1, w + 1] = 0.0
-    return gx, gy, mag
 
 
 def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4) -> np.ndarray:
@@ -245,30 +195,72 @@ def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4
     neighbours along the gradient direction, quantized into four sectors
     centred on 0, 45, 90 and 135 degrees.  The window is walked in blocks
     of ``block_lines`` of its width plus the Gaussian radius and two pixels
-    on each side.  Each block is filtered with a halo of one pixel for
-    Sobel and one for the suppression neighbours (``_gradients``), so every
-    value equals that of a whole-plane pass; at the plane border that
-    pass's ``reflect`` and zero padding apply.  The buffers are allocated
-    once per call.
+    on each side.  Each block is read with a halo of one pixel for Sobel
+    and one for the suppression neighbours and smoothed by ``_gaussian``,
+    so every value equals that of a whole-plane pass; at the plane border
+    that pass's ``reflect`` and zero padding apply.  Sobel then treats the
+    smoothed block as a plane of its own (``reflect`` at its border), as
+    ``scipy.ndimage.sobel`` of it would, with scipy's arithmetic: the
+    difference ``x[i+1] - x[i-1]`` (exactly ``(x[i-1] - x[i+1]) * -1``)
+    smoothed as ``(x[i-1] + x[i+1]) + 2 x[i]``.  Five flat buffers with the
+    line stride ``stride`` (the block's width plus twice the radius) are
+    allocated once per call; the Gaussian works in three of them.
     """
     h, w = plane.shape
     rows, cols = window
-    weights = _gaussian_weights(sigma)
-    r, halo = len(weights) // 2, 2
+    r, halo = len(_gaussian_weights(sigma)) // 2, 2
     ca, cb = max(cols.start - halo, 0), min(cols.stop + halo, w)
-    left, width = cols.start - ca, cols.stop - cols.start
-    stride = cb - ca + 2 * r
+    left, width, span = cols.start - ca, cols.stop - cols.start, cb - ca
+    stride = span + 2 * r
     nms = np.zeros((rows.stop - rows.start, width), dtype=np.float64)
     step = block_lines(width + 2 * (halo + r))
-    buffers = _buffers(min(step, rows.stop - rows.start) + 2 * halo, cb - ca, r)
+    tallest = min(step, rows.stop - rows.start) + 2 * halo
+    # Zeroed, so the values computed between a block's lines and never
+    # kept are finite.
+    loaded = np.zeros((tallest + 2 * r) * stride)
+    across, smooth, gx, gy = (np.zeros((tallest + 2) * stride) for _ in range(4))
     for y0 in range(rows.start, rows.stop, step):
         y1 = min(y0 + step, rows.stop)
         a, b = max(y0 - halo, 0), min(y1 + halo, h)
-        gx, gy, mag = _gradients(plane, slice(a, b), slice(ca, cb), weights, buffers)
+        lines = b - a
+        # The block's Gaussian lands inside a one-pixel border, which
+        # mirrors it; the gradients' buffers are idle until Sobel, and the
+        # Gaussian works in them.
+        padded = smooth[: (lines + 2) * stride].reshape(lines + 2, stride)
+        _gaussian(plane, sigma, (slice(a, b), slice(ca, cb)),
+                  padded[1 : lines + 1, 1 : span + 1], (loaded, gx, gy))
+        padded[1 : lines + 1, 0] = padded[1 : lines + 1, 1]
+        padded[1 : lines + 1, span + 1] = padded[1 : lines + 1, span]
+        padded[0] = padded[1]
+        padded[lines + 1] = padded[lines]
+        # The gradients at block pixel (i, j) are at ``i * stride + j`` of
+        # the flat gx and gy, and the magnitude, zero-padded by one pixel, at
+        # ``(i + 1) * stride + j + 1`` of the flat mag.
+        n = lines * stride - 2
+        # gx: the difference along the lines, smoothed down the columns.
+        diff, twice = loaded, across
+        np.subtract(smooth[2 : (lines + 2) * stride], smooth[: (lines + 2) * stride - 2],
+                    out=diff[: (lines + 2) * stride - 2])
+        np.add(diff[stride : stride + n], diff[stride : stride + n], out=twice[:n])
+        np.add(diff[:n], diff[2 * stride : 2 * stride + n], out=gx[:n])
+        gx[:n] += twice[:n]
+        # gy: the difference down the columns, smoothed along the lines.
+        np.subtract(smooth[2 * stride : (lines + 2) * stride], smooth[: lines * stride],
+                    out=diff[: lines * stride])
+        np.add(diff[1 : 1 + n], diff[1 : 1 + n], out=twice[:n])
+        np.add(diff[:n], diff[2 : 2 + n], out=gy[:n])
+        gy[:n] += twice[:n]
+        mag = loaded[: (lines + 2) * stride]
+        np.hypot(gx[:n], gy[:n], out=mag[stride + 1 : stride + 1 + n])
+        grid = mag.reshape(lines + 2, stride)
+        grid[0] = 0.0
+        grid[lines + 1 :] = 0.0
+        grid[1 : lines + 1, 0] = 0.0
+        grid[1 : lines + 1, span + 1] = 0.0
         # The window's pixels as one flat run of the block's buffers: the
         # values between its lines are computed and never kept.
         start, n = (y0 - a) * stride + left, (y1 - y0 - 1) * stride + width
-        gx, gy = gx[start : start + n], gy[start : start + n]
+        bx, by = gx[start : start + n], gy[start : start + n]
         centre = stride + 1 + start
 
         def shifted(dy: int, dx: int) -> np.ndarray:
@@ -277,26 +269,25 @@ def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4
 
         # The sector from |gy| against tan(22.5 deg) |gx| and the signs, with
         # the boundaries of the angle atan2(gy, gx) folded into [0, 180).
-        falling = np.not_equal(gx > 0, gy > 0)
-        ax, ay = np.abs(gx, out=gx), np.abs(gy, out=gy)
-        scaled = buffers[1][:n]
+        falling = np.not_equal(bx > 0, by > 0)
+        ax, ay = np.abs(bx, out=bx), np.abs(by, out=by)
+        scaled = across[:n]
         horizontal = ay < np.multiply(ax, _TAN_22_5, out=scaled)
         vertical = ax < np.multiply(ay, _TAN_22_5, out=scaled)
         # The larger of the two neighbours along each pixel's sector; a
         # pixel is kept when it is not below it.
-        nearest, other = scaled, buffers[2][:n]
+        nearest, other = scaled, smooth[:n]
         np.maximum(shifted(1, 1), shifted(-1, -1), out=nearest)          # diagonal /
         np.copyto(nearest, np.maximum(shifted(1, -1), shifted(-1, 1), out=other),
                   where=falling)                                          # diagonal \
         np.copyto(nearest, np.maximum(shifted(1, 0), shifted(-1, 0), out=other), where=vertical)
         np.copyto(nearest, np.maximum(shifted(0, 1), shifted(0, -1), out=other),
                   where=horizontal)
-        lines = y1 - y0
-        keep = np.zeros(lines * stride, dtype=bool)
+        keep = np.zeros((y1 - y0) * stride, dtype=bool)
         np.greater_equal(shifted(0, 0), nearest, out=keep[:n])
         np.copyto(nms[y0 - rows.start : y1 - rows.start],
                   mag.reshape(-1, stride)[y0 - a + 1 : y1 - a + 1, left + 1 : left + 1 + width],
-                  where=keep.reshape(lines, stride)[:, :width])
+                  where=keep.reshape(-1, stride)[:, :width])
     return nms
 
 
@@ -358,7 +349,8 @@ def _hysteresis(nms: np.ndarray, t_low: float = 0.1, t_high: float = 0.3) -> np.
 def _soften(edges: np.ndarray, rows: slice | None = None,
             out: np.ndarray | None = None) -> np.ndarray:
     # The blur makes the correlation peak smooth enough for subpixel fitting.
-    return _gaussian(edges, 1.0, rows, out)
+    window = None if rows is None else (rows, slice(0, edges.shape[1]))
+    return _gaussian(edges, 1.0, window, out)
 
 
 def _runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -737,18 +729,18 @@ def remove_outliers(
 
 # -------------------------------------------------------- distortion model
 
+def _exponents(order: int) -> tuple[tuple[int, int], ...]:
+    """(i, j) of every monomial x^i y^j with i + j <= order: by i + j, then by j."""
+    return tuple((total - j, j) for total in range(order + 1) for j in range(total + 1))
+
+
 def _poly_terms(order: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bivariate monomials x^i y^j with i+j <= order, in a fixed order."""
-    cols = [np.ones_like(x)]
-    for total in range(1, order + 1):
-        for j in range(total + 1):
-            i = total - j
-            cols.append(x ** i * y ** j)
-    return np.stack(cols, axis=-1)
+    """Bivariate monomials x^i y^j with i+j <= order, in the order of ``_exponents``."""
+    return np.stack([x ** i * y ** j for i, j in _exponents(order)], axis=-1)
 
 
 def n_coefficients(order: int) -> int:
-    return (order + 1) * (order + 2) // 2
+    return len(_exponents(order))
 
 
 @dataclass
@@ -769,7 +761,7 @@ class DistortionModel:
         ``x`` and ``y`` broadcast against each other, so a row of columns
         and a column of lines give the field over their grid.  The terms
         c_k * x^i * y^j are added one at a time, in the order of
-        ``_poly_terms``, without stacking the monomials.  A pure term is
+        ``_exponents``, without stacking the monomials.  A pure term is
         the power alone (x^0 = y^0 = 1 exactly, so the sum is the same), and
         only a mixed term spans the broadcast shape.  ``out``, when given,
         is four float64 arrays of the broadcast shape: dx and dy are written
@@ -786,19 +778,16 @@ class DistortionModel:
             dx, dy, mixed, scaled = out
         dx[...] = self.coeff_dx[0]
         dy[...] = self.coeff_dy[0]
-        k = 1
-        for total in range(1, self.order + 1):
-            for j in range(total + 1):
-                if j == 0:
-                    term = xn ** total
-                elif j == total:
-                    term = yn ** total
-                else:
-                    term = np.multiply(xn ** (total - j), yn ** j, out=mixed)
-                product = scaled if term is mixed else None
-                dx += np.multiply(term, self.coeff_dx[k], out=product)
-                dy += np.multiply(term, self.coeff_dy[k], out=product)
-                k += 1
+        for k, (i, j) in enumerate(_exponents(self.order)[1:], start=1):
+            if j == 0:
+                term = xn ** i
+            elif i == 0:
+                term = yn ** j
+            else:
+                term = np.multiply(xn ** i, yn ** j, out=mixed)
+            product = scaled if term is mixed else None
+            dx += np.multiply(term, self.coeff_dx[k], out=product)
+            dy += np.multiply(term, self.coeff_dy[k], out=product)
         return dx, dy
 
     def to_dict(self) -> dict:
@@ -824,9 +813,8 @@ class DistortionModel:
         )
 
 
-def fit_distortion(
-    matches: list[MatchPoint], order: int = 2, width: int = 0, height: int = 0
-) -> DistortionModel:
+def fit_distortion(matches: list[MatchPoint], order: int = 2, *, width: int,
+                   height: int) -> DistortionModel:
     """Least-squares fit of independent dx(x, y) and dy(x, y) polynomials.
 
     Requires at least twice as many matches as coefficients per component
@@ -934,8 +922,7 @@ def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> tuple[int, in
     big_x = (w - 1) / max(model.width - 1, 1)
     big_y = (h - 1) / max(model.height - 1, 1)
     c0, *coeffs = np.asarray(model.coeff_dy, dtype=np.float64).tolist()
-    powers = [big_x ** (total - j) * big_y ** j
-              for total in range(1, model.order + 1) for j in range(total + 1)]
+    powers = [big_x ** i * big_y ** j for i, j in _exponents(model.order)[1:]]
     least = c0 + sum(min(c, 0.0) * p for c, p in zip(coeffs, powers))
     most = c0 + sum(max(c, 0.0) * p for c, p in zip(coeffs, powers))
     slack = 2.0 + 1e-9 * (abs(c0) + sum(abs(c) * p for c, p in zip(coeffs, powers)) + h)

@@ -175,6 +175,9 @@ class ScenePlanes:
             lines = np.empty((*index.shape, width), plane.dtype)
             for line, out in zip(index.reshape(-1).tolist(), lines.reshape(-1, width)):
                 plane._read(out, plane._offset(line))
+            # ``cols`` pairs with the line positions, as a second index
+            # array pairs with the first on an ndarray.
+            return lines[(*np.indices(index.shape, sparse=True), cols)]
         return lines[..., cols]
 
     def __setitem__(self, key, value) -> None:
@@ -246,9 +249,6 @@ class RawScene:
             peak = int(self.planes.max()) if self.planes.size else 0
             if peak > self.max_dn:
                 raise HeaderInvalid(f"DN {peak} exceeds {self.bit_depth}-bit range")
-
-    def copy(self) -> "RawScene":
-        return RawScene(self.planes.copy(), self.line_times.copy(), self.bit_depth)
 
 
 def copy_planes(scene: RawScene, out) -> RawScene:

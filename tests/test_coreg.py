@@ -110,9 +110,27 @@ class TestSuppression:
             coreg._suppress(plane, (slice(r0, r1), slice(c0, c1)), sigma),
             expected[r0:r1, c0:c1])
 
+    def test_working_memory_of_a_whole_plane(self):
+        # A dense grid's block is the whole plane: the float64 suppressed
+        # plane and the five flat buffers of a block, in which the Gaussian
+        # works too, peak at 2.54 float64 planes (5.08 MiB).  Three buffers
+        # of the Gaussian's own raised it to 6.44 MiB.
+        plane = np.random.default_rng(25).integers(0, 65535, (512, 512),
+                                                   endpoint=True).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            coreg._suppress(plane, whole(plane))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.1 * 2**20
+
 
 class TestKernelsEqualScipy:
-    """The NumPy Gaussian, Sobel and hysteresis give the bits of ``scipy.ndimage``."""
+    """The NumPy Gaussian and hysteresis give the bits of ``scipy.ndimage``.
+
+    Sobel is checked through ``TestSuppression``, against ``whole_plane_nms``.
+    """
 
     @staticmethod
     def plane(data, dtype, lines, width):
@@ -138,33 +156,6 @@ class TestKernelsEqualScipy:
             got = coreg._gaussian(plane, sigma)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
-    @pytest.mark.parametrize("sigma", [0.7, 1.4, 2.5])
-    def test_sobel_of_gaussian(self, sigma, dtype, data):
-        lines, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
-        plane = self.plane(data, dtype, lines, width)
-        r0 = data.draw(st.integers(0, lines - 1))
-        r1 = data.draw(st.integers(r0 + 1, lines))
-        c0 = data.draw(st.integers(0, width - 1))
-        c1 = data.draw(st.integers(c0 + 1, width))
-        weights = coreg._gaussian_weights(sigma)
-        r = len(weights) // 2
-        h, w, stride = r1 - r0, c1 - c0, c1 - c0 + 2 * r
-        gx, gy, mag = coreg._gradients(plane, slice(r0, r1), slice(c0, c1), weights,
-                                       coreg._buffers(h, w, r))
-        # The whole plane's Gaussian on the block, and Sobel of the block
-        # alone.  scipy may give -0.0 where the kernels give 0.0; they
-        # compare equal.
-        smooth = ndimage.gaussian_filter(plane.astype(np.float64), sigma)[r0:r1, c0:c1]
-        sobel_x, sobel_y = ndimage.sobel(smooth, axis=1), ndimage.sobel(smooth, axis=0)
-        np.testing.assert_array_equal(gx[: h * stride].reshape(h, stride)[:, :w], sobel_x)
-        np.testing.assert_array_equal(gy[: h * stride].reshape(h, stride)[:, :w], sobel_y)
-        padded = mag.reshape(h + 2, stride)[:, : w + 2]
-        np.testing.assert_array_equal(padded[1:-1, 1:-1], np.hypot(sobel_x, sobel_y))
-        assert not padded[[0, -1]].any() and not padded[:, [0, -1]].any()
 
     @staticmethod
     def label_hysteresis(nms, t_low=0.1, t_high=0.3):
@@ -540,17 +531,32 @@ class TestBandedBlur:
     @pytest.mark.parametrize("pixels", [1, 97 * 11, 1 << 16])
     def test_lines_of_the_whole_plane_filter(self, monkeypatch, rows, sigma, pixels):
         # Ranges at the top, the middle and the bottom, some shorter than
-        # the radius (4 and 6), walked in blocks of one line up to all.
+        # the radius (4 and 6), walked in blocks of one line up to all; and
+        # column windows: every column, at the left and the right border,
+        # inside, and narrower than the radius.
         plane = np.random.default_rng(11).integers(0, 256, (99, 37)).astype(np.uint8)
-        expected = ndimage.gaussian_filter(plane, sigma, output=np.float64)[slice(*rows)]
+        whole_filter = ndimage.gaussian_filter(plane, sigma, output=np.float64)
         monkeypatch.setattr(raster, "BLOCK_PIXELS", pixels)
-        got = coreg._gaussian(plane, sigma, slice(*rows))
-        assert got.shape == expected.shape and got.dtype == np.float64
-        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-        out = np.full((rows[1] - rows[0] + 3, 37), np.nan)
-        assert coreg._gaussian(plane, sigma, slice(*rows), out=out[2:-1]).base is out
-        np.testing.assert_array_equal(out[2:-1].view(np.int64), expected.view(np.int64))
-        assert np.isnan(out[:2]).all() and np.isnan(out[-1]).all()
+        r = int(4.0 * sigma + 0.5)
+        for cols in [(0, 37), (0, 3), (0, 12), (30, 37), (35, 37), (10, 13), (17, 18), (5, 31)]:
+            window = (slice(*rows), slice(*cols))
+            expected = whole_filter[window]
+            got = coreg._gaussian(plane, sigma, window)
+            assert got.shape == expected.shape and got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            # Into a view of a larger array, with buffers of its own or
+            # given ones, big enough for the whole window, that hold NaN.
+            lines, width = expected.shape
+            stride = width + 2 * r
+            work = (np.full((lines + 2 * r) * stride, np.nan), np.full(lines * stride, np.nan),
+                    np.full(lines * stride, np.nan))
+            for buffers in (None, work):
+                out = np.full((lines + 3, width + 2), np.nan)
+                got = coreg._gaussian(plane, sigma, window, out=out[2:-1, 1:-1], work=buffers)
+                assert got.base is out
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+                assert np.isnan(out[:2]).all() and np.isnan(out[-1]).all()
+                assert np.isnan(out[:, [0, -1]]).all()
 
     @pytest.mark.parametrize("layout", sorted(MERGED))
     @pytest.mark.parametrize("pixels", [1, 40 * 308, None])

@@ -62,9 +62,9 @@ class TestCorrectVignetting:
     def test_monotonicity(self, seed):
         rng = np.random.default_rng(seed)
         lo = make_scene(seed=seed, width=12, lines=4)
-        hi = lo.copy()
-        bump = rng.integers(0, 20, hi.planes.shape).astype(np.uint16)
-        hi.planes = np.minimum(hi.planes.astype(int) + bump, 255).astype(np.uint16)
+        bump = rng.integers(0, 20, lo.planes.shape).astype(np.uint16)
+        hi = RawScene(np.minimum(lo.planes.astype(int) + bump, 255).astype(np.uint16),
+                      lo.line_times, lo.bit_depth)
         calib = CalibrationTable(
             response=0.5 + rng.uniform(0, 2, (4, 12)), dark=rng.uniform(0, 30, (4, 12))
         )

@@ -210,6 +210,14 @@ class TestScenePlanes:
                 assert np.shape(got) == np.shape(expected[key])
                 np.testing.assert_array_equal(got, expected[key])
             np.testing.assert_array_equal(opened.planes[1, 3], scene.planes[1, 3])
+            # A second index array pairs with the lines, as on the loaded planes.
+            loaded = load_raw(tmp_path / "s.l3raw").planes[2]
+            for key in [([0, 3], [4, 0]), (np.array([36, 1, 1]), np.array([22, 0, 5])),
+                        (mask, np.arange(mask.sum()) % 23), ([5, -2], 7), (4, [1, 2, 1]),
+                        (-1, np.array([0, 22])), ([2], [3])]:
+                got = plane[key]
+                assert np.shape(got) == np.shape(loaded[key])
+                np.testing.assert_array_equal(got, loaded[key])
             # Iteration walks the lines and stops at the last.
             np.testing.assert_array_equal(np.stack(list(plane)), expected)
             for line in (37, -38, 10**9, 2.0, mask[:-1]):
