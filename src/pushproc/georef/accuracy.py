@@ -35,43 +35,64 @@ class GeorefErrorStats:
     along_km: np.ndarray
 
 
+def _node_rows(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lat, lon, alt) arrays of (rows, columns) nodes: a GeoGrid's own,
+    or one row for a sequence of GeodeticCoord."""
+    if isinstance(points, GeoGrid):
+        return points.lat, points.lon, points.alt
+    return tuple(np.reshape(list(map(attrgetter("lat", "lon", "alt"), points)),
+                            (-1, 3)).T[:, np.newaxis])
+
+
 def georef_error_stats(grid, truth_points, ground_track_dir) -> GeorefErrorStats:
     """Decompose computed-vs-truth errors onto along/across-track axes.
+
+    The decomposition walks the nodes one row at a time into preallocated
+    ``along`` and ``across`` arrays, so its temporaries are a row's; the
+    returned ``across_km`` and ``along_km`` are flat, in row-major order.
 
     Parameters
     ----------
     grid : GeoGrid or sequence of GeodeticCoord
-        Computed geolocation, node for node against the truth.
+        Computed geolocation, node for node against the truth.  A sequence
+        is one row of nodes; paired with a GeoGrid of as many nodes it takes
+        the grid's shape.  Two GeoGrids must have one node shape.
     truth_points : GeoGrid or sequence of GeodeticCoord
     ground_track_dir : (east, north)
         Unit horizontal direction of the ground track; across-track is its
         right-hand perpendicular.
     """
-    # [n, 3] arrays of (lat, lon, alt), node for node
-    computed, truth = (
-        np.reshape(np.stack([p.lat, p.lon, p.alt], axis=-1) if isinstance(p, GeoGrid)
-                   else list(map(attrgetter("lat", "lon", "alt"), p)), (-1, 3))
-        for p in (grid, truth_points)
-    )
-    if len(truth) == 0:
+    computed, truth = _node_rows(grid), _node_rows(truth_points)
+    if truth[0].size == 0:
         raise EmptyTruth("no truth points")
-    if len(computed) != len(truth):
-        raise EmptyTruth(f"{len(computed)} computed points vs {len(truth)} truth points")
+    if computed[0].size != truth[0].size:
+        raise EmptyTruth(f"{computed[0].size} computed points vs {truth[0].size} truth points")
+    shape = computed[0].shape
+    if shape != truth[0].shape:
+        if isinstance(grid, GeoGrid) and isinstance(truth_points, GeoGrid):
+            raise EmptyTruth(f"computed grid of {shape} nodes vs truth grid of "
+                             f"{truth[0].shape} nodes")
+        shape = (grid if isinstance(grid, GeoGrid) else truth_points).lat.shape
+        computed, truth = ([a.reshape(shape) for a in p] for p in (computed, truth))
     te, tn = np.asarray(ground_track_dir, dtype=np.float64) / math.hypot(*ground_track_dir)
 
-    diff = geodetic_to_ecef(*computed.T) - geodetic_to_ecef(*truth.T)
-    east, north, _ = enu_basis(truth[:, 0], truth[:, 1])
-    e = np.sum(diff * east, axis=-1)
-    n = np.sum(diff * north, axis=-1)
-    along = e * te + n * tn
-    across = e * tn - n * te
+    along, across = np.empty((2,) + shape)
+    for k in range(shape[0]):
+        lat, lon, alt = (a[k] for a in truth)
+        diff = geodetic_to_ecef(*(a[k] for a in computed)) - geodetic_to_ecef(lat, lon, alt)
+        east, north, _ = enu_basis(lat, lon)
+        e = np.sum(diff * east, axis=-1)
+        n = np.sum(diff * north, axis=-1)
+        along[k] = e * te + n * tn
+        across[k] = e * tn - n * te
+    along, across = along.ravel(), across.ravel()
     total = np.hypot(across, along)
     return GeorefErrorStats(
         mean_across_km=float(across.mean()),
         mean_along_km=float(along.mean()),
         std_across_km=float(across.std()),
         std_along_km=float(along.std()),
-        rms_total_km=float(np.sqrt(np.mean(total * total))),
+        rms_total_km=float(np.sqrt(np.mean(np.multiply(total, total, out=total)))),
         across_km=across,
         along_km=along,
     )

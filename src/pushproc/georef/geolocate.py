@@ -120,11 +120,25 @@ def _sample_indices(extent: int, step: int) -> np.ndarray:
 
 
 def _mean_gsd_m(grid: GeoGrid) -> float:
-    ecef = geodetic_to_ecef(grid.lat, grid.lon, grid.alt)
-    across = np.linalg.norm(np.diff(ecef, axis=1), axis=2) * 1000.0 / np.diff(grid.columns)
-    along = (np.linalg.norm(np.diff(ecef, axis=0), axis=2) * 1000.0
-             / np.diff(grid.lines)[:, np.newaxis])
-    return float(np.concatenate([across.ravel(), along.ravel()]).mean())
+    """Mean ground distance (m) per pixel between neighbouring nodes.
+
+    Walks the grid a row at a time. The across spacings of every row come
+    first in one flat array, then the along spacings of every row against
+    the row before it, so its one ``mean`` sums what the whole-grid
+    formula summed, in its order.
+    """
+    rows, cols = grid.lat.shape
+    col_steps, line_steps = np.diff(grid.columns), np.diff(grid.lines)
+    spacings = np.empty(rows * (cols - 1) + (rows - 1) * cols)
+    across = spacings[:rows * (cols - 1)].reshape(rows, cols - 1)
+    along = spacings[rows * (cols - 1):].reshape(rows - 1, cols)
+    for k in range(rows):
+        ecef = geodetic_to_ecef(grid.lat[k], grid.lon[k], grid.alt[k])
+        across[k] = np.linalg.norm(np.diff(ecef, axis=0), axis=1) * 1000.0 / col_steps
+        if k:
+            along[k - 1] = np.linalg.norm(ecef - prev, axis=1) * 1000.0 / line_steps[k - 1]
+        prev = ecef
+    return float(spacings.mean())
 
 
 def build_geogrid(
@@ -137,7 +151,8 @@ def build_geogrid(
     """Geolocate a regular grid of nodes (first/last line and column always kept).
 
     Each sampled line is geolocated as ``georeference_line`` does it: one
-    orbit state, one attitude and one intersection call per line.
+    orbit state, one attitude and one intersection call per line, written
+    straight into its row of the grid's arrays.
     """
     if step < 1:
         raise OutOfBounds(f"step {step} < 1")
@@ -146,10 +161,10 @@ def build_geogrid(
     line_idx = _sample_indices(scene.lines, step)
     col_idx = _sample_indices(scene.width, step)
     v_body = pixel_los(imager, band, col_idx)
-    coords = [_locate_line(int(line), scene, metadata, imager, v_body) for line in line_idx]
-    lat = np.array([c.lat for c in coords])
-    lon = np.array([c.lon for c in coords])
-    alt = np.array([c.alt for c in coords])
+    lat, lon, alt = (np.empty((line_idx.size, col_idx.size)) for _ in range(3))
+    for k, line in enumerate(line_idx):
+        coord = _locate_line(int(line), scene, metadata, imager, v_body)
+        lat[k], lon[k], alt[k] = coord.lat, coord.lon, coord.alt
     grid = GeoGrid(lines=line_idx, columns=col_idx, lat=lat, lon=lon, alt=alt)
     grid.corners = {
         "top_left": (float(lat[0, 0]), float(lon[0, 0])),
@@ -172,14 +187,19 @@ def fit_world_file(grid: GeoGrid) -> tuple[tuple[float, ...], float]:
 
     The residual reports how non-affine the true geolocation is.
     """
-    cols, lins = np.meshgrid(grid.columns.astype(float), grid.lines.astype(float))
-    design = np.stack([cols.ravel(), lins.ravel(), np.ones(cols.size)], axis=1)
+    # One (column, line, 1) row per node, in the grid's row-major order.
+    design = np.empty((grid.lines.size, grid.columns.size, 3))
+    design[..., 0] = grid.columns
+    design[..., 1] = grid.lines[:, np.newaxis]
+    design[..., 2] = 1.0
+    design = design.reshape(-1, 3)
+    n = len(design)
     lon_coef, _, _, _ = np.linalg.lstsq(design, grid.lon.ravel(), rcond=None)
     lat_coef, _, _, _ = np.linalg.lstsq(design, grid.lat.ravel(), rcond=None)
-    resid = np.concatenate(
-        [design @ lon_coef - grid.lon.ravel(), design @ lat_coef - grid.lat.ravel()]
-    )
-    rms = float(np.sqrt(np.mean(resid * resid)))
+    resid = np.empty(2 * n)
+    np.subtract(design @ lon_coef, grid.lon.ravel(), out=resid[:n])
+    np.subtract(design @ lat_coef, grid.lat.ravel(), out=resid[n:])
+    rms = float(np.sqrt(np.mean(np.multiply(resid, resid, out=resid))))
     a, b, c = lon_coef
     d, e, f = lat_coef
     return (float(a), float(d), float(b), float(e), float(c), float(f)), rms

@@ -606,8 +606,9 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
     """Read back the truth grid and track direction from a truth sidecar.
 
     Raises IoFailure when the file cannot be read and TruthInvalid when it
-    is not a truth sidecar: missing keys, non-numeric values, coordinate
-    arrays that do not match the node lists, or a zero track direction.
+    is not a truth sidecar: missing keys, non-numeric or non-finite values,
+    coordinate arrays that do not match the node lists, or a zero track
+    direction.
     """
     doc = read_json(path, TruthInvalid)
     try:
@@ -626,6 +627,10 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
     if grid.lines.ndim != 1 or grid.columns.ndim != 1 \
             or any(a.shape != nodes for a in (grid.lat, grid.lon, grid.alt)):
         raise TruthInvalid(f"{path}: truth grid coordinates do not match its {nodes} nodes")
-    if len(track_dir) != 2 or not math.hypot(*track_dir) > 0.0:
-        raise TruthInvalid(f"{path}: track_dir_en {track_dir} is not a 2-D direction")
+    for key, values in (("lat", grid.lat), ("lon", grid.lon), ("alt_m", grid.alt)):
+        if not np.isfinite(values).all():
+            raise TruthInvalid(f"{path}: truth grid {key} holds a non-finite value")
+    if len(track_dir) != 2 or not all(map(math.isfinite, track_dir)) \
+            or not math.hypot(*track_dir) > 0.0:
+        raise TruthInvalid(f"{path}: track_dir_en {track_dir} is not a finite 2-D direction")
     return grid, track_dir

@@ -463,6 +463,9 @@ class TestCli:
          "TruthInvalid"),
         ({"truth_grid": ONE_NODE, "track_dir_en": [0, 0]}, "TruthInvalid"),
         ({"truth_grid": ONE_NODE, "track_dir_en": [0, 1]}, "ConfigInvalid"),
+        ({"truth_grid": ONE_NODE, "track_dir_en": [float("inf"), 1]}, "TruthInvalid"),
+        ({"truth_grid": {**ONE_NODE, "lat": [[float("nan")]]}, "track_dir_en": [0, 1]},
+         "TruthInvalid"),
     ])
     def test_bad_truth_exit_2_before_any_stage(self, synth_inputs, tmp_path, capsys,
                                                truth, error):

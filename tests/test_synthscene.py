@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -290,3 +291,32 @@ class TestTruthGeorefError:
         _, other = generate(other_spec)
         with pytest.raises(errors.GridMismatch):
             truth_georef_error(truth, other.truth_grid)
+
+
+class TestLoadTruthGrid:
+    @pytest.fixture
+    def truth_doc(self, tmp_path):
+        _, truth = generate(SynthSpec(seed=16, width=128, lines=64, texture="flat",
+                                      grid_step=32))
+        path = tmp_path / "truth.json"
+        synthscene.save_truth(truth, path)
+        return path, json.loads(path.read_text())
+
+    def test_round_trip(self, truth_doc):
+        path, doc = truth_doc
+        grid, track_dir = synthscene.load_truth_grid(path)
+        assert grid.lat.tolist() == doc["truth_grid"]["lat"]
+        assert list(track_dir) == doc["track_dir_en"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["lat", "lon", "alt_m", "track_dir_en"])
+    def test_non_finite_value_rejected(self, truth_doc, key, value):
+        # json reads NaN, Infinity and -Infinity; a truth sidecar must not.
+        path, doc = truth_doc
+        if key == "track_dir_en":
+            doc[key][0] = value
+        else:
+            doc["truth_grid"][key][1][2] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.TruthInvalid, match=key):
+            synthscene.load_truth_grid(path)
