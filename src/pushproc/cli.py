@@ -103,7 +103,7 @@ def _cmd_synth(args) -> int:
     try:
         spec = SynthSpec.from_dict(read_json(args.spec, SpecInvalid))
         spec.validate()
-    except (PushprocError, TypeError) as exc:
+    except PushprocError as exc:
         print(_error_json("spec", exc))
         return EXIT_INPUT
     try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -35,51 +34,27 @@ class GeorefErrorStats:
     along_km: np.ndarray
 
 
-def _node_rows(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lat, lon, alt) arrays of (rows, columns) nodes: a GeoGrid's own,
-    or one row for a sequence of GeodeticCoord."""
-    if isinstance(points, GeoGrid):
-        return points.lat, points.lon, points.alt
-    return tuple(np.reshape(list(map(attrgetter("lat", "lon", "alt"), points)),
-                            (-1, 3)).T[:, np.newaxis])
-
-
-def georef_error_stats(grid, truth_points, ground_track_dir) -> GeorefErrorStats:
+def georef_error_stats(grid: GeoGrid, truth: GeoGrid, ground_track_dir) -> GeorefErrorStats:
     """Decompose computed-vs-truth errors onto along/across-track axes.
 
-    The decomposition walks the nodes one row at a time into preallocated
-    ``along`` and ``across`` arrays, so its temporaries are a row's; the
-    returned ``across_km`` and ``along_km`` are flat, in row-major order.
-
-    Parameters
-    ----------
-    grid : GeoGrid or sequence of GeodeticCoord
-        Computed geolocation, node for node against the truth.  A sequence
-        is one row of nodes; paired with a GeoGrid of as many nodes it takes
-        the grid's shape.  Two GeoGrids must have one node shape.
-    truth_points : GeoGrid or sequence of GeodeticCoord
-    ground_track_dir : (east, north)
-        Unit horizontal direction of the ground track; across-track is its
-        right-hand perpendicular.
+    ``grid`` and ``truth`` are paired node for node: an empty truth or
+    another node shape raises ``EmptyTruth`` naming both shapes.
+    ``ground_track_dir`` is the (east, north) direction of the ground track;
+    across-track is its right-hand perpendicular.  The nodes are walked one
+    row at a time into preallocated ``along`` and ``across`` arrays, which
+    come back flat, in row-major order.
     """
-    computed, truth = _node_rows(grid), _node_rows(truth_points)
-    if truth[0].size == 0:
-        raise EmptyTruth("no truth points")
-    if computed[0].size != truth[0].size:
-        raise EmptyTruth(f"{computed[0].size} computed points vs {truth[0].size} truth points")
-    shape = computed[0].shape
-    if shape != truth[0].shape:
-        if isinstance(grid, GeoGrid) and isinstance(truth_points, GeoGrid):
-            raise EmptyTruth(f"computed grid of {shape} nodes vs truth grid of "
-                             f"{truth[0].shape} nodes")
-        shape = (grid if isinstance(grid, GeoGrid) else truth_points).lat.shape
-        computed, truth = ([a.reshape(shape) for a in p] for p in (computed, truth))
+    shape = grid.lat.shape
+    if truth.lat.size == 0 or shape != truth.lat.shape:
+        raise EmptyTruth(f"computed grid of {shape} nodes vs truth grid of "
+                         f"{truth.lat.shape} nodes")
     te, tn = np.asarray(ground_track_dir, dtype=np.float64) / math.hypot(*ground_track_dir)
 
     along, across = np.empty((2,) + shape)
     for k in range(shape[0]):
-        lat, lon, alt = (a[k] for a in truth)
-        diff = geodetic_to_ecef(*(a[k] for a in computed)) - geodetic_to_ecef(lat, lon, alt)
+        lat, lon = truth.lat[k], truth.lon[k]
+        diff = (geodetic_to_ecef(grid.lat[k], grid.lon[k], grid.alt[k])
+                - geodetic_to_ecef(lat, lon, truth.alt[k]))
         east, north, _ = enu_basis(lat, lon)
         e = np.sum(diff * east, axis=-1)
         n = np.sum(diff * north, axis=-1)
@@ -112,6 +87,10 @@ class SceneErrorSample:
     ground_speed_kms: float
 
 
+# Scenes below which the bias fit raises InsufficientScenes.
+MIN_SCENES = 5
+
+
 @dataclass
 class BiasEstimate:
     roll_offset_deg: float
@@ -119,9 +98,7 @@ class BiasEstimate:
     time_offset_s: float
 
 
-def estimate_bias(
-    samples: Sequence[SceneErrorSample], altitude_km: float, min_scenes: int = 5
-) -> BiasEstimate:
+def estimate_bias(samples: Sequence[SceneErrorSample], altitude_km: float) -> BiasEstimate:
     """Invert systematic error means into boresight and clock offsets.
 
     Boresight offsets produce drift-independent error means while a clock
@@ -133,10 +110,11 @@ def estimate_bias(
     means, i.e. roll = atan(mean_across / altitude), and the clock term is
     unobservable.  Applying the estimates through
     ``ImagerModel.with_offsets`` (time scaled by each scene's drift tag)
-    cancels the injected biases.
+    cancels the injected biases.  Fewer than ``MIN_SCENES`` samples raise
+    ``InsufficientScenes``.
     """
-    if len(samples) < min_scenes:
-        raise InsufficientScenes(f"{len(samples)} scenes < minimum {min_scenes}")
+    if len(samples) < MIN_SCENES:
+        raise InsufficientScenes(f"{len(samples)} scenes < minimum {MIN_SCENES}")
     across = np.array([s.mean_across_km for s in samples])
     along = np.array([s.mean_along_km for s in samples])
     drift = np.array([s.time_drift for s in samples])

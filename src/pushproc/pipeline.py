@@ -22,9 +22,8 @@ import json
 import math
 import os
 import time
-import typing
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +33,16 @@ from . import radiometry
 from .errors import (
     BadBandSelection,
     ConfigInvalid,
+    IoFailure,
     PushprocError,
     ReportInvalid,
     StageFailure,
 )
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
-from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines, copy_planes,
-                     create_raw, load_calibration, make_dir, open_raw, read_json)
+from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
+                     check_field_types, copy_planes, create_raw, fields_from_json,
+                     load_calibration, make_dir, open_raw, read_json)
 
 STAGES = ("vignetting", "coreg", "georef")
 
@@ -69,18 +70,7 @@ class PipelineConfig:
     quicklook: bool = False
 
     def validate(self) -> None:
-        hints = typing.get_type_hints(type(self))
-        for f in fields(self):
-            value, expected = getattr(self, f.name), hints[f.name]
-            # JSON writes whole floats as integers; bool is an int subclass
-            # but never a valid number here.
-            allowed = (int, float) if expected is float else expected
-            if (isinstance(value, bool) and expected is not bool) \
-                    or not isinstance(value, allowed):
-                raise ConfigInvalid(f"{f.name} must be {f.type}, got {value!r}")
-            # JSON readers accept NaN and Infinity.
-            if expected is float and not math.isfinite(value):
-                raise ConfigInvalid(f"{f.name} must be finite, got {value!r}")
+        check_field_types(self, ConfigInvalid)
         if not self.raw_path:
             raise ConfigInvalid("raw input path is required")
         if not self.out_dir:
@@ -112,13 +102,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise ConfigInvalid(f"config must be a JSON object, got {type(doc).__name__}")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**doc)
+        cfg = fields_from_json(cls, doc, ConfigInvalid)
         if type(cfg.ref_band) is int and cfg.ref_band in {int(b) for b in BandId}:
             cfg.ref_band = BandId(cfg.ref_band)
         return cfg
@@ -284,13 +268,25 @@ def _stage(name: str, report: QualityReport):
     report.timing[name] = time.perf_counter() - t0
 
 
+@contextmanager
+def _output(path):
+    """A write after the stages: its failure is ``StageFailure("output")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise StageFailure("output", IoFailure(f"cannot write {path}: {exc}")) from exc
+    except PushprocError as exc:
+        raise StageFailure("output", exc) from exc
+
+
 def run_pipeline(config: PipelineConfig) -> QualityReport:
     """Execute the enabled stages in order and write all products.
 
     Every input is read, and every enabled stage's inputs are checked,
     before the first stage runs; of the raw scene only the header and the
     line times are read.  Raises StageFailure naming the failing stage;
-    input problems are attributed to the pseudo-stage "input".  The
+    input problems are attributed to the pseudo-stage "input", and a
+    failed write or rename once the stages are done to "output".  The
     stages work in ``corrected.l3raw.partial``, which becomes
     ``corrected.l3raw`` when they all succeed and is removed when one
     fails.
@@ -352,7 +348,8 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
             if config.georef:
                 with _stage("georef", report):
                     _stage_georef(scene, metadata, truth, config, out_dir, report)
-            os.replace(partial, corrected_path)
+            with _output(corrected_path):
+                os.replace(partial, corrected_path)
         except BaseException:
             partial.unlink(missing_ok=True)
             raise
@@ -360,12 +357,14 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
 
         if config.quicklook:
             ql_path = out_dir / ("quicklook.ppm")
-            quicklook(scene, [BandId.RED, BandId.GREEN, BandId.BLUE], ql_path)
+            with _output(ql_path):
+                quicklook(scene, [BandId.RED, BandId.GREEN, BandId.BLUE], ql_path)
             report.outputs["quicklook"] = str(ql_path)
 
     report.timing["total"] = time.perf_counter() - t_start
     report_path = out_dir / "report.json"
-    report_path.write_text(report.to_json())
+    with _output(report_path):
+        report_path.write_text(report.to_json())
     report.outputs["report"] = str(report_path)
     return report
 

@@ -36,10 +36,12 @@ L3RAW container layout (little-endian throughout)::
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -434,6 +436,32 @@ def read_json(path, error: type[PushprocError]):
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def fields_from_json(cls, doc, error: type[PushprocError]):
+    """``cls(**doc)`` for a dataclass ``cls``; ``error`` unless ``doc`` is a
+    JSON object of its fields."""
+    if not isinstance(doc, dict):
+        raise error(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise error(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    return cls(**doc)
+
+
+def check_field_types(obj, error: type[PushprocError]) -> None:
+    """``error`` for a field of the dataclass ``obj`` not of its declared type
+    (or a member of its union).  A float field also takes an int, as JSON
+    writes whole floats, but not a bool, and must be finite."""
+    hints = typing.get_type_hints(type(obj))
+    for f in fields(obj):
+        value, expected = getattr(obj, f.name), hints[f.name]
+        members = typing.get_args(expected) or (expected,)
+        allowed = (int, *members) if float in members else members
+        if (isinstance(value, bool) and bool not in members) or not isinstance(value, allowed):
+            raise error(f"{f.name} must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 def make_dir(path) -> Path:

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, SpecInvalid, TruthInvalid
+from .errors import DimensionMismatch, GridMismatch, IoFailure, SpecInvalid, TruthInvalid
 from .raster import (BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene,
-                     read_json)
+                     check_field_types, fields_from_json, read_json)
 from .georef.accuracy import GeorefErrorStats
 from .georef.attitude import AttitudeSample, Quaternion
 from .georef.camera import ImagerModel, rpy_matrix
@@ -112,15 +112,12 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise SpecInvalid(f"unknown spec fields: {sorted(unknown)}")
-        spec = cls(**doc)
+        spec = fields_from_json(cls, doc, SpecInvalid)
         if isinstance(spec.injected_bias, list):
             spec.injected_bias = tuple(spec.injected_bias)
         if isinstance(spec.boresight_rpy_deg, list):
             spec.boresight_rpy_deg = tuple(spec.boresight_rpy_deg)
+        check_field_types(spec, SpecInvalid)
         return spec
 
     def to_dict(self) -> dict:
@@ -599,7 +596,10 @@ def save_truth(truth: TruthPack, path) -> None:
         "injected_bias": list(truth.injected_bias),
         "time_drift": truth.time_drift,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    try:
+        Path(path).write_text(json.dumps(doc, sort_keys=True))
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def load_truth_grid(path) -> tuple[GeoGrid, tuple]:

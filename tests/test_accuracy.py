@@ -10,19 +10,29 @@ from pushproc.georef.accuracy import (
     georef_error_stats,
 )
 from pushproc.georef.frames import enu_basis, geodetic_to_ecef, ecef_to_geodetic
-from pushproc.georef.geolocate import GeodeticCoord, build_geogrid
+from pushproc.georef.geolocate import GeoGrid, build_geogrid
 from pushproc.synthscene import SynthSpec, generate, truth_georef_error
 
 
-def displaced(coord: GeodeticCoord, de_km: float, dn_km: float) -> GeodeticCoord:
-    east, north, _ = enu_basis(coord.lat, coord.lon)
-    p = geodetic_to_ecef(coord.lat, coord.lon, coord.alt) + de_km * east + dn_km * north
-    lat, lon, alt = ecef_to_geodetic(p)
-    return GeodeticCoord(lat, lon, alt)
+def row_grid(lat, lon, alt) -> GeoGrid:
+    """A 1xN GeoGrid of the given node coordinates."""
+    lat, lon, alt = (np.asarray(a, dtype=np.float64)[np.newaxis] for a in (lat, lon, alt))
+    return GeoGrid(lines=np.zeros(1, dtype=int), columns=np.arange(lat.shape[1]),
+                   lat=lat, lon=lon, alt=alt)
+
+
+def displaced(grid: GeoGrid, de_km, dn_km) -> GeoGrid:
+    """``grid`` with each node moved ``de_km`` east and ``dn_km`` north."""
+    east, north, _ = enu_basis(grid.lat, grid.lon)
+    p = (geodetic_to_ecef(grid.lat, grid.lon, grid.alt)
+         + np.asarray(de_km)[..., np.newaxis] * east
+         + np.asarray(dn_km)[..., np.newaxis] * north)
+    return row_grid(*(a[0] for a in ecef_to_geodetic(p)))
 
 
 class TestErrorStats:
-    truth = [GeodeticCoord(0.5 * k, 100.0 + 0.01 * k, 0.0) for k in range(6)]
+    truth = row_grid([0.5 * k for k in range(6)], [100.0 + 0.01 * k for k in range(6)],
+                     [0.0] * 6)
 
     def test_zero_error(self):
         stats = georef_error_stats(self.truth, self.truth, (0.0, 1.0))
@@ -32,20 +42,19 @@ class TestErrorStats:
 
     def test_known_displacement_decomposition(self):
         # 2 km east on a northward track: pure across (right of track)
-        computed = [displaced(c, 2.0, 0.0) for c in self.truth]
+        computed = displaced(self.truth, 2.0, 0.0)
         stats = georef_error_stats(computed, self.truth, (0.0, 1.0))
         assert stats.mean_across_km == pytest.approx(2.0, rel=1e-6)
         assert abs(stats.mean_along_km) < 1e-6
         # 3 km north on the same track: pure along
-        computed = [displaced(c, 0.0, 3.0) for c in self.truth]
+        computed = displaced(self.truth, 0.0, 3.0)
         stats = georef_error_stats(computed, self.truth, (0.0, 1.0))
         assert stats.mean_along_km == pytest.approx(3.0, rel=1e-6)
         assert abs(stats.mean_across_km) < 1e-6
 
     def test_orthogonal_decomposition(self, rng):
-        computed = [
-            displaced(c, rng.uniform(-5, 5), rng.uniform(-5, 5)) for c in self.truth
-        ]
+        de, dn = rng.uniform(-5, 5, (self.truth.lat.size, 2)).T
+        computed = displaced(self.truth, de[np.newaxis], dn[np.newaxis])
         track = rng.normal(size=2)
         track /= np.linalg.norm(track)
         stats = georef_error_stats(computed, self.truth, tuple(track))
@@ -59,12 +68,14 @@ class TestErrorStats:
                                    atol=1e-9)
 
     def test_empty_truth(self):
+        empty = row_grid([], [], [])
         with pytest.raises(errors.EmptyTruth):
-            georef_error_stats([], [], (0.0, 1.0))
+            georef_error_stats(empty, empty, (0.0, 1.0))
 
     def test_length_mismatch(self):
-        with pytest.raises(errors.EmptyTruth):
-            georef_error_stats(self.truth[:3], self.truth, (0.0, 1.0))
+        first3 = row_grid(self.truth.lat[0, :3], self.truth.lon[0, :3], self.truth.alt[0, :3])
+        with pytest.raises(errors.EmptyTruth, match=r"\(1, 3\).*\(1, 6\)"):
+            georef_error_stats(first3, self.truth, (0.0, 1.0))
 
 
 def bias_scene(roll=0.0, pitch=0.0, time_s=0.0, drift=1.0, seed=0, arg_lat0=-1.0):

@@ -7,7 +7,6 @@ they walked rows; every result must equal them bit for bit.
 
 import math
 import tracemalloc
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from pushproc.georef.accuracy import georef_error_stats
 from pushproc.georef.camera import pixel_los
 from pushproc.georef.frames import enu_basis, geodetic_to_ecef
 from pushproc.georef.geolocate import (
-    GeodeticCoord,
     GeoGrid,
     _locate_line,
     _mean_gsd_m,
@@ -32,11 +30,8 @@ SHAPES = [(1, 257), (257, 1), (65, 501)]
 
 
 def oracle_error_stats(grid, truth_points, ground_track_dir):
-    computed, truth = (
-        np.reshape(np.stack([p.lat, p.lon, p.alt], axis=-1) if isinstance(p, GeoGrid)
-                   else list(map(attrgetter("lat", "lon", "alt"), p)), (-1, 3))
-        for p in (grid, truth_points)
-    )
+    computed, truth = (np.reshape(np.stack([p.lat, p.lon, p.alt], axis=-1), (-1, 3))
+                       for p in (grid, truth_points))
     te, tn = np.asarray(ground_track_dir, dtype=np.float64) / math.hypot(*ground_track_dir)
     diff = geodetic_to_ecef(*computed.T) - geodetic_to_ecef(*truth.T)
     east, north, _ = enu_basis(truth[:, 0], truth[:, 1])
@@ -109,11 +104,6 @@ def jittered(rng, grid):
                    alt=grid.alt + rng.uniform(-5.0, 5.0, grid.lat.shape))
 
 
-def as_points(grid):
-    return list(map(GeodeticCoord, grid.lat.ravel().tolist(), grid.lon.ravel().tolist(),
-                    grid.alt.ravel().tolist()))
-
-
 def assert_stats_equal_oracle(computed, truth, track):
     stats = georef_error_stats(computed, truth, track)
     expected = oracle_error_stats(computed, truth, track)
@@ -126,15 +116,6 @@ class TestErrorStatsRows:
     def test_grids_equal_whole_grid_formula(self, rng, shape):
         truth = random_grid(rng, shape)
         assert_stats_equal_oracle(jittered(rng, truth), truth, (0.3, -0.9))
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_point_lists_equal_whole_grid_formula(self, rng, shape):
-        truth = random_grid(rng, shape)
-        computed = jittered(rng, truth)
-        assert_stats_equal_oracle(as_points(computed), as_points(truth), (0.3, -0.9))
-        # A list of as many nodes pairs with a grid in row-major order.
-        assert_stats_equal_oracle(as_points(computed), truth, (0.3, -0.9))
-        assert_stats_equal_oracle(computed, as_points(truth), (0.3, -0.9))
 
     def test_equal_counts_of_different_shapes_raise(self, rng):
         truth = random_grid(rng, (6, 10))

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import os
 import subprocess
@@ -36,6 +38,18 @@ def synth_inputs(tmp_path_factory):
     save_metadata(truth.metadata, out / "metadata.json")
     (out / "spec.json").write_text(json.dumps(spec.to_dict()))
     return out
+
+
+def no_space_on(monkeypatch, owner, name, target):
+    """Make ``owner.name`` fail with ENOSPC when its first argument names ``target``."""
+    real = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        if str(args[0]).endswith(target):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, call)
 
 
 def base_config(synth_inputs, out_dir, **kw):
@@ -569,6 +583,52 @@ class TestCli:
         spec_path.write_text(json.dumps({"texture": "marble"}))
         rc = self.run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"))
         assert rc == 2
+
+    @pytest.mark.parametrize("doc", [{"seed": "a"}, {"orbit": 3}, {"attitude_profile": []},
+                                     {"width": "x"}, []])
+    def test_wrongly_typed_spec_exit_2(self, tmp_path, capsys, doc):
+        spec_path = tmp_path / "bad_spec.json"
+        spec_path.write_text(json.dumps(doc))
+        rc = self.run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"))
+        assert rc == 2
+        printed, err = capsys.readouterr()
+        found = json.loads(printed.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("spec", "SpecInvalid")
+        assert "Traceback" not in printed + err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("owner, name, target", [
+        (os, "replace", "corrected.l3raw.partial"),
+        (builtins, "open", "quicklook.ppm"),
+        (Path, "write_text", "report.json"),
+    ], ids=["rename", "quicklook", "report"])
+    def test_full_disk_after_the_stages_exit_3_at_output(self, synth_inputs, tmp_path, capsys,
+                                                         monkeypatch, owner, name, target):
+        no_space_on(monkeypatch, owner, name, target)
+        out = tmp_path / "o"
+        rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--calib", str(synth_inputs / "calib.json"),
+                          "--meta", str(synth_inputs / "metadata.json"),
+                          "--out", str(out), "--skip-coreg", "--quicklook")
+        assert rc == 3
+        printed, err = capsys.readouterr()
+        found = json.loads(printed.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("output", "IoFailure")
+        assert os.strerror(errno.ENOSPC) in found["error"]["message"]
+        assert "Traceback" not in printed + err
+        assert not (out / "corrected.l3raw.partial").exists()
+
+    def test_full_disk_writing_truth_exit_3_at_synth(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 1, "width": 64, "lines": 64}))
+        no_space_on(monkeypatch, Path, "write_text", "truth.json")
+        rc = self.run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"))
+        assert rc == 3
+        printed, err = capsys.readouterr()
+        found = json.loads(printed.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("synth", "IoFailure")
+        assert "truth.json" in found["error"]["message"]
+        assert "Traceback" not in printed + err
 
 
 class TestSceneInItsOutputFile:
