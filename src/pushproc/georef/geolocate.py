@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ..errors import HeaderInvalid, IoFailure, NoIntersection, OutOfBounds
-from ..raster import BandId, RawScene, read_json
+from ..errors import HeaderInvalid, NoIntersection, OutOfBounds
+from ..raster import BandId, RawScene, read_json, write_file
 from .attitude import slerp_attitude
 from .camera import ImagerModel, pixel_los
 from .frames import WGS84_A_KM, WGS84_B_KM, ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
@@ -226,22 +225,22 @@ def save_geogrid(grid: GeoGrid, json_path, world_path) -> tuple[tuple[float, ...
         "mean_gsd_m": grid.mean_gsd_m,
         "world_file": {"coefficients": list(coeffs), "rms_residual_deg": rms},
     }
-    try:
-        with open(json_path, "w") as fh:
-            for i, key in enumerate(sorted(doc)):
-                fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-                value = doc[key]
-                if isinstance(value, np.ndarray):
-                    fh.write("[")
-                    for j, row in enumerate(value):
-                        fh.write((", " if j else "") + json.dumps(row.tolist()))
-                    fh.write("]")
-                else:
-                    fh.write(json.dumps(value, sort_keys=True))
-            fh.write("}")
-        Path(world_path).write_text("\n".join(f"{v:.12f}" for v in coeffs) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write geogrid: {exc}") from exc
+
+    def chunks():
+        for i, key in enumerate(sorted(doc)):
+            yield ("{" if i == 0 else ", ") + json.dumps(key) + ": "
+            value = doc[key]
+            if isinstance(value, np.ndarray):
+                yield "["
+                for j, row in enumerate(value):
+                    yield (", " if j else "") + json.dumps(row.tolist())
+                yield "]"
+            else:
+                yield json.dumps(value, sort_keys=True)
+        yield "}"
+
+    write_file(json_path, chunks())
+    write_file(world_path, ["\n".join(f"{v:.12f}" for v in coeffs) + "\n"])
     return coeffs, rms
 
 

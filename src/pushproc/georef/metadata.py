@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from ..errors import FieldParse, IoFailure
-from ..raster import BAND_BY_NAME, BAND_NAMES, BandId, read_json
+from ..errors import FieldParse
+from ..raster import BAND_BY_NAME, BAND_NAMES, BandId, read_json, write_file
 from .attitude import AttitudeSample, Quaternion, sign_align
 from .camera import ImagerModel
 from .orbits import orbit_from_spec
@@ -100,7 +99,4 @@ def load_metadata(path) -> AcqMetadata:
 
 
 def save_metadata(meta: AcqMetadata, path) -> None:
-    try:
-        Path(path).write_text(json.dumps(metadata_to_dict(meta), sort_keys=True))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, [json.dumps(metadata_to_dict(meta), sort_keys=True)])

@@ -42,7 +42,7 @@ from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
                      check_field_types, copy_planes, create_raw, fields_from_json,
-                     load_calibration, make_dir, open_raw, read_json)
+                     load_calibration, make_dir, open_raw, read_json, write_file)
 
 STAGES = ("vignetting", "coreg", "georef")
 
@@ -255,28 +255,22 @@ def _stage_georef(scene: RawScene, metadata: AcqMetadata, truth: tuple | None,
 
 
 @contextmanager
-def _stage(name: str, report: QualityReport):
-    """Time the block into ``report.timing[name]``.
+def stage(name: str, timing: dict | None = None):
+    """Run one phase of a command; time it into ``timing[name]`` when given.
 
-    A PushprocError raised inside becomes ``StageFailure(name)``.
+    A PushprocError raised inside becomes ``StageFailure(name)``.  A
+    StageFailure passes through as it is, so phases nest and the failure
+    names the innermost one.
     """
     t0 = time.perf_counter()
     try:
         yield
+    except StageFailure:
+        raise
     except PushprocError as exc:
         raise StageFailure(name, exc) from exc
-    report.timing[name] = time.perf_counter() - t0
-
-
-@contextmanager
-def _output(path):
-    """A write after the stages: its failure is ``StageFailure("output")``."""
-    try:
-        yield
-    except OSError as exc:
-        raise StageFailure("output", IoFailure(f"cannot write {path}: {exc}")) from exc
-    except PushprocError as exc:
-        raise StageFailure("output", exc) from exc
+    if timing is not None:
+        timing[name] = time.perf_counter() - t0
 
 
 def run_pipeline(config: PipelineConfig) -> QualityReport:
@@ -293,7 +287,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
     """
     t_start = time.perf_counter()
     with ExitStack() as files:
-        try:
+        with stage("input"):
             config.validate()
             scene = open_raw(config.raw_path)
             files.callback(scene.planes.close)
@@ -319,8 +313,6 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
             partial = Path(config.out_dir) / "corrected.l3raw.partial"
             if partial.exists() and partial.samefile(config.raw_path):
                 raise ConfigInvalid(f"the raw input is the run's own working file {partial}")
-        except PushprocError as exc:
-            raise StageFailure("input", exc) from exc
         if config.vignetting and calib is None:
             raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
         if config.georef and metadata is None:
@@ -328,43 +320,45 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
 
         # The output directory and the working file are the last steps of
         # the input phase.
-        try:
+        with stage("input"):
             out_dir = make_dir(config.out_dir)
             product = create_raw(partial, scene)
-        except PushprocError as exc:
-            raise StageFailure("input", exc) from exc
         files.callback(product.planes.close)
         report = QualityReport()
         corrected_path = out_dir / "corrected.l3raw"
         try:
             if config.vignetting:
-                with _stage("vignetting", report):
+                with stage("vignetting", report.timing):
                     scene = _stage_vignetting(scene, calib, report, product.planes)
             else:
                 scene = copy_planes(scene, product.planes)
             if config.coreg:
-                with _stage("coreg", report):
+                with stage("coreg", report.timing):
                     scene = _stage_coreg(scene, metadata, grids, config, report)
             if config.georef:
-                with _stage("georef", report):
+                with stage("georef", report.timing):
                     _stage_georef(scene, metadata, truth, config, out_dir, report)
-            with _output(corrected_path):
-                os.replace(partial, corrected_path)
+            with stage("output"):
+                try:
+                    os.replace(partial, corrected_path)
+                except OSError as exc:
+                    raise IoFailure(f"cannot rename {partial} to {corrected_path}: {exc}") \
+                        from exc
         except BaseException:
             partial.unlink(missing_ok=True)
             raise
         report.outputs["corrected"] = str(corrected_path)
 
         if config.quicklook:
-            ql_path = out_dir / ("quicklook.ppm")
-            with _output(ql_path):
+            ql_path = out_dir / "quicklook.ppm"
+            with stage("output"):
                 quicklook(scene, [BandId.RED, BandId.GREEN, BandId.BLUE], ql_path)
             report.outputs["quicklook"] = str(ql_path)
 
     report.timing["total"] = time.perf_counter() - t_start
     report_path = out_dir / "report.json"
-    with _output(report_path):
-        report_path.write_text(report.to_json())
+    with stage("output"):
+        write_file(report_path, [report.to_json()])
     report.outputs["report"] = str(report_path)
     return report
 
@@ -418,9 +412,9 @@ def quicklook(scene: RawScene, bands, path) -> None:
     planes = [scene.band(band) for band in bands]
     cuts = [_percentiles(plane) for plane in planes]
     step = block_lines(w)
-    magic = "P5" if len(bands) == 1 else "P6"
-    with open(path, "wb") as fh:
-        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
+
+    def chunks():
+        yield f"{'P5' if len(bands) == 1 else 'P6'}\n{w} {h}\n255\n"
         for y0 in range(0, h, step):
             image = np.zeros((min(step, h - y0), w, len(bands)), dtype=np.uint8)
             for k, (plane, (lo, hi)) in enumerate(zip(planes, cuts)):
@@ -429,7 +423,9 @@ def quicklook(scene: RawScene, bands, path) -> None:
                 data = plane[y0 : y0 + step].astype(np.float64)
                 scaled = np.clip((data - lo) / (hi - lo) * 255.0, 0.0, 255.0)
                 image[:, :, k] = np.floor(scaled + 0.5)
-            fh.write(image)
+            yield image
+
+    write_file(path, chunks())
 
 
 def report_timing(report: QualityReport | dict) -> str:

@@ -18,7 +18,9 @@ any other type are converted to uint16.  A uint16 plane is never narrowed
 to the nominal bit depth; ``validate`` refuses a DN beyond it, and so does
 serialization.  Code that walks a plane in blocks of lines takes
 ``block_lines(width)`` lines at a time, so each block holds about
-``BLOCK_PIXELS`` pixels whatever the plane's width.
+``BLOCK_PIXELS`` pixels whatever the plane's width.  Every other file
+pushproc writes (JSON, the world file, the quicklook) goes through
+``write_file``, as every JSON file it reads goes through ``read_json``.
 
 L3RAW container layout (little-endian throughout)::
 
@@ -193,6 +195,8 @@ class ScenePlanes:
         try:
             while view:
                 done = os.pwrite(plane.fh.fileno(), view, at)
+                if not done:
+                    raise IoFailure(f"cannot write {plane.fh.name}: no byte written at {at}")
                 view, at = view[done:], at + done
         except OSError as exc:
             raise IoFailure(f"cannot write {plane.fh.name}: {exc}") from exc
@@ -328,17 +332,14 @@ def open_raw(path) -> RawScene:
     """
     try:
         fh = open(path, "rb")
+        try:
+            scene = _read_head(fh, path)
+            scene.validate()
+        except BaseException:
+            fh.close()
+            raise
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        scene = _read_head(fh, path)
-        scene.validate()
-    except OSError as exc:
-        fh.close()
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except BaseException:
-        fh.close()
-        raise
     return scene
 
 
@@ -418,8 +419,19 @@ def save_calibration(table: CalibrationTable, path) -> None:
             for band in BandId
         }
     }
+    write_file(path, [json.dumps(doc, sort_keys=True)])
+
+
+def write_file(path, chunks) -> None:
+    """Write ``chunks`` to ``path`` in order, a ``str`` as UTF-8 and anything else as its bytes.
+
+    The counterpart of ``read_json``: a file that cannot be written raises
+    ``IoFailure``.  A generator of chunks streams a file never whole in memory.
+    """
     try:
-        Path(path).write_text(json.dumps(doc, sort_keys=True))
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

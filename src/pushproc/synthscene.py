@@ -17,13 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, IoFailure, SpecInvalid, TruthInvalid
+from .errors import DimensionMismatch, GridMismatch, SpecInvalid, TruthInvalid
 from .raster import (BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene,
-                     check_field_types, fields_from_json, read_json)
+                     check_field_types, fields_from_json, read_json, write_file)
 from .georef.accuracy import GeorefErrorStats
 from .georef.attitude import AttitudeSample, Quaternion
 from .georef.camera import ImagerModel, rpy_matrix
@@ -42,6 +41,13 @@ from .georef.orbits import CircularOrbit, orbit_from_spec
 TEXTURES = ("flat", "checkerboard", "fractal-noise", "urban-blocks")
 PROFILES = ("quadratic", "cos4")
 ATTITUDE_KINDS = ("nadir", "constant-offset", "nutation")
+
+
+def _numbers(values, count: int | None = None) -> bool:
+    """Whether ``values`` is a list or tuple of finite numbers, not bools (``count`` of them)."""
+    return isinstance(values, (list, tuple)) and count in (None, len(values)) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values)
 
 
 @dataclass
@@ -95,9 +101,20 @@ class SynthSpec:
             raise SpecInvalid(f"vignette_profile {self.vignette_profile!r} not in {PROFILES}")
         if self.attitude_profile.get("kind") not in ATTITUDE_KINDS:
             raise SpecInvalid(f"attitude kind {self.attitude_profile!r}")
+        for name in ("injected_bias", "boresight_rpy_deg"):
+            if not _numbers(getattr(self, name), 3):
+                raise SpecInvalid(f"{name} must be three numbers, got {getattr(self, name)!r}")
+        for name, offset in (self.band_row_offset or {}).items():
+            if name not in BAND_BY_NAME or not _numbers([offset]):
+                raise SpecInvalid(f"band_row_offset needs a band name and a number, "
+                                  f"got {name!r}: {offset!r}")
         for name, warp in (self.band_warp or {}).items():
             if name not in BAND_BY_NAME:
                 raise SpecInvalid(f"unknown band {name!r} in band_warp")
+            if not (isinstance(warp, dict) and _numbers([warp.get("order", 2)])
+                    and _numbers(warp.get("coeff_dx")) and _numbers(warp.get("coeff_dy"))):
+                raise SpecInvalid(f"band_warp {name!r} must be an object with a numeric order "
+                                  f"and coeff_dx and coeff_dy lists of numbers, got {warp!r}")
             order = int(warp.get("order", 2))
             if order > 3:
                 raise SpecInvalid(f"warp order {order} > 3")
@@ -596,10 +613,7 @@ def save_truth(truth: TruthPack, path) -> None:
         "injected_bias": list(truth.injected_bias),
         "time_drift": truth.time_drift,
     }
-    try:
-        Path(path).write_text(json.dumps(doc, sort_keys=True))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, [json.dumps(doc, sort_keys=True)])
 
 
 def load_truth_grid(path) -> tuple[GeoGrid, tuple]:

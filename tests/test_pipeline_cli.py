@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pushproc import errors
 from pushproc.cli import main
 from pushproc.pipeline import (PipelineConfig, QualityReport, _percentiles, quicklook,
-                               report_timing, run_pipeline)
+                               report_timing, run_pipeline, stage)
 from pushproc.raster import BandId, RawScene, block_lines, load_raw, save_calibration, save_raw
 from pushproc.synthscene import SynthSpec, generate
 from pushproc.georef.metadata import save_metadata
@@ -584,8 +584,18 @@ class TestCli:
         rc = self.run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"))
         assert rc == 2
 
-    @pytest.mark.parametrize("doc", [{"seed": "a"}, {"orbit": 3}, {"attitude_profile": []},
-                                     {"width": "x"}, []])
+    @pytest.mark.parametrize("doc", [
+        {"seed": "a"}, {"orbit": 3}, {"attitude_profile": []}, {"width": "x"}, [],
+        {"width": 64, "lines": 64, "band_warp": {"nir": 3}},
+        {"width": 64, "lines": 64, "band_warp": {"nir": {"coeff_dx": [1.0], "coeff_dy": "x"}}},
+        {"width": 64, "lines": 64, "band_warp": {"nir": {"coeff_dx": [1.0], "coeff_dy": [True]}}},
+        {"width": 64, "lines": 64, "band_warp": {"nir": {"coeff_dx": [1.0]}}},
+        {"width": 64, "lines": 64, "injected_bias": ["a", 0, 0]},
+        {"width": 64, "lines": 64, "injected_bias": [0, 0]},
+        {"width": 64, "lines": 64, "boresight_rpy_deg": [0, 0, None]},
+        {"width": 64, "lines": 64, "band_row_offset": {"uv": 1.0}},
+        {"width": 64, "lines": 64, "band_row_offset": {"nir": "1"}},
+    ])
     def test_wrongly_typed_spec_exit_2(self, tmp_path, capsys, doc):
         spec_path = tmp_path / "bad_spec.json"
         spec_path.write_text(json.dumps(doc))
@@ -600,7 +610,7 @@ class TestCli:
     @pytest.mark.parametrize("owner, name, target", [
         (os, "replace", "corrected.l3raw.partial"),
         (builtins, "open", "quicklook.ppm"),
-        (Path, "write_text", "report.json"),
+        (builtins, "open", "report.json"),
     ], ids=["rename", "quicklook", "report"])
     def test_full_disk_after_the_stages_exit_3_at_output(self, synth_inputs, tmp_path, capsys,
                                                          monkeypatch, owner, name, target):
@@ -621,7 +631,7 @@ class TestCli:
     def test_full_disk_writing_truth_exit_3_at_synth(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 1, "width": 64, "lines": 64}))
-        no_space_on(monkeypatch, Path, "write_text", "truth.json")
+        no_space_on(monkeypatch, builtins, "open", "truth.json")
         rc = self.run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "s"))
         assert rc == 3
         printed, err = capsys.readouterr()
@@ -629,6 +639,52 @@ class TestCli:
         assert (found["error"]["stage"], found["error"]["type"]) == ("synth", "IoFailure")
         assert "truth.json" in found["error"]["message"]
         assert "Traceback" not in printed + err
+
+
+    @pytest.mark.parametrize("command, target, phase", [
+        ("preprocess", "grid.json", "georef"),
+        ("preprocess", "grid.wld", "georef"),
+        ("preprocess", "quicklook.ppm", "output"),
+        ("preprocess", "report.json", "output"),
+        ("preprocess", "corrected.l3raw.partial", "output"),
+        ("synth", "scene.l3raw", "synth"),
+        ("synth", "clean.l3raw", "synth"),
+        ("synth", "calib.json", "synth"),
+        ("synth", "metadata.json", "synth"),
+        ("synth", "truth.json", "synth"),
+    ])
+    def test_every_written_file_fails_as_io_failure(self, synth_inputs, tmp_path, capsys,
+                                                    monkeypatch, command, target, phase):
+        # Each file is opened for writing through ``open``; the working file
+        # becomes the product through ``os.replace``.
+        if target.endswith(".partial"):
+            no_space_on(monkeypatch, os, "replace", target)
+        else:
+            no_space_on(monkeypatch, builtins, "open", target)
+        out = tmp_path / "o"
+        if command == "synth":
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({"seed": 1, "width": 64, "lines": 64}))
+            rc = self.run_cli("synth", "--spec", str(spec_path), "--out", str(out))
+        else:
+            rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                              "--calib", str(synth_inputs / "calib.json"),
+                              "--meta", str(synth_inputs / "metadata.json"),
+                              "--out", str(out), "--skip-coreg", "--quicklook")
+        assert rc == 3
+        printed, err = capsys.readouterr()
+        found = json.loads(printed.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == (phase, "IoFailure")
+        assert target in found["error"]["message"]
+        assert "Traceback" not in printed + err
+
+    def test_nested_stage_failure_names_the_inner_stage(self):
+        with pytest.raises(errors.StageFailure) as err:
+            with stage("outer"):
+                with stage("inner"):
+                    raise errors.NoMatches("no tile matched")
+        assert err.value.stage == "inner"
+        assert isinstance(err.value.cause, errors.NoMatches)
 
 
 class TestSceneInItsOutputFile:

@@ -268,6 +268,28 @@ class TestScenePlanes:
         finally:
             opened.planes.close()
 
+    def test_a_write_of_no_bytes_is_io_failure(self, tmp_path, small_scene, monkeypatch):
+        made = create_raw(tmp_path / "made.l3raw", small_scene)
+        calls = []
+
+        class Unreachable(Exception):
+            pass
+
+        def no_bytes_written(fd, data, offset):
+            # Three empty writes, then an error no retry loop turns into IoFailure.
+            calls.append(offset)
+            if len(calls) > 3:
+                raise Unreachable("the write was retried after writing nothing")
+            return 0
+
+        monkeypatch.setattr(os, "pwrite", no_bytes_written)
+        try:
+            with pytest.raises(errors.IoFailure, match="made.l3raw"):
+                made.planes[0, :2] = small_scene.planes[0, :2]
+        finally:
+            made.planes.close()
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("bit_depth", [8, 16])
     def test_lines_written_give_the_bytes_of_save_raw(self, tmp_path, bit_depth):
         scene = make_scene(seed=6, width=19, lines=29, bit_depth=bit_depth)
