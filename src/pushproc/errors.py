@@ -146,10 +146,6 @@ class TruthInvalid(PushprocError):
 
 # ------------------------------------------------------------------ pipeline
 
-class BadBandSelection(PushprocError):
-    """Quicklook band selection is not 1 or 3 bands."""
-
-
 class ConfigInvalid(PushprocError):
     """Pipeline configuration violates its invariants."""
 

@@ -36,17 +36,6 @@ class Quaternion:
     def dot(self, other: "Quaternion") -> float:
         return self.s * other.s + self.x * other.x + self.y * other.y + self.z * other.z
 
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        """Hamilton product; composes rotations (other applied first)."""
-        a1, b1, c1, d1 = self.s, self.x, self.y, self.z
-        a2, b2, c2, d2 = other.s, other.x, other.y, other.z
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
     def rotate(self, v: np.ndarray) -> np.ndarray:
         """Rotate a 3-vector: q * v * q' via the two-cross-product form."""
         u = np.array([self.x, self.y, self.z])

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import HeaderInvalid, NoIntersection, OutOfBounds
-from ..raster import BandId, RawScene, read_json, write_file
+from ..errors import NoIntersection, OutOfBounds
+from ..raster import BandId, RawScene, write_file
 from .attitude import slerp_attitude
 from .camera import ImagerModel, pixel_los
 from .frames import WGS84_A_KM, WGS84_B_KM, ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
@@ -243,18 +243,3 @@ def save_geogrid(grid: GeoGrid, json_path, world_path) -> tuple[tuple[float, ...
     write_file(world_path, ["\n".join(f"{v:.12f}" for v in coeffs) + "\n"])
     return coeffs, rms
 
-
-def load_geogrid(json_path) -> GeoGrid:
-    doc = read_json(json_path, HeaderInvalid)
-    try:
-        return GeoGrid(
-            lines=np.asarray(doc["lines"], dtype=int),
-            columns=np.asarray(doc["columns"], dtype=int),
-            lat=np.asarray(doc["lat"]),
-            lon=np.asarray(doc["lon"]),
-            alt=np.asarray(doc["alt_m"]),
-            corners={k: tuple(v) for k, v in doc["corners"].items()},
-            mean_gsd_m=float(doc["mean_gsd_m"]),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise HeaderInvalid(f"{json_path}: malformed grid document: {exc}") from exc

@@ -30,14 +30,7 @@ import numpy as np
 
 from . import coreg as coreg_mod
 from . import radiometry
-from .errors import (
-    BadBandSelection,
-    ConfigInvalid,
-    IoFailure,
-    PushprocError,
-    ReportInvalid,
-    StageFailure,
-)
+from .errors import ConfigInvalid, IoFailure, PushprocError, ReportInvalid, StageFailure
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
@@ -352,7 +345,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
         if config.quicklook:
             ql_path = out_dir / "quicklook.ppm"
             with stage("output"):
-                quicklook(scene, [BandId.RED, BandId.GREEN, BandId.BLUE], ql_path)
+                quicklook(scene, ql_path)
             report.outputs["quicklook"] = str(ql_path)
 
     report.timing["total"] = time.perf_counter() - t_start
@@ -396,27 +389,25 @@ def _percentiles(plane: np.ndarray) -> list[float]:
     return found
 
 
-def quicklook(scene: RawScene, bands, path) -> None:
-    """8-bit PGM (one band) or PPM (three bands) with a 2-98% stretch.
+def quicklook(scene: RawScene, path) -> None:
+    """The run's quicklook: an 8-bit RGB PPM of the red, green and blue bands, 2-98% stretch.
 
-    The stretch maps the 2nd percentile to 0 and the 98th to 255, which
-    keeps hot pixels from crushing the display range.  Deterministic.  The
-    percentiles come from each band's histogram (``_percentiles``), and
-    the image is stretched and written ``block_lines(width)`` lines at a
-    time, so neither a float64 plane nor the whole 8-bit image is built.
+    The stretch maps each band's 2nd percentile to 0 and its 98th to 255,
+    which keeps hot pixels from crushing the display range; a band whose
+    cuts coincide is written as 0.  Deterministic.  The percentiles come
+    from each band's histogram (``_percentiles``), and the image is
+    stretched and written ``block_lines(width)`` lines at a time, so
+    neither a float64 plane nor the whole 8-bit image is built.
     """
-    bands = [BandId(int(b)) for b in bands]
-    if len(bands) not in (1, 3):
-        raise BadBandSelection(f"need 1 or 3 bands, got {len(bands)}")
     h, w = scene.lines, scene.width
-    planes = [scene.band(band) for band in bands]
+    planes = [scene.band(band) for band in (BandId.RED, BandId.GREEN, BandId.BLUE)]
     cuts = [_percentiles(plane) for plane in planes]
     step = block_lines(w)
 
     def chunks():
-        yield f"{'P5' if len(bands) == 1 else 'P6'}\n{w} {h}\n255\n"
+        yield f"P6\n{w} {h}\n255\n"
         for y0 in range(0, h, step):
-            image = np.zeros((min(step, h - y0), w, len(bands)), dtype=np.uint8)
+            image = np.zeros((min(step, h - y0), w, 3), dtype=np.uint8)
             for k, (plane, (lo, hi)) in enumerate(zip(planes, cuts)):
                 if hi <= lo:
                     continue

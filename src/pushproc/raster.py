@@ -45,6 +45,7 @@ import struct
 import typing
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -440,14 +441,32 @@ def read_json(path, error: type[PushprocError]):
     """The JSON document in ``path``.
 
     A file that cannot be read raises ``IoFailure``; bytes that are not
-    UTF-8 JSON raise ``error``, the reader's own error for a bad document.
+    UTF-8 JSON (or nest or hold digits past Python's limits) raise ``error``,
+    the reader's own error for a bad document.
     """
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def json_array(value, ndim: int, error: type[PushprocError], what: str, dtype=np.float64):
+    """``value``, JSON lists nested ``ndim`` deep around numbers (integers for an
+    integer ``dtype``), as an array of ``dtype``; ``error`` naming ``what`` for any
+    other value, a ragged list or a number ``dtype`` cannot hold.  Not checked finite."""
+    items = [value]
+    for _ in range(ndim):
+        if not all(type(v) is list for v in items):
+            raise error(f"{what} must be lists nested {ndim} deep")
+        items = list(chain.from_iterable(items))
+    if not set(map(type, items)) <= ({int} if np.issubdtype(dtype, np.integer) else {int, float}):
+        raise error(f"{what} holds a value that is not a JSON number of type {np.dtype(dtype)}")
+    try:
+        return np.array(value, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        raise error(f"{what}: {exc}") from exc
 
 
 def fields_from_json(cls, doc, error: type[PushprocError]):
@@ -489,11 +508,12 @@ def make_dir(path) -> Path:
 def load_calibration(path) -> CalibrationTable:
     doc = read_json(path, HeaderInvalid)
     try:
-        bands = doc["bands"]
-        response = np.array([bands[BAND_NAMES[b]]["R"] for b in BandId], dtype=np.float64)
-        dark = np.array([bands[BAND_NAMES[b]]["D"] for b in BandId], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        bands = [doc["bands"][BAND_NAMES[b]] for b in BandId]
+        response = [band["R"] for band in bands]
+        dark = [band["D"] for band in bands]
+    except (KeyError, TypeError) as exc:
         raise HeaderInvalid(f"{path}: malformed calibration document: {exc}") from exc
-    table = CalibrationTable(response, dark)
+    table = CalibrationTable(json_array(response, 2, HeaderInvalid, f"{path}: R"),
+                             json_array(dark, 2, HeaderInvalid, f"{path}: D"))
     table.validate()
     return table

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, SpecInvalid, TruthInvalid
-from .raster import (BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable, RawScene,
-                     check_field_types, fields_from_json, read_json, write_file)
+from .errors import DimensionMismatch, GridMismatch, PushprocError, SpecInvalid, TruthInvalid
+from .raster import (_MAX_DIM, BAND_BY_NAME, BAND_COUNT, BAND_NAMES, BandId, CalibrationTable,
+                     RawScene, check_field_types, fields_from_json, json_array, read_json,
+                     write_file)
 from .georef.accuracy import GeorefErrorStats
 from .georef.attitude import AttitudeSample, Quaternion
 from .georef.camera import ImagerModel, rpy_matrix
@@ -89,8 +90,8 @@ class SynthSpec:
     grid_step: int = 64
 
     def validate(self) -> None:
-        if self.width < 8 or self.lines < 8:
-            raise SpecInvalid(f"scene {self.width}x{self.lines} too small")
+        if not (8 <= self.width <= _MAX_DIM and 8 <= self.lines <= _MAX_DIM):
+            raise SpecInvalid(f"scene {self.width}x{self.lines} outside [8, {_MAX_DIM}] a side")
         if self.bit_depth not in (8, 16):
             raise SpecInvalid(f"bit_depth {self.bit_depth} not 8 or 16")
         if self.texture not in TEXTURES:
@@ -99,8 +100,20 @@ class SynthSpec:
             raise SpecInvalid(f"vignette_falloff {self.vignette_falloff} outside [0, 90]")
         if self.vignette_profile not in PROFILES:
             raise SpecInvalid(f"vignette_profile {self.vignette_profile!r} not in {PROFILES}")
-        if self.attitude_profile.get("kind") not in ATTITUDE_KINDS:
-            raise SpecInvalid(f"attitude kind {self.attitude_profile!r}")
+        profile = self.attitude_profile
+        if profile.get("kind") not in ATTITUDE_KINDS \
+                or not _numbers([profile.get(key, 1.0) for key in ("amplitude_deg", "period_s")]) \
+                or not profile.get("period_s", 1.0) > 0 \
+                or not _numbers(profile.get("rpy_deg", (0.0, 0.0, 0.0)), 3):
+            raise SpecInvalid(f"attitude_profile needs a kind in {ATTITUDE_KINDS}, a numeric "
+                              f"amplitude_deg, a period_s > 0 and three rpy_deg, got {profile!r}")
+        _spec_orbit(self.orbit)
+        if self.line_period_s is not None and not 0 <= self.line_period_s < math.inf:
+            raise SpecInvalid(f"line_period_s {self.line_period_s} is not a finite number >= 0")
+        for name in ("focal_length_mm", "pixel_pitch_um", "attitude_sample_period_s",
+                     "grid_step"):
+            if not getattr(self, name) > 0:
+                raise SpecInvalid(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name in ("injected_bias", "boresight_rpy_deg"):
             if not _numbers(getattr(self, name), 3):
                 raise SpecInvalid(f"{name} must be three numbers, got {getattr(self, name)!r}")
@@ -124,8 +137,8 @@ class SynthSpec:
             )
             if peak >= self.width / 8:
                 raise SpecInvalid(f"warp magnitude {peak} >= width/8")
-        if self.dark_level < 0 or self.noise_sigma < 0:
-            raise SpecInvalid("dark_level and noise_sigma must be >= 0")
+        if self.seed < 0 or self.dark_level < 0 or self.noise_sigma < 0:
+            raise SpecInvalid("seed, dark_level and noise_sigma must be >= 0")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
@@ -366,13 +379,16 @@ def _grid_indices(extent: int, step: int) -> np.ndarray:
 
 # ----------------------------------------------------------------- generate
 
-def _orbit_doc(spec_orbit: dict) -> dict:
-    """Spec orbit description (with a 'kind' tag) to sidecar form."""
-    kind = spec_orbit.get("kind", "circular")
-    if kind == "circular":
-        return {"circular_orbit": {k: v for k, v in spec_orbit.items() if k != "kind"}}
-    if kind == "tle":
-        return {"tle": list(spec_orbit["lines"])}
+def _spec_orbit(doc: dict):
+    """The orbit model of a spec's ``orbit`` (with a 'kind' tag); ``SpecInvalid`` if malformed."""
+    kind = doc.get("kind", "circular")
+    try:
+        if kind == "circular":
+            return orbit_from_spec({"circular_orbit": {k: v for k, v in doc.items() if k != "kind"}})
+        if kind == "tle":
+            return orbit_from_spec({"tle": doc.get("lines")})
+    except PushprocError as exc:
+        raise SpecInvalid(f"orbit {doc!r:.80}: {exc}") from exc
     raise SpecInvalid(f"unknown orbit kind {kind!r}")
 
 
@@ -389,7 +405,7 @@ def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
     texture = _TEXTURE_FN[spec.texture](spec)
     clean_q = np.clip(_round_half_up(texture), 0, max_dn).astype(np.uint16)
 
-    orbit = orbit_from_spec(_orbit_doc(spec.orbit))
+    orbit = _spec_orbit(spec.orbit)
     if isinstance(orbit, CircularOrbit):
         epoch = orbit.epoch_unix
         altitude_km = orbit.altitude_km
@@ -620,31 +636,30 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
     """Read back the truth grid and track direction from a truth sidecar.
 
     Raises IoFailure when the file cannot be read and TruthInvalid when it
-    is not a truth sidecar: missing keys, non-numeric or non-finite values,
+    is not a truth sidecar: missing keys, values that are not JSON numbers
+    (integers in the node lists) or that overflow, non-finite values,
     coordinate arrays that do not match the node lists, or a zero track
     direction.
     """
     doc = read_json(path, TruthInvalid)
     try:
         grid_doc = doc["truth_grid"]
-        grid = GeoGrid(
-            lines=np.asarray(grid_doc["lines"], dtype=int),
-            columns=np.asarray(grid_doc["columns"], dtype=int),
-            lat=np.asarray(grid_doc["lat"], dtype=np.float64),
-            lon=np.asarray(grid_doc["lon"], dtype=np.float64),
-            alt=np.asarray(grid_doc["alt_m"], dtype=np.float64),
-        )
-        track_dir = tuple(float(v) for v in doc["track_dir_en"])
-    except (KeyError, TypeError, ValueError) as exc:
+        found = {key: grid_doc[key] for key in ("lines", "columns", "lat", "lon", "alt_m")}
+        track = doc["track_dir_en"]
+    except (KeyError, TypeError) as exc:
         raise TruthInvalid(f"{path}: malformed truth sidecar: {exc}") from exc
-    nodes = (grid.lines.size, grid.columns.size)
-    if grid.lines.ndim != 1 or grid.columns.ndim != 1 \
-            or any(a.shape != nodes for a in (grid.lat, grid.lon, grid.alt)):
+    lines, columns = (json_array(found[key], 1, TruthInvalid, f"{path}: truth grid {key}", int)
+                      for key in ("lines", "columns"))
+    lat, lon, alt = (json_array(found[key], 2, TruthInvalid, f"{path}: truth grid {key}")
+                     for key in ("lat", "lon", "alt_m"))
+    track_dir = tuple(json_array(track, 1, TruthInvalid, f"{path}: track_dir_en").tolist())
+    nodes = (lines.size, columns.size)
+    if any(a.shape != nodes for a in (lat, lon, alt)):
         raise TruthInvalid(f"{path}: truth grid coordinates do not match its {nodes} nodes")
-    for key, values in (("lat", grid.lat), ("lon", grid.lon), ("alt_m", grid.alt)):
+    for key, values in (("lat", lat), ("lon", lon), ("alt_m", alt)):
         if not np.isfinite(values).all():
             raise TruthInvalid(f"{path}: truth grid {key} holds a non-finite value")
     if len(track_dir) != 2 or not all(map(math.isfinite, track_dir)) \
             or not math.hypot(*track_dir) > 0.0:
         raise TruthInvalid(f"{path}: track_dir_en {track_dir} is not a finite 2-D direction")
-    return grid, track_dir
+    return GeoGrid(lines=lines, columns=columns, lat=lat, lon=lon, alt=alt), track_dir

@@ -21,13 +21,12 @@ from pushproc.georef.geolocate import (
     fit_world_file,
     georeference_line,
     intersect_ellipsoid,
-    load_geogrid,
     save_geogrid,
 )
 from pushproc.georef.metadata import AcqMetadata, metadata_from_dict, metadata_to_dict
 from pushproc.georef.orbits import CircularOrbit, TleOrbit
 from pushproc.georef.tle import format_tle
-from pushproc.raster import BandId
+from pushproc.raster import BandId, read_json
 from pushproc.synthscene import SynthSpec, generate, truth_georef_error
 from test_tle_sgp4 import leo_elements
 
@@ -286,10 +285,10 @@ class TestWorldFile:
         # world-file affine must reproduce the fitted node longitudes
         lon_fit = a * grid.columns[1] + b * grid.lines[1] + c
         assert lon_fit == pytest.approx(grid.lon[1, 1], abs=10 * rms + 1e-9)
-        loaded = load_geogrid(json_path)
-        np.testing.assert_allclose(loaded.lat, grid.lat)
-        np.testing.assert_allclose(loaded.lon, grid.lon)
-        assert loaded.mean_gsd_m == pytest.approx(grid.mean_gsd_m)
+        loaded = read_json(json_path, errors.HeaderInvalid)
+        np.testing.assert_allclose(loaded["lat"], grid.lat)
+        np.testing.assert_allclose(loaded["lon"], grid.lon)
+        assert loaded["mean_gsd_m"] == pytest.approx(grid.mean_gsd_m)
 
     @pytest.mark.parametrize("shape", [(3, 4), (1, 5), (6, 1)])
     def test_grid_json_is_the_whole_document_dumped(self, tmp_path, shape):
@@ -314,19 +313,6 @@ class TestWorldFile:
             "world_file": {"coefficients": list(coeffs), "rms_residual_deg": rms},
         }
         assert (tmp_path / "grid.json").read_text() == json.dumps(doc, sort_keys=True)
-
-    def test_load_geogrid_malformed_is_header_invalid(self, tmp_path):
-        path = tmp_path / "grid.json"
-        path.write_bytes(bytes.fromhex("fffe0067617262616765"))
-        with pytest.raises(errors.HeaderInvalid):
-            load_geogrid(path)
-        path.write_text('{"lines": [0],')
-        with pytest.raises(errors.HeaderInvalid):
-            load_geogrid(path)
-        path.write_text(json.dumps({"lines": [0], "columns": [0], "lon": [[0.0]],
-                                    "alt_m": [[0.0]], "corners": {}, "mean_gsd_m": 1.0}))
-        with pytest.raises(errors.HeaderInvalid, match="lat"):
-            load_geogrid(path)
 
 
 def sidecar(orbit) -> dict:

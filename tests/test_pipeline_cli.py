@@ -220,25 +220,20 @@ class TestQuicklook:
     def test_constant_scene_constant_gray(self, tmp_path):
         planes = np.full((4, 8, 8), 120, dtype=np.uint16)
         scene = RawScene(planes, np.arange(8, dtype=float), 8)
-        path = tmp_path / "gray.pgm"
-        quicklook(scene, [BandId.RED], path)
+        path = tmp_path / "gray.ppm"
+        quicklook(scene, path)
         blob = path.read_bytes()
-        assert blob.startswith(b"P5\n8 8\n255\n")
+        assert blob.startswith(b"P6\n8 8\n255\n")
         body = blob.split(b"255\n", 1)[1]
         assert len(set(body)) == 1
 
     def test_three_band_ppm(self, tmp_path):
         scene, _ = generate(SynthSpec(seed=23, width=32, lines=16, texture="checkerboard"))
         path = tmp_path / "rgb.ppm"
-        quicklook(scene, [BandId.RED, BandId.GREEN, BandId.BLUE], path)
+        quicklook(scene, path)
         blob = path.read_bytes()
         assert blob.startswith(b"P6\n32 16\n255\n")
         assert len(blob.split(b"255\n", 1)[1]) == 32 * 16 * 3
-
-    def test_bad_band_selection(self, tmp_path):
-        scene, _ = generate(SynthSpec(seed=24, width=16, lines=16, texture="flat"))
-        with pytest.raises(errors.BadBandSelection):
-            quicklook(scene, [BandId.RED, BandId.GREEN], tmp_path / "x.ppm")
 
     def test_percentile_stretch_on_known_histogram(self, tmp_path):
         # 1000 samples 0..999: 2nd percentile ~ 20, 98th ~ 979; values at or
@@ -246,9 +241,11 @@ class TestQuicklook:
         values = np.arange(1000, dtype=np.uint16).reshape(25, 40)
         planes = np.stack([values] * 4)
         scene = RawScene(planes, np.arange(25, dtype=float), 16)
-        path = tmp_path / "hist.pgm"
-        quicklook(scene, [BandId.BLUE], path)
+        path = tmp_path / "hist.ppm"
+        quicklook(scene, path)
         body = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
+        assert (body[0::3] == body[1::3]).all() and (body[0::3] == body[2::3]).all()
+        body = body[0::3]
         lo = float(np.percentile(values, 2))
         hi = float(np.percentile(values, 98))
         assert body[values.ravel() <= lo].max(initial=0) == 0
@@ -258,7 +255,7 @@ class TestQuicklook:
         assert abs(int(body[mid_idx]) - expected_mid) <= 1
 
 
-def whole_plane_quicklook(scene, bands):
+def whole_plane_quicklook(scene):
     """The quicklook bytes from float64 planes, stretched whole."""
     def stretch(plane):
         data = plane.astype(np.float64)
@@ -269,13 +266,16 @@ def whole_plane_quicklook(scene, bands):
         scaled = np.clip((data - lo) / (hi - lo) * 255.0, 0.0, 255.0)
         return np.floor(scaled + 0.5).astype(np.uint8)
 
-    magic = b"P5" if len(bands) == 1 else b"P6"
-    body = np.stack([stretch(scene.band(b)) for b in bands], axis=-1).tobytes()
-    return magic + f"\n{scene.width} {scene.lines}\n255\n".encode() + body
+    rgb = (BandId.RED, BandId.GREEN, BandId.BLUE)
+    body = np.stack([stretch(scene.band(b)) for b in rgb], axis=-1).tobytes()
+    return f"P6\n{scene.width} {scene.lines}\n255\n".encode() + body
 
 
 class TestQuicklookBlocks:
-    """Integer percentiles and a block-wise stretch give the whole-plane bytes."""
+    """Integer percentiles and a block-wise stretch give the whole-plane bytes.
+
+    ``bands`` are the bands held at one value, which stretch to 0.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), size=st.integers(1, 3000),
@@ -292,32 +292,33 @@ class TestQuicklookBlocks:
         assert _percentiles(plane.reshape(1, -1)) == [lo, hi]
 
     @pytest.mark.parametrize("bit_depth", [8, 16])
-    @pytest.mark.parametrize("bands", [[BandId.NIR], [BandId.RED, BandId.GREEN, BandId.BLUE]])
+    @pytest.mark.parametrize("bands", [[], [BandId.GREEN]])
     def test_equals_whole_plane_stretch(self, tmp_path, rng, bit_depth, bands):
         # Block edges inside the plane: two whole blocks and 37 lines.
         lines, width = 2 * block_lines(50) + 37, 50
         planes = rng.integers(0, 1 << bit_depth, (4, lines, width)).astype(np.uint16)
-        planes[int(BandId.GREEN)] = 7       # a flat band stretches to 0
+        planes[[int(b) for b in bands]] = 7
         scene = RawScene(planes, np.arange(lines, dtype=float), bit_depth)
-        quicklook(scene, bands, tmp_path / "q.ppm")
-        assert (tmp_path / "q.ppm").read_bytes() == whole_plane_quicklook(scene, bands)
+        quicklook(scene, tmp_path / "q.ppm")
+        assert (tmp_path / "q.ppm").read_bytes() == whole_plane_quicklook(scene)
 
-    @pytest.mark.parametrize("bands", [[BandId.NIR], [BandId.RED, BandId.GREEN, BandId.BLUE]])
+    @pytest.mark.parametrize("bands", [[BandId.GREEN], []])
     def test_memory_under_one_float64_plane_beyond_the_image(self, tmp_path, rng, bands):
         n = 1024
-        scene = RawScene(rng.integers(0, 4096, (4, n, n)).astype(np.uint16),
-                         np.arange(n, dtype=float), 16)
+        planes = rng.integers(0, 4096, (4, n, n)).astype(np.uint16)
+        planes[[int(b) for b in bands]] = 7
+        scene = RawScene(planes, np.arange(n, dtype=float), 16)
         tracemalloc.start()
         try:
-            quicklook(scene, bands, tmp_path / "q.ppm")
+            quicklook(scene, tmp_path / "q.ppm")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Each band's histogram and one block of lines of the image with its
-        # float64 stretch: 0.26 (one band) and 0.27 (three bands) of a
-        # float64 plane in all, the whole image never built.  The whole
-        # image beside np.percentile's uint16 copy of a band measured 0.38
-        # and 0.76; float64 planes and their scaled copies 3.9 beyond it.
+        # float64 stretch: 0.30 of a float64 plane in all, with or without a
+        # flat band, the whole image never built.  The whole image beside
+        # np.percentile's uint16 copy of a band measured 0.76; float64 planes
+        # and their scaled copies 3.9 beyond it.
         assert peak < 0.32 * n * n * 8
 
 
@@ -480,6 +481,10 @@ class TestCli:
         ({"truth_grid": ONE_NODE, "track_dir_en": [float("inf"), 1]}, "TruthInvalid"),
         ({"truth_grid": {**ONE_NODE, "lat": [[float("nan")]]}, "track_dir_en": [0, 1]},
          "TruthInvalid"),
+        ({"truth_grid": {**ONE_NODE, "lat": [[10**400]]}, "track_dir_en": [0, 1]},
+         "TruthInvalid"),
+        ({"truth_grid": ONE_NODE, "track_dir_en": [10**400, 1]}, "TruthInvalid"),
+        ({"truth_grid": {**ONE_NODE, "lines": ["0"]}, "track_dir_en": [0, 1]}, "TruthInvalid"),
     ])
     def test_bad_truth_exit_2_before_any_stage(self, synth_inputs, tmp_path, capsys,
                                                truth, error):
@@ -493,6 +498,23 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert (err["error"]["stage"], err["error"]["type"]) == ("input", error)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("response", [10**400, "2", True],
+                             ids=["out-of-range", "string", "bool"])
+    def test_bad_calibration_exit_2_before_any_stage(self, synth_inputs, tmp_path, capsys,
+                                                     response):
+        doc = json.loads((synth_inputs / "calib.json").read_text())
+        doc["bands"]["green"]["R"][3] = response
+        calib_path = tmp_path / "calib.json"
+        calib_path.write_text(json.dumps(doc))
+        rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--calib", str(calib_path), "--out", str(tmp_path / "o"))
+        assert rc == 2
+        out, err = capsys.readouterr()
+        found = json.loads(out.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("input", "HeaderInvalid")
+        assert "Traceback" not in out + err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -595,6 +617,16 @@ class TestCli:
         {"width": 64, "lines": 64, "boresight_rpy_deg": [0, 0, None]},
         {"width": 64, "lines": 64, "band_row_offset": {"uv": 1.0}},
         {"width": 64, "lines": 64, "band_row_offset": {"nir": "1"}},
+        {"width": 64, "lines": 64, "attitude_profile": {"kind": "nutation", "amplitude_deg": "x"}},
+        {"width": 64, "lines": 64, "attitude_profile": {"kind": "nutation", "period_s": 0}},
+        {"width": 64, "lines": 64, "attitude_profile": {"kind": "constant-offset", "rpy_deg": [1]}},
+        {"width": 64, "lines": 64, "orbit": {"kind": "circular", "altitude_km": "x"}},
+        {"width": 64, "lines": 64, "orbit": {"kind": "tle"}},
+        {"width": 64, "lines": 64, "line_period_s": -1},
+        {"width": 64, "lines": 64, "attitude_sample_period_s": 0},
+        {"width": 64, "lines": 64, "focal_length_mm": 0},
+        {"width": 64, "lines": 64, "grid_step": 0},
+        {"width": 64, "lines": 64, "seed": -1},
     ])
     def test_wrongly_typed_spec_exit_2(self, tmp_path, capsys, doc):
         spec_path = tmp_path / "bad_spec.json"

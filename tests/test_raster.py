@@ -1,14 +1,17 @@
+import copy
+import json
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pushproc import errors
 from pushproc.raster import (
     BAND_COUNT,
+    BAND_NAMES,
     CalibrationTable,
     RawScene,
     create_raw,
@@ -20,6 +23,61 @@ from pushproc.raster import (
 )
 
 from conftest import make_scene
+
+# Integers beyond a float64, and one of more digits than Python converts.
+OUT_OF_RANGE = {"__big__": "1" + "0" * 400, "__negative_big__": "-1" + "0" * 400,
+                "__digits__": "1" + "0" * 5000}
+
+
+def doc_paths(doc, prefix=()):
+    """The path of every value inside ``doc``, as keys and list indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
+        else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from doc_paths(value, prefix + (key,))
+
+
+@st.composite
+def malformed_json(draw, base, integer_lists=()):
+    """JSON text of ``base`` with one fault at one of its values, or in place of it.
+
+    ``base`` holds only what its loader reads, so every fault makes it
+    malformed: a value deleted (a missing key, a short or ragged list), a
+    value of the wrong type, and at a number NaN, an infinity, an integer
+    out of range or, in the lists named by ``integer_lists``, a fraction.
+    """
+    doc = copy.deepcopy(base)
+    path = draw(st.sampled_from([(), *doc_paths(doc)]))
+    value = doc
+    for key in path:
+        holder, value = value, value[key]
+    number = isinstance(value, (int, float))
+    faults = ["delete"] if path else []
+    faults += ["wrong type"] + (["non-finite", "out of range"] if number else [])
+    if number and len(path) > 1 and path[-2] in integer_lists:
+        faults.append("fraction")
+    fault = draw(st.sampled_from(faults))
+    if fault == "delete":
+        del holder[path[-1]]
+    else:
+        if fault == "wrong type":
+            wrong = ["x", "1.5", True, False, None, {}, {"a": 1}, [1.0]]
+            new = draw(st.sampled_from(wrong if number else wrong + [3.0]))
+        elif fault == "non-finite":
+            new = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        elif fault == "out of range":
+            new = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        else:
+            new = value + 0.5
+        if not path:
+            doc = new
+        else:
+            holder[path[-1]] = new
+    text = json.dumps(doc)
+    for marker, digits in OUT_OF_RANGE.items():
+        text = text.replace(json.dumps(marker), digits)
+    return text
 
 
 class TestL3RawRoundtrip:
@@ -351,4 +409,21 @@ class TestCalibrationIo:
         path = tmp_path / "bad.json"
         path.write_text('{"bands": {"blue": {}}}')
         with pytest.raises(errors.HeaderInvalid):
+            load_calibration(path)
+
+    DOC = {"bands": {name: {"R": [1.0, 1.25, 2], "D": [0.0, 5.5, 3]}
+                     for name in BAND_NAMES.values()}}
+
+    def test_fuzz_base_document_loads(self, tmp_path):
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(self.DOC))
+        assert load_calibration(path).response.shape == (BAND_COUNT, 3)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=malformed_json(DOC))
+    def test_fuzz_malformed_document_is_a_named_error(self, tmp_path, text):
+        path = tmp_path / "calib.json"
+        path.write_text(text)
+        with pytest.raises((errors.HeaderInvalid, errors.NonPositiveResponse)):
             load_calibration(path)

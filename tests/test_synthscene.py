@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from pushproc import coreg, errors, synthscene
-from pushproc.raster import BandId
+from pushproc.raster import _MAX_DIM, BandId
 from pushproc.synthscene import (
     SynthSpec,
     _texture_fractal,
@@ -15,6 +16,7 @@ from pushproc.synthscene import (
     truth_georef_error,
     vignette_profile,
 )
+from test_raster import malformed_json
 
 
 def naive_reapply(truth, spec):
@@ -171,6 +173,18 @@ class TestSpecValidation:
         with pytest.raises(errors.SpecInvalid):
             SynthSpec.from_dict({"widht": 64})
 
+    # Checked by ``validate`` alone: ``generate`` would build such a scene.
+    @pytest.mark.parametrize("size", [{"width": _MAX_DIM + 1}, {"lines": _MAX_DIM + 1}])
+    def test_side_above_the_raw_file_bound(self, size):
+        with pytest.raises(errors.SpecInvalid, match="outside"):
+            SynthSpec(**size).validate()
+        SynthSpec(**{key: _MAX_DIM for key in size}).validate()
+
+    @pytest.mark.parametrize("period", [-1.0, math.inf, math.nan])
+    def test_line_period_negative_or_not_finite(self, period):
+        with pytest.raises(errors.SpecInvalid, match="line_period_s"):
+            SynthSpec(line_period_s=period).validate()
+
 
 class TestVignetteProfile:
     def test_quadratic_endpoints(self):
@@ -307,6 +321,27 @@ class TestLoadTruthGrid:
         grid, track_dir = synthscene.load_truth_grid(path)
         assert grid.lat.tolist() == doc["truth_grid"]["lat"]
         assert list(track_dir) == doc["track_dir_en"]
+
+    DOC = {"truth_grid": {"lines": [0, 63], "columns": [0, 64, 127],
+                          "lat": [[10.0, 10.5, 11], [9.5, 10.0, 10.5]],
+                          "lon": [[20.0, 20.25, 20.5], [20.0, 20.25, 20.5]],
+                          "alt_m": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+           "track_dir_en": [0.2, 0.98]}
+
+    def test_fuzz_base_document_loads(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(self.DOC))
+        grid, track_dir = synthscene.load_truth_grid(path)
+        assert grid.lat.shape == (2, 3) and track_dir == (0.2, 0.98)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=malformed_json(DOC, integer_lists=("lines", "columns")))
+    def test_fuzz_malformed_document_is_truth_invalid(self, tmp_path, text):
+        path = tmp_path / "truth.json"
+        path.write_text(text)
+        with pytest.raises(errors.TruthInvalid):
+            synthscene.load_truth_grid(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["lat", "lon", "alt_m", "track_dir_en"])
