@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 
 from ..errors import FieldParse
-from ..raster import BAND_BY_NAME, BAND_NAMES, BandId, read_json, write_file
+from ..raster import BAND_BY_NAME, BAND_NAMES, BandId, json_array, read_json, write_file
 from .attitude import AttitudeSample, Quaternion, sign_align
 from .camera import ImagerModel
 from .orbits import orbit_from_spec
@@ -38,6 +38,11 @@ class AcqMetadata:
     imager: ImagerModel
 
 
+def _number(value, what: str, ndim: int = 0, dtype=float):
+    """``value`` as ``json_array`` reads it, in Python numbers."""
+    return json_array(value, ndim, FieldParse, f"metadata {what}", dtype).tolist()
+
+
 def metadata_from_dict(doc: dict) -> AcqMetadata:
     """The acquisition metadata of a sidecar document; ``FieldParse`` when it is malformed."""
     if not isinstance(doc, dict):
@@ -45,32 +50,35 @@ def metadata_from_dict(doc: dict) -> AcqMetadata:
     orbit = orbit_from_spec(doc)
     try:
         samples = [
-            AttitudeSample(float(item["t"]), Quaternion(*map(float, item["q"])).normalized())
+            AttitudeSample(_number(item["t"], "attitude t"),
+                           Quaternion(*_number(item["q"], "attitude q", 1)).normalized())
             for item in doc.get("attitude", [])
         ]
         samples.sort(key=lambda s: s.t)
         samples = sign_align(samples)
-        img = doc["imager"]
+        # ``{**v}`` raises TypeError unless ``v`` is a JSON object.
+        img = {**doc["imager"]}
         row_offsets = {
-            BAND_BY_NAME[name]: float(v) for name, v in img.get("band_row_offset", {}).items()
+            BAND_BY_NAME[name]: _number(v, f"band_row_offset {name}")
+            for name, v in {**img.get("band_row_offset", {})}.items()
         }
         for band in BandId:
             row_offsets.setdefault(band, 0.0)
-        boresight = tuple(float(v) for v in img.get("boresight_rpy_deg", (0, 0, 0)))
+        boresight = tuple(_number(img.get("boresight_rpy_deg", [0, 0, 0]), "boresight_rpy_deg", 1))
         if len(boresight) != 3:
             raise FieldParse(f"boresight_rpy_deg must hold 3 angles, got {len(boresight)}")
         imager = ImagerModel(
-            focal_length_mm=float(img["focal_length_mm"]),
-            pixel_pitch_um=float(img["pixel_pitch_um"]),
-            columns=int(img["columns"]),
+            focal_length_mm=_number(img["focal_length_mm"], "focal_length_mm"),
+            pixel_pitch_um=_number(img["pixel_pitch_um"], "pixel_pitch_um"),
+            columns=_number(img["columns"], "columns", dtype=int),
             band_row_offset=row_offsets,
             boresight_rpy_deg=boresight,
-            time_offset_s=float(img.get("time_offset_s", 0.0)),
+            time_offset_s=_number(img.get("time_offset_s", 0.0), "time_offset_s"),
         )
-        line_period = float(doc.get("line_period_s", 0.0))
-    # AttributeError: an object field given as another JSON type;
-    # OverflowError: a number beyond float range.
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        line_period = _number(doc.get("line_period_s", 0.0), "line_period_s")
+    # ValueError: a zero quaternion, or a focal length, pixel pitch or column
+    # count that is not positive.
+    except (KeyError, TypeError, ValueError) as exc:
         raise FieldParse(f"malformed metadata document: {exc}") from exc
     return AcqMetadata(orbit=orbit, attitude=samples, line_period_s=line_period, imager=imager)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FieldParse
+from ..raster import json_array
 from .frames import WGS84_A_KM
 from .sgp4 import Sgp4NearEarth, StateVector
 from .tle import TleElements, parse_tle
@@ -100,7 +101,8 @@ class CircularOrbit:
 
 
 def orbit_from_spec(doc: dict):
-    """Build an orbit model from a metadata document fragment."""
+    """The orbit model of a metadata document fragment; ``FieldParse`` when it
+    is malformed or a circular orbit's altitude is not above 0."""
     if "tle" in doc and doc["tle"]:
         lines = doc["tle"]
         if not (isinstance(lines, list) and len(lines) == 2
@@ -108,15 +110,15 @@ def orbit_from_spec(doc: dict):
             raise FieldParse(f"'tle' must be a list of two strings, got {lines!r:.80}")
         return TleOrbit(lines[0], lines[1])
     if "circular_orbit" in doc:
-        params = doc["circular_orbit"]
         try:
-            return CircularOrbit(
-                altitude_km=float(params["altitude_km"]),
-                inclination_deg=float(params["inclination_deg"]),
-                raan_deg=float(params.get("raan_deg", 0.0)),
-                arg_lat0_deg=float(params.get("arg_lat0_deg", 0.0)),
-                epoch_unix=float(params.get("epoch_unix", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            orbit = CircularOrbit(**{
+                key: json_array(value, 0, FieldParse, f"circular_orbit {key}").tolist()
+                for key, value in {**doc["circular_orbit"]}.items()
+                if key in CircularOrbit.__dataclass_fields__})
+        # A circular_orbit that is not an object, or one missing a field.
+        except TypeError as exc:
             raise FieldParse(f"malformed circular_orbit spec: {exc}") from exc
+        if not orbit.altitude_km > 0:
+            raise FieldParse(f"circular_orbit altitude_km {orbit.altitude_km} is not > 0")
+        return orbit
     raise FieldParse("metadata carries neither 'tle' nor 'circular_orbit'")

@@ -38,7 +38,6 @@ L3RAW container layout (little-endian throughout)::
 from __future__ import annotations
 
 import json
-import math
 import operator
 import os
 import struct
@@ -453,20 +452,24 @@ def read_json(path, error: type[PushprocError]):
 
 
 def json_array(value, ndim: int, error: type[PushprocError], what: str, dtype=np.float64):
-    """``value``, JSON lists nested ``ndim`` deep around numbers (integers for an
-    integer ``dtype``), as an array of ``dtype``; ``error`` naming ``what`` for any
-    other value, a ragged list or a number ``dtype`` cannot hold.  Not checked finite."""
+    """``value``, lists (or tuples) nested ``ndim`` deep around finite JSON numbers
+    (integers for an integer ``dtype``), as an array of ``dtype``: the one rule for
+    a JSON number, a scalar at ``ndim`` 0.  ``error`` naming ``what`` for any other
+    value, a ragged list, a non-finite number or one ``dtype`` cannot hold."""
     items = [value]
     for _ in range(ndim):
-        if not all(type(v) is list for v in items):
+        if not all(type(v) in (list, tuple) for v in items):
             raise error(f"{what} must be lists nested {ndim} deep")
         items = list(chain.from_iterable(items))
     if not set(map(type, items)) <= ({int} if np.issubdtype(dtype, np.integer) else {int, float}):
         raise error(f"{what} holds a value that is not a JSON number of type {np.dtype(dtype)}")
     try:
-        return np.array(value, dtype=dtype)
+        array = np.array(value, dtype=dtype)
     except (ValueError, OverflowError) as exc:
         raise error(f"{what}: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise error(f"{what} holds a non-finite value")
+    return array
 
 
 def fields_from_json(cls, doc, error: type[PushprocError]):
@@ -482,17 +485,17 @@ def fields_from_json(cls, doc, error: type[PushprocError]):
 
 def check_field_types(obj, error: type[PushprocError]) -> None:
     """``error`` for a field of the dataclass ``obj`` not of its declared type
-    (or a member of its union).  A float field also takes an int, as JSON
-    writes whole floats, but not a bool, and must be finite."""
+    (or a member of its union).  A float or int field holds what ``json_array``
+    takes at ``ndim`` 0; a float field also takes an int, as JSON writes whole floats."""
     hints = typing.get_type_hints(type(obj))
     for f in fields(obj):
         value, expected = getattr(obj, f.name), hints[f.name]
         members = typing.get_args(expected) or (expected,)
-        allowed = (int, *members) if float in members else members
-        if (isinstance(value, bool) and bool not in members) or not isinstance(value, allowed):
+        number = float if float in members else int if int in members else None
+        if number and value is not None:
+            json_array(value, 0, error, f.name, number)
+        elif not isinstance(value, members):
             raise error(f"{f.name} must be {f.type}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 def make_dir(path) -> Path:

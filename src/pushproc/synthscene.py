@@ -44,13 +44,6 @@ PROFILES = ("quadratic", "cos4")
 ATTITUDE_KINDS = ("nadir", "constant-offset", "nutation")
 
 
-def _numbers(values, count: int | None = None) -> bool:
-    """Whether ``values`` is a list or tuple of finite numbers, not bools (``count`` of them)."""
-    return isinstance(values, (list, tuple)) and count in (None, len(values)) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in values)
-
-
 @dataclass
 class SynthSpec:
     """Recipe for one synthetic acquisition."""
@@ -101,13 +94,13 @@ class SynthSpec:
         if self.vignette_profile not in PROFILES:
             raise SpecInvalid(f"vignette_profile {self.vignette_profile!r} not in {PROFILES}")
         profile = self.attitude_profile
-        if profile.get("kind") not in ATTITUDE_KINDS \
-                or not _numbers([profile.get(key, 1.0) for key in ("amplitude_deg", "period_s")]) \
-                or not profile.get("period_s", 1.0) > 0 \
-                or not _numbers(profile.get("rpy_deg", (0.0, 0.0, 0.0)), 3):
-            raise SpecInvalid(f"attitude_profile needs a kind in {ATTITUDE_KINDS}, a numeric "
-                              f"amplitude_deg, a period_s > 0 and three rpy_deg, got {profile!r}")
-        _spec_orbit(self.orbit)
+        _, period = (json_array(profile.get(key, 1.0), 0, SpecInvalid, f"attitude_profile {key}")
+                     for key in ("amplitude_deg", "period_s"))
+        rpy = json_array(profile.get("rpy_deg", [0, 0, 0]), 1, SpecInvalid,
+                         "attitude_profile rpy_deg")
+        if profile.get("kind") not in ATTITUDE_KINDS or not period > 0 or rpy.shape != (3,):
+            raise SpecInvalid(f"attitude_profile needs a kind in {ATTITUDE_KINDS}, a period_s > 0 "
+                              f"and three rpy_deg, got {profile!r}")
         if self.line_period_s is not None and not 0 <= self.line_period_s < math.inf:
             raise SpecInvalid(f"line_period_s {self.line_period_s} is not a finite number >= 0")
         for name in ("focal_length_mm", "pixel_pitch_um", "attitude_sample_period_s",
@@ -115,30 +108,29 @@ class SynthSpec:
             if not getattr(self, name) > 0:
                 raise SpecInvalid(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name in ("injected_bias", "boresight_rpy_deg"):
-            if not _numbers(getattr(self, name), 3):
+            if json_array(getattr(self, name), 1, SpecInvalid, name).shape != (3,):
                 raise SpecInvalid(f"{name} must be three numbers, got {getattr(self, name)!r}")
         for name, offset in (self.band_row_offset or {}).items():
-            if name not in BAND_BY_NAME or not _numbers([offset]):
-                raise SpecInvalid(f"band_row_offset needs a band name and a number, "
-                                  f"got {name!r}: {offset!r}")
+            json_array(offset, 0, SpecInvalid, f"band_row_offset {name!r}")
+            if name not in BAND_BY_NAME:
+                raise SpecInvalid(f"unknown band {name!r} in band_row_offset")
         for name, warp in (self.band_warp or {}).items():
             if name not in BAND_BY_NAME:
                 raise SpecInvalid(f"unknown band {name!r} in band_warp")
-            if not (isinstance(warp, dict) and _numbers([warp.get("order", 2)])
-                    and _numbers(warp.get("coeff_dx")) and _numbers(warp.get("coeff_dy"))):
-                raise SpecInvalid(f"band_warp {name!r} must be an object with a numeric order "
-                                  f"and coeff_dx and coeff_dy lists of numbers, got {warp!r}")
-            order = int(warp.get("order", 2))
+            if not isinstance(warp, dict):
+                raise SpecInvalid(f"band_warp {name!r} must be an object, got {warp!r}")
+            order = json_array(warp.get("order", 2), 0, SpecInvalid, f"band_warp {name!r} order",
+                               int)
             if order > 3:
                 raise SpecInvalid(f"warp order {order} > 3")
-            peak = max(
-                (abs(float(c)) for c in list(warp["coeff_dx"]) + list(warp["coeff_dy"])),
-                default=0.0,
-            )
+            peak = np.abs(np.concatenate([
+                json_array(warp.get(key), 1, SpecInvalid, f"band_warp {name!r} {key}")
+                for key in ("coeff_dx", "coeff_dy")])).max(initial=0.0)
             if peak >= self.width / 8:
                 raise SpecInvalid(f"warp magnitude {peak} >= width/8")
         if self.seed < 0 or self.dark_level < 0 or self.noise_sigma < 0:
             raise SpecInvalid("seed, dark_level and noise_sigma must be >= 0")
+        _flight(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
@@ -392,6 +384,39 @@ def _spec_orbit(doc: dict):
     raise SpecInvalid(f"unknown orbit kind {kind!r}")
 
 
+def _flight(spec: SynthSpec):
+    """The orbit of ``spec``, its epoch, altitude (km) and ground speed (km/s),
+    and the acquisition's line period, true line times and attitude sample
+    times (padded past the lines and the injected time bias).  ``SpecInvalid``
+    when the orbit is malformed, the line times do not strictly increase or
+    the attitude samples would number more than ``_MAX_DIM``."""
+    orbit = _spec_orbit(spec.orbit)
+    if isinstance(orbit, CircularOrbit):
+        epoch = orbit.epoch_unix
+        altitude_km = orbit.altitude_km
+        v_ground = orbit.ground_speed_kms
+    else:
+        epoch = orbit.elements.epoch_unix
+        state = orbit.state_at(epoch)
+        altitude_km = float(np.linalg.norm(state.r_eci)) - WGS84_A_KM
+        r0 = eci_to_ecef(orbit.state_at(epoch).r_eci, epoch)
+        r1 = eci_to_ecef(orbit.state_at(epoch + 1.0).r_eci, epoch + 1.0)
+        v_ground = float(np.linalg.norm(r1 - r0)) * WGS84_A_KM / float(np.linalg.norm(r0))
+    ifov_rad = ImagerModel(spec.focal_length_mm, spec.pixel_pitch_um, spec.width).ifov_rad
+    line_period = spec.line_period_s if spec.line_period_s else altitude_km * ifov_rad / v_ground
+    t_true = epoch + np.arange(spec.lines, dtype=np.float64) * line_period
+    if not (np.diff(t_true) > 0).all():
+        raise SpecInvalid(f"line period {line_period} s does not separate the line times")
+    period = spec.attitude_sample_period_s
+    pad = 2.0 * period + abs(spec.injected_bias[2] * spec.time_drift)
+    periods = (t_true[-1] - t_true[0] + 2 * pad) / period
+    if not periods <= _MAX_DIM - 2:
+        raise SpecInvalid(f"attitude_sample_period_s {period} and time bias ask for more than "
+                          f"{_MAX_DIM} attitude samples")
+    sample_times = t_true[0] - pad + np.arange(int(math.ceil(periods)) + 2) * period
+    return orbit, epoch, altitude_km, v_ground, line_period, t_true, sample_times
+
+
 def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
     """Render, distort, and describe one synthetic acquisition.
 
@@ -405,19 +430,7 @@ def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
     texture = _TEXTURE_FN[spec.texture](spec)
     clean_q = np.clip(_round_half_up(texture), 0, max_dn).astype(np.uint16)
 
-    orbit = _spec_orbit(spec.orbit)
-    if isinstance(orbit, CircularOrbit):
-        epoch = orbit.epoch_unix
-        altitude_km = orbit.altitude_km
-        v_ground = orbit.ground_speed_kms
-    else:
-        epoch = orbit.elements.epoch_unix
-        state = orbit.state_at(epoch)
-        altitude_km = float(np.linalg.norm(state.r_eci)) - WGS84_A_KM
-        r0 = eci_to_ecef(orbit.state_at(epoch).r_eci, epoch)
-        r1 = eci_to_ecef(orbit.state_at(epoch + 1.0).r_eci, epoch + 1.0)
-        v_ground = float(np.linalg.norm(r1 - r0)) * WGS84_A_KM / float(np.linalg.norm(r0))
-
+    orbit, epoch, altitude_km, v_ground, line_period, t_true, sample_times = _flight(spec)
     imager = ImagerModel(
         focal_length_mm=spec.focal_length_mm,
         pixel_pitch_um=spec.pixel_pitch_um,
@@ -428,12 +441,7 @@ def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
         boresight_rpy_deg=spec.boresight_rpy_deg,
         time_offset_s=0.0,
     )
-    gsd_km = altitude_km * imager.ifov_rad
-    line_period = spec.line_period_s if spec.line_period_s else gsd_km / v_ground
-
-    t_true = epoch + np.arange(spec.lines, dtype=np.float64) * line_period
-    time_bias = spec.injected_bias[2] * spec.time_drift
-    t_recorded = t_true - time_bias
+    t_recorded = t_true - spec.injected_bias[2] * spec.time_drift
 
     # Per-band geometric warp, then radiometry.
     profile = vignette_profile(spec)
@@ -472,9 +480,6 @@ def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
     )
 
     # Attitude samples for the sidecar: the commanded profile, no bias.
-    pad = 2.0 * spec.attitude_sample_period_s + abs(time_bias)
-    n_samples = int(math.ceil((t_true[-1] - t_true[0] + 2 * pad) / spec.attitude_sample_period_s)) + 2
-    sample_times = t_true[0] - pad + np.arange(n_samples) * spec.attitude_sample_period_s
     samples = [
         AttitudeSample(float(t), Quaternion.from_matrix(
             _attitude_matrix(orbit, spec.attitude_profile, float(t), epoch)))
@@ -656,10 +661,6 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
     nodes = (lines.size, columns.size)
     if any(a.shape != nodes for a in (lat, lon, alt)):
         raise TruthInvalid(f"{path}: truth grid coordinates do not match its {nodes} nodes")
-    for key, values in (("lat", lat), ("lon", lon), ("alt_m", alt)):
-        if not np.isfinite(values).all():
-            raise TruthInvalid(f"{path}: truth grid {key} holds a non-finite value")
-    if len(track_dir) != 2 or not all(map(math.isfinite, track_dir)) \
-            or not math.hypot(*track_dir) > 0.0:
-        raise TruthInvalid(f"{path}: track_dir_en {track_dir} is not a finite 2-D direction")
+    if len(track_dir) != 2 or not math.hypot(*track_dir) > 0.0:
+        raise TruthInvalid(f"{path}: track_dir_en {track_dir} is not a 2-D direction")
     return GeoGrid(lines=lines, columns=columns, lat=lat, lon=lon, alt=alt), track_dir

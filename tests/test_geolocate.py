@@ -1,5 +1,7 @@
 import json
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from pushproc.georef.orbits import CircularOrbit, TleOrbit
 from pushproc.georef.tle import format_tle
 from pushproc.raster import BandId, read_json
 from pushproc.synthscene import SynthSpec, generate, truth_georef_error
+from test_raster import doc_paths
 from test_tle_sgp4 import leo_elements
 
 
@@ -335,6 +338,18 @@ JSON_VALUES = st.recursive(
     max_leaves=10)
 
 
+# Every number of each sidecar, as (sidecar, path of keys and list indices).
+NUMBER_FIELDS = [(doc, path) for doc in SIDECARS for path in doc_paths(doc)
+                 if type(reduce(operator.getitem, path, doc)) in (int, float)]
+
+# A string, bool, null, list, object, non-finite or out-of-range value where a
+# number belongs.
+NOT_A_NUMBER = (st.text(max_size=8) | st.booleans() | st.none()
+                | st.lists(st.floats(), max_size=3)
+                | st.dictionaries(st.text(max_size=4), st.floats(), max_size=2)
+                | st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+
+
 class TestMetadataSidecar:
     @pytest.mark.parametrize("doc", SIDECARS, ids=["circular", "tle"])
     def test_valid_sidecar_round_trips(self, doc):
@@ -353,3 +368,12 @@ class TestMetadataSidecar:
             metadata_from_dict(doc)
         except errors.PushprocError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(NUMBER_FIELDS), value=NOT_A_NUMBER)
+    def test_number_field_without_a_number_is_field_parse(self, field, value):
+        base, path = field
+        doc = json.loads(json.dumps(base))
+        reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+        with pytest.raises(errors.FieldParse):
+            metadata_from_dict(doc)

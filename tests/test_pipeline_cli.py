@@ -526,6 +526,13 @@ class TestCli:
         ("imager", []),
         ("band_row_offset", [1]),
         ("boresight_rpy_deg", [1.0]),
+        ("line_period_s", "0.002"),
+        ("focal_length_mm", True),
+        ("columns", 64.5),
+        ("attitude", [{"t": 0.0, "q": [1.0, 0.0, 0.0]}]),
+        ("attitude", [{"t": 0.0, "q": "1000"}]),
+        ("circular_orbit", {"altitude_km": -7000, "inclination_deg": 97.6}),
+        ("circular_orbit", {"altitude_km": 0, "inclination_deg": 97.6}),
     ])
     def test_malformed_metadata_exit_2(self, synth_inputs, tmp_path, capsys, field, value):
         # ``field`` of the sidecar (of its imager, where it has one) set to
@@ -627,6 +634,20 @@ class TestCli:
         {"width": 64, "lines": 64, "focal_length_mm": 0},
         {"width": 64, "lines": 64, "grid_step": 0},
         {"width": 64, "lines": 64, "seed": -1},
+        {"width": 64, "lines": 64, "orbit": {"kind": "circular", "altitude_km": "510",
+                                             "inclination_deg": 97.6}},
+        {"width": 64, "lines": 64, "orbit": {"kind": "circular", "altitude_km": -7000,
+                                             "inclination_deg": 97.6}},
+        {"width": 64, "lines": 64, "orbit": {"kind": "circular", "altitude_km": 0,
+                                             "inclination_deg": 97.6}},
+        {"width": 64, "lines": 64, "line_period_s": 1e-300},
+        {"width": 64, "lines": 64, "orbit": {"kind": "circular", "altitude_km": 1e-9,
+                                             "inclination_deg": 97.6,
+                                             "epoch_unix": 1525487400.0}},
+        {"width": 64, "lines": 64, "attitude_sample_period_s": 1e-300},
+        {"width": 64, "lines": 64, "injected_bias": [0, 0, 1e300]},
+        {"width": 64, "lines": 64, "band_warp": {"nir": {"order": 1.5, "coeff_dx": [0],
+                                                         "coeff_dy": [0]}}},
     ])
     def test_wrongly_typed_spec_exit_2(self, tmp_path, capsys, doc):
         spec_path = tmp_path / "bad_spec.json"

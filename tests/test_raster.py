@@ -15,6 +15,7 @@ from pushproc.raster import (
     CalibrationTable,
     RawScene,
     create_raw,
+    json_array,
     load_calibration,
     load_raw,
     open_raw,
@@ -381,6 +382,26 @@ class TestScenePlanes:
             open_raw(path)
         with pytest.raises(errors.IoFailure):
             open_raw(tmp_path / "nope.l3raw")
+
+
+class TestJsonArray:
+    @pytest.mark.parametrize("value", ["1", True, None, [1.0], {}, float("nan"), float("inf"),
+                                       float("-inf"), 10**400])
+    def test_anything_but_a_finite_number_is_refused(self, value):
+        with pytest.raises(errors.HeaderInvalid, match="^the value"):
+            json_array(value, 0, errors.HeaderInvalid, "the value")
+
+    def test_integer_dtype_refuses_a_fraction(self):
+        with pytest.raises(errors.HeaderInvalid):
+            json_array(2.0, 0, errors.HeaderInvalid, "count", int)
+        assert json_array(2, 0, errors.HeaderInvalid, "count", int).tolist() == 2
+
+    def test_numbers_and_lists_of_them(self):
+        assert json_array(3, 0, errors.HeaderInvalid, "x").tolist() == 3.0
+        # Tuples pass as lists, for values built in Python.
+        assert json_array([(1, 2.5)], 2, errors.HeaderInvalid, "x").tolist() == [[1.0, 2.5]]
+        with pytest.raises(errors.HeaderInvalid, match="non-finite"):
+            json_array([[1.0, float("nan")]], 2, errors.HeaderInvalid, "x")
 
 
 class TestCalibrationIo:

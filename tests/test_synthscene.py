@@ -185,6 +185,13 @@ class TestSpecValidation:
         with pytest.raises(errors.SpecInvalid, match="line_period_s"):
             SynthSpec(line_period_s=period).validate()
 
+    # JSON gives lists; a spec built in Python may hold tuples instead.
+    def test_spec_built_in_python_with_tuples_validates(self):
+        SynthSpec(attitude_profile={"kind": "constant-offset", "rpy_deg": (1.0, 0.0, 0.0)},
+                  band_warp={"nir": {"order": 1, "coeff_dx": (0.5, 0.0, 0.0),
+                                     "coeff_dy": (0.0, -0.5, 0.0)}},
+                  boresight_rpy_deg=(0.1, 0.0, 0.0), injected_bias=(0.0, 0.0, 0.5)).validate()
+
 
 class TestVignetteProfile:
     def test_quadratic_endpoints(self):
