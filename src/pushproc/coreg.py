@@ -2,33 +2,16 @@
 
 The chain mirrors the production flow for pushbroom band alignment:
 
-1. Canny edge maps of the reference and target planes act as the high-pass
-   filter, so matching keys on structure rather than band radiometry.
-   Edges are built only where a tile grid reads them, and only by
-   ``match_bands``.  A ``TileGrid`` holds its tiles in blocks (tile
-   windows widened by the blur radius and merged along lines and
-   columns), and ``match_bands`` builds one hysteresis map of bytes per
-   block and plane, the reference included:
-   smoothing, gradients and non-maximum suppression read the block with a
-   halo, so they equal a whole-plane pass, while the thresholds and the
-   hysteresis over connected edges are the block's own.  One Gaussian,
-   ``_gaussian``, gives any window of the whole-plane filter: suppression
-   smooths each of its blocks through it, into the Sobel buffers, and the
-   byte maps are blurred through it.  The four byte maps of a block are
-   built before any is blurred, and live only while their block is
-   matched.  Only the lines the block's tiles read are blurred, line of
-   tiles by line of tiles, so at most ``tile_size`` lines of a block's
-   blurred maps are held.
+1. Blurred Canny edge maps, built by ``_canny_tiles`` alone, are the
+   high-pass filter, so matching keys on structure, not band radiometry.
    The filters are NumPy kernels that repeat the arithmetic of
    ``scipy.ndimage`` and give its bits: the Gaussian's passes (``_taps``)
    add the taps in the order of its ``NI_Correlate1D``, Sobel forms its
    differences and sums in scipy's order, and the hysteresis joins runs
    of weak pixels instead of labelling them, with the same result.  The tests keep ``scipy.ndimage`` as their oracle.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
-   parabola subpixel refinement.  ``match_bands`` walks the grid block by
-   block: it builds the reference's and every target band's map of the
-   block, prepares each reference tile once (mean removed, energy, padded
-   spectrum) and correlates it with the same tile of every target.
+   parabola subpixel refinement.  ``match_bands`` prepares each reference
+   tile once (mean removed, energy, padded spectrum) for every target.
 3. Matches are gated around an attitude-derived shift prior, then cleaned
    by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
@@ -58,7 +41,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -521,57 +504,74 @@ class MatchPoint:
     score: float
 
 
+def _canny_tiles(planes: list[np.ndarray], block: tuple[slice, slice],
+                 size: int) -> Callable[[int, int], np.ndarray]:
+    """Every plane's blurred Canny map of one block, read a tile window at a time.
+
+    A ``TileGrid`` block is tile windows widened by the blur radius and
+    merged.  Each plane gets one hysteresis byte map of it: smoothing
+    (``_gaussian``), gradients and suppression read the block with a halo,
+    so they equal a whole-plane pass, while the thresholds and hysteresis
+    are the block's own.  Every map is built before any is blurred (by
+    ``_gaussian`` too), and lives as long as the reader.
+
+    ``read(y0, x0)`` gives every plane's ``size`` x ``size`` window from
+    line ``y0`` and column ``x0`` of the block, as one view that holds
+    until the next call; ``y0`` never decreases from call to call.  The
+    maps are blurred as the windows reach new lines, down to each window's
+    last line, into ``size`` held lines per map, and no line twice.
+    """
+    maps = [_hysteresis(_suppress(plane, block)) for plane in planes]
+    width = maps[0].shape[1]
+    # Lines [top, stop) of the blurred maps are held, from line 0 of ``held``.
+    held = np.empty((len(maps), size, width))
+    top = stop = 0
+
+    def read(y0: int, x0: int) -> np.ndarray:
+        nonlocal top, stop
+        if y0 + size > stop:
+            # Keep the held lines from y0 on and blur the lines after them.
+            start = max(stop, y0)
+            stop = y0 + size
+            for soft, edges in zip(held, maps):
+                # As one flat run the kept lines move up in place; NumPy
+                # copies an overlapping 2-D move through a temporary.
+                flat = soft.reshape(-1)
+                flat[: (start - y0) * width] = flat[(y0 - top) * width : (start - top) * width]
+                _soften(edges, slice(start, stop), out=soft[start - y0 : stop - y0])
+            top = y0
+        return held[:, y0 - top : y0 - top + size, x0 : x0 + size]
+
+    return read
+
+
 def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarray],
                 min_score: float = 0.1) -> list[list[MatchPoint]]:
     """Match the tiles of ``grid`` on the reference plane against each target plane.
 
-    The grid is walked block by block.  The reference and every target get
-    their edge map of the block, as bytes: the block's own thresholds and
-    hysteresis over suppression that equals a whole-plane pass, so a map
-    depends only on the pixels near its block.  The block's tiles are then
-    visited in tile_id order, which never moves up the block, and the maps
-    are blurred as the tiles reach new lines, down to each tile's last
-    line.  Only the ``tile_size`` blurred lines from the current tile's
-    first on are held, and no line is blurred twice.  Each reference tile
-    is prepared once and correlated with the same tile of every target,
-    and the block's maps are dropped.  Tiles that are flat in either
-    plane, or score under ``min_score``, are dropped.  One list of matches
-    per target comes back, sorted by tile_id (merged blocks can visit
-    tiles out of id order); it may be empty.
+    Block by block, each block's tiles in tile_id order: ``_canny_tiles``
+    reads a tile of every plane, and the reference tile, prepared once, is
+    correlated with each target's.  Tiles flat in either plane, or scoring
+    under ``min_score``, are dropped.  One list per target, maybe empty,
+    comes back sorted by tile_id (merged blocks visit tiles out of order).
     """
-    planes = list(tgt_planes)
-    for plane in [ref_plane, *planes]:
+    planes = [ref_plane, *tgt_planes]
+    for plane in planes:
         if plane.shape != grid.shape:
             raise OutOfBounds(f"plane shape {plane.shape} is not the grid's {grid.shape}")
     size, half = grid.tile_size, grid.tile_size // 2
-    matches = [[] for _ in planes]
+    matches = [[] for _ in planes[1:]]
     for k, (rows, cols) in enumerate(grid.blocks):
-        maps = [_hysteresis(_suppress(plane, (rows, cols))) for plane in [ref_plane, *planes]]
-        width = maps[0].shape[1]
-        # Lines [top, stop) of the block's blurred maps are held, from line 0 of ``held``.
-        held = np.empty((len(maps), size, width))
-        top = stop = 0
+        read = _canny_tiles(planes, (rows, cols), size)
         for tile_id, cx, cy, owner in grid.tiles:
             if owner != k:
                 continue
-            y0, x0 = cy - half - rows.start, cx - half - cols.start
-            if y0 + size > stop:
-                # Keep the held lines from y0 on and blur the lines after them.
-                start = max(stop, y0)
-                stop = y0 + size
-                for soft, edges in zip(held, maps):
-                    # As one flat run the kept lines move up in place; NumPy
-                    # copies an overlapping 2-D move through a temporary.
-                    flat = soft.reshape(-1)
-                    flat[: (start - y0) * width] = flat[(y0 - top) * width : (start - top) * width]
-                    _soften(edges, slice(start, stop), out=soft[start - y0 : stop - y0])
-                top = y0
-            window = (slice(y0 - top, y0 - top + size), slice(x0, x0 + size))
-            ref = _prepare_tile(held[0][window])
+            ref_tile, *tgt_tiles = read(cy - half - rows.start, cx - half - cols.start)
+            ref = _prepare_tile(ref_tile)
             if ref is None:
                 continue
-            for kept, soft in zip(matches, held[1:]):
-                tgt = _prepare_tile(soft[window])
+            for kept, tile in zip(matches, tgt_tiles):
+                tgt = _prepare_tile(tile)
                 if tgt is None:
                     continue
                 dx, dy, score = _correlate(ref, tgt)

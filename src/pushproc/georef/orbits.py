@@ -15,10 +15,15 @@ import numpy as np
 from ..errors import FieldParse
 from ..raster import json_array
 from .frames import WGS84_A_KM
-from .sgp4 import Sgp4NearEarth, StateVector
+from .sgp4 import DEEP_SPACE_PERIOD_MIN, Sgp4NearEarth, StateVector
 from .tle import TleElements, parse_tle
 
 MU_KM3_S2 = 398600.4418
+
+# The radius of a circular orbit whose period is the TLE path's deep-space
+# limit (about 5 876 km up).  A circular orbit is refused at or beyond it,
+# before ``radius_km ** 3`` can overflow.
+_DEEP_SPACE_RADIUS_KM = (MU_KM3_S2 * (DEEP_SPACE_PERIOD_MIN * 30.0 / math.pi) ** 2) ** (1 / 3)
 
 
 class TleOrbit:
@@ -102,7 +107,8 @@ class CircularOrbit:
 
 def orbit_from_spec(doc: dict):
     """The orbit model of a metadata document fragment; ``FieldParse`` when it
-    is malformed or a circular orbit's altitude is not above 0."""
+    is malformed, or a circular orbit's altitude is not above 0 or its period
+    not under ``DEEP_SPACE_PERIOD_MIN``."""
     if "tle" in doc and doc["tle"]:
         lines = doc["tle"]
         if not (isinstance(lines, list) and len(lines) == 2
@@ -118,7 +124,9 @@ def orbit_from_spec(doc: dict):
         # A circular_orbit that is not an object, or one missing a field.
         except TypeError as exc:
             raise FieldParse(f"malformed circular_orbit spec: {exc}") from exc
-        if not orbit.altitude_km > 0:
-            raise FieldParse(f"circular_orbit altitude_km {orbit.altitude_km} is not > 0")
+        if not (orbit.altitude_km > 0 and orbit.radius_km < _DEEP_SPACE_RADIUS_KM):
+            raise FieldParse(f"circular_orbit altitude_km {orbit.altitude_km} is not above 0 and "
+                             f"below {_DEEP_SPACE_RADIUS_KM - WGS84_A_KM:.0f} km, where the period "
+                             f"reaches {DEEP_SPACE_PERIOD_MIN:g} min")
         return orbit
     raise FieldParse("metadata carries neither 'tle' nor 'circular_orbit'")

@@ -89,6 +89,12 @@ class SynthSpec:
             raise SpecInvalid(f"bit_depth {self.bit_depth} not 8 or 16")
         if self.texture not in TEXTURES:
             raise SpecInvalid(f"texture {self.texture!r} not in {TEXTURES}")
+        # urban-blocks draws block values from [max(base - contrast, 1), base + contrast].
+        high = self.texture_base + self.texture_contrast
+        if not (self.texture_contrast >= 0 and math.isfinite(high)) or (
+                self.texture == "urban-blocks" and high < 1):
+            raise SpecInvalid(f"texture_contrast {self.texture_contrast} must be >= 0 and "
+                              f"texture_base + texture_contrast finite, and >= 1 for urban-blocks")
         if not 0.0 <= self.vignette_falloff <= 90.0:
             raise SpecInvalid(f"vignette_falloff {self.vignette_falloff} outside [0, 90]")
         if self.vignette_profile not in PROFILES:

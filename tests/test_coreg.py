@@ -615,6 +615,70 @@ class TestBandedBlur:
         assert peak <= 3.0 * scene.width * scene.lines * 8
 
 
+def raw_tiles(planes, block, size):
+    """A reader as ``_canny_tiles`` returns, of the planes' own samples as float64."""
+    rows, cols = block
+
+    def read(y0, x0):
+        return np.stack([np.asarray(plane[rows, cols], dtype=np.float64)[y0 : y0 + size,
+                                                                          x0 : x0 + size]
+                         for plane in planes])
+
+    return read
+
+
+class TestCannyTiles:
+    """The seam between the tile feature and the tile loop of ``match_bands``."""
+
+    @pytest.mark.parametrize("layout", [*LAYOUTS.values(), *MERGED.values()],
+                             ids=[*LAYOUTS, *MERGED])
+    def test_windows_are_crops_of_the_blurred_block_maps(self, layout):
+        grid = coreg.TileGrid(*layout)
+        h, w = grid.shape
+        planes = [(smooth_texture(42, max(h, w)) * 20).astype(np.uint16)[:h, :w],
+                  np.random.default_rng(43).integers(0, 256, (h, w)).astype(np.uint8)]
+        size, half = grid.tile_size, grid.tile_size // 2
+        for k, block in enumerate(grid.blocks):
+            maps = [coreg._soften(coreg._hysteresis(coreg._suppress(plane, block)))
+                    for plane in planes]
+            corners = [(cy - half - block[0].start, cx - half - block[1].start)
+                       for _, cx, cy, owner in grid.tiles if owner == k]
+            # In tile order, and with tiles skipped: every third tile, and
+            # the last alone.
+            for read_at in (corners, corners[::3], corners[-1:]):
+                read = coreg._canny_tiles(planes, block, size)
+                for y0, x0 in read_at:
+                    got = read(y0, x0)
+                    assert got.shape == (len(planes), size, size) and got.dtype == np.float64
+                    for window, blurred in zip(got, maps):
+                        np.testing.assert_array_equal(
+                            window.view(np.int64),
+                            blurred[y0 : y0 + size, x0 : x0 + size].view(np.int64))
+
+    @pytest.mark.parametrize("layout", ["sparse", "overlapping"])
+    def test_match_bands_knows_no_edges(self, monkeypatch, layout):
+        # With the samples themselves as the feature, every match is the
+        # per-tile ``fft_xcorr`` of the raw tiles.
+        grid = coreg.TileGrid(*{**LAYOUTS, **MERGED}[layout])
+        ref, targets = matching_planes(grid.shape[0], grid)
+        monkeypatch.setattr(coreg, "_canny_tiles", raw_tiles)
+        half, size = grid.tile_size // 2, grid.tile_size
+        got = coreg.match_bands(ref, grid, targets, min_score=0.15)
+        for tgt, kept in zip(targets, got):
+            want = []
+            for tile_id, cx, cy, _ in grid.tiles:
+                window = (slice(cy - half, cy - half + size), slice(cx - half, cx - half + size))
+                try:
+                    dx, dy, score = coreg.fft_xcorr(ref[window], tgt[window])
+                except errors.FlatTile:
+                    continue
+                if score >= 0.15:
+                    want.append(coreg.MatchPoint(tile_id, float(cx), float(cy), dx, dy, score))
+            assert kept == want
+        # The reference's flat tile is dropped from every target.
+        assert all(got) and all(m.tile_id != 1 for kept in got for m in kept)
+
+
 def block_mask(shape, blocks):
     count = np.zeros(shape, dtype=int)
     for rows, cols in blocks:

@@ -533,6 +533,7 @@ class TestCli:
         ("attitude", [{"t": 0.0, "q": "1000"}]),
         ("circular_orbit", {"altitude_km": -7000, "inclination_deg": 97.6}),
         ("circular_orbit", {"altitude_km": 0, "inclination_deg": 97.6}),
+        ("circular_orbit", {"altitude_km": 1e300, "inclination_deg": 97.6}),
     ])
     def test_malformed_metadata_exit_2(self, synth_inputs, tmp_path, capsys, field, value):
         # ``field`` of the sidecar (of its imager, where it has one) set to
@@ -648,6 +649,12 @@ class TestCli:
         {"width": 64, "lines": 64, "injected_bias": [0, 0, 1e300]},
         {"width": 64, "lines": 64, "band_warp": {"nir": {"order": 1.5, "coeff_dx": [0],
                                                          "coeff_dy": [0]}}},
+        {"width": 64, "lines": 64, "orbit": {"kind": "circular", "altitude_km": 1e300,
+                                             "inclination_deg": 97.6}},
+        {"width": 64, "lines": 64, "texture_contrast": -1},
+        {"width": 64, "lines": 64, "texture_base": -1e15},
+        {"width": 64, "lines": 64, "texture_base": -69.5},
+        {"width": 64, "lines": 64, "texture_base": 1e308, "texture_contrast": 1e308},
     ])
     def test_wrongly_typed_spec_exit_2(self, tmp_path, capsys, doc):
         spec_path = tmp_path / "bad_spec.json"
