@@ -1,14 +1,15 @@
-"""Band co-registration: edge-based tile matching and polynomial warping.
+"""Band co-registration: gradient-based tile matching and polynomial warping.
 
 The chain mirrors the production flow for pushbroom band alignment:
 
-1. Blurred Canny edge maps, built by ``_canny_tiles`` alone, are the
-   high-pass filter, so matching keys on structure, not band radiometry.
-   The filters are NumPy kernels that repeat the arithmetic of
-   ``scipy.ndimage`` and give its bits: the Gaussian's passes (``_taps``)
-   add the taps in the order of its ``NI_Correlate1D``, Sobel forms its
-   differences and sums in scipy's order, and the hysteresis joins runs
-   of weak pixels instead of labelling them, with the same result.  The tests keep ``scipy.ndimage`` as their oracle.
+1. The gradient magnitude of the Gaussian-smoothed plane (Canny's first
+   stage), read by ``_gradient_tiles`` alone, is the high-pass filter, so
+   matching keys on structure, not band radiometry, and a
+   contrast-reversed band (``|-g| = |g|``) matches too.  The filters are
+   NumPy kernels that repeat the arithmetic of ``scipy.ndimage`` and give
+   its bits: the Gaussian's passes (``_taps``) add the taps in the order
+   of its ``NI_Correlate1D``, and Sobel forms its differences and sums in
+   scipy's order.  The tests keep ``scipy.ndimage`` as their oracle.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.  ``match_bands`` prepares each reference
    tile once (mean removed, energy, padded spectrum) for every target.
@@ -60,12 +61,10 @@ from .georef.frames import WGS84_A_KM, eci_to_ecef
 from .georef.metadata import AcqMetadata
 
 
-# ------------------------------------------------------------------ canny
+# --------------------------------------------------------------- gradient
 
-# tan(22.5 deg): where the quantized gradient direction changes sector.
-_TAN_22_5 = math.tan(math.radians(22.5))
-
-# Radius of the unit Gaussian that softens edge maps (scipy's truncate=4).
+# Pixels that a ``TileGrid`` block keeps around each of its tiles (scipy's
+# truncate=4 radius of a unit Gaussian).
 BLUR_RADIUS = 4
 
 
@@ -171,40 +170,44 @@ def _gaussian(plane: np.ndarray, sigma: float, window: tuple[slice, slice] | Non
     return out
 
 
-def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4) -> np.ndarray:
-    """Non-maximum-suppressed gradient magnitude over one window of a plane.
+def _magnitude(plane: np.ndarray, window: tuple[slice, slice], out: np.ndarray | None = None,
+               sigma: float = 1.4) -> np.ndarray:
+    """Gradient magnitude of the Gaussian-smoothed plane over one window, as float64.
 
-    Gaussian smoothing, Sobel gradients, then suppression against the two
-    neighbours along the gradient direction, quantized into four sectors
-    centred on 0, 45, 90 and 135 degrees.  The window is walked in blocks
-    of ``block_lines`` of its width plus the Gaussian radius and two pixels
-    on each side.  Each block is read with a halo of one pixel for Sobel
-    and one for the suppression neighbours and smoothed by ``_gaussian``,
-    so every value equals that of a whole-plane pass; at the plane border
-    that pass's ``reflect`` and zero padding apply.  Sobel then treats the
-    smoothed block as a plane of its own (``reflect`` at its border), as
-    ``scipy.ndimage.sobel`` of it would, with scipy's arithmetic: the
-    difference ``x[i+1] - x[i-1]`` (exactly ``(x[i-1] - x[i+1]) * -1``)
-    smoothed as ``(x[i-1] + x[i+1]) + 2 x[i]``.  Five flat buffers with the
-    line stride ``stride`` (the block's width plus twice the radius) are
-    allocated once per call; the Gaussian works in three of them.
+    ``hypot(sobel_x, sobel_y)`` of ``gaussian_filter(plane, sigma)``, the
+    first stage of Canny's detector, bit for bit as ``scipy.ndimage`` gives
+    it over the whole plane.  The window is walked in blocks of
+    ``block_lines`` of its width plus the Gaussian radius and one pixel on
+    each side.  Each block is read with a halo of one pixel for Sobel and
+    smoothed by ``_gaussian``, so every value equals that of a whole-plane
+    pass; at the plane border that pass's ``reflect`` applies.  Sobel then
+    treats the smoothed block as a plane of its own (``reflect`` at its
+    border), as ``scipy.ndimage.sobel`` of it would, with scipy's
+    arithmetic: the difference ``x[i+1] - x[i-1]`` (exactly
+    ``(x[i-1] - x[i+1]) * -1``) smoothed as ``(x[i-1] + x[i+1]) + 2 x[i]``.
+    Four flat buffers with the line stride ``stride`` (the block's width
+    plus twice the radius) are allocated once per call; the Gaussian works
+    in three of them.  The magnitude is written into ``out`` when it is
+    given (float64 of the window's shape), or into a new array, which is
+    returned.
     """
     h, w = plane.shape
     rows, cols = window
-    r, halo = len(_gaussian_weights(sigma)) // 2, 2
-    ca, cb = max(cols.start - halo, 0), min(cols.stop + halo, w)
+    if out is None:
+        out = np.empty((rows.stop - rows.start, cols.stop - cols.start))
+    r = len(_gaussian_weights(sigma)) // 2
+    ca, cb = max(cols.start - 1, 0), min(cols.stop + 1, w)
     left, width, span = cols.start - ca, cols.stop - cols.start, cb - ca
     stride = span + 2 * r
-    nms = np.zeros((rows.stop - rows.start, width), dtype=np.float64)
-    step = block_lines(width + 2 * (halo + r))
-    tallest = min(step, rows.stop - rows.start) + 2 * halo
+    step = block_lines(width + 2 * (1 + r))
+    tallest = min(step, rows.stop - rows.start) + 2
     # Zeroed, so the values computed between a block's lines and never
     # kept are finite.
     loaded = np.zeros((tallest + 2 * r) * stride)
-    across, smooth, gx, gy = (np.zeros((tallest + 2) * stride) for _ in range(4))
+    smooth, gx, gy = (np.zeros((tallest + 2) * stride) for _ in range(3))
     for y0 in range(rows.start, rows.stop, step):
         y1 = min(y0 + step, rows.stop)
-        a, b = max(y0 - halo, 0), min(y1 + halo, h)
+        a, b = max(y0 - 1, 0), min(y1 + 1, h)
         lines = b - a
         # The block's Gaussian lands inside a one-pixel border, which
         # mirrors it; the gradients' buffers are idle until Sobel, and the
@@ -217,123 +220,29 @@ def _suppress(plane: np.ndarray, window: tuple[slice, slice], sigma: float = 1.4
         padded[0] = padded[1]
         padded[lines + 1] = padded[lines]
         # The gradients at block pixel (i, j) are at ``i * stride + j`` of
-        # the flat gx and gy, and the magnitude, zero-padded by one pixel, at
-        # ``(i + 1) * stride + j + 1`` of the flat mag.
+        # the flat gx and gy.
         n = lines * stride - 2
-        # gx: the difference along the lines, smoothed down the columns.
-        diff, twice = loaded, across
+        # gx: the difference along the lines, smoothed down the columns;
+        # gy holds its doubled middle term.
+        diff = loaded
         np.subtract(smooth[2 : (lines + 2) * stride], smooth[: (lines + 2) * stride - 2],
                     out=diff[: (lines + 2) * stride - 2])
-        np.add(diff[stride : stride + n], diff[stride : stride + n], out=twice[:n])
+        np.add(diff[stride : stride + n], diff[stride : stride + n], out=gy[:n])
         np.add(diff[:n], diff[2 * stride : 2 * stride + n], out=gx[:n])
-        gx[:n] += twice[:n]
-        # gy: the difference down the columns, smoothed along the lines.
+        gx[:n] += gy[:n]
+        # gy: the difference down the columns, smoothed along the lines;
+        # the smoothed block is no longer read, so its buffer holds the
+        # doubled middle term.
         np.subtract(smooth[2 * stride : (lines + 2) * stride], smooth[: lines * stride],
                     out=diff[: lines * stride])
-        np.add(diff[1 : 1 + n], diff[1 : 1 + n], out=twice[:n])
+        np.add(diff[1 : 1 + n], diff[1 : 1 + n], out=smooth[:n])
         np.add(diff[:n], diff[2 : 2 + n], out=gy[:n])
-        gy[:n] += twice[:n]
-        mag = loaded[: (lines + 2) * stride]
-        np.hypot(gx[:n], gy[:n], out=mag[stride + 1 : stride + 1 + n])
-        grid = mag.reshape(lines + 2, stride)
-        grid[0] = 0.0
-        grid[lines + 1 :] = 0.0
-        grid[1 : lines + 1, 0] = 0.0
-        grid[1 : lines + 1, span + 1] = 0.0
-        # The window's pixels as one flat run of the block's buffers: the
-        # values between its lines are computed and never kept.
-        start, n = (y0 - a) * stride + left, (y1 - y0 - 1) * stride + width
-        bx, by = gx[start : start + n], gy[start : start + n]
-        centre = stride + 1 + start
-
-        def shifted(dy: int, dx: int) -> np.ndarray:
-            at = centre + dy * stride + dx
-            return mag[at : at + n]
-
-        # The sector from |gy| against tan(22.5 deg) |gx| and the signs, with
-        # the boundaries of the angle atan2(gy, gx) folded into [0, 180).
-        falling = np.not_equal(bx > 0, by > 0)
-        ax, ay = np.abs(bx, out=bx), np.abs(by, out=by)
-        scaled = across[:n]
-        horizontal = ay < np.multiply(ax, _TAN_22_5, out=scaled)
-        vertical = ax < np.multiply(ay, _TAN_22_5, out=scaled)
-        # The larger of the two neighbours along each pixel's sector; a
-        # pixel is kept when it is not below it.
-        nearest, other = scaled, smooth[:n]
-        np.maximum(shifted(1, 1), shifted(-1, -1), out=nearest)          # diagonal /
-        np.copyto(nearest, np.maximum(shifted(1, -1), shifted(-1, 1), out=other),
-                  where=falling)                                          # diagonal \
-        np.copyto(nearest, np.maximum(shifted(1, 0), shifted(-1, 0), out=other), where=vertical)
-        np.copyto(nearest, np.maximum(shifted(0, 1), shifted(0, -1), out=other),
-                  where=horizontal)
-        keep = np.zeros((y1 - y0) * stride, dtype=bool)
-        np.greater_equal(shifted(0, 0), nearest, out=keep[:n])
-        np.copyto(nms[y0 - rows.start : y1 - rows.start],
-                  mag.reshape(-1, stride)[y0 - a + 1 : y1 - a + 1, left + 1 : left + 1 + width],
-                  where=keep.reshape(-1, stride)[:, :width])
-    return nms
-
-
-def _hysteresis(nms: np.ndarray, t_low: float = 0.1, t_high: float = 0.3) -> np.ndarray:
-    """Double-threshold hysteresis over 8-connected edges, as a uint8 map.
-
-    The thresholds are fractions of the peak of ``nms``.  The weak pixels
-    (at least ``t_low`` of the peak) are taken as runs along the lines;
-    two runs on neighbouring lines touch when their columns come within
-    one pixel, and ``searchsorted`` finds every such pair.  The runs are
-    joined into components by hooking each component onto the smallest
-    label it touches and jumping pointers until every label is a root
-    (Shiloach and Vishkin), and the runs of each component that holds a
-    strong pixel (at least ``t_high`` of the peak) are painted.
-    """
-    h, w = nms.shape
-    peak = float(nms.max())
-    if peak == 0.0:
-        return np.zeros((h, w), dtype=np.uint8)
-    # A false column ends every line, so no run spans two lines; the plane
-    # sits one place into the flags, after a leading false.
-    line = w + 1
-    flags = np.zeros(h * line + 1, dtype=bool)
-    marks = flags[1:].reshape(h, line)[:, :w]
-    np.greater_equal(nms, t_low * peak, out=marks)
-    bounds = np.flatnonzero(flags[1:] != flags[:-1]) + 1
-    starts, stops = bounds[0::2], bounds[1::2]
-    # The runs of the next line that touch a run [s, e): those whose last
-    # pixel is at column s - 1 or later and whose first is at e or earlier.
-    first = np.searchsorted(stops, starts + line)
-    count = np.searchsorted(starts, stops + line, side="right") - first
-    upper = np.repeat(np.arange(starts.size), count)
-    lower = np.arange(upper.size) + np.repeat(first - (np.cumsum(count) - count), count)
-    label = np.arange(starts.size)
-    a, b = upper, lower
-    while not np.array_equal(a, b):
-        low = np.minimum(a, b)
-        np.minimum.at(label, a, low)
-        np.minimum.at(label, b, low)
-        while True:
-            root = label[label]
-            if np.array_equal(root, label):
-                break
-            label = root
-        a, b = label[upper], label[lower]
-    # A run is strong when it holds a strong pixel (none lies between runs),
-    # and a component when one of its runs is.
-    np.greater_equal(nms, t_high * peak, out=marks)
-    strong = np.zeros(starts.size, dtype=bool)
-    strong[label[np.logical_or.reduceat(flags, starts)]] = True
-    # The flags as alternating gaps and runs, each run painted by its
-    # component, without the false column.
-    values = np.zeros(2 * starts.size + 1, dtype=np.uint8)
-    values[1::2] = strong[label]
-    painted = np.repeat(values, np.diff(bounds, prepend=0, append=flags.size))
-    return painted[1:].reshape(h, line)[:, :w].copy()
-
-
-def _soften(edges: np.ndarray, rows: slice | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
-    # The blur makes the correlation peak smooth enough for subpixel fitting.
-    window = None if rows is None else (rows, slice(0, edges.shape[1]))
-    return _gaussian(edges, 1.0, window, out)
+        gy[:n] += smooth[:n]
+        kept = (slice(y0 - a, y1 - a), slice(left, left + width))
+        np.hypot(gx[: lines * stride].reshape(lines, stride)[kept],
+                 gy[: lines * stride].reshape(lines, stride)[kept],
+                 out=out[y0 - rows.start : y1 - rows.start])
+    return out
 
 
 def _runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -352,10 +261,9 @@ class TileGrid:
     plane, are merged with those they overlap or touch; a block is one
     merged line interval times one merged column interval.  Blocks are
     disjoint, and each tile lies in one block at least ``BLUR_RADIUS``
-    pixels from every block edge that is not a plane edge, so the blur of a
-    block's map gives the tile the values of a blur over the whole plane.
-    A sparse grid thus gets one block per tile, a dense one a single block
-    that is the whole plane.
+    pixels from every block edge that is not a plane edge.  A sparse grid
+    thus gets one block per tile, a dense one a single block that is the
+    whole plane.
 
     ``tiles`` lists (tile_id, column centre, line centre, block index) in
     tile_id order; ``blocks`` lists (lines, columns) slice pairs.
@@ -504,41 +412,37 @@ class MatchPoint:
     score: float
 
 
-def _canny_tiles(planes: list[np.ndarray], block: tuple[slice, slice],
-                 size: int) -> Callable[[int, int], np.ndarray]:
-    """Every plane's blurred Canny map of one block, read a tile window at a time.
+def _gradient_tiles(planes: list[np.ndarray], block: tuple[slice, slice],
+                    size: int) -> Callable[[int, int], np.ndarray]:
+    """Every plane's gradient magnitude over one block, read a tile window at a time.
 
-    A ``TileGrid`` block is tile windows widened by the blur radius and
-    merged.  Each plane gets one hysteresis byte map of it: smoothing
-    (``_gaussian``), gradients and suppression read the block with a halo,
-    so they equal a whole-plane pass, while the thresholds and hysteresis
-    are the block's own.  Every map is built before any is blurred (by
-    ``_gaussian`` too), and lives as long as the reader.
-
-    ``read(y0, x0)`` gives every plane's ``size`` x ``size`` window from
-    line ``y0`` and column ``x0`` of the block, as one view that holds
-    until the next call; ``y0`` never decreases from call to call.  The
-    maps are blurred as the windows reach new lines, down to each window's
-    last line, into ``size`` held lines per map, and no line twice.
+    The feature is ``_magnitude``, which is pointwise: a window's values
+    are those of the whole plane, whatever the block.  ``read(y0, x0)``
+    gives every plane's ``size`` x ``size`` window from line ``y0`` and
+    column ``x0`` of the block, as one view that holds until the next call;
+    ``y0`` never decreases from call to call.  The magnitude is computed as
+    the windows reach new lines, down to each window's last line, over the
+    block's columns into ``size`` held lines per plane, and no line twice.
     """
-    maps = [_hysteresis(_suppress(plane, block)) for plane in planes]
-    width = maps[0].shape[1]
-    # Lines [top, stop) of the blurred maps are held, from line 0 of ``held``.
-    held = np.empty((len(maps), size, width))
+    rows, cols = block
+    width = cols.stop - cols.start
+    # Lines [top, stop) of the block's magnitude are held, from line 0 of ``held``.
+    held = np.empty((len(planes), size, width))
     top = stop = 0
 
     def read(y0: int, x0: int) -> np.ndarray:
         nonlocal top, stop
         if y0 + size > stop:
-            # Keep the held lines from y0 on and blur the lines after them.
+            # Keep the held lines from y0 on and compute the lines after them.
             start = max(stop, y0)
             stop = y0 + size
-            for soft, edges in zip(held, maps):
+            for lines, plane in zip(held, planes):
                 # As one flat run the kept lines move up in place; NumPy
                 # copies an overlapping 2-D move through a temporary.
-                flat = soft.reshape(-1)
+                flat = lines.reshape(-1)
                 flat[: (start - y0) * width] = flat[(y0 - top) * width : (start - top) * width]
-                _soften(edges, slice(start, stop), out=soft[start - y0 : stop - y0])
+                _magnitude(plane, (slice(rows.start + start, rows.start + stop), cols),
+                           lines[start - y0 : stop - y0])
             top = y0
         return held[:, y0 - top : y0 - top + size, x0 : x0 + size]
 
@@ -549,7 +453,7 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
                 min_score: float = 0.1) -> list[list[MatchPoint]]:
     """Match the tiles of ``grid`` on the reference plane against each target plane.
 
-    Block by block, each block's tiles in tile_id order: ``_canny_tiles``
+    Block by block, each block's tiles in tile_id order: ``_gradient_tiles``
     reads a tile of every plane, and the reference tile, prepared once, is
     correlated with each target's.  Tiles flat in either plane, or scoring
     under ``min_score``, are dropped.  One list per target, maybe empty,
@@ -562,7 +466,7 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
     size, half = grid.tile_size, grid.tile_size // 2
     matches = [[] for _ in planes[1:]]
     for k, (rows, cols) in enumerate(grid.blocks):
-        read = _canny_tiles(planes, (rows, cols), size)
+        read = _gradient_tiles(planes, (rows, cols), size)
         for tile_id, cx, cy, owner in grid.tiles:
             if owner != k:
                 continue
@@ -597,10 +501,10 @@ def collect_matches(
     min_score: float = 0.1,
     margin: int = 0,
 ) -> list[MatchPoint]:
-    """Match a tile grid between two band planes on their edge maps.
+    """Match a tile grid between two band planes on their gradient magnitudes.
 
-    The one-band call of ``match_bands``: both planes get edge maps over
-    the blocks of the grid and each tile is a crop of its block's map.
+    The one-band call of ``match_bands``: each tile is a window of both
+    planes' smoothed gradient magnitude.
     Tiles whose score falls under ``min_score`` (or that are
     structureless) are dropped; the survivors come back sorted by tile_id,
     and ``NoMatches`` is raised when none is left.

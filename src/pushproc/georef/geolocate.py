@@ -52,12 +52,13 @@ def intersect_ellipsoid(r_ecef_km: np.ndarray, dir_ecef: np.ndarray) -> Geodetic
     qb = 2.0 * ((r[0] * dx + r[1] * dy) * inv_a2 + r[2] * dz * inv_b2)
     qc = (r[0] * r[0] + r[1] * r[1]) * inv_a2 + r[2] * r[2] * inv_b2 - 1.0
     disc = qb * qb - 4.0 * qa * qc
-    if np.any(disc < 0.0):
+    # Written so that a NaN, of a ray that is not finite, misses too.
+    if not np.all(disc >= 0.0):
         raise NoIntersection("line of sight misses the ellipsoid")
     sqrt_disc = np.sqrt(disc)
     s1 = (-qb - sqrt_disc) / (2.0 * qa)
     s2 = (-qb + sqrt_disc) / (2.0 * qa)
-    if np.any(s2 <= 0.0):
+    if not np.all(s2 > 0.0):
         raise NoIntersection("both intersection points lie behind the ray origin")
     s = np.where(s1 > 0.0, s1, s2)
     lat, lon, alt = ecef_to_geodetic(r + s[..., np.newaxis] * d)
@@ -209,9 +210,10 @@ def save_geogrid(grid: GeoGrid, json_path, world_path) -> tuple[tuple[float, ...
 
     The JSON is the bytes of ``json.dumps(doc, sort_keys=True)`` of the
     whole document, written one grid row of ``lat``, ``lon`` and ``alt_m``
-    at a time, so no list or string of a whole node array is built.
-    Returns the world-file fit written into both, as ``fit_world_file``
-    gives it.
+    at a time, so no list or string of a whole node array is built; a
+    number that is not finite raises ``ValueError`` instead of being
+    written.  Returns the world-file fit written into both, as
+    ``fit_world_file`` gives it.
     """
     coeffs, rms = fit_world_file(grid)
     doc = {
@@ -233,10 +235,10 @@ def save_geogrid(grid: GeoGrid, json_path, world_path) -> tuple[tuple[float, ...
             if isinstance(value, np.ndarray):
                 yield "["
                 for j, row in enumerate(value):
-                    yield (", " if j else "") + json.dumps(row.tolist())
+                    yield (", " if j else "") + json.dumps(row.tolist(), allow_nan=False)
                 yield "]"
             else:
-                yield json.dumps(value, sort_keys=True)
+                yield json.dumps(value, sort_keys=True, allow_nan=False)
         yield "}"
 
     write_file(json_path, chunks())

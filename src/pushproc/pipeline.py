@@ -117,7 +117,7 @@ class QualityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
 
 
 def _metric_rows(scene: RawScene) -> np.ndarray:

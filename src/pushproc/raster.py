@@ -65,7 +65,7 @@ BAND_COUNT = 4
 _HEADER = struct.Struct("<4sHIIBB4s")
 
 # Pixels per block for plane walks that keep float64 working arrays to one
-# block: vignetting correction, Canny suppression and resampling.  One
+# block: vignetting correction, the gradient magnitude and resampling.  One
 # float64 array of a block is 512 KiB, so a block's working set stays near
 # the per-core cache instead of spanning megabytes of a wide plane.
 BLOCK_PIXELS = 1 << 16

@@ -161,7 +161,7 @@ class TestRunPipeline:
         def spy(*args, **kwargs):
             raise AssertionError("co-registration started before the georef check")
 
-        monkeypatch.setattr(coreg, "_suppress", spy)
+        monkeypatch.setattr(coreg, "_magnitude", spy)
         monkeypatch.setattr(coreg, "match_bands", spy)
         cfg = base_config(synth_inputs, tmp_path / "nometa")
         cfg.meta_path = None
@@ -554,6 +554,27 @@ class TestCli:
         assert (found["error"]["stage"], found["error"]["type"]) == ("input", "FieldParse")
         assert "Traceback" not in out + err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field", ["focal_length_mm", "pixel_pitch_um"])
+    def test_rays_that_are_not_finite_exit_3_at_georef(self, tmp_path, capsys, field):
+        # A finite but huge imager number makes every line of sight NaN:
+        # no ray meets the Earth, and no product holds a NaN.
+        raw, truth = generate(SynthSpec(seed=3, width=64, lines=64))
+        save_raw(raw, tmp_path / "scene.l3raw")
+        save_metadata(truth.metadata, tmp_path / "metadata.json")
+        doc = json.loads((tmp_path / "metadata.json").read_text())
+        doc["imager"][field] = 1e300
+        (tmp_path / "metadata.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = self.run_cli("preprocess", "--raw", str(tmp_path / "scene.l3raw"),
+                          "--meta", str(tmp_path / "metadata.json"), "--out", str(out),
+                          "--skip-vignetting", "--skip-coreg")
+        assert rc == 3
+        found = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("georef", "NoIntersection")
+        for product in out.iterdir():
+            if product.suffix != ".l3raw":
+                assert b"nan" not in product.read_bytes().lower()
 
     @pytest.mark.parametrize("missing", [False, True], ids=["non-utf8", "missing"])
     @pytest.mark.parametrize("flag, stage, error", [
