@@ -62,7 +62,7 @@ def main() -> int:
         print(f"vignetting {band}: falloff {before:.1f}% -> {after:.1f}%")
 
     for band, metrics in report.stages["coreg"]["bands"].items():
-        model = DistortionModel.from_dict(metrics["model"])
+        model = DistortionModel(**metrics["model"])
         geo_rms = truth_coreg_residual(truth, model, BandId[band.upper()])
         print(f"coreg {band}: {metrics['inliers']}/{metrics['matches']} matches, "
               f"measured rms {metrics['residual_rms_px']:.3f} px, "

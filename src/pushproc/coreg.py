@@ -341,6 +341,10 @@ class _PreparedTile(NamedTuple):
 
 def _prepare_tile(tile: np.ndarray) -> _PreparedTile | None:
     """The tile prepared for ``_correlate``, padded to powers of two; ``None`` when flat."""
+    # ``mean`` and ``sum`` add in another order when the tile is C-contiguous,
+    # as it is when its block is no wider than the tile.  So ``TileGrid``'s
+    # ``BLUR_RADIUS`` widening is not byte-neutral: without it, swath-georef's
+    # residual figures move in their last digits.
     a = np.asarray(tile, dtype=np.float64)
     a = a - a.mean()
     energy = math.sqrt(float(np.sum(a * a)))
@@ -704,17 +708,6 @@ class DistortionModel:
             "height": self.height,
             "rms_fit": self.rms_fit,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DistortionModel":
-        return cls(
-            order=int(doc["order"]),
-            coeff_dx=np.asarray(doc["coeff_dx"], dtype=np.float64),
-            coeff_dy=np.asarray(doc["coeff_dy"], dtype=np.float64),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-            rms_fit=float(doc["rms_fit"]),
-        )
 
 
 def fit_distortion(matches: list[MatchPoint], order: int = 2, *, width: int,

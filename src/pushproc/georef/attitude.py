@@ -43,35 +43,6 @@ class Quaternion:
         t = 2.0 * np.cross(u, v)
         return v + self.s * t + np.cross(u, t)
 
-    def to_matrix(self) -> np.ndarray:
-        s, x, y, z = self.s, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - s * z), 2 * (x * z + s * y)],
-                [2 * (x * y + s * z), 1 - 2 * (x * x + z * z), 2 * (y * z - s * x)],
-                [2 * (x * z - s * y), 2 * (y * z + s * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    @classmethod
-    def identity(cls) -> "Quaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_axis_angle(cls, axis: np.ndarray, angle_rad: float) -> "Quaternion":
-        axis = np.asarray(axis, dtype=np.float64)
-        n = np.linalg.norm(axis)
-        if n < 1e-15:
-            raise ValueError("rotation axis has zero length")
-        half = 0.5 * angle_rad
-        sin_half = math.sin(half)
-        return cls(
-            math.cos(half),
-            sin_half * axis[0] / n,
-            sin_half * axis[1] / n,
-            sin_half * axis[2] / n,
-        )
-
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Quaternion":
         """Rotation matrix to quaternion via Shepperd's stable extraction."""

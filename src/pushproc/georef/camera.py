@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ColumnOutOfRange
+from ..errors import ColumnOutOfRange, NoIntersection
 from ..raster import BandId
 from .attitude import rot_x, rot_y, rot_z
 
@@ -79,7 +79,8 @@ def pixel_los(imager: ImagerModel, band: BandId, column) -> np.ndarray:
 
         ((column - (columns-1)/2) * pitch, band_row_offset * pitch, f)
 
-    normalized, then rotated by the fixed boresight mounting offset.
+    normalized, then rotated by the fixed boresight mounting offset.  A ray
+    whose length is not finite meets no ground: ``NoIntersection``.
     """
     column = np.asarray(column, dtype=np.float64)
     outside = ~((column >= 0) & (column < imager.columns))
@@ -89,7 +90,11 @@ def pixel_los(imager: ImagerModel, band: BandId, column) -> np.ndarray:
     x = (column - (imager.columns - 1) / 2.0) * pitch_mm
     y = imager.band_row_offset.get(band, 0.0) * pitch_mm
     v = np.stack(np.broadcast_arrays(x, y, imager.focal_length_mm), axis=-1)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not np.isfinite(norm).all():
+        raise NoIntersection("a line of sight is too long to be a finite direction")
+    v /= norm
     # Elementwise products and a three-term sum, not matmul: BLAS may round
     # a batch differently from a single vector.
     return np.sum(imager.boresight_matrix() * v[..., np.newaxis, :], axis=-1)

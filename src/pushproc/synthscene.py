@@ -39,7 +39,7 @@ from .georef.geolocate import GeodeticCoord, GeoGrid
 from .georef.metadata import AcqMetadata
 from .georef.orbits import CircularOrbit, orbit_from_spec
 
-TEXTURES = ("flat", "checkerboard", "fractal-noise", "urban-blocks")
+TEXTURES = ("flat", "urban-blocks")
 PROFILES = ("quadratic", "cos4")
 ATTITUDE_KINDS = ("nadir", "constant-offset", "nutation")
 
@@ -55,7 +55,6 @@ class SynthSpec:
     texture: str = "urban-blocks"
     texture_base: float = 110.0
     texture_contrast: float = 70.0
-    checker_size: int = 32
     vignette_falloff: float = 40.0
     vignette_profile: str = "quadratic"
     band_warp: dict = field(default_factory=dict)
@@ -136,7 +135,11 @@ class SynthSpec:
                 raise SpecInvalid(f"warp magnitude {peak} >= width/8")
         if self.seed < 0 or self.dark_level < 0 or self.noise_sigma < 0:
             raise SpecInvalid("seed, dark_level and noise_sigma must be >= 0")
-        _flight(self)
+        orbit, epoch, *_, t_true, _ = _flight(self)
+        # The rays of the scene's corners must meet the Earth; ``generate`` checks every node.
+        for t in (t_true[0], t_true[-1]):
+            for column in (0.0, self.width - 1.0):
+                _truth_ground_point(orbit, self, float(t), column, epoch)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
@@ -147,13 +150,6 @@ class SynthSpec:
             spec.boresight_rpy_deg = tuple(spec.boresight_rpy_deg)
         check_field_types(spec, SpecInvalid)
         return spec
-
-    def to_dict(self) -> dict:
-        doc = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            doc[name] = list(value) if isinstance(value, tuple) else value
-        return doc
 
 
 @dataclass
@@ -180,29 +176,6 @@ def _texture_flat(spec: SynthSpec) -> np.ndarray:
     return np.full((spec.lines, spec.width), spec.texture_base, dtype=np.float64)
 
 
-def _texture_checkerboard(spec: SynthSpec) -> np.ndarray:
-    yy, xx = np.mgrid[0 : spec.lines, 0 : spec.width]
-    parity = ((xx // spec.checker_size) + (yy // spec.checker_size)) % 2
-    lo = spec.texture_base - spec.texture_contrast / 2.0
-    hi = spec.texture_base + spec.texture_contrast / 2.0
-    return np.where(parity == 0, lo, hi).astype(np.float64)
-
-
-def _texture_fractal(spec: SynthSpec) -> np.ndarray:
-    rng = np.random.default_rng([spec.seed, 23])
-    out = np.zeros((spec.lines, spec.width))
-    weight_total = 0.0
-    for octave, cell in enumerate((128, 64, 32, 16)):
-        weight = 1.0 / (octave + 1)
-        coarse = rng.standard_normal((spec.lines // cell + 2, spec.width // cell + 2))
-        yy, xx = np.mgrid[0 : spec.lines, 0 : spec.width]
-        out += weight * _bilinear_clamped(coarse, xx / cell, yy / cell)
-        weight_total += weight
-    out /= weight_total
-    scale = spec.texture_contrast / max(out.std() * 2.0, 1e-9)
-    return spec.texture_base + out * scale
-
-
 def _texture_urban(spec: SynthSpec) -> np.ndarray:
     rng = np.random.default_rng([spec.seed, 31])
     lo = max(spec.texture_base - spec.texture_contrast, 1.0)
@@ -226,8 +199,6 @@ def _texture_urban(spec: SynthSpec) -> np.ndarray:
 
 _TEXTURE_FN = {
     "flat": _texture_flat,
-    "checkerboard": _texture_checkerboard,
-    "fractal-noise": _texture_fractal,
     "urban-blocks": _texture_urban,
 }
 
@@ -345,15 +316,15 @@ def _intersect_wgs84(r_km: np.ndarray, d: np.ndarray) -> np.ndarray:
     return r_km + s * d
 
 
-def _truth_ground_point(orbit, spec: SynthSpec, imager: ImagerModel, t: float,
-                        column: float, epoch: float) -> GeodeticCoord:
+def _truth_ground_point(orbit, spec: SynthSpec, t: float, column: float,
+                        epoch: float) -> GeodeticCoord:
     roll_b, pitch_b, _ = spec.injected_bias
     r0, p0, y0 = spec.boresight_rpy_deg
     pitch_mm = spec.pixel_pitch_um * 1e-3
     ray = np.array(
         [
             (column - (spec.width - 1) / 2.0) * pitch_mm,
-            imager.band_row_offset.get(BandId.RED, 0.0) * pitch_mm,
+            float((spec.band_row_offset or {}).get("red", 0.0)) * pitch_mm,
             spec.focal_length_mm,
         ]
     )
@@ -503,7 +474,7 @@ def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
     for i, line in enumerate(line_idx):
         t = float(t_true[line])
         for j, col in enumerate(col_idx):
-            coord = _truth_ground_point(orbit, spec, imager, t, float(col), epoch)
+            coord = _truth_ground_point(orbit, spec, t, float(col), epoch)
             lat[i, j] = coord.lat
             lon[i, j] = coord.lon
             alt[i, j] = coord.alt

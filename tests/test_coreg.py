@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial.transform import Rotation
 
 from pushproc import coreg, errors, raster
 from pushproc.raster import BandId
@@ -899,7 +900,9 @@ class TestShiftPrior:
         from pushproc.georef.camera import rpy_matrix
 
         tilted = [
-            AttitudeSample(s.t, Quaternion.from_matrix(s.q.to_matrix() @ rpy_matrix(10.0, 0, 0)))
+            AttitudeSample(s.t, Quaternion.from_matrix(
+                Rotation.from_quat([s.q.x, s.q.y, s.q.z, s.q.s]).as_matrix()
+                @ rpy_matrix(10.0, 0, 0)))
             for s in meta.attitude
         ]
         meta_tilted = AcqMetadata(meta.orbit, tilted, meta.line_period_s, meta.imager)
@@ -1007,7 +1010,8 @@ class TestFitDistortion:
     def test_json_roundtrip(self):
         matches = self.synth_matches([1.0, 0.5, -0.5], [0.0, 1.0, 1.0], order=1)
         model = coreg.fit_distortion(matches, order=1, width=500, height=400)
-        clone = coreg.DistortionModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        # The report's dict of the model, read back as scripts/run_demo.py does.
+        clone = coreg.DistortionModel(**json.loads(json.dumps(model.to_dict())))
         np.testing.assert_allclose(clone.coeff_dx, model.coeff_dx)
         np.testing.assert_allclose(clone.coeff_dy, model.coeff_dy)
         assert (clone.order, clone.width, clone.height) == (1, 500, 400)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation, Slerp
 
 from pushproc import errors
 from pushproc.georef.attitude import (
@@ -168,13 +169,24 @@ class TestGeodetic:
             np.testing.assert_array_equal(rotated[i, j], eci_to_ecef(vecs[i, j], 1.6e9))
 
 
+def quaternion(rotation: Rotation) -> Quaternion:
+    """The scalar-first Quaternion of a scipy rotation."""
+    x, y, z, s = rotation.as_quat()
+    return Quaternion(s, x, y, z)
+
+
+def turn(axis, angle_rad: float) -> Quaternion:
+    """The rotation by ``angle_rad`` about ``axis``."""
+    return quaternion(Rotation.from_rotvec(angle_rad * np.asarray(axis, dtype=np.float64)
+                                           / np.linalg.norm(axis)))
+
+
 class TestQuaternion:
     def test_rotation_matches_matrix(self, rng):
-        axis = rng.normal(size=3)
-        angle = 1.234
-        q = Quaternion.from_axis_angle(axis, angle)
+        rotation = Rotation.from_rotvec(1.234 * rng.normal(size=3))
         v = rng.normal(size=3)
-        np.testing.assert_allclose(q.rotate(v), q.to_matrix() @ v, atol=1e-12)
+        np.testing.assert_allclose(quaternion(rotation).rotate(v), rotation.as_matrix() @ v,
+                                   atol=1e-12)
 
     def test_norm_preserved_under_rotation(self, rng):
         for _ in range(20):
@@ -187,7 +199,7 @@ class TestQuaternion:
     def test_matrix_roundtrip(self, rng):
         for _ in range(50):
             q = Quaternion(*rng.normal(size=4)).normalized()
-            q2 = Quaternion.from_matrix(q.to_matrix())
+            q2 = Quaternion.from_matrix(Rotation.from_quat([q.x, q.y, q.z, q.s]).as_matrix())
             assert min(np.linalg.norm(q.as_array() - q2.as_array()),
                        np.linalg.norm(q.as_array() + q2.as_array())) < 1e-9
 
@@ -199,37 +211,39 @@ class TestQuaternion:
 
 class TestSlerp:
     def test_exact_sample_returned(self):
-        qa = Quaternion.from_axis_angle([0, 0, 1], 0.0)
-        qb = Quaternion.from_axis_angle([0, 0, 1], 1.0)
+        qa = turn([0, 0, 1], 0.0)
+        qb = turn([0, 0, 1], 1.0)
         samples = [AttitudeSample(0.0, qa), AttitudeSample(10.0, qb)]
         assert slerp_attitude(samples, 0.0) == qa
         assert slerp_attitude(samples, 10.0) == qb
 
     def test_equal_endpoints_constant(self):
-        q = Quaternion.from_axis_angle([1, 2, 3], 0.4)
+        q = turn([1, 2, 3], 0.4)
         samples = [AttitudeSample(0.0, q), AttitudeSample(5.0, q)]
         for t in (0.0, 1.7, 5.0):
             out = slerp_attitude(samples, t)
             assert abs(out.dot(q)) == pytest.approx(1.0, abs=1e-12)
 
     def test_midpoint_half_angle(self):
-        qa = Quaternion.identity()
-        qb = Quaternion.from_axis_angle([0, 1, 0], math.pi / 2)
+        qa = quaternion(Rotation.identity())
+        qb = turn([0, 1, 0], math.pi / 2)
         mid = slerp(qa, qb, 0.5)
-        expected = Quaternion.from_axis_angle([0, 1, 0], math.pi / 4)
+        expected = turn([0, 1, 0], math.pi / 4)
         np.testing.assert_allclose(mid.as_array(), expected.as_array(), atol=1e-9)
 
     def test_constant_angular_rate(self):
-        qa = Quaternion.identity()
-        qb = Quaternion.from_axis_angle([1, 0, 0], 1.0)
+        ends = Rotation.from_rotvec([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        samples = [AttitudeSample(float(t), quaternion(r)) for t, r in zip((0, 1), ends)]
         for f in (0.25, 0.5, 0.75):
-            q = slerp(qa, qb, f)
+            q = slerp_attitude(samples, f)
             angle = 2.0 * math.acos(min(1.0, abs(q.s)))
             assert angle == pytest.approx(f * 1.0, abs=1e-9)
+            np.testing.assert_allclose(q.as_array(), quaternion(Slerp([0, 1], ends)(f)).as_array(),
+                                       atol=1e-12)
 
     def test_out_of_range(self):
-        samples = [AttitudeSample(0.0, Quaternion.identity()),
-                   AttitudeSample(1.0, Quaternion.identity())]
+        identity = quaternion(Rotation.identity())
+        samples = [AttitudeSample(0.0, identity), AttitudeSample(1.0, identity)]
         with pytest.raises(errors.OutOfRange):
             slerp_attitude(samples, 2.0)
 

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import errno
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ def synth_inputs(tmp_path_factory):
     save_raw(raw, out / "scene.l3raw")
     save_calibration(truth.calib, out / "calib.json")
     save_metadata(truth.metadata, out / "metadata.json")
-    (out / "spec.json").write_text(json.dumps(spec.to_dict()))
+    (out / "spec.json").write_text(json.dumps(dataclasses.asdict(spec)))
     return out
 
 
@@ -106,7 +108,7 @@ class TestRunPipeline:
 
     def test_vignetting_only_identity_calib(self, tmp_path):
         scene, truth = generate(SynthSpec(seed=22, width=128, lines=128,
-                                          texture="checkerboard", vignette_falloff=0.0))
+                                          texture="urban-blocks", vignette_falloff=0.0))
         raw_path = tmp_path / "s.l3raw"
         save_raw(scene, raw_path)
         calib_path = tmp_path / "c.json"
@@ -228,7 +230,7 @@ class TestQuicklook:
         assert len(set(body)) == 1
 
     def test_three_band_ppm(self, tmp_path):
-        scene, _ = generate(SynthSpec(seed=23, width=32, lines=16, texture="checkerboard"))
+        scene, _ = generate(SynthSpec(seed=23, width=32, lines=16, texture="urban-blocks"))
         path = tmp_path / "rgb.ppm"
         quicklook(scene, path)
         blob = path.read_bytes()
@@ -557,8 +559,9 @@ class TestCli:
 
     @pytest.mark.parametrize("field", ["focal_length_mm", "pixel_pitch_um"])
     def test_rays_that_are_not_finite_exit_3_at_georef(self, tmp_path, capsys, field):
-        # A finite but huge imager number makes every line of sight NaN:
-        # no ray meets the Earth, and no product holds a NaN.
+        # A finite but huge imager number makes every line of sight too long
+        # to normalize: no ray meets the Earth, no product holds a NaN, and
+        # numpy warns of no overflow on the way.
         raw, truth = generate(SynthSpec(seed=3, width=64, lines=64))
         save_raw(raw, tmp_path / "scene.l3raw")
         save_metadata(truth.metadata, tmp_path / "metadata.json")
@@ -566,9 +569,12 @@ class TestCli:
         doc["imager"][field] = 1e300
         (tmp_path / "metadata.json").write_text(json.dumps(doc))
         out = tmp_path / "o"
-        rc = self.run_cli("preprocess", "--raw", str(tmp_path / "scene.l3raw"),
-                          "--meta", str(tmp_path / "metadata.json"), "--out", str(out),
-                          "--skip-vignetting", "--skip-coreg")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = self.run_cli("preprocess", "--raw", str(tmp_path / "scene.l3raw"),
+                              "--meta", str(tmp_path / "metadata.json"), "--out", str(out),
+                              "--skip-vignetting", "--skip-coreg")
+        assert [str(w.message) for w in caught] == []
         assert rc == 3
         found = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert (found["error"]["stage"], found["error"]["type"]) == ("georef", "NoIntersection")
@@ -676,6 +682,11 @@ class TestCli:
         {"width": 64, "lines": 64, "texture_base": -1e15},
         {"width": 64, "lines": 64, "texture_base": -69.5},
         {"width": 64, "lines": 64, "texture_base": 1e308, "texture_contrast": 1e308},
+        # Rays that miss the Earth are the spec's fault, found before synthesis.
+        {"seed": 1, "width": 64, "lines": 64, "boresight_rpy_deg": [80, 0, 0]},
+        {"seed": 1, "width": 64, "lines": 64, "boresight_rpy_deg": [1e15, 0, 0]},
+        {"seed": 1, "width": 64, "lines": 64, "boresight_rpy_deg": [0, 1e15, 0]},
+        {"seed": 1, "width": 64, "lines": 64, "injected_bias": [1e15, 0, 0]},
     ])
     def test_wrongly_typed_spec_exit_2(self, tmp_path, capsys, doc):
         spec_path = tmp_path / "bad_spec.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,6 @@ from pushproc import coreg, errors, synthscene
 from pushproc.raster import _MAX_DIM, BandId
 from pushproc.synthscene import (
     SynthSpec,
-    _texture_fractal,
     eval_warp,
     generate,
     truth_coreg_residual,
@@ -50,6 +50,11 @@ def naive_reapply(truth, spec):
     return planes
 
 
+def through_json(spec):
+    """The spec that a spec file of ``spec``'s fields reads back as."""
+    return SynthSpec.from_dict(json.loads(json.dumps(dataclasses.asdict(spec))))
+
+
 WARP = {"order": 2, "coeff_dx": [1.0, -2.0, 0.7, 0.5, -0.8, 0.4],
         "coeff_dy": [-0.5, 1.2, -1.5, 0.2, 0.6, -0.3]}
 
@@ -60,12 +65,12 @@ class TestGenerate:
                          vignette_falloff=35.0, dark_level=4.0, noise_sigma=2.0,
                          band_warp={"nir": WARP})
         raw1, _ = generate(spec)
-        raw2, _ = generate(SynthSpec.from_dict(spec.to_dict()))
+        raw2, _ = generate(through_json(spec))
         np.testing.assert_array_equal(raw1.planes, raw2.planes)
         np.testing.assert_array_equal(raw1.line_times, raw2.line_times)
 
     def test_identity_config_reproduces_clean(self):
-        spec = SynthSpec(seed=1, width=64, lines=48, texture="checkerboard",
+        spec = SynthSpec(seed=1, width=64, lines=48, texture="urban-blocks",
                          vignette_falloff=0.0, dark_level=0.0, noise_sigma=0.0)
         raw, truth = generate(spec)
         np.testing.assert_array_equal(raw.planes, truth.clean.planes)
@@ -114,36 +119,12 @@ class TestGenerate:
                                         grid_ny=4, min_score=0.2)
         assert len(matches) >= 0.9 * 16
 
-    @pytest.mark.parametrize("texture", ["flat", "checkerboard", "fractal-noise",
-                                         "urban-blocks"])
+    @pytest.mark.parametrize("texture", ["flat", "urban-blocks"])
     def test_textures_stay_in_dn_range(self, texture):
         spec = SynthSpec(seed=8, width=64, lines=64, texture=texture,
                          vignette_falloff=40.0, dark_level=10.0, noise_sigma=3.0)
         raw, _ = generate(spec)
         assert raw.planes.max() <= 255
-
-
-    def test_fractal_noise_equals_its_scipy_sampling(self, monkeypatch):
-        # The texture samples its noise lattices with the generator's own
-        # clamped bilinear sampler; scipy's order-1 map_coordinates gave the
-        # same texture to within 1e-12 and the same samples.
-        from scipy import ndimage
-
-        spec = SynthSpec(seed=27, width=300, lines=200, texture="fractal-noise")
-        rng = np.random.default_rng([spec.seed, 23])
-        out, weight_total = np.zeros((spec.lines, spec.width)), 0.0
-        for octave, cell in enumerate((128, 64, 32, 16)):
-            coarse = rng.standard_normal((spec.lines // cell + 2, spec.width // cell + 2))
-            yy, xx = np.mgrid[0 : spec.lines, 0 : spec.width]
-            out += ndimage.map_coordinates(coarse, [yy / cell, xx / cell], order=1,
-                                           mode="nearest") / (octave + 1)
-            weight_total += 1.0 / (octave + 1)
-        out /= weight_total
-        texture = spec.texture_base + out * (spec.texture_contrast / max(out.std() * 2.0, 1e-9))
-        np.testing.assert_allclose(_texture_fractal(spec), texture, rtol=0, atol=1e-12)
-        raw, _ = generate(spec)
-        monkeypatch.setitem(synthscene._TEXTURE_FN, "fractal-noise", lambda _: texture)
-        np.testing.assert_array_equal(generate(spec)[0].planes, raw.planes)
 
 
 class TestSpecValidation:
@@ -166,8 +147,8 @@ class TestSpecValidation:
 
     def test_round_trip_dict(self):
         spec = SynthSpec(seed=9, band_warp={"nir": WARP}, injected_bias=(0.1, 0.2, 0.3))
-        clone = SynthSpec.from_dict(spec.to_dict())
-        assert clone.to_dict() == spec.to_dict()
+        clone = through_json(spec)
+        assert clone == spec
 
     def test_unknown_field_rejected(self):
         with pytest.raises(errors.SpecInvalid):
@@ -178,7 +159,10 @@ class TestSpecValidation:
     def test_side_above_the_raw_file_bound(self, size):
         with pytest.raises(errors.SpecInvalid, match="outside"):
             SynthSpec(**size).validate()
-        SynthSpec(**{key: _MAX_DIM for key in size}).validate()
+        # At the default focal length, the edge columns of a scene 2^20 pixels
+        # wide look past the horizon.
+        SynthSpec(**{key: _MAX_DIM for key in size}, focal_length_mm=238.0 * 2 ** 11,
+                  line_period_s=0.002).validate()
 
     @pytest.mark.parametrize("period", [-1.0, math.inf, math.nan])
     def test_line_period_negative_or_not_finite(self, period):
