@@ -85,13 +85,12 @@ def _cmd_preprocess(args) -> None:
 
 
 def _cmd_synth(args) -> None:
+    # ``generate`` reads only the spec, so whatever it rejects is the spec's fault.
     with stage("spec"):
-        spec = SynthSpec.from_dict(read_json(args.spec, SpecInvalid))
-        spec.validate()
+        raw, truth = generate(SynthSpec.from_dict(read_json(args.spec, SpecInvalid)))
     with stage("input"):
         out = make_dir(args.out)
     with stage("synth"):
-        raw, truth = generate(spec)
         save_raw(raw, out / "scene.l3raw")
         save_raw(truth.clean, out / "clean.l3raw")
         save_calibration(truth.calib, out / "calib.json")

@@ -5,7 +5,10 @@ The chain mirrors the production flow for pushbroom band alignment:
 1. The gradient magnitude of the Gaussian-smoothed plane (Canny's first
    stage), read by ``_gradient_tiles`` alone, is the high-pass filter, so
    matching keys on structure, not band radiometry, and a
-   contrast-reversed band (``|-g| = |g|``) matches too.  The filters are
+   contrast-reversed band (``|-g| = |g|``) matches too.  ``_magnitude``
+   reads each block of a window once, with the Gaussian radius and Sobel's
+   pixel around it mirrored beyond the plane border, and smooths,
+   differentiates and takes the magnitude in one pass.  Its filters are
    NumPy kernels that repeat the arithmetic of ``scipy.ndimage`` and give
    its bits: the Gaussian's passes (``_taps``) add the taps in the order
    of its ``NI_Correlate1D``, and Sobel forms its differences and sums in
@@ -126,121 +129,74 @@ def _load(buf: np.ndarray, plane: np.ndarray, rows: slice, cols: slice, r: int) 
         buf[y - top] = buf[_reflect(y, h) - top]
 
 
-def _gaussian(plane: np.ndarray, sigma: float, window: tuple[slice, slice] | None = None,
-              out: np.ndarray | None = None,
-              work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """A window of ``scipy.ndimage.gaussian_filter(plane, sigma)`` as float64, bit for bit.
-
-    Mode ``reflect``, truncate 4: down the columns first, then along the
-    lines, as scipy does.  ``window`` is a (lines, columns) pair of slices
-    of step 1 within the plane, the whole plane by default.  Its lines are
-    walked in blocks, each read with the radius more on every side
-    (``_load``), so every value is the whole plane's, whatever the window.
-    They are written into ``out`` when it is given (float64 of the
-    window's shape), or into a new array, which is returned.  ``work`` is
-    three flat float64 buffers to work in, for a caller that smooths
-    window after window: with ``stride`` the window's width plus twice
-    the radius, blocks of ``n`` lines need ``(n + 2 radius) stride``
-    values in the first and ``n stride`` in the others, and the blocks are
-    as tall as the first holds.  Without ``work``, buffers for blocks of
-    ``block_lines(stride)`` lines are allocated.
-    """
-    h, w = plane.shape
-    rows, cols = (slice(0, h), slice(0, w)) if window is None else window
-    width = cols.stop - cols.start
-    if out is None:
-        out = np.empty((rows.stop - rows.start, width))
-    weights = _gaussian_weights(sigma)
-    r = len(weights) // 2
-    stride = width + 2 * r
-    if work is None:
-        tallest = min(block_lines(stride), rows.stop - rows.start)
-        work = (np.empty((tallest + 2 * r) * stride), np.empty(tallest * stride),
-                np.empty(tallest * stride))
-    loaded, across, smooth = work
-    step = max(loaded.size // stride - 2 * r, 1)
-    for y0 in range(rows.start, rows.stop, step):
-        y1 = min(y0 + step, rows.stop)
-        _load(loaded[: (y1 - y0 + 2 * r) * stride].reshape(-1, stride), plane,
-              slice(y0, y1), cols, r)
-        n = (y1 - y0) * stride
-        _taps(loaded, stride, weights, across[:n], smooth)
-        _taps(across, 1, weights, smooth[: n - 2 * r], loaded)
-        out[y0 - rows.start : y1 - rows.start] = smooth[:n].reshape(y1 - y0, stride)[:, :width]
-    return out
-
-
 def _magnitude(plane: np.ndarray, window: tuple[slice, slice], out: np.ndarray | None = None,
                sigma: float = 1.4) -> np.ndarray:
     """Gradient magnitude of the Gaussian-smoothed plane over one window, as float64.
 
     ``hypot(sobel_x, sobel_y)`` of ``gaussian_filter(plane, sigma)``, the
     first stage of Canny's detector, bit for bit as ``scipy.ndimage`` gives
-    it over the whole plane.  The window is walked in blocks of
-    ``block_lines`` of its width plus the Gaussian radius and one pixel on
-    each side.  Each block is read with a halo of one pixel for Sobel and
-    smoothed by ``_gaussian``, so every value equals that of a whole-plane
-    pass; at the plane border that pass's ``reflect`` applies.  Sobel then
-    treats the smoothed block as a plane of its own (``reflect`` at its
-    border), as ``scipy.ndimage.sobel`` of it would, with scipy's
-    arithmetic: the difference ``x[i+1] - x[i-1]`` (exactly
-    ``(x[i-1] - x[i+1]) * -1``) smoothed as ``(x[i-1] + x[i+1]) + 2 x[i]``.
-    Four flat buffers with the line stride ``stride`` (the block's width
-    plus twice the radius) are allocated once per call; the Gaussian works
-    in three of them.  The magnitude is written into ``out`` when it is
-    given (float64 of the window's shape), or into a new array, which is
-    returned.
+    it over the whole plane (mode ``reflect``, truncate 4, the Gaussian
+    down the columns first).  The window is walked in blocks of
+    ``block_lines`` of ``stride``, its width plus twice the Gaussian radius
+    ``r`` and Sobel's pixel.  Each block is read once (``_load``) with a
+    halo of ``r + 1`` mirrored beyond the plane border, and the two
+    ``_taps`` passes smooth it into the block and a one-pixel border, which
+    Sobel reads.  Beyond the border that is the smoothed plane mirrored, to
+    the bit, as Sobel's ``reflect`` reads it: ``reflect`` is symmetric
+    about the border (line -1 - i reads line i), so the centre tap of line
+    -1 is line 0 and its pairs are line 0's, each swapped, which ``_taps``
+    adds as one sum (``a + b == b + a``).  Sobel uses scipy's arithmetic:
+    the difference ``x[i+1] - x[i-1]`` (exactly ``(x[i-1] - x[i+1]) * -1``)
+    smoothed as ``(x[i-1] + x[i+1]) + 2 x[i]``.  Four flat buffers of line
+    stride ``stride`` are allocated once per call.  The magnitude is
+    written into ``out`` when it is given (float64 of the window's shape),
+    or into a new array, which is returned.
     """
-    h, w = plane.shape
     rows, cols = window
+    width = cols.stop - cols.start
     if out is None:
-        out = np.empty((rows.stop - rows.start, cols.stop - cols.start))
-    r = len(_gaussian_weights(sigma)) // 2
-    ca, cb = max(cols.start - 1, 0), min(cols.stop + 1, w)
-    left, width, span = cols.start - ca, cols.stop - cols.start, cb - ca
-    stride = span + 2 * r
-    step = block_lines(width + 2 * (1 + r))
+        out = np.empty((rows.stop - rows.start, width))
+    weights = _gaussian_weights(sigma)
+    r = len(weights) // 2
+    stride = width + 2 * (r + 1)
+    step = block_lines(stride)
     tallest = min(step, rows.stop - rows.start) + 2
-    # Zeroed, so the values computed between a block's lines and never
-    # kept are finite.
-    loaded = np.zeros((tallest + 2 * r) * stride)
-    smooth, gx, gy = (np.zeros((tallest + 2) * stride) for _ in range(3))
+    loaded = np.empty((tallest + 2 * r) * stride)
+    # Zeroed: the smoothing leaves the last 2r values of a block's flat
+    # buffer unwritten, and Sobel reads them for columns it does not keep.
+    smooth = np.zeros(tallest * stride)
+    gx, gy = np.empty(tallest * stride), np.empty(tallest * stride)
     for y0 in range(rows.start, rows.stop, step):
         y1 = min(y0 + step, rows.stop)
-        a, b = max(y0 - 1, 0), min(y1 + 1, h)
-        lines = b - a
-        # The block's Gaussian lands inside a one-pixel border, which
-        # mirrors it; the gradients' buffers are idle until Sobel, and the
-        # Gaussian works in them.
-        padded = smooth[: (lines + 2) * stride].reshape(lines + 2, stride)
-        _gaussian(plane, sigma, (slice(a, b), slice(ca, cb)),
-                  padded[1 : lines + 1, 1 : span + 1], (loaded, gx, gy))
-        padded[1 : lines + 1, 0] = padded[1 : lines + 1, 1]
-        padded[1 : lines + 1, span + 1] = padded[1 : lines + 1, span]
-        padded[0] = padded[1]
-        padded[lines + 1] = padded[lines]
+        lines = y1 - y0
+        _load(loaded[: (lines + 2 + 2 * r) * stride].reshape(-1, stride), plane,
+              slice(y0, y1), cols, r + 1)
+        # The smoothed block and its border, line -1 to ``lines`` and
+        # column -1 to ``width``, land at ``(i + 1) * stride + j + 1`` of
+        # the flat smooth; the gradients' buffers are idle until Sobel, and
+        # the smoothing works in them.
+        n = (lines + 2) * stride
+        _taps(loaded, stride, weights, gx[:n], gy)
+        _taps(gx, 1, weights, smooth[: n - 2 * r], loaded)
         # The gradients at block pixel (i, j) are at ``i * stride + j`` of
         # the flat gx and gy.
-        n = lines * stride - 2
+        m = lines * stride - 2
         # gx: the difference along the lines, smoothed down the columns;
         # gy holds its doubled middle term.
         diff = loaded
-        np.subtract(smooth[2 : (lines + 2) * stride], smooth[: (lines + 2) * stride - 2],
-                    out=diff[: (lines + 2) * stride - 2])
-        np.add(diff[stride : stride + n], diff[stride : stride + n], out=gy[:n])
-        np.add(diff[:n], diff[2 * stride : 2 * stride + n], out=gx[:n])
-        gx[:n] += gy[:n]
+        np.subtract(smooth[2:n], smooth[: n - 2], out=diff[: n - 2])
+        np.add(diff[stride : stride + m], diff[stride : stride + m], out=gy[:m])
+        np.add(diff[:m], diff[2 * stride : 2 * stride + m], out=gx[:m])
+        gx[:m] += gy[:m]
         # gy: the difference down the columns, smoothed along the lines;
         # the smoothed block is no longer read, so its buffer holds the
         # doubled middle term.
-        np.subtract(smooth[2 * stride : (lines + 2) * stride], smooth[: lines * stride],
-                    out=diff[: lines * stride])
-        np.add(diff[1 : 1 + n], diff[1 : 1 + n], out=smooth[:n])
-        np.add(diff[:n], diff[2 : 2 + n], out=gy[:n])
-        gy[:n] += smooth[:n]
-        kept = (slice(y0 - a, y1 - a), slice(left, left + width))
-        np.hypot(gx[: lines * stride].reshape(lines, stride)[kept],
-                 gy[: lines * stride].reshape(lines, stride)[kept],
+        np.subtract(smooth[2 * stride : n], smooth[: lines * stride], out=diff[: lines * stride])
+        np.add(diff[1 : 1 + m], diff[1 : 1 + m], out=smooth[:m])
+        np.add(diff[:m], diff[2 : 2 + m], out=gy[:m])
+        gy[:m] += smooth[:m]
+        np.hypot(gx[: lines * stride].reshape(lines, stride)[:, :width],
+                 gy[: lines * stride].reshape(lines, stride)[:, :width],
                  out=out[y0 - rows.start : y1 - rows.start])
     return out
 

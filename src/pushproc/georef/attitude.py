@@ -117,7 +117,8 @@ def sign_align(samples: Sequence[AttitudeSample]) -> list[AttitudeSample]:
 def slerp_attitude(samples: Sequence[AttitudeSample], t: float) -> Quaternion:
     """Interpolate the attitude at time t between bracketing samples.
 
-    Exact samples are returned untouched; t must lie inside the sample span.
+    ``samples`` are sorted by time.  Exact samples are returned untouched;
+    t must lie inside the sample span.
     """
     if not samples:
         raise EmptySamples("no attitude samples")
@@ -125,17 +126,12 @@ def slerp_attitude(samples: Sequence[AttitudeSample], t: float) -> Quaternion:
     if t < times[0] or t > times[-1]:
         raise OutOfRange(f"t={t} outside attitude span [{times[0]}, {times[-1]}]")
     idx = bisect_right(times, t)
-    if idx == 0:
-        return samples[0].q
     if idx >= len(samples):
         return samples[-1].q
     lo, hi = samples[idx - 1], samples[idx]
     if t == lo.t:
         return lo.q
-    span = hi.t - lo.t
-    if span <= 0:
-        return lo.q
-    return slerp(lo.q, hi.q, (t - lo.t) / span)
+    return slerp(lo.q, hi.q, (t - lo.t) / (hi.t - lo.t))
 
 
 def rot_x(angle_rad: float) -> np.ndarray:

@@ -115,6 +115,12 @@ class SynthSpec:
         for name in ("injected_bias", "boresight_rpy_deg"):
             if json_array(getattr(self, name), 1, SpecInvalid, name).shape != (3,):
                 raise SpecInvalid(f"{name} must be three numbers, got {getattr(self, name)!r}")
+        # ``_truth_ground_point`` turns the sums into a rotation; Python floats
+        # overflow to inf without a numpy warning.
+        for axis, boresight, bias in zip(("roll", "pitch"), self.boresight_rpy_deg,
+                                         self.injected_bias):
+            if not math.isfinite(float(boresight) + float(bias)):
+                raise SpecInvalid(f"boresight_rpy_deg + injected_bias {axis} is not finite")
         for name, offset in (self.band_row_offset or {}).items():
             json_array(offset, 0, SpecInvalid, f"band_row_offset {name!r}")
             if name not in BAND_BY_NAME:

@@ -73,8 +73,8 @@ class TestSuppression:
 
     def test_working_memory_of_a_whole_plane(self):
         # The float64 magnitude of the whole plane and the four flat buffers
-        # of a block, in which the Gaussian works too, peak at 2.11 float64
-        # planes (4.21 MiB).  Non-maximum suppression, with five buffers,
+        # of a block, in which the Gaussian works too, peak at 2.10 float64
+        # planes (4.20 MiB).  Non-maximum suppression, with five buffers,
         # peaked at 2.54.
         plane = np.random.default_rng(25).integers(0, 65535, (512, 512),
                                                    endpoint=True).astype(np.uint16)
@@ -88,9 +88,10 @@ class TestSuppression:
 
 
 class TestKernelsEqualScipy:
-    """The NumPy Gaussian gives the bits of ``scipy.ndimage``.
+    """``_magnitude``'s Gaussian and Sobel give the bits of ``scipy.ndimage``.
 
-    Sobel is checked through ``TestSuppression``, against ``whole_plane_magnitude``.
+    Over planes shorter than the Gaussian's radius too, where the mirror
+    beyond the border repeats with period 2n.
     """
 
     @staticmethod
@@ -110,13 +111,12 @@ class TestKernelsEqualScipy:
         lines = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
         width = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
         plane = self.plane(data, dtype, lines, width)
-        expected = ndimage.gaussian_filter(plane, sigma, output=np.float64)
+        expected = whole_plane_magnitude(plane, sigma)
         # Blocks of a few lines put block edges inside the plane.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(raster, "BLOCK_PIXELS", data.draw(st.sampled_from([1, 97, 1 << 16])))
-            got = coreg._gaussian(plane, sigma)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            got = coreg._magnitude(plane, whole(plane), sigma=sigma)
+        assert_bits_equal(got, expected)
 
 
 class TestCanny:
@@ -440,28 +440,19 @@ class TestBandedBlur:
         # column windows: every column, at the left and the right border,
         # inside, and narrower than the radius.
         plane = np.random.default_rng(11).integers(0, 256, (99, 37)).astype(np.uint8)
-        whole_filter = ndimage.gaussian_filter(plane, sigma, output=np.float64)
+        whole_magnitude = whole_plane_magnitude(plane, sigma)
         monkeypatch.setattr(raster, "BLOCK_PIXELS", pixels)
-        r = int(4.0 * sigma + 0.5)
         for cols in [(0, 37), (0, 3), (0, 12), (30, 37), (35, 37), (10, 13), (17, 18), (5, 31)]:
             window = (slice(*rows), slice(*cols))
-            expected = whole_filter[window]
-            got = coreg._gaussian(plane, sigma, window)
-            assert got.shape == expected.shape and got.dtype == np.float64
-            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-            # Into a view of a larger array, with buffers of its own or
-            # given ones, big enough for the whole window, that hold NaN.
+            expected = whole_magnitude[window]
+            # Into a view of a larger array that holds NaN.
             lines, width = expected.shape
-            stride = width + 2 * r
-            work = (np.full((lines + 2 * r) * stride, np.nan), np.full(lines * stride, np.nan),
-                    np.full(lines * stride, np.nan))
-            for buffers in (None, work):
-                out = np.full((lines + 3, width + 2), np.nan)
-                got = coreg._gaussian(plane, sigma, window, out=out[2:-1, 1:-1], work=buffers)
-                assert got.base is out
-                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-                assert np.isnan(out[:2]).all() and np.isnan(out[-1]).all()
-                assert np.isnan(out[:, [0, -1]]).all()
+            out = np.full((lines + 3, width + 2), np.nan)
+            got = coreg._magnitude(plane, window, out[2:-1, 1:-1], sigma)
+            assert got.base is out
+            assert_bits_equal(got, expected)
+            assert np.isnan(out[:2]).all() and np.isnan(out[-1]).all()
+            assert np.isnan(out[:, [0, -1]]).all()
 
     @pytest.mark.parametrize("layout", sorted(MERGED))
     @pytest.mark.parametrize("pixels", [1, 40 * 308, None])

@@ -687,6 +687,14 @@ class TestCli:
         {"seed": 1, "width": 64, "lines": 64, "boresight_rpy_deg": [1e15, 0, 0]},
         {"seed": 1, "width": 64, "lines": 64, "boresight_rpy_deg": [0, 1e15, 0]},
         {"seed": 1, "width": 64, "lines": 64, "injected_bias": [1e15, 0, 0]},
+        # Finite angles whose sum is not.
+        {"seed": 1, "width": 64, "lines": 64, "boresight_rpy_deg": [1e308, 0, 0],
+         "injected_bias": [1e308, 0, 0]},
+        {"seed": 1, "width": 64, "lines": 64, "boresight_rpy_deg": [0, 1e308, 0],
+         "injected_bias": [0, 1e308, 0]},
+        # A middle grid line misses the Earth, which only ``generate`` finds.
+        {"seed": 1, "width": 64, "lines": 64, "grid_step": 16,
+         "attitude_profile": {"kind": "nutation", "amplitude_deg": 1e6}},
     ])
     def test_wrongly_typed_spec_exit_2(self, tmp_path, capsys, doc):
         spec_path = tmp_path / "bad_spec.json"
