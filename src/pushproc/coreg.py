@@ -58,7 +58,7 @@ from .errors import (
     SingularFit,
     TooFewMatches,
 )
-from .raster import BandId, block_lines
+from .raster import BandId, block_lines, round_half_up
 from .georef.attitude import slerp_attitude
 from .georef.frames import WGS84_A_KM, eci_to_ecef
 from .georef.metadata import AcqMetadata
@@ -755,8 +755,7 @@ def _bilinear(flat: np.ndarray, shape: tuple[int, int], src_x: np.ndarray,
     np.multiply(v11, wy1, out=part)
     part *= wx1
     acc += part
-    acc += 0.5
-    np.floor(acc, out=acc)
+    round_half_up(acc, out=acc)
     np.copyto(acc, 0.0, where=off)
     return acc
 

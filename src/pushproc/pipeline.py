@@ -35,7 +35,8 @@ from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
                      check_field_types, copy_planes, create_raw, fields_from_json,
-                     load_calibration, make_dir, open_raw, read_json, write_file)
+                     load_calibration, make_dir, open_raw, read_json, round_half_up,
+                     write_file)
 
 STAGES = ("vignetting", "coreg", "georef")
 
@@ -176,9 +177,9 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     reads.  All target bands are matched
     on the match grid together, so each reference tile is prepared once
     per grid; each band is then fitted and resampled in band order, and
-    the aligned bands are matched together on the residual grid.  No edge
-    map outlives the block ``match_bands`` builds it for.  ``grids`` are
-    the match grid and the residual grid (``_coreg_grids``).
+    the aligned bands are matched together on the residual grid.  No
+    gradient magnitude outlives the block ``match_bands`` computes it for.
+    ``grids`` are the match grid and the residual grid (``_coreg_grids``).
     """
     ref_band = config.ref_band
     ref_plane = scene.band(ref_band)
@@ -413,7 +414,7 @@ def quicklook(scene: RawScene, path) -> None:
                     continue
                 data = plane[y0 : y0 + step].astype(np.float64)
                 scaled = np.clip((data - lo) / (hi - lo) * 255.0, 0.0, 255.0)
-                image[:, :, k] = np.floor(scaled + 0.5)
+                image[:, :, k] = round_half_up(scaled, out=scaled)
             yield image
 
     write_file(path, chunks())

@@ -15,9 +15,9 @@ file (``raster.ScenePlanes``), so the corrected scene goes from the raw
 file to the product file one block at a time and an 8-bit scene stays
 uint8.  Integer output uses round-half-up and clamps to the DN range; a
 float-valued path is exposed so metric code and property tests are not
-polluted by quantization.  The metrics read only the lines they use, or
-one block of lines of their region at a time, and convert only those to
-float64, so they take a plane in memory or in a file alike.
+polluted by quantization.  The metrics read only runs of lines, as a plane
+in a file answers, and convert only what they read to float64, so they
+take a plane in memory or in a file alike.
 """
 
 from __future__ import annotations
@@ -32,12 +32,8 @@ from .errors import (
     ZeroCenterMean,
     ZeroMean,
 )
-from .raster import BAND_COUNT, BLOCK_PIXELS, CalibrationTable, RawScene, block_lines
-
-
-def round_half_up(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to nearest integer with ties going up (0.5 -> 1), as float64, into ``out`` when given."""
-    return np.floor(np.add(x, 0.5, out=out, dtype=np.float64), out=out)
+from .raster import (BAND_COUNT, BLOCK_PIXELS, CalibrationTable, RawScene, block_lines,
+                     round_half_up)
 
 
 def _correct_lines(lines: np.ndarray, calib: CalibrationTable, band: int,
@@ -115,7 +111,8 @@ def edge_center_ratio(plane: np.ndarray, rows) -> float:
     if rows.size == 0:
         raise ZeroCenterMean("no rows given")
     left, right, center = _edge_center_windows(plane.shape[1])
-    sub = plane[rows].astype(np.float64)
+    lines = range(plane.shape[0])   # each row read as a run of one line
+    sub = np.concatenate([plane[lines[y] : lines[y] + 1] for y in rows.tolist()], dtype=np.float64)
     center_mean = float(sub[:, center].mean())
     if center_mean == 0.0:
         raise ZeroCenterMean("center window mean is zero")
@@ -167,41 +164,22 @@ def fit_profile_poly2(plane: np.ndarray, rows) -> LineProfile:
     return LineProfile(values=rel, poly2=tuple(float(c) for c in coeffs), rms_residual=rms)
 
 
-def _squared_deviation_sum(runs, mean: float, n: int, block: np.ndarray) -> float:
-    """Sum of (x - mean)^2 over the first ``n`` samples of ``runs``, as NumPy adds them.
+def _squares_sum(read, mean: float, a: int, n: int, block: np.ndarray) -> float:
+    """Sum of (x - mean)^2 over samples a to a + n of ``read``, as NumPy adds them.
 
-    ``runs`` yields the samples in order, as arrays taken in line order (a
-    2-D array yields its lines).  NumPy sums a contiguous float64 array
-    pairwise: it splits n at n // 2, rounded down to a multiple of 8,
-    until a range is short enough to add directly.  This follows the same
-    splits down to ranges that fit in ``block`` (``_pairwise_sum``), whose
-    sums ``np.add.reduce`` then takes itself, so the total has the bits of
-    summing all the deviations at once.  The ranges come in sample order,
-    so each is copied from the runs as they arrive.
+    NumPy sums a contiguous float64 array pairwise: it splits n at n // 2,
+    rounded down to a multiple of 8, until a range is short enough to add
+    directly.  This follows the same splits down to ranges that fit in
+    ``block``, whose sums ``np.add.reduce`` then takes itself, so the total
+    has the bits of summing all the deviations at once.  A nested function
+    would keep ``block`` alive in a reference cycle after the call.
     """
-    runs, run = iter(runs), np.empty(0)
-
-    def fill(out: np.ndarray) -> None:
-        nonlocal run
-        done = 0
-        while done < out.size:
-            if not run.size:
-                run = np.ravel(next(runs))
-            k = min(out.size - done, run.size)
-            out[done : done + k] = run[:k]
-            run, done = run[k:], done + k
-
-    return _pairwise_sum(fill, mean, n, block)
-
-
-def _pairwise_sum(fill, mean: float, n: int, block: np.ndarray) -> float:
-    """The squared deviations of the next ``n`` samples ``fill`` gives, summed along NumPy's tree."""
     if n > block.size:
         half = n // 2 - n // 2 % 8
-        return (_pairwise_sum(fill, mean, half, block)
-                + _pairwise_sum(fill, mean, n - half, block))
+        return (_squares_sum(read, mean, a, half, block)
+                + _squares_sum(read, mean, a + half, n - half, block))
     dev = block[:n]
-    fill(dev)
+    dev[:] = read(a, a + n)
     dev -= mean
     np.square(dev, out=dev)
     return np.add.reduce(dev)
@@ -211,40 +189,36 @@ def uniformity_std(plane, region=None) -> float:
     """Relative spread of a (nominally uniform) region: 100 * std / mean.
 
     ``region`` is a pair of slices of positive step (the whole plane when
-    None), and the plane an array or a plane in a file.  The region is read
-    one block of the plane's lines at a time, twice: once for the
-    mean, then for the deviations from it, which are converted to float64
-    and squared ``BLOCK_PIXELS`` samples at a time, so one block of float64
-    is alive, whatever the region's size.  The result equals
-    ``ndarray.std`` over ``mean`` of the float64 region: the blocks' sums
-    are added along the tree NumPy sums a whole array by
-    (``_squared_deviation_sum``), and an integer region's mean is its exact
-    integer sum over its size.  A float plane, which is only ever in
-    memory, takes NumPy's own mean of the region.
+    None), and the plane an array or a plane in a file.  ``read(a, b)``
+    gives samples a to b of the region from the run of lines that holds
+    them.  An integer region's mean is its exact sum, read ``BLOCK_PIXELS``
+    samples at a time, over its size; a float plane, only ever in memory,
+    takes NumPy's own mean.  The deviations are summed along NumPy's tree
+    (``_squares_sum``) in one float64 block, so the result equals
+    ``ndarray.std`` over ``mean`` of the float64 region.
     """
     if region is None:
         region = (slice(None), slice(None))
-    rows = range(plane.shape[0])[region[0]]
-    cols = region[1]
-    n = len(rows) * len(range(plane.shape[1])[cols])
+    rows, cols = range(plane.shape[0])[region[0]], region[1]
+    width = len(range(plane.shape[1])[cols])
+    n = len(rows) * width
     if n == 0:
         raise ZeroMean("empty region")
-    # Each read spans at most one block of the plane's lines.
-    step = max(1, block_lines(plane.shape[1]) // rows.step)
 
-    def blocks():
-        for a in range(0, len(rows), step):
-            b = min(a + step, len(rows))
-            yield plane[rows[a] : rows[b - 1] + 1][:: rows.step, cols]
+    def read(a: int, b: int) -> np.ndarray:
+        first, last = a // width, (b - 1) // width
+        lines = plane[rows[first] : rows[last] + 1][:: rows.step, cols]
+        return lines.reshape(-1)[a - first * width : b - first * width]
 
     if plane.dtype.kind == "f":
         mean = float(plane[region].mean(dtype=np.float64))
     else:
-        mean = sum(int(lines.sum(dtype=np.int64)) for lines in blocks()) / n
+        mean = sum(int(read(a, min(a + BLOCK_PIXELS, n)).sum(dtype=np.int64))
+                   for a in range(0, n, BLOCK_PIXELS)) / n
     if mean == 0.0:
         raise ZeroMean("region mean is zero")
     block = np.empty(min(n, BLOCK_PIXELS), dtype=np.float64)
-    return 100.0 * math.sqrt(float(_squared_deviation_sum(blocks(), mean, n, block) / n)) / mean
+    return 100.0 * math.sqrt(float(_squares_sum(read, mean, 0, n, block) / n)) / mean
 
 
 def calibration_from_flat_field(scene: RawScene, dark_level: float | np.ndarray = 0.0,

@@ -8,10 +8,11 @@ plus per-line timestamps.  Its planes are either an array in memory or a
 is the only code that reads or writes a file's samples: ``save_raw`` is
 ``create_raw`` plus ``copy_planes``, one block at a time, and
 ``load_raw`` is ``open_raw`` plus one read per band.  Both kinds answer
-``planes[band]`` and ``plane[rows, cols]`` with arrays of the same
-values, so code that reads a plane in windows and writes it back in runs
-of lines (``plane[rows] = block``) takes one path for both; the pipeline
-keeps its scene in files this way.  In-memory planes are stored planar
+``planes[band]`` and ``plane[rows, cols]``, ``rows`` a slice of lines,
+with arrays of the same values, so code that reads and writes a plane in
+runs of lines (``plane[rows] = block``) takes one path for both; the
+pipeline keeps its scene in files this way.  Every module rounds to DN
+with ``round_half_up``.  In-memory planes are stored planar
 (band major) as uint8 or uint16, as given: a loaded scene keeps its
 file's sample type, so an 8-bit scene costs one byte a sample.  Planes of
 any other type are converted to uint16.  A uint16 plane is never narrowed
@@ -76,6 +77,11 @@ def block_lines(width: int) -> int:
     return max(1, BLOCK_PIXELS // width)
 
 
+def round_half_up(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to nearest integer with ties going up (0.5 -> 1), as float64, into ``out`` when given."""
+    return np.floor(np.add(x, 0.5, out=out, dtype=np.float64), out=out)
+
+
 # Hard sanity bound on header dimensions: a desk-scale product never exceeds
 # this, and it keeps a corrupt header from triggering a huge allocation.
 _MAX_DIM = 1 << 20
@@ -97,17 +103,17 @@ BAND_BY_NAME = {name: band for band, name in BAND_NAMES.items()}
 class ScenePlanes:
     """The band planes [4, lines, width] of an open L3RAW file, kept in the file.
 
-    ``planes[band]`` is one band's plane, of shape (lines, width).  A read,
-    ``plane[rows]`` or ``plane[rows, cols]`` with ``rows`` a slice of step
-    1, one line index (which drops the line axis), a sequence of line
-    indices or a boolean mask of lines, as on an ndarray, comes back as a
-    fresh array of the file's sample type; ``planes[band, rows]`` is short for
-    ``planes[band][rows]``; the band is indexed as an ndarray's first axis.
-    A write, ``plane[rows] = lines`` with a slice, stores whole lines in
-    the file's sample type.  Each band's lines are contiguous in the file,
-    so a run of lines is one ``os.preadv`` or ``os.pwrite`` (more only past
-    the 2 GiB that Linux moves in one call).  ``np.asarray`` of the planes
-    raises ``TypeError``: they are read in windows, never whole.
+    ``planes[band]`` is one band's plane, of shape (lines, width); the band
+    is indexed as an ndarray's first axis, and ``planes[band, rows]`` is
+    short for ``planes[band][rows]``.  A plane answers only runs of lines:
+    a read, ``plane[rows]`` or ``plane[rows, cols]`` with ``rows`` a slice
+    of step 1, comes back as a fresh array of the file's sample type, and a
+    write, ``plane[rows] = lines``, stores whole lines in that type.  Any
+    other line key raises ``TypeError``, so iterating a plane does too.
+    Each band's lines are contiguous in the file, so a run of lines is one
+    ``os.preadv`` or ``os.pwrite`` (more only past the 2 GiB that Linux
+    moves in one call).  ``np.asarray`` of the planes raises ``TypeError``:
+    they are read in windows, never whole.
     """
 
     def __init__(self, fh, lines: int, width: int, bit_depth: int, band: int | None = None):
@@ -142,7 +148,10 @@ class ScenePlanes:
         band = range(BAND_COUNT)[operator.index(band)]
         return ScenePlanes(self.fh, *self.shape[1:], self.bit_depth, band), tuple(rest)
 
-    def _span(self, rows: slice) -> tuple[int, int]:
+    def _span(self, rows) -> tuple[int, int]:
+        if not isinstance(rows, slice):
+            raise TypeError("scene planes in a file take a slice of lines, "
+                            f"not {type(rows).__name__}")
         start, stop, step = rows.indices(self.shape[0])
         if step != 1:
             raise IndexError("scene planes in a file are read in runs of lines: step must be 1")
@@ -168,21 +177,10 @@ class ScenePlanes:
         if plane is not self and not key:
             return plane
         rows, cols = (*key, slice(None), slice(None))[:2]
-        width = plane.shape[1]
-        if isinstance(rows, slice):
-            start, stop = plane._span(rows)
-            lines = plane._read(np.empty((stop - start, width), plane.dtype), plane._offset(start))
-        else:
-            # The lines an ndarray's first axis gives for ``rows``: one line
-            # for an index, a line for each index of a sequence or a mask.
-            index = np.asarray(np.arange(plane.shape[0])[rows])
-            lines = np.empty((*index.shape, width), plane.dtype)
-            for line, out in zip(index.reshape(-1).tolist(), lines.reshape(-1, width)):
-                plane._read(out, plane._offset(line))
-            # ``cols`` pairs with the line positions, as a second index
-            # array pairs with the first on an ndarray.
-            return lines[(*np.indices(index.shape, sparse=True), cols)]
-        return lines[..., cols]
+        start, stop = plane._span(rows)
+        lines = plane._read(np.empty((stop - start, plane.shape[1]), plane.dtype),
+                            plane._offset(start))
+        return lines[:, cols]
 
     def __setitem__(self, key, value) -> None:
         plane, key = self._split(key)

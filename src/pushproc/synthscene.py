@@ -396,7 +396,9 @@ def _flight(spec: SynthSpec):
     if not periods <= _MAX_DIM - 2:
         raise SpecInvalid(f"attitude_sample_period_s {period} and time bias ask for more than "
                           f"{_MAX_DIM} attitude samples")
-    sample_times = t_true[0] - pad + np.arange(int(math.ceil(periods)) + 2) * period
+    # Float offsets: an integer period past int64 does not fit an integer array.
+    offsets = np.arange(int(math.ceil(periods)) + 2, dtype=np.float64)
+    sample_times = t_true[0] - pad + offsets * period
     return orbit, epoch, altitude_km, v_ground, line_period, t_true, sample_times
 
 

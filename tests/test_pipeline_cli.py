@@ -707,6 +707,17 @@ class TestCli:
         assert "Traceback" not in printed + err
         assert not (tmp_path / "s").exists()
 
+    def test_integer_attitude_period_past_int64_synthesizes(self, tmp_path):
+        # The same period written as an integer and as a float gives the same scene.
+        for name, period in (("int", 10**30), ("float", 1e30)):
+            spec_path = tmp_path / f"{name}.json"
+            spec_path.write_text(json.dumps({"width": 64, "lines": 64,
+                                             "attitude_sample_period_s": period}))
+            assert self.run_cli("synth", "--spec", str(spec_path),
+                                "--out", str(tmp_path / name)) == 0
+        assert (tmp_path / "int" / "metadata.json").read_bytes() \
+            == (tmp_path / "float" / "metadata.json").read_bytes()
+
     @pytest.mark.parametrize("owner, name, target", [
         (os, "replace", "corrected.l3raw.partial"),
         (builtins, "open", "quicklook.ppm"),

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -271,7 +272,7 @@ def _assert_uniformity_exact(plane, region):
     mean = float(sub.mean(dtype=np.float64))
     squares = (sub.astype(np.float64) - mean) ** 2
     block = np.empty(BLOCK_PIXELS)
-    assert radiometry._squared_deviation_sum(sub, mean, sub.size, block) \
+    assert radiometry._squares_sum(lambda a, b: np.ravel(sub)[a:b], mean, 0, sub.size, block) \
         == np.add.reduce(squares, axis=None)
     assert radiometry.uniformity_std(plane, region) \
         == 100.0 * math.sqrt(float(np.mean(squares))) / mean
@@ -323,6 +324,22 @@ class TestMetricsConvertWhatTheyRead:
             tracemalloc.stop()
         # The 1000^2 region's deviations as float64 would be 8 MB.
         assert peak <= BLOCK_PIXELS * 8 + 128 * 1024
+
+    def test_uniformity_holds_nothing_once_it_returns(self, rng):
+        # A tree walk that recursed as a nested function kept its float64
+        # block alive in a reference cycle until the next collection.
+        plane = rng.integers(0, 4096, (512, 512)).astype(np.uint16)
+        region = (slice(64, 448), slice(64, 448))   # over two blocks: the walk recurses
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            radiometry.uniformity_std(plane, region)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 8 * 1024
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (256, 256), (1, BLOCK_PIXELS + 1),
                                        (37, 7085), (1000, 1000)])
