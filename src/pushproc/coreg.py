@@ -868,7 +868,6 @@ def coreg_residual(
     aligned_plane: np.ndarray,
     n_points: int = 50,
     tile_size: int = 128,
-    min_score: float = 0.1,
     margin: int = 16,
 ) -> tuple[float, float]:
     """Residual misalignment of an aligned pair, as control-point statistics.
@@ -879,7 +878,7 @@ def coreg_residual(
     carry masked-out samples.
     """
     grid = residual_grid(np.shape(ref_plane), n_points, tile_size, margin)
-    [matches] = match_bands(ref_plane, grid, [aligned_plane], min_score)
+    [matches] = match_bands(ref_plane, grid, [aligned_plane])
     return residual_stats(require_matches(matches))
 
 

@@ -82,19 +82,19 @@ def georeference_line(
     metadata: AcqMetadata,
     imager: ImagerModel | None = None,
     columns=None,
-    band: BandId = BandId.RED,
 ) -> list[GeodeticCoord]:
     """Ground coordinates of the requested columns of one image line.
 
-    One orbit propagation and one attitude interpolation serve the whole
-    line; pass ``imager`` to georeference with adjusted offsets without
-    touching the sidecar.
+    The columns are those of the red band's detector line.  One orbit
+    propagation and one attitude interpolation serve the whole line; pass
+    ``imager`` to georeference with adjusted offsets without touching the
+    sidecar.
     """
     if imager is None:
         imager = metadata.imager
     if columns is None:
         columns = np.arange(scene.width)
-    v_body = pixel_los(imager, band, columns)
+    v_body = pixel_los(imager, BandId.RED, columns)
     coord = _locate_line(line_idx, scene, metadata, imager, v_body)
     return list(map(GeodeticCoord, coord.lat.tolist(), coord.lon.tolist(), coord.alt.tolist()))
 
@@ -146,13 +146,13 @@ def build_geogrid(
     metadata: AcqMetadata,
     imager: ImagerModel | None = None,
     step: int = 64,
-    band: BandId = BandId.RED,
 ) -> GeoGrid:
     """Geolocate a regular grid of nodes (first/last line and column always kept).
 
-    Each sampled line is geolocated as ``georeference_line`` does it: one
-    orbit state, one attitude and one intersection call per line, written
-    straight into its row of the grid's arrays.
+    The nodes are pixels of the red band's detector line.  Each sampled
+    line is geolocated as ``georeference_line`` does it: one orbit state,
+    one attitude and one intersection call per line, written straight into
+    its row of the grid's arrays.
     """
     if step < 1:
         raise OutOfBounds(f"step {step} < 1")
@@ -160,7 +160,7 @@ def build_geogrid(
         imager = metadata.imager
     line_idx = _sample_indices(scene.lines, step)
     col_idx = _sample_indices(scene.width, step)
-    v_body = pixel_los(imager, band, col_idx)
+    v_body = pixel_los(imager, BandId.RED, col_idx)
     lat, lon, alt = (np.empty((line_idx.size, col_idx.size)) for _ in range(3))
     for k, line in enumerate(line_idx):
         coord = _locate_line(int(line), scene, metadata, imager, v_body)

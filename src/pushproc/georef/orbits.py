@@ -29,8 +29,6 @@ _DEEP_SPACE_RADIUS_KM = (MU_KM3_S2 * (DEEP_SPACE_PERIOD_MIN * 30.0 / math.pi) **
 class TleOrbit:
     """SGP4-propagated orbit from a two-line element set."""
 
-    kind = "tle"
-
     def __init__(self, line1: str, line2: str):
         self.lines = (line1, line2)
         self.elements: TleElements = parse_tle(line1, line2)
@@ -56,8 +54,6 @@ class CircularOrbit:
     raan_deg: float = 0.0
     arg_lat0_deg: float = 0.0
     epoch_unix: float = 0.0
-
-    kind = "circular"
 
     @property
     def radius_km(self) -> float:
@@ -91,7 +87,7 @@ class CircularOrbit:
         p, q = self._plane_basis()
         r = self.radius_km * (math.cos(u) * p + math.sin(u) * q)
         v = self.speed_kms * (-math.sin(u) * p + math.cos(u) * q)
-        return StateVector(t=t_unix, r_eci=r, v_eci=v)
+        return StateVector(r_eci=r, v_eci=v)
 
     def to_doc(self) -> dict:
         return {

@@ -26,7 +26,6 @@ _TWOPI = 2.0 * math.pi
 MU = 398600.8  # km^3/s^2
 EARTH_RADIUS_KM = 6378.135
 XKE = 60.0 / math.sqrt(EARTH_RADIUS_KM ** 3 / MU)
-TUMIN = 1.0 / XKE
 J2 = 0.001082616
 J3 = -0.00000253881
 J4 = -0.00000165597
@@ -37,9 +36,8 @@ DEEP_SPACE_PERIOD_MIN = 225.0
 
 @dataclass
 class StateVector:
-    """Inertial state: t is UTC unix seconds, r in km, v in km/s."""
+    """Inertial state at the time ``state_at`` was given: r in km, v in km/s."""
 
-    t: float
     r_eci: np.ndarray
     v_eci: np.ndarray
 
@@ -67,7 +65,6 @@ class Sgp4NearEarth:
     """
 
     def __init__(self, elements: TleElements):
-        self.elements = elements
         self.epoch_unix = elements.epoch_unix
 
         no_kozai = elements.no_kozai_radmin
@@ -336,4 +333,4 @@ class Sgp4NearEarth:
         """Propagate to an absolute UTC time (unix seconds)."""
         tsince = (t_unix - self.epoch_unix) / 60.0
         r, v = self.propagate_minutes(tsince)
-        return StateVector(t=t_unix, r_eci=r, v_eci=v)
+        return StateVector(r_eci=r, v_eci=v)

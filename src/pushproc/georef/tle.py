@@ -59,16 +59,10 @@ class TleElements:
         return self.mean_motion_revday * 2.0 * math.pi / 1440.0
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse(kind: type, text: str, what: str) -> int | float:
+    """``kind(text)``, as ``int`` or ``float``; ``FieldParse`` naming ``what`` when it fails."""
     try:
-        return int(text)
-    except ValueError as exc:
-        raise FieldParse(f"cannot parse {what} from {text!r}") from exc
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
+        return kind(text)
     except ValueError as exc:
         raise FieldParse(f"cannot parse {what} from {text!r}") from exc
 
@@ -105,23 +99,23 @@ def parse_tle(line1: str, line2: str) -> TleElements:
     if line1[0] != "1" or line2[0] != "2":
         raise FieldParse("line numbers must be '1' and '2'")
 
-    satnum = _parse_int(line1[2:7], "satellite number")
-    if _parse_int(line2[2:7], "line 2 satellite number") != satnum:
+    satnum = _parse(int, line1[2:7], "satellite number")
+    if _parse(int, line2[2:7], "line 2 satellite number") != satnum:
         raise FieldParse("satellite numbers differ between lines")
 
-    yy = _parse_int(line1[18:20], "epoch year")
+    yy = _parse(int, line1[18:20], "epoch year")
     epoch_year = 1900 + yy if yy >= 57 else 2000 + yy
-    epoch_day = _parse_float(line1[20:32], "epoch day")
-    ndot = _parse_float(line1[33:43], "ndot")
+    epoch_day = _parse(float, line1[20:32], "epoch day")
+    ndot = _parse(float, line1[33:43], "ndot")
     nddot = _parse_implied_decimal(line1[44:52], "nddot")
     bstar = _parse_implied_decimal(line1[53:61], "bstar")
 
-    inclination = _parse_float(line2[8:16], "inclination")
-    raan = _parse_float(line2[17:25], "raan")
-    eccentricity = _parse_float(f"0.{line2[26:33].strip()}", "eccentricity")
-    argp = _parse_float(line2[34:42], "argument of perigee")
-    mean_anomaly = _parse_float(line2[43:51], "mean anomaly")
-    mean_motion = _parse_float(line2[52:63], "mean motion")
+    inclination = _parse(float, line2[8:16], "inclination")
+    raan = _parse(float, line2[17:25], "raan")
+    eccentricity = _parse(float, f"0.{line2[26:33].strip()}", "eccentricity")
+    argp = _parse(float, line2[34:42], "argument of perigee")
+    mean_anomaly = _parse(float, line2[43:51], "mean anomaly")
+    mean_motion = _parse(float, line2[52:63], "mean motion")
 
     # Day 1.0 is 1 January 00:00; a leap year ends before day 367.
     if not 1.0 <= epoch_day < 367.0:
@@ -166,11 +160,11 @@ def _format_ndot(value: float) -> str:
     return f"{sign}{body}"
 
 
-def format_tle(elements: TleElements, intl_designator: str = "00001A") -> tuple[str, str]:
-    """Render elements as a checksummed TLE pair."""
+def format_tle(elements: TleElements) -> tuple[str, str]:
+    """Render elements as a checksummed TLE pair, with the international designator 00001A."""
     yy = elements.epoch_year % 100
     line1 = (
-        f"1 {elements.satnum:05d}U {intl_designator:<8s} "
+        f"1 {elements.satnum:05d}U 00001A   "
         f"{yy:02d}{elements.epoch_day:012.8f} "
         f"{_format_ndot(elements.ndot)} "
         f"{_format_implied_decimal(elements.nddot)} "

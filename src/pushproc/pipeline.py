@@ -23,7 +23,7 @@ import math
 import os
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,12 +110,7 @@ class QualityReport:
     outputs: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "stages": self.stages,
-            "timing": self.timing,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
@@ -307,17 +302,16 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
             partial = Path(config.out_dir) / "corrected.l3raw.partial"
             if partial.exists() and partial.samefile(config.raw_path):
                 raise ConfigInvalid(f"the raw input is the run's own working file {partial}")
-        if config.vignetting and calib is None:
-            raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
-        if config.georef and metadata is None:
-            raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
-
-        # The output directory and the working file are the last steps of
-        # the input phase.
-        with stage("input"):
+            # ``stage`` passes a StageFailure through, so these name their own stage.
+            if config.vignetting and calib is None:
+                raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
+            if config.georef and metadata is None:
+                raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
+            # The output directory and the working file are the last steps of
+            # the input phase.
             out_dir = make_dir(config.out_dir)
             product = create_raw(partial, scene)
-        files.callback(product.planes.close)
+            files.callback(product.planes.close)
         report = QualityReport()
         corrected_path = out_dir / "corrected.l3raw"
         try:

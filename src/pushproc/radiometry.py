@@ -122,13 +122,12 @@ def edge_center_ratio(plane: np.ndarray, rows) -> float:
 
 @dataclass
 class LineProfile:
-    """Column profile relative to its maximum, with a quadratic approximation.
+    """Quadratic approximation of a column profile relative to its maximum.
 
     ``poly2`` holds (a0, a1, a2) of a0 + a1*u + a2*u^2 over the normalized
     column u in [0, 1]; ``rms_residual`` is the fit residual in relative DN.
     """
 
-    values: np.ndarray
     poly2: tuple[float, float, float]
     rms_residual: float
 
@@ -161,7 +160,7 @@ def fit_profile_poly2(plane: np.ndarray, rows) -> LineProfile:
         raise DegenerateFit("normal matrix is singular")
     resid = design @ coeffs - rel
     rms = float(np.sqrt(np.mean(resid * resid)))
-    return LineProfile(values=rel, poly2=tuple(float(c) for c in coeffs), rms_residual=rms)
+    return LineProfile(poly2=tuple(float(c) for c in coeffs), rms_residual=rms)
 
 
 def _squares_sum(read, mean: float, a: int, n: int, block: np.ndarray) -> float:

@@ -109,7 +109,8 @@ class ScenePlanes:
     a read, ``plane[rows]`` or ``plane[rows, cols]`` with ``rows`` a slice
     of step 1, comes back as a fresh array of the file's sample type, and a
     write, ``plane[rows] = lines``, stores whole lines in that type.  Any
-    other line key raises ``TypeError``, so iterating a plane does too.
+    other line key raises ``TypeError``, so iterating a plane does too, and
+    more than two plane indices raise ``IndexError``, as on an array.
     Each band's lines are contiguous in the file, so a run of lines is one
     ``os.preadv`` or ``os.pwrite`` (more only past the 2 GiB that Linux
     moves in one call).  ``np.asarray`` of the planes raises ``TypeError``:
@@ -140,13 +141,17 @@ class ScenePlanes:
         return _HEADER.size + 8 * lines + (self.band * lines + line) * width * self.dtype.itemsize
 
     def _split(self, key) -> tuple["ScenePlanes", tuple]:
-        """The band plane a key indexes, and the rest of the key."""
+        """The band plane a key indexes, and the rest of the key: at most two plane indices."""
         key = key if isinstance(key, tuple) else (key,)
-        if self.band is not None:
-            return self, key
-        band, *rest = key
-        band = range(BAND_COUNT)[operator.index(band)]
-        return ScenePlanes(self.fh, *self.shape[1:], self.bit_depth, band), tuple(rest)
+        plane = self
+        if self.band is None:
+            band, *key = key
+            band = range(BAND_COUNT)[operator.index(band)]
+            plane = ScenePlanes(self.fh, *self.shape[1:], self.bit_depth, band)
+        if len(key) > 2:
+            raise IndexError(f"too many indices for a plane: it is 2-dimensional, "
+                             f"but {len(key)} were indexed")
+        return plane, tuple(key)
 
     def _span(self, rows) -> tuple[int, int]:
         if not isinstance(rows, slice):

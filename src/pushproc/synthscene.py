@@ -254,20 +254,13 @@ def _bilinear_clamped(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     return (1.0 - fy) * ((1.0 - fx) * p00 + fx * p01) + fy * ((1.0 - fx) * p10 + fx * p11)
 
 
-def vignette_profile(spec_or_kind, falloff: float | None = None, width: int | None = None
-                     ) -> np.ndarray:
-    """Column multiplier v(u): 1 at center, 1 - falloff/100 at the edges.
+def vignette_profile(kind: str, falloff: float, width: int) -> np.ndarray:
+    """Column multiplier v(u) of ``width`` columns: 1 at center, 1 - falloff/100 at the edges.
 
-    Quadratic uses v(u) = 1 - f (2u-1)^2; the cos^4 variant matches the
-    same edge falloff but with lens-law curvature, for model-mismatch
-    studies.
+    ``kind`` is one of ``PROFILES``: quadratic uses v(u) = 1 - f (2u-1)^2;
+    the cos^4 variant matches the same edge falloff but with lens-law
+    curvature, for model-mismatch studies.
     """
-    if isinstance(spec_or_kind, SynthSpec):
-        kind = spec_or_kind.vignette_profile
-        falloff = spec_or_kind.vignette_falloff
-        width = spec_or_kind.width
-    else:
-        kind = spec_or_kind
     f = falloff / 100.0
     u = np.arange(width, dtype=np.float64) / (width - 1)
     if kind == "quadratic":
@@ -429,7 +422,7 @@ def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
     t_recorded = t_true - spec.injected_bias[2] * spec.time_drift
 
     # Per-band geometric warp, then radiometry.
-    profile = vignette_profile(spec)
+    profile = vignette_profile(spec.vignette_profile, spec.vignette_falloff, spec.width)
     yy, xx = np.mgrid[0 : spec.lines, 0 : spec.width].astype(np.float64)
     raw_planes = np.empty((BAND_COUNT, spec.lines, spec.width), dtype=np.uint16)
     warp_fields: dict = {}
@@ -487,12 +480,6 @@ def generate(spec: SynthSpec) -> tuple[RawScene, TruthPack]:
             lon[i, j] = coord.lon
             alt[i, j] = coord.alt
     truth_grid = GeoGrid(lines=line_idx, columns=col_idx, lat=lat, lon=lon, alt=alt)
-    truth_grid.corners = {
-        "top_left": (float(lat[0, 0]), float(lon[0, 0])),
-        "top_right": (float(lat[0, -1]), float(lon[0, -1])),
-        "bottom_left": (float(lat[-1, 0]), float(lon[-1, 0])),
-        "bottom_right": (float(lat[-1, -1]), float(lon[-1, -1])),
-    }
 
     # Along-track axis: the inertial ground-velocity direction in local ENU.
     # Boresight biases displace ground points along the body axes, which are

@@ -156,21 +156,24 @@ class TestRunPipeline:
         stats = report.stages["georef"]["error_stats"]
         assert abs(stats["rms_total_km"]) < 1e-6  # exact metadata, no bias
 
-    def test_missing_metadata_fails_georef_stage(self, synth_inputs, tmp_path, monkeypatch):
-        # the georef check runs before any stage: co-registration never starts
-        from pushproc import coreg
+    @pytest.mark.parametrize("path, stage", [("meta_path", "georef"),
+                                             ("calib_path", "vignetting")])
+    def test_missing_metadata_fails_georef_stage(self, synth_inputs, tmp_path, monkeypatch,
+                                                 path, stage):
+        # the check of a stage's input runs before any stage, and before --out is made
+        from pushproc import coreg, radiometry
 
         def spy(*args, **kwargs):
-            raise AssertionError("co-registration started before the georef check")
+            raise AssertionError(f"a stage started before the {stage} check")
 
+        monkeypatch.setattr(radiometry, "correct_vignetting", spy)
         monkeypatch.setattr(coreg, "_magnitude", spy)
         monkeypatch.setattr(coreg, "match_bands", spy)
-        cfg = base_config(synth_inputs, tmp_path / "nometa")
-        cfg.meta_path = None
+        cfg = base_config(synth_inputs, tmp_path / "missing", **{path: None})
         with pytest.raises(errors.StageFailure) as err:
             run_pipeline(cfg)
-        assert err.value.stage == "georef"
-        assert not (tmp_path / "nometa").exists()
+        assert err.value.stage == stage
+        assert not (tmp_path / "missing").exists()
 
     def test_world_file_fitted_once(self, synth_inputs, tmp_path, monkeypatch):
         from pushproc import pipeline

@@ -272,8 +272,22 @@ class TestScenePlanes:
                 list(plane)
             # A slice of lines with a column index still reads as on an array.
             np.testing.assert_array_equal(plane[3:9, np.array([1, 2])], scene.planes[2][3:9, [1, 2]])
+            # More than two plane indices are refused, as on an array.
+            with pytest.raises(IndexError):
+                plane[0:2, 0:3, 5]
+            with pytest.raises(IndexError):
+                opened.planes[1, 0:2, 0:3, 5]
         finally:
             opened.planes.close()
+        made = create_raw(tmp_path / "made.l3raw", scene)
+        try:
+            with pytest.raises(IndexError):
+                made.planes[0][0:2, :, 5] = 7
+            with pytest.raises(IndexError):
+                made.planes[0, 0:2, :, 5] = 7
+            np.testing.assert_array_equal(made.planes[0][:], 0)
+        finally:
+            made.planes.close()
 
     @pytest.mark.parametrize("bit_depth", [8, 16])
     def test_save_of_an_open_file_writes_its_bytes(self, tmp_path, bit_depth):

@@ -40,7 +40,10 @@ class TestTleParsing:
     def test_format_parse_roundtrip(self):
         elements = leo_elements()
         line1, line2 = format_tle(elements)
-        assert len(line1) == len(line2) == 69
+        assert (line1, line2) == (
+            "1 40931U 00001A   18125.10417824  .00000000  00000+0  10000-3 0  9995",
+            "2 40931  97.6000 201.5000 0012345  84.2000 275.9000 15.19802917  1005",
+        )
         parsed = parse_tle(line1, line2)
         assert parsed.satnum == elements.satnum
         assert parsed.eccentricity == pytest.approx(elements.eccentricity, abs=5e-8)
