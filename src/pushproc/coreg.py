@@ -16,8 +16,8 @@ The chain mirrors the production flow for pushbroom band alignment:
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
    parabola subpixel refinement.  ``match_bands`` prepares each reference
    tile once (mean removed, energy, padded spectrum) for every target.
-3. Matches are gated around an attitude-derived shift prior, then cleaned
-   by a median/MAD pass.
+3. Matches are gated within ``GATE_RADIUS_PX`` of an attitude-derived
+   shift prior, then cleaned by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
    resampled through the inverse map with bilinear interpolation, one
    block of ``block_lines(width)`` lines at a time, so no full-plane
@@ -483,19 +483,21 @@ def collect_matches(
 
 # ------------------------------------------------------------ shift prior
 
+# Matches farther than this (in pixels) from the shift prior are rejected.
+GATE_RADIUS_PX = 5.0
+
+
 @dataclass
 class ShiftPrior:
-    """Predicted inter-band shift with a rejection gate around it."""
+    """Predicted inter-band shift; ``remove_outliers`` gates at ``GATE_RADIUS_PX`` around it."""
 
     dx: float
     dy: float
-    gate_radius: float = 5.0
 
 
 def predict_shift_prior(
     metadata: AcqMetadata,
     band_pair: tuple[BandId, BandId],
-    gate_radius: float = 5.0,
 ) -> ShiftPrior:
     """Predict the bulk shift between two bands from geometry and attitude.
 
@@ -540,7 +542,7 @@ def predict_shift_prior(
         speed_ratio = gsd_km / (ground_speed_kms * metadata.line_period_s)
 
     dy = -delta_rows * speed_ratio / cos_offnadir
-    return ShiftPrior(dx=0.0, dy=float(dy), gate_radius=gate_radius)
+    return ShiftPrior(dx=0.0, dy=float(dy))
 
 
 def _median(values: np.ndarray) -> float:
@@ -560,10 +562,10 @@ def remove_outliers(
 ) -> list[MatchPoint]:
     """Two-pass robust rejection: prior gate, then median/MAD clipping.
 
-    Without attitude metadata the prior falls back to the match medians
-    with the same gate radius.  The second pass keeps shifts within 3
-    MADs (at least 0.5 px each) of the gated median on each axis.  Order
-    is preserved.
+    The gate keeps matches within ``GATE_RADIUS_PX`` of the prior; without
+    attitude metadata the prior falls back to the match medians.  The
+    second pass keeps shifts within 3 MADs (at least 0.5 px each) of the
+    gated median on each axis.  Order is preserved.
     """
     if not matches:
         raise AllRejected("no matches supplied")
@@ -573,11 +575,9 @@ def remove_outliers(
         prior = ShiftPrior(dx=_median(dx), dy=_median(dy))
 
     dist = np.hypot(dx - prior.dx, dy - prior.dy)
-    gate_keep = dist <= prior.gate_radius
+    gate_keep = dist <= GATE_RADIUS_PX
     if not gate_keep.any():
-        raise AllRejected(
-            f"all {len(matches)} matches fall outside the {prior.gate_radius}px gate"
-        )
+        raise AllRejected(f"all {len(matches)} matches fall outside the {GATE_RADIUS_PX}px gate")
 
     kept_dx = dx[gate_keep]
     kept_dy = dy[gate_keep]

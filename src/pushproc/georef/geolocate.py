@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NoIntersection, OutOfBounds
-from ..raster import BandId, RawScene, write_file
+from ..raster import REF_BAND, RawScene, write_file
 from .attitude import slerp_attitude
 from .camera import ImagerModel, pixel_los
 from .frames import WGS84_A_KM, WGS84_B_KM, ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
@@ -85,7 +85,7 @@ def georeference_line(
 ) -> list[GeodeticCoord]:
     """Ground coordinates of the requested columns of one image line.
 
-    The columns are those of the red band's detector line.  One orbit
+    The columns are those of ``REF_BAND``'s detector line.  One orbit
     propagation and one attitude interpolation serve the whole line; pass
     ``imager`` to georeference with adjusted offsets without touching the
     sidecar.
@@ -94,7 +94,7 @@ def georeference_line(
         imager = metadata.imager
     if columns is None:
         columns = np.arange(scene.width)
-    v_body = pixel_los(imager, BandId.RED, columns)
+    v_body = pixel_los(imager, REF_BAND, columns)
     coord = _locate_line(line_idx, scene, metadata, imager, v_body)
     return list(map(GeodeticCoord, coord.lat.tolist(), coord.lon.tolist(), coord.alt.tolist()))
 
@@ -149,7 +149,7 @@ def build_geogrid(
 ) -> GeoGrid:
     """Geolocate a regular grid of nodes (first/last line and column always kept).
 
-    The nodes are pixels of the red band's detector line.  Each sampled
+    The nodes are pixels of ``REF_BAND``'s detector line.  Each sampled
     line is geolocated as ``georeference_line`` does it: one orbit state,
     one attitude and one intersection call per line, written straight into
     its row of the grid's arrays.
@@ -160,7 +160,7 @@ def build_geogrid(
         imager = metadata.imager
     line_idx = _sample_indices(scene.lines, step)
     col_idx = _sample_indices(scene.width, step)
-    v_body = pixel_los(imager, BandId.RED, col_idx)
+    v_body = pixel_los(imager, REF_BAND, col_idx)
     lat, lon, alt = (np.empty((line_idx.size, col_idx.size)) for _ in range(3))
     for k, line in enumerate(line_idx):
         coord = _locate_line(int(line), scene, metadata, imager, v_body)

@@ -33,7 +33,7 @@ from . import radiometry
 from .errors import ConfigInvalid, IoFailure, PushprocError, ReportInvalid, StageFailure
 from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
-from .raster import (BAND_NAMES, BandId, CalibrationTable, RawScene, block_lines,
+from .raster import (BAND_NAMES, REF_BAND, BandId, CalibrationTable, RawScene, block_lines,
                      check_field_types, copy_planes, create_raw, fields_from_json,
                      load_calibration, make_dir, open_raw, read_json, round_half_up,
                      write_file)
@@ -51,13 +51,9 @@ class PipelineConfig:
     vignetting: bool = True
     coreg: bool = True
     georef: bool = True
-    ref_band: BandId = BandId.RED
     tile_size: int = 128
     grid_nx: int = 8
     grid_ny: int = 8
-    poly_order: int = 2
-    min_score: float = 0.1
-    gate_radius: float = 5.0
     grid_step: int = 64
     residual_points: int = 50
     workers: int = 1
@@ -75,17 +71,11 @@ class PipelineConfig:
                              self.truth_path) if p]
         if len(paths) != len(set(paths)):
             raise ConfigInvalid("input paths must be distinct")
-        if self.poly_order not in (1, 2, 3):
-            raise ConfigInvalid(f"poly_order {self.poly_order} not in 1..3")
         # The lower bounds the stages themselves enforce, checked before any runs.
         for name, low in (("tile_size", 32), ("grid_nx", 1), ("grid_ny", 1),
                           ("grid_step", 1), ("residual_points", 10)):
             if getattr(self, name) < low:
                 raise ConfigInvalid(f"{name} {getattr(self, name)} < {low}")
-        if not 0.0 <= self.min_score <= 1.0:
-            raise ConfigInvalid(f"min_score {self.min_score} not in [0, 1]")
-        if self.gate_radius <= 0:
-            raise ConfigInvalid(f"gate_radius {self.gate_radius} <= 0")
         # Co-registration runs on one thread; the field stays for configs that name it.
         if self.workers != 1:
             raise ConfigInvalid(f"workers must be 1, got {self.workers}")
@@ -96,10 +86,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        cfg = fields_from_json(cls, doc, ConfigInvalid)
-        if type(cfg.ref_band) is int and cfg.ref_band in {int(b) for b in BandId}:
-            cfg.ref_band = BandId(cfg.ref_band)
-        return cfg
+        return fields_from_json(cls, doc, ConfigInvalid)
 
 
 @dataclass
@@ -164,36 +151,32 @@ def _coreg_grids(shape: tuple[int, int],
 
 def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
                  grids: tuple[coreg_mod.TileGrid, coreg_mod.TileGrid],
-                 config: PipelineConfig, report: QualityReport) -> RawScene:
-    """Align every band to the reference band, in place.
+                 report: QualityReport) -> RawScene:
+    """Align every other band to ``REF_BAND``, in place.
 
     The stage owns ``scene``, the product file's planes in a run: each
     band is warped in place, over its source plane, which no later step
-    reads.  All target bands are matched
-    on the match grid together, so each reference tile is prepared once
-    per grid; each band is then fitted and resampled in band order, and
-    the aligned bands are matched together on the residual grid.  No
-    gradient magnitude outlives the block ``match_bands`` computes it for.
-    ``grids`` are the match grid and the residual grid (``_coreg_grids``).
+    reads.  All target bands are matched on the match grid together, so
+    each reference tile is prepared once per grid; each band is then gated
+    at ``coreg.GATE_RADIUS_PX``, fitted and resampled in band order, and
+    the aligned bands are matched together on the residual grid.  The
+    score floor and the polynomial order are the defaults of
+    ``match_bands`` and ``fit_distortion``.  No gradient magnitude
+    outlives the block ``match_bands`` computes it for.  ``grids`` are the
+    match grid and the residual grid (``_coreg_grids``).
     """
-    ref_band = config.ref_band
-    ref_plane = scene.band(ref_band)
-    targets = [band for band in BandId if band != ref_band]
+    ref_plane = scene.band(REF_BAND)
+    targets = [band for band in BandId if band != REF_BAND]
     match_grid, residual_grid = grids
-    found = coreg_mod.match_bands(ref_plane, match_grid, [scene.band(band) for band in targets],
-                                  min_score=config.min_score)
-    metrics: dict = {"reference_band": BAND_NAMES[ref_band], "bands": {}}
+    found = coreg_mod.match_bands(ref_plane, match_grid, [scene.band(band) for band in targets])
+    metrics: dict = {"reference_band": BAND_NAMES[REF_BAND], "bands": {}}
     for band, matches in zip(targets, found):
         coreg_mod.require_matches(matches)
         prior = None
         if metadata is not None and metadata.attitude:
-            prior = coreg_mod.predict_shift_prior(
-                metadata, (ref_band, band), gate_radius=config.gate_radius
-            )
+            prior = coreg_mod.predict_shift_prior(metadata, (REF_BAND, band))
         inliers = coreg_mod.remove_outliers(matches, prior)
-        model = coreg_mod.fit_distortion(
-            inliers, order=config.poly_order, width=scene.width, height=scene.lines
-        )
+        model = coreg_mod.fit_distortion(inliers, width=scene.width, height=scene.lines)
         plane = scene.band(band)
         _, masked = coreg_mod.resample(plane, model, out=plane)
         metrics["bands"][BAND_NAMES[band]] = {
@@ -205,8 +188,7 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
             "masked_pixels": masked,
         }
     residuals = coreg_mod.match_bands(ref_plane, residual_grid,
-                                      [scene.band(band) for band in targets],
-                                      min_score=config.min_score)
+                                      [scene.band(band) for band in targets])
     for band, matches in zip(targets, residuals):
         mean_px, rms_px = coreg_mod.residual_stats(coreg_mod.require_matches(matches))
         metrics["bands"][BAND_NAMES[band]].update(residual_mean_px=mean_px,
@@ -322,7 +304,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
                 scene = copy_planes(scene, product.planes)
             if config.coreg:
                 with stage("coreg", report.timing):
-                    scene = _stage_coreg(scene, metadata, grids, config, report)
+                    scene = _stage_coreg(scene, metadata, grids, report)
             if config.georef:
                 with stage("georef", report.timing):
                     _stage_georef(scene, metadata, truth, config, out_dir, report)

@@ -220,8 +220,8 @@ def uniformity_std(plane, region=None) -> float:
     return 100.0 * math.sqrt(float(_squares_sum(read, mean, 0, n, block) / n)) / mean
 
 
-def calibration_from_flat_field(scene: RawScene, dark_level: float | np.ndarray = 0.0,
-                                rows=None) -> CalibrationTable:
+def calibration_from_flat_field(scene: RawScene,
+                                dark_level: float | np.ndarray = 0.0) -> CalibrationTable:
     """Derive a quadratic-approximation calibration from a flat-field scene.
 
     Fits the second-order profile per band (the standard pre-flight analysis
@@ -229,8 +229,7 @@ def calibration_from_flat_field(scene: RawScene, dark_level: float | np.ndarray 
     an on-orbit flat-field observation is available.
     """
     width = scene.width
-    if rows is None:
-        rows = np.arange(scene.lines)
+    rows = np.arange(scene.lines)
     u = np.arange(width, dtype=np.float64) / (width - 1)
     dark = np.broadcast_to(np.asarray(dark_level, dtype=np.float64), (BAND_COUNT, width)).copy()
     response = np.empty((BAND_COUNT, width), dtype=np.float64)

@@ -96,6 +96,11 @@ class BandId(IntEnum):
     NIR = 3
 
 
+# The band co-registration aligns the other bands to, and the band whose
+# detector line georeferencing locates, so the product and its grid
+# describe one geometry.
+REF_BAND = BandId.RED
+
 BAND_NAMES = {BandId.BLUE: "blue", BandId.GREEN: "green", BandId.RED: "red", BandId.NIR: "nir"}
 BAND_BY_NAME = {name: band for band, name in BAND_NAMES.items()}
 
@@ -113,8 +118,8 @@ class ScenePlanes:
     more than two plane indices raise ``IndexError``, as on an array.
     Each band's lines are contiguous in the file, so a run of lines is one
     ``os.preadv`` or ``os.pwrite`` (more only past the 2 GiB that Linux
-    moves in one call).  ``np.asarray`` of the planes raises ``TypeError``:
-    they are read in windows, never whole.
+    moves in one call).  ``np.asarray`` of the planes, and ``planes[()]``,
+    raise ``TypeError``: they are read in windows, never whole.
     """
 
     def __init__(self, fh, lines: int, width: int, bit_depth: int, band: int | None = None):
@@ -145,6 +150,8 @@ class ScenePlanes:
         key = key if isinstance(key, tuple) else (key,)
         plane = self
         if self.band is None:
+            if not key:
+                raise TypeError("scene planes in a file are read in windows: index them")
             band, *key = key
             band = range(BAND_COUNT)[operator.index(band)]
             plane = ScenePlanes(self.fh, *self.shape[1:], self.bit_depth, band)
@@ -189,7 +196,7 @@ class ScenePlanes:
 
     def __setitem__(self, key, value) -> None:
         plane, key = self._split(key)
-        if len(key) > 1 and key[1] != slice(None):
+        if len(key) > 1 and not (isinstance(key[1], slice) and key[1] == slice(None)):
             raise IndexError("scene planes in a file are written in whole lines")
         start, stop = plane._span(key[0] if key else slice(None))
         data = np.ascontiguousarray(np.broadcast_to(value, (stop - start, plane.shape[1])),

@@ -501,7 +501,7 @@ class TestBandedBlur:
         assert [len(grid.blocks) for grid in grids] == [1, 7]
         tracemalloc.start()
         try:
-            _stage_coreg(scene, None, grids, config, QualityReport())
+            _stage_coreg(scene, None, grids, QualityReport())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -743,7 +743,7 @@ class TestCoregStageEdges:
 
         monkeypatch.setattr(coreg, "_magnitude", spy)
         config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
-        _stage_coreg(scene, None, _coreg_grids(shape, config), config, QualityReport())
+        _stage_coreg(scene, None, _coreg_grids(shape, config), QualityReport())
         # Every plane, the reference included, gets its gradient magnitude
         # once per grid over the lines its tiles read, across their blocks'
         # columns, and nowhere else.
@@ -779,7 +779,7 @@ class TestCoregStageEdges:
         monkeypatch.setattr(coreg, "_magnitude", magnitude_spy)
         monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
         config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
-        _stage_coreg(scene, None, _coreg_grids(ref.shape, config), config, QualityReport())
+        _stage_coreg(scene, None, _coreg_grids(ref.shape, config), QualityReport())
         # Each plane's lines of each block were computed once, the
         # reference's in a quarter of the calls; no reference tile is flat.
         grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
@@ -816,7 +816,7 @@ class TestCoregStageEdges:
                                 grid_ny=6, residual_points=16)
         tracemalloc.start()
         try:
-            _stage_coreg(scene, None, _coreg_grids(shape, config), config, QualityReport())
+            _stage_coreg(scene, None, _coreg_grids(shape, config), QualityReport())
         finally:
             tracemalloc.stop()
         # At the first resample no tile feature is held: 0.06 of the
@@ -837,7 +837,7 @@ class TestCoregStageEdges:
                                 residual_points=16)
         tracemalloc.start()
         try:
-            _stage_coreg(scene, None, _coreg_grids((scene.lines, scene.width), config), config,
+            _stage_coreg(scene, None, _coreg_grids((scene.lines, scene.width), config),
                          QualityReport())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -918,7 +918,7 @@ class TestRemoveOutliers:
 
     def test_all_on_prior_unchanged(self):
         matches = self.make_matches([(2.0, -1.0)] * 8)
-        prior = coreg.ShiftPrior(2.0, -1.0, gate_radius=5.0)
+        prior = coreg.ShiftPrior(2.0, -1.0)
         assert coreg.remove_outliers(matches, prior) == matches
 
     def test_injected_gross_outliers_removed(self, rng):
@@ -927,7 +927,7 @@ class TestRemoveOutliers:
                           (40.0, 40.0), (-30.0, 30.0), (60.0, 0.0), (0.0, 60.0),
                           (45.0, -45.0), (-50.0, -50.0)]
         matches = self.make_matches(inlier_shifts + outlier_shifts)
-        prior = coreg.ShiftPrior(2.0, 1.0, gate_radius=5.0)
+        prior = coreg.ShiftPrior(2.0, 1.0)
         kept = coreg.remove_outliers(matches, prior)
         kept_ids = {m.tile_id for m in kept}
         assert kept_ids == set(range(40))
@@ -935,7 +935,7 @@ class TestRemoveOutliers:
     def test_all_far_from_prior(self):
         matches = self.make_matches([(100.0, 100.0)] * 5)
         with pytest.raises(errors.AllRejected):
-            coreg.remove_outliers(matches, coreg.ShiftPrior(0.0, 0.0, gate_radius=5.0))
+            coreg.remove_outliers(matches, coreg.ShiftPrior(0.0, 0.0))
 
     def test_zero_deviation_never_removed(self):
         matches = self.make_matches([(0.0, 0.0)] * 6)

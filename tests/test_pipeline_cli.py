@@ -202,13 +202,6 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert err.value.stage == "input"
 
-    def test_config_accepts_json_numbers(self):
-        # JSON has no enum and writes whole floats as integers
-        cfg = PipelineConfig.from_dict({"raw_path": "a", "out_dir": "b", "ref_band": 3,
-                                        "min_score": 0, "gate_radius": 5})
-        cfg.validate()
-        assert cfg.ref_band is BandId.NIR
-
     def test_determinism_and_worker_independence(self, synth_inputs, tmp_path):
         def run(out):
             run_pipeline(base_config(synth_inputs, out, workers=1))
@@ -462,6 +455,8 @@ class TestCli:
         {"workers": 2}, {"min_score": float("nan")}, {"min_score": float("inf")},
         {"min_score": -0.5}, {"min_score": 1.5}, {"gate_radius": -1}, {"gate_radius": 0},
         {"gate_radius": float("inf")},
+        # Fields PipelineConfig does not have, with in-range values: refused as unknown.
+        {"ref_band": 2}, {"poly_order": 2}, {"min_score": 0.1}, {"gate_radius": 5.0},
     ])
     def test_wrongly_typed_config_exit_2(self, synth_inputs, tmp_path, capsys, doc):
         cfg_path = tmp_path / "cfg.json"

@@ -268,6 +268,9 @@ class TestScenePlanes:
                     plane[key]
             with pytest.raises(TypeError):
                 opened.planes[1, 3]
+            # An empty key would read the four planes whole, as np.asarray does.
+            with pytest.raises(TypeError):
+                opened.planes[()]
             with pytest.raises(TypeError):
                 list(plane)
             # A slice of lines with a column index still reads as on an array.
@@ -285,6 +288,9 @@ class TestScenePlanes:
                 made.planes[0][0:2, :, 5] = 7
             with pytest.raises(IndexError):
                 made.planes[0, 0:2, :, 5] = 7
+            # Any column key but ``:`` is refused, an array of columns too.
+            with pytest.raises(IndexError):
+                made.planes[0][0:2, np.array([1, 2])] = 7
             np.testing.assert_array_equal(made.planes[0][:], 0)
         finally:
             made.planes.close()
