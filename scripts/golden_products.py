@@ -4,9 +4,10 @@ fixed pipeline runs, kept in ``tests/golden_products.json``.
 
 The products are ``corrected.l3raw``, ``grid.json``, ``grid.wld`` and
 ``report.json`` without ``timing`` and ``outputs``.  The scenes are the
-512x512 spec of acceptance test 11 and a small 16-bit scene with a TLE
+512x512 spec of acceptance test 11, a small 16-bit scene with a TLE
 orbit, a nutating attitude, sensor noise, a dense grid and a truth
-sidecar.  ``tests/test_golden_products.py`` compares the digests; a change
+sidecar, and a 1200x1200 8-bit scene on which both tile grids are sparse,
+so a change of how the grids are cut into blocks shows in its digests.  ``tests/test_golden_products.py`` compares the digests; a change
 that moves product bytes on purpose regenerates the file with ``--write``
 and says which digests moved and why.
 
@@ -59,6 +60,12 @@ SCENES = {
                                     "period_s": 73.0},
                   grid_step=8),
         {"grid_step": 8}, True),
+    "sparse1200": (
+        SynthSpec(seed=113, width=1200, lines=1200, texture="urban-blocks",
+                  band_warp={"nir": {"order": 2, "coeff_dx": [1.5, -1.0, 0.8, 0.6, -0.4, 0.3],
+                                     "coeff_dy": [-1.0, 0.7, -0.5, 0.4, 0.5, -0.6]}},
+                  grid_step=128),
+        {"grid_step": 128}, False),
 }
 
 

@@ -1,4 +1,4 @@
-"""The products of two fixed runs keep the bytes recorded in golden_products.json.
+"""The products of three fixed runs keep the bytes recorded in golden_products.json.
 
 ``test_11_determinism`` compares two runs of one tree; this test compares
 a run with the bytes recorded when the file was written, so a change of
