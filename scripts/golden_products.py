@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden product digests: the SHA-256 of every compared product of two
+"""Golden product digests: the SHA-256 of every compared product of three
 fixed pipeline runs, kept in ``tests/golden_products.json``.
 
 The products are ``corrected.l3raw``, ``grid.json``, ``grid.wld`` and
@@ -7,9 +7,10 @@ The products are ``corrected.l3raw``, ``grid.json``, ``grid.wld`` and
 512x512 spec of acceptance test 11, a small 16-bit scene with a TLE
 orbit, a nutating attitude, sensor noise, a dense grid and a truth
 sidecar, and a 1200x1200 8-bit scene on which both tile grids are sparse,
-so a change of how the grids are cut into blocks shows in its digests.  ``tests/test_golden_products.py`` compares the digests; a change
-that moves product bytes on purpose regenerates the file with ``--write``
-and says which digests moved and why.
+so a change of how the grids are cut into blocks shows in its digests.
+``tests/test_golden_products.py`` compares the digests; a change that
+moves product bytes on purpose regenerates the file with ``--write`` and
+says which digests moved and why.
 
 Usage: python scripts/golden_products.py [--write]
 

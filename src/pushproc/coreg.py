@@ -14,8 +14,9 @@ The chain mirrors the production flow for pushbroom band alignment:
    of its ``NI_Correlate1D``, and Sobel forms its differences and sums in
    scipy's order.  The tests keep ``scipy.ndimage`` as their oracle.
 2. A grid of tiles is matched by FFT cross-correlation with per-axis
-   parabola subpixel refinement.  ``match_bands`` prepares each reference
-   tile once (mean removed, energy, padded spectrum) for every target.
+   parabola subpixel refinement.  ``match_bands`` walks the grid's column
+   strips (``TileGrid``) and prepares each reference tile once (mean
+   removed, energy, padded spectrum) for every target.
 3. Matches are gated within ``GATE_RADIUS_PX`` of an attitude-derived
    shift prior, then cleaned by a median/MAD pass.
 4. A bivariate polynomial shift field is fit and the target band is
@@ -66,8 +67,9 @@ from .georef.metadata import AcqMetadata
 
 # --------------------------------------------------------------- gradient
 
-# Pixels that a ``TileGrid`` block keeps around each of its tiles (scipy's
-# truncate=4 radius of a unit Gaussian).
+# Columns that a ``TileGrid`` strip keeps on each side of its tiles.  No
+# filter reads them; they keep every tile a strided view of a wider strip,
+# which fixes the order in which ``_prepare_tile`` sums (see there).
 BLUR_RADIUS = 4
 
 
@@ -201,28 +203,23 @@ def _magnitude(plane: np.ndarray, window: tuple[slice, slice], out: np.ndarray |
     return out
 
 
-def _runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """(start, stop) of every run of True in a 1-D boolean array."""
-    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
-    return tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
-
-
 @dataclass(frozen=True)
 class TileGrid:
-    """Tile windows of one matching grid and the blocks of the plane that hold them.
+    """Tile windows of one matching grid and the column strips of the plane that hold them.
 
     ``tile_size`` squares are centred on a ``grid_nx`` x ``grid_ny``
     lattice kept ``margin`` pixels inside a plane of ``shape``.  Each
-    tile's lines and columns, widened by ``BLUR_RADIUS`` and clipped to the
-    plane, are merged with those they overlap or touch; a block is one
-    merged line interval times one merged column interval.  Blocks are
-    disjoint, and each tile lies in one block at least ``BLUR_RADIUS``
-    pixels from every block edge that is not a plane edge.  A sparse grid
-    thus gets one block per tile, a dense one a single block that is the
-    whole plane.
+    tile's columns, widened by ``BLUR_RADIUS`` and clipped to the plane,
+    are merged with those they overlap or touch; a block is one merged
+    column interval, a strip of the plane's full height, whose reader
+    (``_gradient_tiles``) computes only the lines its tiles read.  Blocks
+    are disjoint, and each tile lies in one block at least ``BLUR_RADIUS``
+    columns from each edge that is not a plane edge.  Columns of tiles
+    that lie apart thus get a strip each, and a dense grid one strip.
 
     ``tiles`` lists (tile_id, column centre, line centre, block index) in
-    tile_id order; ``blocks`` lists (lines, columns) slice pairs.
+    tile_id order, which is line order within a block; ``blocks`` lists
+    column slices.
     """
 
     shape: tuple[int, int]
@@ -248,27 +245,31 @@ class TileGrid:
             )
         half = size // 2
 
-        def axis(length: int, count: int):
-            centres = [int(round(c)) for c in
-                       np.linspace(half + margin, length - size + half - margin, count)]
-            covered = np.zeros(length, dtype=bool)
-            for c in centres:
-                covered[max(c - half - BLUR_RADIUS, 0) : c - half + size + BLUR_RADIUS] = True
-            spans = _runs(covered)
-            owner = [next(i for i, (a, b) in enumerate(spans) if a <= c - half < b)
-                     for c in centres]
-            return centres, spans, owner
+        def centres(length: int, count: int) -> list[int]:
+            return [int(round(c)) for c in
+                    np.linspace(half + margin, length - size + half - margin, count)]
 
-        xs, col_spans, col_owner = axis(w, self.grid_nx)
-        ys, row_spans, row_owner = axis(h, self.grid_ny)
-        blocks = [(slice(*r), slice(*c)) for r in row_spans for c in col_spans]
-        tiles = [(j * self.grid_nx + i, xs[i], ys[j], row_owner[j] * len(col_spans) + col_owner[i])
+        xs, ys = centres(w, self.grid_nx), centres(h, self.grid_ny)
+        covered = np.zeros(w, dtype=bool)
+        for x in xs:
+            covered[max(x - half - BLUR_RADIUS, 0) : x - half + size + BLUR_RADIUS] = True
+        # Each run of covered columns is a strip.
+        edges = np.flatnonzero(np.diff(covered, prepend=False, append=False)).tolist()
+        blocks = [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+        owner = [next(k for k, cols in enumerate(blocks) if cols.start <= x - half < cols.stop)
+                 for x in xs]
+        tiles = [(j * self.grid_nx + i, xs[i], ys[j], owner[i])
                  for j in range(self.grid_ny) for i in range(self.grid_nx)]
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "tiles", tiles)
 
 
 # --------------------------------------------------------------- matching
+
+# The pipeline's tile grids: GRID_TILES x GRID_TILES tiles of TILE_SIZE
+# pixels to match, and about RESIDUAL_POINTS to check the residual.
+TILE_SIZE, GRID_TILES, RESIDUAL_POINTS = 128, 8, 50
+
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
@@ -298,7 +299,7 @@ class _PreparedTile(NamedTuple):
 def _prepare_tile(tile: np.ndarray) -> _PreparedTile | None:
     """The tile prepared for ``_correlate``, padded to powers of two; ``None`` when flat."""
     # ``mean`` and ``sum`` add in another order when the tile is C-contiguous,
-    # as it is when its block is no wider than the tile.  So ``TileGrid``'s
+    # as it is when its strip is no wider than the tile.  So ``TileGrid``'s
     # ``BLUR_RADIUS`` widening is not byte-neutral: without it, swath-georef's
     # residual figures move in their last digits.
     a = np.asarray(tile, dtype=np.float64)
@@ -372,21 +373,22 @@ class MatchPoint:
     score: float
 
 
-def _gradient_tiles(planes: list[np.ndarray], block: tuple[slice, slice],
+def _gradient_tiles(planes: list[np.ndarray], cols: slice,
                     size: int) -> Callable[[int, int], np.ndarray]:
-    """Every plane's gradient magnitude over one block, read a tile window at a time.
+    """Every plane's gradient magnitude over one column strip, read a tile window at a time.
 
     The feature is ``_magnitude``, which is pointwise: a window's values
-    are those of the whole plane, whatever the block.  ``read(y0, x0)``
+    are those of the whole plane, whatever the strip.  ``read(y0, x0)``
     gives every plane's ``size`` x ``size`` window from line ``y0`` and
-    column ``x0`` of the block, as one view that holds until the next call;
-    ``y0`` never decreases from call to call.  The magnitude is computed as
-    the windows reach new lines, down to each window's last line, over the
-    block's columns into ``size`` held lines per plane, and no line twice.
+    column ``x0`` of the plane, inside the strip, as one view that holds
+    until the next call; ``y0`` never decreases from call to call.  The
+    magnitude is computed as the windows reach new lines, down to each
+    window's last line, over the strip's columns into ``size`` held lines
+    per plane, and no line twice; a line that no window reaches is never
+    computed.
     """
-    rows, cols = block
     width = cols.stop - cols.start
-    # Lines [top, stop) of the block's magnitude are held, from line 0 of ``held``.
+    # Lines [top, stop) of the plane's magnitude are held, from line 0 of ``held``.
     held = np.empty((len(planes), size, width))
     top = stop = 0
 
@@ -401,10 +403,10 @@ def _gradient_tiles(planes: list[np.ndarray], block: tuple[slice, slice],
                 # copies an overlapping 2-D move through a temporary.
                 flat = lines.reshape(-1)
                 flat[: (start - y0) * width] = flat[(y0 - top) * width : (start - top) * width]
-                _magnitude(plane, (slice(rows.start + start, rows.start + stop), cols),
-                           lines[start - y0 : stop - y0])
+                _magnitude(plane, (slice(start, stop), cols), lines[start - y0 : stop - y0])
             top = y0
-        return held[:, y0 - top : y0 - top + size, x0 : x0 + size]
+        x = x0 - cols.start
+        return held[:, y0 - top : y0 - top + size, x : x + size]
 
     return read
 
@@ -413,11 +415,11 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
                 min_score: float = 0.1) -> list[list[MatchPoint]]:
     """Match the tiles of ``grid`` on the reference plane against each target plane.
 
-    Block by block, each block's tiles in tile_id order: ``_gradient_tiles``
+    Strip by strip, each strip's tiles in tile_id order: ``_gradient_tiles``
     reads a tile of every plane, and the reference tile, prepared once, is
     correlated with each target's.  Tiles flat in either plane, or scoring
     under ``min_score``, are dropped.  One list per target, maybe empty,
-    comes back sorted by tile_id (merged blocks visit tiles out of order).
+    comes back sorted by tile_id (strips visit tiles out of order).
     """
     planes = [ref_plane, *tgt_planes]
     for plane in planes:
@@ -425,12 +427,12 @@ def match_bands(ref_plane: np.ndarray, grid: TileGrid, tgt_planes: list[np.ndarr
             raise OutOfBounds(f"plane shape {plane.shape} is not the grid's {grid.shape}")
     size, half = grid.tile_size, grid.tile_size // 2
     matches = [[] for _ in planes[1:]]
-    for k, (rows, cols) in enumerate(grid.blocks):
-        read = _gradient_tiles(planes, (rows, cols), size)
+    for k, cols in enumerate(grid.blocks):
+        read = _gradient_tiles(planes, cols, size)
         for tile_id, cx, cy, owner in grid.tiles:
             if owner != k:
                 continue
-            ref_tile, *tgt_tiles = read(cy - half - rows.start, cx - half - cols.start)
+            ref_tile, *tgt_tiles = read(cy - half, cx - half)
             ref = _prepare_tile(ref_tile)
             if ref is None:
                 continue
@@ -455,9 +457,9 @@ def require_matches(matches: list[MatchPoint]) -> list[MatchPoint]:
 def collect_matches(
     ref_plane: np.ndarray,
     tgt_plane: np.ndarray,
-    tile_size: int = 128,
-    grid_nx: int = 8,
-    grid_ny: int = 8,
+    tile_size: int = TILE_SIZE,
+    grid_nx: int = GRID_TILES,
+    grid_ny: int = GRID_TILES,
     min_score: float = 0.1,
     margin: int = 0,
 ) -> list[MatchPoint]:
@@ -847,8 +849,8 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel,
     return out, masked
 
 
-def residual_grid(shape: tuple[int, int], n_points: int = 50, tile_size: int = 128,
-                  margin: int = 16) -> TileGrid:
+def residual_grid(shape: tuple[int, int], n_points: int = RESIDUAL_POINTS,
+                  tile_size: int = TILE_SIZE, margin: int = 16) -> TileGrid:
     """The control-tile grid of ``coreg_residual``: about ``n_points`` tiles.
 
     Tiles shrink to half the plane's inner size when ``tile_size`` would
@@ -866,8 +868,8 @@ def residual_grid(shape: tuple[int, int], n_points: int = 50, tile_size: int = 1
 def coreg_residual(
     ref_plane: np.ndarray,
     aligned_plane: np.ndarray,
-    n_points: int = 50,
-    tile_size: int = 128,
+    n_points: int = RESIDUAL_POINTS,
+    tile_size: int = TILE_SIZE,
     margin: int = 16,
 ) -> tuple[float, float]:
     """Residual misalignment of an aligned pair, as control-point statistics.

@@ -51,11 +51,7 @@ class PipelineConfig:
     vignetting: bool = True
     coreg: bool = True
     georef: bool = True
-    tile_size: int = 128
-    grid_nx: int = 8
-    grid_ny: int = 8
     grid_step: int = 64
-    residual_points: int = 50
     workers: int = 1
     quicklook: bool = False
 
@@ -71,11 +67,9 @@ class PipelineConfig:
                              self.truth_path) if p]
         if len(paths) != len(set(paths)):
             raise ConfigInvalid("input paths must be distinct")
-        # The lower bounds the stages themselves enforce, checked before any runs.
-        for name, low in (("tile_size", 32), ("grid_nx", 1), ("grid_ny", 1),
-                          ("grid_step", 1), ("residual_points", 10)):
-            if getattr(self, name) < low:
-                raise ConfigInvalid(f"{name} {getattr(self, name)} < {low}")
+        # The lower bound georeferencing enforces, checked before any stage runs.
+        if self.grid_step < 1:
+            raise ConfigInvalid(f"grid_step {self.grid_step} < 1")
         # Co-registration runs on one thread; the field stays for configs that name it.
         if self.workers != 1:
             raise ConfigInvalid(f"workers must be 1, got {self.workers}")
@@ -142,11 +136,10 @@ def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityR
     return corrected
 
 
-def _coreg_grids(shape: tuple[int, int],
-                 config: PipelineConfig) -> tuple[coreg_mod.TileGrid, coreg_mod.TileGrid]:
-    """The match grid and the residual grid of a plane of ``shape``; ``OutOfBounds`` if either fails."""
-    return (coreg_mod.TileGrid(shape, config.tile_size, config.grid_nx, config.grid_ny),
-            coreg_mod.residual_grid(shape, config.residual_points))
+def _coreg_grids(shape: tuple[int, int]) -> tuple[coreg_mod.TileGrid, coreg_mod.TileGrid]:
+    """The fixed match and residual grids of a ``shape`` plane; ``OutOfBounds`` if one fails."""
+    n = coreg_mod.GRID_TILES
+    return coreg_mod.TileGrid(shape, coreg_mod.TILE_SIZE, n, n), coreg_mod.residual_grid(shape)
 
 
 def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
@@ -162,8 +155,9 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
     the aligned bands are matched together on the residual grid.  The
     score floor and the polynomial order are the defaults of
     ``match_bands`` and ``fit_distortion``.  No gradient magnitude
-    outlives the block ``match_bands`` computes it for.  ``grids`` are the
-    match grid and the residual grid (``_coreg_grids``).
+    outlives the column strip ``match_bands`` computes it for.  ``grids``
+    are the match grid and the residual grid, in a run the fixed pair of
+    ``_coreg_grids``.
     """
     ref_plane = scene.band(REF_BAND)
     targets = [band for band in BandId if band != REF_BAND]
@@ -280,7 +274,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
                     raise ConfigInvalid(
                         "truth grid nodes differ from the configured grid_step sampling")
             # Both tile grids must fit the scene before any stage runs.
-            grids = _coreg_grids((scene.lines, scene.width), config) if config.coreg else None
+            grids = _coreg_grids((scene.lines, scene.width)) if config.coreg else None
             partial = Path(config.out_dir) / "corrected.l3raw.partial"
             if partial.exists() and partial.samefile(config.raw_path):
                 raise ConfigInvalid(f"the raw input is the run's own working file {partial}")
@@ -337,11 +331,12 @@ def _percentiles(plane: np.ndarray) -> list[float]:
     """``np.percentile(plane, [2, 98])`` (method ``linear``) of an integer plane, from its histogram.
 
     The histogram has one bin per value of the plane's type and is counted
-    ``block_lines`` lines at a time, so no copy of the plane is sorted.  Each order statistic is the first value whose
-    cumulative count passes its rank, and the two around a percentile are
-    blended with ``np.percentile``'s own arithmetic: virtual index
-    (n - 1) q / 100, and ``a + (b - a) t`` below t = 0.5 but
-    ``b - (b - a)(1 - t)`` from there on.
+    ``block_lines`` lines at a time, so no copy of the plane is sorted.
+    Each order statistic is the first value whose cumulative count passes
+    its rank, and the two around a percentile are blended with
+    ``np.percentile``'s own arithmetic: virtual index (n - 1) q / 100, and
+    ``a + (b - a) t`` below t = 0.5 but ``b - (b - a)(1 - t)`` from there
+    on.  A plane of one sample has t = 0, so both blends give its value.
     """
     h, w = plane.shape
     counts = np.zeros(np.iinfo(plane.dtype).max + 1, dtype=np.int64)
@@ -357,9 +352,6 @@ def _percentiles(plane: np.ndarray) -> list[float]:
     found = []
     for q in (2.0, 98.0):
         virtual = (n - 1) * (q / 100)
-        if virtual >= n - 1:
-            found.append(order(n - 1))
-            continue
         below = math.floor(virtual)
         a, b, t = order(below), order(below + 1), virtual - below
         found.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))

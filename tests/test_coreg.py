@@ -173,7 +173,7 @@ class TestCanny:
         assert_bits_equal(coreg._magnitude(plane, whole(plane), sigma=sigma),
                           whole_plane_magnitude(plane, sigma))
 
-    def test_edge_map_blurs_whole_plane_canny(self):
+    def test_six_blocks_equal_whole_plane_magnitude(self):
         # 589 lines make six blocks of block_lines(589 + 14) = 108 at the
         # default block size: the blur and the Sobel gradients run across
         # every block boundary as over the whole plane.
@@ -182,9 +182,9 @@ class TestCanny:
         assert_bits_equal(coreg._magnitude(plane, whole(plane)), whole_plane_magnitude(plane))
 
     def test_working_memory_bounded(self):
-        # Reading every tile of a dense grid's whole-plane block holds the
+        # Reading every tile of a dense grid's whole-width strip holds the
         # four planes' ``tile_size`` lines (0.5 float64 planes) and one
-        # window's buffers, never a map of the block: 0.79 planes.
+        # window's buffers, never a map of the strip: 0.79 planes.
         plane = (smooth_texture(5, 1024) * 300).astype(np.uint16)
         grid = coreg.TileGrid(plane.shape, 128, 8, 8)
         [block] = grid.blocks
@@ -326,7 +326,8 @@ def matching_planes(size, grid, seed=40):
     return ref, [shifted, flat_tile, mixed]
 
 
-# A dense 512-pixel grid is one whole-plane block; a sparse one has a block per tile.
+# A dense 512-pixel grid is one whole-width strip; a sparse one has a strip per
+# column of tiles.
 LAYOUTS = {"dense": ((512, 512), 128, 8, 8, 0), "sparse": ((600, 600), 64, 4, 4, 8)}
 
 
@@ -334,7 +335,7 @@ class TestMatchBands:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_equals_per_band_matching(self, layout):
         grid = coreg.TileGrid(*LAYOUTS[layout])
-        assert len(grid.blocks) == (1 if layout == "dense" else len(grid.tiles))
+        assert len(grid.blocks) == (1 if layout == "dense" else grid.grid_nx)
         ref, targets = matching_planes(grid.shape[0], grid)
         together = coreg.match_bands(ref, grid, targets, min_score=0.15)
         assert len(together) == len(targets)
@@ -386,15 +387,15 @@ class TestMatchBands:
         monkeypatch.setattr(coreg, "_magnitude", magnitude)
         return matches, calls
 
-    def test_whole_plane_block_equals_edge_map(self, monkeypatch):
+    def test_whole_width_strip_equals_whole_plane_magnitude(self, monkeypatch):
         plane = (smooth_texture(24, 300) * 20).astype(np.uint16)
         grid = coreg.TileGrid(plane.shape, 64, 8, 8)
         assert len(grid.blocks) == 1
         [matches], calls = self.computed(monkeypatch, plane, grid, [plane])
         assert len(matches) == 64 and all((m.dx, m.dy) == (0.0, 0.0) for m in matches)
-        # The block is taller than a tile, so both planes, the reference
+        # The strip is taller than a tile, so both planes, the reference
         # first, get their magnitude a line of tiles at a time, over the
-        # block's columns, down to the tiles' last line.
+        # strip's columns, down to the tiles' last line.
         expected = whole_plane_magnitude(plane)
         bottoms = sorted({cy - 32 + 64 for _, _, cy, _ in grid.tiles})
         spans = list(zip([0, *bottoms[:-1]], bottoms))
@@ -404,27 +405,32 @@ class TestMatchBands:
             assert_bits_equal(lines, expected[rows, cols])
 
     def test_block_maps_depend_only_on_their_block(self, monkeypatch):
-        # Pixels farther than the halo from every block do not move any tile.
+        # Pixels farther than the halo from every tile's window, widened by
+        # ``BLUR_RADIUS``, do not move any tile: not the columns between
+        # strips, nor the lines between a strip's tiles.
         plane = (smooth_texture(26, 700) * 20).astype(np.uint16)
         grid = coreg.TileGrid(plane.shape, 64, 4, 4)
-        far = block_mask(plane.shape, [(slice(max(r.start - 8, 0), r.stop + 8),
-                                        slice(max(c.start - 8, 0), c.stop + 8))
-                                       for r, c in grid.blocks]) == 0
-        assert far.any()
+        reach = coreg.BLUR_RADIUS + 8
+        far = block_mask(plane.shape, [(slice(max(cy - 32 - reach, 0), cy + 32 + reach),
+                                        slice(max(cx - 32 - reach, 0), cx + 32 + reach))
+                                       for _, cx, cy, _ in grid.tiles]) == 0
+        assert far[:, grid.blocks[0]].any() and far[:, grid.blocks[0].stop + 8].all()
         changed = plane.copy()
         changed[far] = 0
         a, a_calls = self.computed(monkeypatch, plane, grid, [changed])
         b, b_calls = self.computed(monkeypatch, changed, grid, [plane])
-        # A sparse block holds one tile, so each plane's magnitude over it
-        # is computed in one call.
-        assert a == b and len(a_calls) == len(b_calls) == 2 * len(grid.blocks)
+        # A sparse strip's tiles share no line, so each plane's magnitude
+        # over a tile's lines is computed in one call.
+        assert len(grid.blocks) == 4
+        assert a == b and len(a_calls) == len(b_calls) == 2 * len(grid.tiles)
         for (_, _, x), (_, _, y) in zip(a_calls, b_calls):
             np.testing.assert_array_equal(x, y)
 
 
-# Grids whose blocks span several lines of tiles: tiles that overlap, tile
-# lines that only touch once widened by ``BLUR_RADIUS`` (so the 6 lines
-# between them lie in no tile), and blocks merged along the columns alone.
+# Grids whose strips hold several columns of tiles: tiles that overlap, tile
+# columns that only touch once widened by ``BLUR_RADIUS`` (so the 6 columns
+# between them lie in no tile), and columns that overlap while the lines of
+# tiles lie apart.
 MERGED = {"overlapping": ((300, 300), 64, 8, 8), "touching": ((204, 204), 64, 3, 3),
           "columns": ((600, 300), 64, 5, 3)}
 
@@ -471,17 +477,17 @@ class TestBandedBlur:
         computed, magnitude = collections.defaultdict(list), coreg._magnitude
 
         def spy(plane, window, out):
-            # What is held of a plane: a tile's lines of its block.
+            # What is held of a plane: a tile's lines of its strip.
             rows, cols = window
             assert out.base.shape[1] == size
-            [k] = [k for k, (r, c) in enumerate(grid.blocks)
-                   if c == cols and r.start <= rows.start < rows.stop <= r.stop]
+            assert 0 <= rows.start < rows.stop <= grid.shape[0]
+            [k] = [k for k, c in enumerate(grid.blocks) if c == cols]
             computed[id(plane), k].append((rows.start, rows.stop))
             return magnitude(plane, window, out)
 
         monkeypatch.setattr(coreg, "_magnitude", spy)
         assert coreg.match_bands(ref, grid, targets, min_score=0.15) == want
-        # Each plane's lines are computed down each block, none twice, to
+        # Each plane's lines are computed down each strip, none twice, to
         # the last line of each line of tiles.
         assert len(computed) == 4 * len(grid.blocks)
         bottoms = {cy - size // 2 + size for _, _, cy, _ in grid.tiles}
@@ -490,14 +496,12 @@ class TestBandedBlur:
             assert {b for _, b in spans} <= bottoms
 
     def test_dense_stage_memory_bound(self):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
+        from pushproc.pipeline import QualityReport, _coreg_grids, _stage_coreg
 
-        # The default 8x8 grid of 128-pixel tiles is one block on a
-        # 1024-pixel plane; the residual grid's blocks are seven strips of
-        # the plane's height.
+        # The default 8x8 grid of 128-pixel tiles is one strip of the whole
+        # width on a 1024-pixel plane; the residual grid has seven strips.
         scene = stage_scene(36, 1024)
-        config = PipelineConfig(raw_path="unused", out_dir="unused")
-        grids = _coreg_grids((scene.lines, scene.width), config)
+        grids = _coreg_grids((scene.lines, scene.width))
         assert [len(grid.blocks) for grid in grids] == [1, 7]
         tracemalloc.start()
         try:
@@ -505,7 +509,7 @@ class TestBandedBlur:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 0.83 float64 planes, while the block's tiles are read: the four
+        # 0.83 float64 planes, while the strip's tiles are read: the four
         # planes' held lines of the magnitude (0.5) and the working buffers
         # of one window of it.  Canny byte maps, whose hysteresis needed a
         # map's float64 magnitude whole, measured 2.33, and holding four
@@ -513,13 +517,12 @@ class TestBandedBlur:
         assert peak <= 1.0 * scene.width * scene.lines * 8
 
 
-def raw_tiles(planes, block, size):
+def raw_tiles(planes, cols, size):
     """A reader as ``_gradient_tiles`` returns, of the planes' own samples as float64."""
-    rows, cols = block
 
     def read(y0, x0):
-        return np.stack([np.asarray(plane[rows, cols], dtype=np.float64)[y0 : y0 + size,
-                                                                          x0 : x0 + size]
+        x = x0 - cols.start
+        return np.stack([np.asarray(plane[y0 : y0 + size, cols], dtype=np.float64)[:, x : x + size]
                          for plane in planes])
 
     return read
@@ -532,21 +535,21 @@ class TestCannyTiles:
                              ids=[*LAYOUTS, *MERGED])
     def test_windows_are_crops_of_the_blurred_block_maps(self, layout):
         # The maps are the gradient magnitude of the Gaussian-blurred plane,
-        # which is pointwise: a block's map is a crop of the whole plane's.
+        # which is pointwise: a strip's map is a crop of the whole plane's.
         grid = coreg.TileGrid(*layout)
         h, w = grid.shape
         planes = [(smooth_texture(42, max(h, w)) * 20).astype(np.uint16)[:h, :w],
                   np.random.default_rng(43).integers(0, 256, (h, w)).astype(np.uint8)]
         maps = [whole_plane_magnitude(plane) for plane in planes]
         size, half = grid.tile_size, grid.tile_size // 2
-        for k, block in enumerate(grid.blocks):
+        for k, cols in enumerate(grid.blocks):
             corners = [(cy - half, cx - half) for _, cx, cy, owner in grid.tiles if owner == k]
             # In tile order, and with tiles skipped: every third tile, and
             # the last alone.
             for read_at in (corners, corners[::3], corners[-1:]):
-                read = coreg._gradient_tiles(planes, block, size)
+                read = coreg._gradient_tiles(planes, cols, size)
                 for y0, x0 in read_at:
-                    got = read(y0 - block[0].start, x0 - block[1].start)
+                    got = read(y0, x0)
                     assert got.shape == (len(planes), size, size)
                     for window, magnitude in zip(got, maps):
                         assert_bits_equal(window, magnitude[y0 : y0 + size, x0 : x0 + size])
@@ -646,30 +649,37 @@ def block_mask(shape, blocks):
 
 
 class TestTileGrid:
-    def test_sparse_grid_one_block_per_tile(self):
+    def test_sparse_grid_one_strip_per_column_of_tiles(self):
+        # Blocks are strips of columns: the tiles' lines lie apart too, and
+        # they are never cut.
         grid = coreg.TileGrid((2000, 2000), 128, 8, 8)
-        assert len(grid.blocks) == 64
-        assert block_mask((2000, 2000), grid.blocks).max() == 1
+        assert len(grid.blocks) == 8
+        covered = np.zeros(2000, dtype=int)
+        for cols in grid.blocks:
+            covered[cols] += 1
+        assert covered.max() == 1
         r = coreg.BLUR_RADIUS
         for tile_id, cx, cy, k in grid.tiles:
-            rows, cols = grid.blocks[k]
-            x0, y0 = cx - 64, cy - 64
-            assert rows.start == max(y0 - r, 0) and rows.stop == min(y0 + 128 + r, 2000)
+            cols, x0 = grid.blocks[k], cx - 64
+            assert k == tile_id % 8
             assert cols.start == max(x0 - r, 0) and cols.stop == min(x0 + 128 + r, 2000)
         assert [t[0] for t in grid.tiles] == list(range(64))
 
     def test_dense_grid_is_one_whole_plane_block(self):
         grid = coreg.TileGrid((512, 512), 128, 8, 8)
-        assert grid.blocks == [whole(np.zeros((512, 512)))]
+        assert grid.blocks == [slice(0, 512)]
         assert {t[3] for t in grid.tiles} == {0}
 
     def test_overlapping_tiles_share_a_block(self):
-        # Columns overlap, lines do not: one block per line of tiles.
+        # Columns overlap, lines do not: one strip holds every tile.
         grid = coreg.TileGrid((600, 300), 64, 5, 3)
-        assert len(grid.blocks) == 3
-        assert all(cols == slice(0, 300) for _, cols in grid.blocks)
+        assert grid.blocks == [slice(0, 300)]
+        assert {t[3] for t in grid.tiles} == {0}
+        # Lines overlap, columns do not: one strip per column of tiles.
+        grid = coreg.TileGrid((300, 600), 64, 3, 5)
+        assert grid.blocks == [slice(0, 68), slice(264, 336), slice(532, 600)]
         for tile_id, cx, cy, k in grid.tiles:
-            assert k == tile_id // 5
+            assert k == tile_id % 3
 
     @pytest.mark.parametrize("shape, margin", [((512, 512), 0), ((300, 200), 8)])
     def test_more_tiles_than_centres_rejected(self, shape, margin):
@@ -706,30 +716,35 @@ def stage_scene(seed, size, identical_bands=False):
     return RawScene(planes, raw.line_times, raw.bit_depth)
 
 
-# Sparse on a 512-pixel plane: four by four 64-pixel tiles, and a residual
-# grid of three by four 128-pixel tiles whose columns miss the match tiles'
-# (its lines overlap, so its blocks are full-height strips).  On a 1024-pixel
-# plane both grids are sparse in both directions.
-SPARSE = {"tile_size": 64, "grid_nx": 4, "grid_ny": 4, "residual_points": 10}
+def sparse_grids(shape):
+    """A match grid and a residual grid sparser than the pipeline's.
+
+    On a 512-pixel plane: four by four 64-pixel tiles, and a residual grid
+    of three by four 128-pixel tiles whose columns miss the match tiles'.
+    On a 1024-pixel plane the tiles of both grids lie apart in both
+    directions.
+    """
+    return coreg.TileGrid(shape, 64, 4, 4), coreg.residual_grid(shape, 10)
 
 
 class TestCoregStageEdges:
-    def test_identical_bands_residual_exactly_zero(self, tmp_path):
-        from pushproc.pipeline import PipelineConfig, run_pipeline
+    def test_identical_bands_residual_exactly_zero(self, tmp_path, monkeypatch):
+        from pushproc import pipeline
         from pushproc.raster import save_raw
 
         save_raw(stage_scene(31, 512, identical_bands=True), tmp_path / "scene.l3raw")
-        report = run_pipeline(PipelineConfig(raw_path=str(tmp_path / "scene.l3raw"),
-                                             out_dir=str(tmp_path / "out"), vignetting=False,
-                                             georef=False, **SPARSE))
+        monkeypatch.setattr(pipeline, "_coreg_grids", sparse_grids)
+        report = pipeline.run_pipeline(pipeline.PipelineConfig(
+            raw_path=str(tmp_path / "scene.l3raw"), out_dir=str(tmp_path / "out"),
+            vignetting=False, georef=False))
         for band in ("blue", "green", "nir"):
             metrics = report.stages["coreg"]["bands"][band]
             assert metrics["residual_mean_px"] == 0.0
             assert metrics["residual_rms_px"] == 0.0
             assert metrics["masked_pixels"] == 0
 
-    def test_each_plane_suppressed_once_per_grid(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
+    def test_each_plane_magnitude_computed_once_per_grid(self, monkeypatch):
+        from pushproc.pipeline import QualityReport, _stage_coreg
 
         scene = stage_scene(32, 1024)
         shape = scene.planes[0].shape
@@ -742,23 +757,22 @@ class TestCoregStageEdges:
             return original(plane, window, out)
 
         monkeypatch.setattr(coreg, "_magnitude", spy)
-        config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
-        _stage_coreg(scene, None, _coreg_grids(shape, config), QualityReport())
+        _stage_coreg(scene, None, sparse_grids(shape), QualityReport())
         # Every plane, the reference included, gets its gradient magnitude
-        # once per grid over the lines its tiles read, across their blocks'
+        # once per grid over the lines its tiles read, across their strips'
         # columns, and nowhere else.
         expected = np.zeros(shape, dtype=int)
-        for grid in (coreg.TileGrid(shape, 64, 4, 4), coreg.residual_grid(shape, 10)):
+        for grid in sparse_grids(shape):
             read = np.zeros(shape, dtype=bool)
             for _, _, cy, k in grid.tiles:
-                read[cy - grid.tile_size // 2 : cy + grid.tile_size // 2, grid.blocks[k][1]] = True
+                read[cy - grid.tile_size // 2 : cy + grid.tile_size // 2, grid.blocks[k]] = True
             expected += read
         assert expected.max() == 2
         for band_count in count:
             np.testing.assert_array_equal(band_count, expected)
 
     def test_reference_tiles_prepared_once_per_grid(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
+        from pushproc.pipeline import QualityReport, _stage_coreg
 
         scene = stage_scene(34, 512)
         ref = scene.planes[int(BandId.RED)]
@@ -778,12 +792,10 @@ class TestCoregStageEdges:
 
         monkeypatch.setattr(coreg, "_magnitude", magnitude_spy)
         monkeypatch.setattr(coreg, "_prepare_tile", prepare_spy)
-        config = PipelineConfig(raw_path="unused", out_dir="unused", **SPARSE)
-        _stage_coreg(scene, None, _coreg_grids(ref.shape, config), QualityReport())
-        # Each plane's lines of each block were computed once, the
+        _stage_coreg(scene, None, sparse_grids(ref.shape), QualityReport())
+        # Each plane's lines of each strip were computed once, the
         # reference's in a quarter of the calls; no reference tile is flat.
-        grids = [coreg.TileGrid(ref.shape, 64, 4, 4), coreg.residual_grid(ref.shape, 10)]
-        tiles = sum(len(grid.tiles) for grid in grids)
+        tiles = sum(len(grid.tiles) for grid in sparse_grids(ref.shape))
         windows = collections.Counter((from_ref, w[0].start, w[0].stop, w[1].start, w[1].stop)
                                       for from_ref, w, _ in computed)
         assert sum(from_ref for from_ref, _, _ in computed) * 4 == len(computed)
@@ -791,16 +803,20 @@ class TestCoregStageEdges:
         assert prepared == {"reference": tiles, "target": 3 * tiles}
 
     def test_match_grid_maps_released_before_resampling(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
+        from pushproc.pipeline import QualityReport, _stage_coreg
 
         # Six by six 128-pixel tiles and a residual grid of four by four are
-        # both sparse on a 1024-pixel plane.
+        # both sparse on a 1024-pixel plane: a strip per column of tiles.
         scene = stage_scene(35, 1024)
         shape = scene.planes[0].shape
-        match_grid = coreg.TileGrid(shape, 128, 6, 6)
-        assert len(match_grid.blocks) == 36 and len(coreg.residual_grid(shape, 16).blocks) == 16
-        # A yardstick: one byte a pixel of the match grid's blocks.
-        map_bytes = sum((r.stop - r.start) * (c.stop - c.start) for r, c in match_grid.blocks)
+        grids = coreg.TileGrid(shape, 128, 6, 6), coreg.residual_grid(shape, 16)
+        assert [len(grid.blocks) for grid in grids] == [6, 4]
+        # A yardstick: one byte a pixel of the match grid's tile windows,
+        # each widened by ``BLUR_RADIUS`` and clipped to the plane.
+        r = coreg.BLUR_RADIUS
+        map_bytes = sum((min(cy + 64 + r, 1024) - max(cy - 64 - r, 0))
+                        * (min(cx + 64 + r, 1024) - max(cx - 64 - r, 0))
+                        for _, cx, cy, _ in grids[0].tiles)
 
         held = []
         resample = coreg.resample
@@ -812,11 +828,9 @@ class TestCoregStageEdges:
             return resample(plane, model, **kwargs)
 
         monkeypatch.setattr(coreg, "resample", spy)
-        config = PipelineConfig(raw_path="unused", out_dir="unused", tile_size=128, grid_nx=6,
-                                grid_ny=6, residual_points=16)
         tracemalloc.start()
         try:
-            _stage_coreg(scene, None, _coreg_grids(shape, config), QualityReport())
+            _stage_coreg(scene, None, grids, QualityReport())
         finally:
             tracemalloc.stop()
         # At the first resample no tile feature is held: 0.06 of the
@@ -825,20 +839,19 @@ class TestCoregStageEdges:
         # measured 0.53.
         assert held[0] <= 0.1 * map_bytes
 
-    def test_stage_memory_has_no_full_plane_edge_map(self, monkeypatch):
-        from pushproc.pipeline import PipelineConfig, QualityReport, _coreg_grids, _stage_coreg
+    def test_stage_memory_has_no_full_plane_magnitude(self, monkeypatch):
+        from pushproc.pipeline import QualityReport, _stage_coreg
 
         # Small blocks keep resampling's and the magnitude's working arrays
         # small, so the peak shows what spans the plane: resampling takes 32
         # lines at a time.
         monkeypatch.setattr(raster, "BLOCK_PIXELS", 32 * 1024)
         scene = stage_scene(33, 1024)
-        config = PipelineConfig(raw_path="unused", out_dir="unused", grid_nx=4, grid_ny=4,
-                                residual_points=16)
+        shape = (scene.lines, scene.width)
         tracemalloc.start()
         try:
-            _stage_coreg(scene, None, _coreg_grids((scene.lines, scene.width), config),
-                         QualityReport())
+            _stage_coreg(scene, None, (coreg.TileGrid(shape, 128, 4, 4),
+                                       coreg.residual_grid(shape, 16)), QualityReport())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
