@@ -475,9 +475,6 @@ def collect_matches(
         raise OutOfBounds(f"tile_size {tile_size} < 32")
     ref_plane = np.asarray(ref_plane)
     tgt_plane = np.asarray(tgt_plane)
-    if ref_plane.shape != tgt_plane.shape:
-        raise OutOfBounds(f"plane shapes differ: {ref_plane.shape} vs {tgt_plane.shape}")
-
     grid = TileGrid(ref_plane.shape, tile_size, grid_nx, grid_ny, margin)
     [matches] = match_bands(ref_plane, grid, [tgt_plane], min_score)
     return require_matches(matches)
@@ -849,37 +846,31 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel,
     return out, masked
 
 
-def residual_grid(shape: tuple[int, int], n_points: int = RESIDUAL_POINTS,
-                  tile_size: int = TILE_SIZE, margin: int = 16) -> TileGrid:
+def residual_grid(shape: tuple[int, int], n_points: int = RESIDUAL_POINTS) -> TileGrid:
     """The control-tile grid of ``coreg_residual``: about ``n_points`` tiles.
 
-    Tiles shrink to half the plane's inner size when ``tile_size`` would
-    not fit twice, and stay ``margin`` pixels away from the borders.
+    Tiles are ``TILE_SIZE`` pixels, shrunk to half the plane's inner size
+    when they would not fit twice, and stay 16 pixels away from the
+    borders, where an aligned band may carry masked-out samples.
     """
     if n_points < 10:
         raise OutOfBounds(f"n_points {n_points} < 10")
     grid_nx = max(2, int(round(math.sqrt(n_points))))
     grid_ny = max(2, int(math.ceil(n_points / grid_nx)))
     h, w = shape
-    tile = min(tile_size, (min(h, w) - 2 * margin) // 2)
+    margin = 16
+    tile = min(TILE_SIZE, (min(h, w) - 2 * margin) // 2)
     return TileGrid((h, w), tile, grid_nx, grid_ny, margin)
 
 
-def coreg_residual(
-    ref_plane: np.ndarray,
-    aligned_plane: np.ndarray,
-    n_points: int = RESIDUAL_POINTS,
-    tile_size: int = TILE_SIZE,
-    margin: int = 16,
-) -> tuple[float, float]:
+def coreg_residual(ref_plane: np.ndarray, aligned_plane: np.ndarray,
+                   n_points: int = RESIDUAL_POINTS) -> tuple[float, float]:
     """Residual misalignment of an aligned pair, as control-point statistics.
 
     Re-runs tiled matching on ``residual_grid`` and reports the mean and
-    RMS of the residual shift magnitudes in pixels.  Control tiles stay
-    ``margin`` pixels away from the borders, where the aligned band may
-    carry masked-out samples.
+    RMS of the residual shift magnitudes in pixels.
     """
-    grid = residual_grid(np.shape(ref_plane), n_points, tile_size, margin)
+    grid = residual_grid(np.shape(ref_plane), n_points)
     [matches] = match_bands(ref_plane, grid, [aligned_plane])
     return residual_stats(require_matches(matches))
 

@@ -11,6 +11,7 @@ roll first.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -61,14 +62,8 @@ class ImagerModel:
                      d_time_s: float = 0.0) -> "ImagerModel":
         """Copy with adjusted boresight/time offsets (bias application)."""
         r, p, y = self.boresight_rpy_deg
-        return ImagerModel(
-            focal_length_mm=self.focal_length_mm,
-            pixel_pitch_um=self.pixel_pitch_um,
-            columns=self.columns,
-            band_row_offset=dict(self.band_row_offset),
-            boresight_rpy_deg=(r + d_roll_deg, p + d_pitch_deg, y),
-            time_offset_s=self.time_offset_s + d_time_s,
-        )
+        return dataclasses.replace(self, boresight_rpy_deg=(r + d_roll_deg, p + d_pitch_deg, y),
+                                   time_offset_s=self.time_offset_s + d_time_s)
 
 
 def pixel_los(imager: ImagerModel, band: BandId, column) -> np.ndarray:

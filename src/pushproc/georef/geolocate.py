@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NoIntersection, OutOfBounds
+from ..errors import ColumnOutOfRange, NoIntersection, OutOfBounds
 from ..raster import REF_BAND, RawScene, write_file
 from .attitude import slerp_attitude
 from .camera import ImagerModel, pixel_los
@@ -175,6 +175,21 @@ def build_geogrid(
     if min(lat.shape) > 1:
         grid.mean_gsd_m = _mean_gsd_m(grid)
     return grid
+
+
+def check_coverage(scene: RawScene, metadata: AcqMetadata) -> None:
+    """Raise what ``build_geogrid`` would when ``metadata`` cannot locate all of ``scene``.
+
+    ``ColumnOutOfRange`` when the imager has fewer columns than the scene
+    is wide; ``EmptySamples`` or ``OutOfRange`` when the attitude samples
+    miss the first or the last line time plus ``time_offset_s``.  Line
+    times strictly increase, so those two lines bound every other.
+    """
+    imager = metadata.imager
+    if scene.width > imager.columns:
+        raise ColumnOutOfRange(f"column {scene.width - 1} outside [0, {imager.columns})")
+    for line in (0, scene.lines - 1):
+        slerp_attitude(metadata.attitude, float(scene.line_times[line]) + imager.time_offset_s)
 
 
 def fit_world_file(grid: GeoGrid) -> tuple[tuple[float, ...], float]:

@@ -31,7 +31,7 @@ import numpy as np
 from . import coreg as coreg_mod
 from . import radiometry
 from .errors import ConfigInvalid, IoFailure, PushprocError, ReportInvalid, StageFailure
-from .georef.geolocate import _sample_indices, build_geogrid, save_geogrid
+from .georef.geolocate import _sample_indices, build_geogrid, check_coverage, save_geogrid
 from .georef.metadata import AcqMetadata, load_metadata
 from .raster import (BAND_NAMES, REF_BAND, BandId, CalibrationTable, RawScene, block_lines,
                      check_field_types, copy_planes, create_raw, fields_from_json,
@@ -98,7 +98,11 @@ class QualityReport:
 
 
 def _metric_rows(scene: RawScene) -> np.ndarray:
-    """16 evenly spaced line indices, repeats dropped (``np.unique`` of the sorted rows)."""
+    """16 evenly spaced line indices, repeats dropped.
+
+    The rows are sorted, so this is ``np.unique`` of them without the call,
+    which would import ``numpy.ma`` on first use.
+    """
     rows = np.linspace(0, scene.lines - 1, 16).astype(int)
     return rows[np.diff(rows, prepend=-1) > 0]
 
@@ -122,18 +126,16 @@ def _radiometry_metrics(scene: RawScene) -> dict:
 
 
 def _stage_vignetting(scene: RawScene, calib: CalibrationTable, report: QualityReport,
-                      out) -> RawScene:
-    """Correct ``scene`` into ``out``, between the metrics before and after.
+                      product: RawScene) -> None:
+    """Correct ``scene`` into ``product``'s planes, between the metrics before and after.
 
-    ``out`` is the planes of the product file in a run (``run_pipeline``),
-    or ``scene.planes`` to correct an owned scene in place; either way no
+    ``product`` is the product file's scene in a run (``run_pipeline``),
+    or ``scene`` itself to correct an owned scene in place; either way no
     second cube is built.
     """
     before = _radiometry_metrics(scene)
-    corrected = radiometry.correct_vignetting(scene, calib, out=out)
-    after = _radiometry_metrics(corrected)
-    report.stages["vignetting"] = {"before": before, "after": after}
-    return corrected
+    radiometry.correct_vignetting(scene, calib, out=product.planes)
+    report.stages["vignetting"] = {"before": before, "after": _radiometry_metrics(product)}
 
 
 def _coreg_grids(shape: tuple[int, int]) -> tuple[coreg_mod.TileGrid, coreg_mod.TileGrid]:
@@ -144,10 +146,10 @@ def _coreg_grids(shape: tuple[int, int]) -> tuple[coreg_mod.TileGrid, coreg_mod.
 
 def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
                  grids: tuple[coreg_mod.TileGrid, coreg_mod.TileGrid],
-                 report: QualityReport) -> RawScene:
+                 report: QualityReport) -> None:
     """Align every other band to ``REF_BAND``, in place.
 
-    The stage owns ``scene``, the product file's planes in a run: each
+    The stage owns ``scene``, the product file's scene in a run: each
     band is warped in place, over its source plane, which no later step
     reads.  All target bands are matched on the match grid together, so
     each reference tile is prepared once per grid; each band is then gated
@@ -188,7 +190,6 @@ def _stage_coreg(scene: RawScene, metadata: AcqMetadata | None,
         metrics["bands"][BAND_NAMES[band]].update(residual_mean_px=mean_px,
                                                   residual_rms_px=rms_px)
     report.stages["coreg"] = metrics
-    return scene
 
 
 def _stage_georef(scene: RawScene, metadata: AcqMetadata, truth: tuple | None,
@@ -278,11 +279,16 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
             partial = Path(config.out_dir) / "corrected.l3raw.partial"
             if partial.exists() and partial.samefile(config.raw_path):
                 raise ConfigInvalid(f"the raw input is the run's own working file {partial}")
-            # ``stage`` passes a StageFailure through, so these name their own stage.
-            if config.vignetting and calib is None:
-                raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
-            if config.georef and metadata is None:
-                raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
+            # ``stage`` passes a StageFailure through, so a missing input names
+            # its own stage; the inputs given must cover the scene.
+            if config.vignetting:
+                if calib is None:
+                    raise StageFailure("vignetting", ConfigInvalid("vignetting needs --calib"))
+                calib.validate(scene.width)
+            if config.georef:
+                if metadata is None:
+                    raise StageFailure("georef", ConfigInvalid("georef needs --meta"))
+                check_coverage(scene, metadata)
             # The output directory and the working file are the last steps of
             # the input phase.
             out_dir = make_dir(config.out_dir)
@@ -293,15 +299,15 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
         try:
             if config.vignetting:
                 with stage("vignetting", report.timing):
-                    scene = _stage_vignetting(scene, calib, report, product.planes)
+                    _stage_vignetting(scene, calib, report, product)
             else:
-                scene = copy_planes(scene, product.planes)
+                copy_planes(scene, product.planes)
             if config.coreg:
                 with stage("coreg", report.timing):
-                    scene = _stage_coreg(scene, metadata, grids, report)
+                    _stage_coreg(product, metadata, grids, report)
             if config.georef:
                 with stage("georef", report.timing):
-                    _stage_georef(scene, metadata, truth, config, out_dir, report)
+                    _stage_georef(product, metadata, truth, config, out_dir, report)
             with stage("output"):
                 try:
                     os.replace(partial, corrected_path)
@@ -316,7 +322,7 @@ def run_pipeline(config: PipelineConfig) -> QualityReport:
         if config.quicklook:
             ql_path = out_dir / "quicklook.ppm"
             with stage("output"):
-                quicklook(scene, ql_path)
+                quicklook(product, ql_path)
             report.outputs["quicklook"] = str(ql_path)
 
     report.timing["total"] = time.perf_counter() - t_start

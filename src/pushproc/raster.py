@@ -267,13 +267,12 @@ class RawScene:
                 raise HeaderInvalid(f"DN {peak} exceeds {self.bit_depth}-bit range")
 
 
-def copy_planes(scene: RawScene, out) -> RawScene:
-    """``scene``'s samples copied into ``out`` block by block, as a scene over ``out``."""
+def copy_planes(scene: RawScene, out) -> None:
+    """Copy ``scene``'s samples into the planes ``out``, block by block."""
     step = block_lines(scene.width)
     for band in range(BAND_COUNT):
         for y0 in range(0, scene.lines, step):
             out[band, y0 : y0 + step] = scene.planes[band, y0 : y0 + step]
-    return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 
 
 def save_raw(scene: RawScene, path) -> None:

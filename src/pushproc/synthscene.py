@@ -615,8 +615,9 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
     Raises IoFailure when the file cannot be read and TruthInvalid when it
     is not a truth sidecar: missing keys, values that are not JSON numbers
     (integers in the node lists) or that overflow, non-finite values,
-    coordinate arrays that do not match the node lists, or a zero track
-    direction.
+    coordinate arrays that do not match the node lists, a zero track
+    direction, or an altitude whose magnitude reaches WGS84's equatorial
+    radius.
     """
     doc = read_json(path, TruthInvalid)
     try:
@@ -635,4 +636,6 @@ def load_truth_grid(path) -> tuple[GeoGrid, tuple]:
         raise TruthInvalid(f"{path}: truth grid coordinates do not match its {nodes} nodes")
     if len(track_dir) != 2 or not math.hypot(*track_dir) > 0.0:
         raise TruthInvalid(f"{path}: track_dir_en {track_dir} is not a 2-D direction")
+    if not np.all(np.abs(alt) < WGS84_A_KM * 1000.0):
+        raise TruthInvalid(f"{path}: a truth grid alt_m reaches the WGS84 equatorial radius")
     return GeoGrid(lines=lines, columns=columns, lat=lat, lon=lon, alt=alt), track_dir

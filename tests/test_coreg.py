@@ -281,6 +281,12 @@ class TestCollectMatches:
         with pytest.raises(errors.OutOfBounds):
             coreg.collect_matches(plane, plane, tile_size=16, grid_nx=2, grid_ny=2)
 
+    def test_planes_of_other_shapes(self):
+        # ``match_bands`` refuses a target that is not the grid's shape.
+        plane = smooth_texture(9)
+        with pytest.raises(errors.OutOfBounds, match="is not the grid's"):
+            coreg.collect_matches(plane, plane[:, 1:], tile_size=64, grid_nx=2, grid_ny=2)
+
 
 def per_band_matches(ref_plane, tgt_plane, grid, min_score):
     """One band's matches, tile by tile through ``fft_xcorr``, and why tiles dropped.
@@ -351,11 +357,11 @@ class TestMatchBands:
 
     def test_residual_equals_per_band_matching(self):
         ref, [shifted, _, mixed] = matching_planes(600, coreg.TileGrid(*LAYOUTS["sparse"]))
-        grid = coreg.residual_grid(ref.shape, 16, 96)
+        grid = coreg.residual_grid(ref.shape, 16)
         for tgt in (shifted, mixed):
             want, _ = per_band_matches(ref, tgt, grid, 0.1)
             mags = np.hypot([m.dx for m in want], [m.dy for m in want])
-            assert coreg.coreg_residual(ref, tgt, n_points=16, tile_size=96) == (
+            assert coreg.coreg_residual(ref, tgt, n_points=16) == (
                 float(mags.mean()), float(np.sqrt(np.mean(mags * mags))))
 
     def test_featureless_target_gives_empty_list(self):
@@ -1299,16 +1305,14 @@ class TestResampleInPlace:
 class TestCoregResidual:
     def test_plane_vs_itself(self):
         plane = (smooth_texture(13, 300) * 10).astype(np.uint16)
-        mean_px, rms_px = coreg.coreg_residual(plane, plane, n_points=16, tile_size=64,
-                                               margin=4)
+        mean_px, rms_px = coreg.coreg_residual(plane, plane, n_points=16)
         assert mean_px == 0.0
         assert rms_px == 0.0
 
     def test_uncorrected_shift_measured(self):
         plane = (smooth_texture(14, 400) * 10).astype(np.uint16)
         shifted = np.roll(plane, 4, axis=1)
-        mean_px, rms_px = coreg.coreg_residual(plane, shifted, n_points=16, tile_size=64,
-                                               margin=8)
+        mean_px, rms_px = coreg.coreg_residual(plane, shifted, n_points=16)
         assert mean_px == pytest.approx(4.0, abs=0.5)
 
     def test_small_plane_equals_pipeline_path(self):

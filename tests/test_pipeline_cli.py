@@ -65,6 +65,21 @@ def base_config(synth_inputs, out_dir, **kw):
     return cfg
 
 
+def uncover(doc, fault):
+    """Edit a metadata document so that it no longer covers the 512x512 scene."""
+    half = len(doc["attitude"]) // 2
+    if fault == "narrow-imager":
+        doc["imager"]["columns"] = 511
+    elif fault == "attitude-ends-early":
+        doc["attitude"] = doc["attitude"][:half]
+    elif fault == "attitude-starts-late":
+        doc["attitude"] = doc["attitude"][half:]
+    elif fault == "time-offset-past-the-attitude":
+        doc["imager"]["time_offset_s"] = 3600.0
+    elif fault == "no-attitude":
+        doc["attitude"] = []
+
+
 class TestRunPipeline:
     def test_full_run_products_and_metrics(self, synth_inputs, tmp_path):
         report = run_pipeline(base_config(synth_inputs, tmp_path / "run"))
@@ -485,6 +500,14 @@ class TestCli:
          "TruthInvalid"),
         ({"truth_grid": ONE_NODE, "track_dir_en": [10**400, 1]}, "TruthInvalid"),
         ({"truth_grid": {**ONE_NODE, "lines": ["0"]}, "track_dir_en": [0, 1]}, "TruthInvalid"),
+        # Altitudes an Earth radius off: squared in the error statistics,
+        # 1e300 m overflows to inf, which no product may hold.
+        ({"truth_grid": {**ONE_NODE, "alt_m": [[1e300]]}, "track_dir_en": [0, 1]},
+         "TruthInvalid"),
+        ({"truth_grid": {**ONE_NODE, "alt_m": [[-1e300]]}, "track_dir_en": [0, 1]},
+         "TruthInvalid"),
+        ({"truth_grid": {**ONE_NODE, "alt_m": [[6378137.0]]}, "track_dir_en": [0, 1]},
+         "TruthInvalid"),
     ])
     def test_bad_truth_exit_2_before_any_stage(self, synth_inputs, tmp_path, capsys,
                                                truth, error):
@@ -516,6 +539,61 @@ class TestCli:
         assert (found["error"]["stage"], found["error"]["type"]) == ("input", "HeaderInvalid")
         assert "Traceback" not in out + err
         assert not (tmp_path / "o").exists()
+
+    def test_calibration_of_another_width_exit_2_before_any_stage(self, synth_inputs, tmp_path,
+                                                                   capsys):
+        # A calibration one column short of the 512-wide scene.
+        doc = json.loads((synth_inputs / "calib.json").read_text())
+        for band in doc["bands"].values():
+            band["R"], band["D"] = band["R"][:-1], band["D"][:-1]
+        calib_path = tmp_path / "calib.json"
+        calib_path.write_text(json.dumps(doc))
+        rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--calib", str(calib_path), "--out", str(tmp_path / "o"),
+                          "--skip-coreg", "--skip-georef")
+        assert rc == 2
+        found = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("input", "WidthMismatch")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault, error", [
+        ("narrow-imager", "ColumnOutOfRange"),
+        ("attitude-ends-early", "OutOfRange"),
+        ("attitude-starts-late", "OutOfRange"),
+        ("time-offset-past-the-attitude", "OutOfRange"),
+        ("no-attitude", "EmptySamples"),
+    ])
+    def test_metadata_that_misses_the_scene_exit_2_before_any_stage(self, synth_inputs,
+                                                                    tmp_path, capsys, fault,
+                                                                    error):
+        # The metadata must locate every pixel of the 512x512 scene: each
+        # of its columns, and each line time plus the imager's time offset.
+        doc = json.loads((synth_inputs / "metadata.json").read_text())
+        uncover(doc, fault)
+        meta_path = tmp_path / "metadata.json"
+        meta_path.write_text(json.dumps(doc))
+        rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--calib", str(synth_inputs / "calib.json"), "--meta", str(meta_path),
+                          "--out", str(tmp_path / "o"))
+        assert rc == 2
+        found = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert (found["error"]["stage"], found["error"]["type"]) == ("input", error)
+        assert not (tmp_path / "o").exists()
+
+    def test_attitude_that_misses_lines_is_read_only_by_georef(self, synth_inputs, tmp_path):
+        # Co-registration's shift prior reads the attitude at its own
+        # mid-span, so a run without georeferencing takes any attitude.
+        doc = json.loads((synth_inputs / "metadata.json").read_text())
+        uncover(doc, "attitude-ends-early")
+        meta_path = tmp_path / "metadata.json"
+        meta_path.write_text(json.dumps(doc))
+        rc = self.run_cli("preprocess", "--raw", str(synth_inputs / "scene.l3raw"),
+                          "--meta", str(meta_path), "--out", str(tmp_path / "o"),
+                          "--skip-vignetting", "--skip-georef")
+        assert rc == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        bands = report["stages"]["coreg"]["bands"].values()
+        assert all(band["prior"] is not None for band in bands)
 
     @pytest.mark.parametrize("field, value", [
         (None, ["tle"]),

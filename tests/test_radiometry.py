@@ -185,13 +185,16 @@ class TestCorrectInPlace:
         scene = RawScene(rng.integers(0, 256, (4, n, n)).astype(np.uint16),
                          np.arange(n, dtype=float), 8)
         calib = CalibrationTable(response=np.full((4, n), 1.3), dark=np.full((4, n), 2.0))
+        planes = scene.planes
+        want = radiometry.correct_vignetting(scene, calib).planes
         tracemalloc.start()
         try:
-            corrected = _stage_vignetting(scene, calib, QualityReport(), scene.planes)
+            _stage_vignetting(scene, calib, QualityReport(), scene)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert corrected.planes is scene.planes
+        assert scene.planes is planes
+        np.testing.assert_array_equal(scene.planes, want)
         # Beyond the loaded scene, 0.19 of the uint16 cube: the correction's
         # float64 blocks.  The metrics' float64 centre region measured 0.25,
         # a corrected copy of the cube 1.50.
