@@ -11,6 +11,10 @@ inputs once, with the parent tree's ``perfbench/gen.py``, runs one round of
 each tree's ``perfbench/measure.py`` on them, and digests both trees'
 products with ``product_digests`` of this checkout's ``perfbench/measure.py``:
 ``corrected.l3raw``, ``grid.json`` and ``report.json`` without ``timing``.
+It also scores both trees' products with ``check_scene`` of this
+checkout's ``perfbench/checks.py``: the worst target band's truth residual
+(``truth_rms_px``) and the grid's RMS distance from the truth grid
+(``truth_rms_m``), each the largest over the seed's scenes.
 
 It writes ``BENCH_<NAME>.json`` into ``--out`` (the repository root by
 default) in the schema of the committed ``BENCH_*.json`` files.  Per
@@ -19,17 +23,25 @@ runs, medians and quartiles, ``change_better_pairs``,
 ``median_change_pct``, ``parent_iqr`` and the metric's bound, and also each
 seed's change/parent ratio with the quartiles of the ratios.  Per workload
 and seed, ``products_by_seed`` records whether the two runs' inputs
-(``run.py``'s digest) and the two rounds' products were equal.  Quartiles
-are ``statistics.quantiles(method="inclusive")``.
+(``run.py``'s digest) and the two rounds' products were equal, and both
+trees' figures; per workload, ``accuracy`` summarises each figure as a
+metric (lower is better, no bound), or is null when a figure is missing.
+Quartiles are ``statistics.quantiles(method="inclusive")``.
 
-Exits 0 when every run was correct with no failed operation and every
-seed's products were equal, 1 otherwise.
+A change that moves product bytes on purpose regenerates
+``tests/golden_products.json``, so when the two trees' golden digests
+differ, ``byte_break`` names the golden scenes whose digests moved, and
+the run exits 0 when every run was correct with no failed operation and
+every figure was recorded.  Otherwise ``byte_break`` is null, and the run
+exits 0 when every run was correct with no failed operation and every
+seed's products were equal.  It exits 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -44,8 +56,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+from checks import check_scene  # noqa: E402
 from measure import product_digests  # noqa: E402
+FIGURES = ("truth_rms_px", "truth_rms_m")
 
 
 def seeds(text: str) -> list[int]:
@@ -94,15 +108,28 @@ def digests_or_none(out_dir: Path) -> dict | None:
         return None
 
 
+def scene_figures(manifest: dict, inputs: Path, out: Path) -> dict:
+    """The largest of each ``check_scene`` figure over the scenes; None where one is missing."""
+    found = dict.fromkeys(FIGURES, 0.0)
+    for scene in manifest["scenes"]:
+        try:
+            figures = check_scene(scene, inputs / scene["name"], out / scene["name"])[1]
+        except OSError:
+            figures = {}
+        for key in FIGURES:
+            found[key] = max(found[key], figures.get(key, math.inf))
+    return {key: value if math.isfinite(value) else None for key, value in found.items()}
+
+
 def products_equal(parent: Path, change: Path, workload: str, seed: int) -> dict:
-    """One round of each tree on the same generated inputs, products compared per scene."""
+    """One round of each tree on the same generated inputs, products compared and scored."""
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         work = Path(tmp)
         subprocess.run([sys.executable, "perfbench/gen.py", "--workload", workload,
                         "--seed", str(seed), "--out", str(work / "inputs")],
                        cwd=parent, env=child_env(parent), check=True, capture_output=True)
         manifest = json.loads((work / "inputs" / "manifest.json").read_text())
-        digests = {}
+        digests, figures = {}, {}
         for name, tree in (("parent", parent), ("change", change)):
             # Both rounds write to the same directory: report.json names its outputs' paths.
             shutil.rmtree(work / "out", ignore_errors=True)
@@ -112,12 +139,14 @@ def products_equal(parent: Path, change: Path, workload: str, seed: int) -> dict
                            cwd=tree, env=child_env(tree), check=True, capture_output=True)
             digests[name] = {scene["name"]: digests_or_none(work / "out" / scene["name"])
                              for scene in manifest["scenes"]}
+            figures[name] = scene_figures(manifest, work / "inputs", work / "out")
     differing = [scene for scene, found in digests["parent"].items()
                  if found is None or found != digests["change"][scene]]
-    return {"equal": not differing, "differing": differing}
+    return {"equal": not differing, "differing": differing, "figures": figures}
 
 
-def metric_summary(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+def metric_summary(parent: list[float], change: list[float], better: str,
+                   bound: float | None) -> dict:
     """The committed per-metric figures of paired runs, plus the per-pair ratios."""
     ratios = [c / p for p, c in zip(parent, change)]
     summary = {}
@@ -133,7 +162,7 @@ def metric_summary(parent: list[float], change: list[float], better: str, bound:
         "median_change_pct": round(100.0 * (c["median"] / p["median"] - 1.0), 1),
         "parent_iqr": round(iqr, 4),
         "parent_iqr_pct": round(100.0 * iqr / p["median"], 1),
-        "bound_pct": round(100.0 * bound, 1),
+        "bound_pct": None if bound is None else round(100.0 * bound, 1),
     })
     return summary
 
@@ -151,9 +180,13 @@ def main() -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
+    golden = [json.loads((tree / "tests" / "golden_products.json").read_text())["digests"]
+              for tree in (parent, change)]
+    moved = sorted(s for s in golden[0].keys() | golden[1].keys()
+                   if golden[0].get(s) != golden[1].get(s))
 
     failed_runs = 0
-    all_correct = all_equal = True
+    all_correct = all_equal = all_recorded = True
     workloads = {}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
@@ -186,6 +219,15 @@ def main() -> int:
             for m in metrics if runs["parent"]
         }
         workloads[workload]["products_by_seed"] = products
+        by_tree = {name: [found["figures"][name] for found in products.values()]
+                   for name in ("parent", "change")}
+        recorded = all(None not in f.values() for f in by_tree["parent"] + by_tree["change"])
+        all_recorded &= recorded
+        workloads[workload]["accuracy"] = {
+            key: metric_summary([f[key] for f in by_tree["parent"]],
+                                [f[key] for f in by_tree["change"]], "lower", None)
+            for key in FIGURES
+        } if recorded else None
 
     doc = {
         "command": "python3 scripts/pairs.py PARENT_TREE CHANGE_TREE "
@@ -202,13 +244,14 @@ def main() -> int:
                       "and report.json without timing, per scene (products_by_seed)",
         "claim": None,
         "traced": "not run",
+        "byte_break": {"golden_scenes_moved": moved} if moved else None,
         "failed_runs": failed_runs,
         "workloads": workloads,
     }
     path = args.out / f"BENCH_{args.slug}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(path)
-    return 0 if all_correct and all_equal else 1
+    return 0 if all_correct and (all_recorded if moved else all_equal) else 1
 
 
 if __name__ == "__main__":

@@ -325,7 +325,8 @@ def _correlate(ref: _PreparedTile, tgt: _PreparedTile) -> tuple[float, float, fl
                         n=ref.shape[1], axis=1)
     corr /= ref.energy * tgt.energy
     peak_y, peak_x = np.unravel_index(int(np.argmax(corr)), corr.shape)
-    score = float(np.clip(corr[peak_y, peak_x], 0.0, 1.0))
+    # The correlation of zero-mean tiles sums to 0, so its peak is >= 0; rounding can pass 1.
+    score = min(float(corr[peak_y, peak_x]), 1.0)
 
     ny, nx = corr.shape
     dy = _parabola_offset(
@@ -524,8 +525,7 @@ def predict_shift_prior(
     state = metadata.orbit.state_at(t_mid)
     boresight_eci = q.rotate(imager.boresight_matrix() @ np.array([0.0, 0.0, 1.0]))
     nadir_eci = -state.r_eci / np.linalg.norm(state.r_eci)
-    cos_offnadir = float(np.clip(boresight_eci @ nadir_eci, -1.0, 1.0))
-    cos_offnadir = max(cos_offnadir, 0.1)
+    cos_offnadir = max(min(float(boresight_eci @ nadir_eci), 1.0), 0.1)
 
     # Ground speed from the Earth-fixed motion of the subsatellite point.
     dt = 1.0
@@ -760,14 +760,15 @@ def _bilinear(flat: np.ndarray, shape: tuple[int, int], src_x: np.ndarray,
 
 
 def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> tuple[int, int]:
-    """Bounds ``low <= 0 < high`` on the source lines a warp of ``shape`` reads.
+    """Bounds ``low <= 0 < high``: output lines [y0, y1) read lines [y0 + low, y1 + high).
 
-    Output line y reads source lines from y + min(dy) to its far
-    neighbour at y + max(dy) + 1, all in [y + low, y + high).  Normalized
-    coordinates lie in [0, X] x [0, Y], so dy lies between
-    c0 + sum of min(c_k, 0) X^i Y^j and c0 + sum of max(c_k, 0) X^i Y^j;
-    the bounds keep 2 lines of margin and the rounding of the field's
-    sums.  A field without finite bounds may read any line of the plane.
+    Normalized coordinates lie in [0, X] x [0, Y], so dy lies between
+    least = c0 + sum of min(c_k, 0) X^i Y^j and most = c0 + sum of
+    max(c_k, 0) X^i Y^j, up to rounding, which the slack s > 0 covers.
+    Line y reads lines floor(y + dy) and the next, so [y0, y1) reads from
+    y0 + floor(least - s) >= y0 + low up to y1 + floor(most) < y1 + high,
+    as high >= ceil(most + s): no margin beyond s is needed.  A field
+    without finite bounds may read any line of the plane.
     """
     h, w = shape
     big_x = (w - 1) / max(model.width - 1, 1)
@@ -776,7 +777,7 @@ def _line_reach(model: DistortionModel, shape: tuple[int, int]) -> tuple[int, in
     powers = [big_x ** i * big_y ** j for i, j in _exponents(model.order)[1:]]
     least = c0 + sum(min(c, 0.0) * p for c, p in zip(coeffs, powers))
     most = c0 + sum(max(c, 0.0) * p for c, p in zip(coeffs, powers))
-    slack = 2.0 + 1e-9 * (abs(c0) + sum(abs(c) * p for c, p in zip(coeffs, powers)) + h)
+    slack = 1e-9 * (abs(c0) + sum(abs(c) * p for c, p in zip(coeffs, powers)) + h)
     if not (math.isfinite(least - slack) and math.isfinite(most + slack)):
         return -h, h
     return min(math.floor(least - slack), 0), max(math.ceil(most + slack), 1)
@@ -849,14 +850,16 @@ def resample(tgt_plane: np.ndarray, model: DistortionModel,
 def residual_grid(shape: tuple[int, int], n_points: int = RESIDUAL_POINTS) -> TileGrid:
     """The control-tile grid of ``coreg_residual``: about ``n_points`` tiles.
 
-    Tiles are ``TILE_SIZE`` pixels, shrunk to half the plane's inner size
-    when they would not fit twice, and stay 16 pixels away from the
-    borders, where an aligned band may carry masked-out samples.
+    The grid is round(sqrt(n)) tiles across by ceil(n / across) down, at
+    least 3 x 4 since ``n_points`` is at least 10.  Tiles are
+    ``TILE_SIZE`` pixels, shrunk to half the plane's inner size when they
+    would not fit twice, and stay 16 pixels away from the borders, where
+    an aligned band may carry masked-out samples.
     """
     if n_points < 10:
         raise OutOfBounds(f"n_points {n_points} < 10")
-    grid_nx = max(2, int(round(math.sqrt(n_points))))
-    grid_ny = max(2, int(math.ceil(n_points / grid_nx)))
+    grid_nx = int(round(math.sqrt(n_points)))
+    grid_ny = int(math.ceil(n_points / grid_nx))
     h, w = shape
     margin = 16
     tile = min(TILE_SIZE, (min(h, w) - 2 * margin) // 2)

@@ -83,7 +83,6 @@ def slerp(qa: Quaternion, qb: Quaternion, f: float) -> Quaternion:
         b = -b
         dot = -dot
     a = qa.as_array()
-    dot = min(dot, 1.0)
     if dot > 1.0 - 1e-12:
         # Nearly parallel: normalized linear interpolation is exact enough.
         out = a + f * (b - a)

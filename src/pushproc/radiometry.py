@@ -93,10 +93,8 @@ def correct_vignetting(scene: RawScene, calib: CalibrationTable,
 
 def _edge_center_windows(width: int):
     n = max(1, int(round(width * 0.05)))
-    mid = width // 2
-    half = n // 2
-    center = slice(max(0, mid - half), max(0, mid - half) + n)
-    return slice(0, n), slice(width - n, width), center
+    start = width // 2 - n // 2
+    return slice(0, n), slice(width - n, width), slice(start, start + n)
 
 
 def edge_center_ratio(plane: np.ndarray, rows) -> float:

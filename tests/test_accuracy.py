@@ -130,6 +130,15 @@ class TestEstimateBias:
         est = estimate_bias(samples, 510.0)
         assert est.roll_offset_deg == pytest.approx(0.401, abs=0.005)
 
+    def test_equal_drift_tags_fall_back_to_means(self):
+        # One drift tag cannot separate a constant from a slope: the means
+        # give roll and pitch, and no clock offset is claimed.
+        samples = [SceneErrorSample(3.57, 1.2, 1.0, 7.0) for _ in range(5)]
+        est = estimate_bias(samples, 510.0)
+        assert est.roll_offset_deg == pytest.approx(math.degrees(math.atan2(3.57, 510.0)))
+        assert est.pitch_offset_deg == pytest.approx(math.degrees(math.atan2(1.2, 510.0)))
+        assert est.time_offset_s == 0.0
+
     def test_insufficient_scenes(self):
         samples = [SceneErrorSample(0.0, 0.0, 0.0, 7.0)] * 4
         with pytest.raises(errors.InsufficientScenes):

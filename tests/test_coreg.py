@@ -233,6 +233,21 @@ class TestFftXcorr:
         assert (dx, dy) == (0.0, 0.0)
         assert score == pytest.approx(1.0, abs=1e-12)
 
+    def test_score_in_zero_one(self):
+        # A tile against itself peaks at 1.0000000000000002 before the
+        # clamp; a tile against its negative, or against an unrelated tile,
+        # still peaks at or above the correlation's mean, 0.
+        for seed in range(4):
+            tile = smooth_texture(seed, 64)
+            assert coreg.fft_xcorr(tile, tile)[2] <= 1.0
+            assert coreg.fft_xcorr(tile, -tile)[2] >= 0.0
+            assert 0.0 <= coreg.fft_xcorr(tile, smooth_texture(seed + 50, 64))[2] <= 1.0
+
+    def test_half_tile_shift_reported_positive(self):
+        # Shifts lie in (-N/2, N/2]: a roll by exactly N/2 reports +N/2.
+        tile = smooth_texture(3)
+        assert coreg.fft_xcorr(tile, np.roll(tile, (64, 64), axis=(0, 1)))[:2] == (64.0, 64.0)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 200), sx=st.integers(-16, 16), sy=st.integers(-16, 16))
     def test_shift_equivariance(self, seed, sx, sy):
@@ -250,6 +265,17 @@ class TestFftXcorr:
         dx_ba, dy_ba, _ = coreg.fft_xcorr(b, a)
         assert dx_ab == pytest.approx(-dx_ba, abs=0.05)
         assert dy_ab == pytest.approx(-dy_ba, abs=0.05)
+
+
+class TestParabolaOffset:
+    def test_flat_triple_keeps_the_integer_peak(self):
+        # denom is exactly 0: no vertex, and no 0 / 0.
+        assert coreg._parabola_offset(np.float64(1.0), np.float64(1.0), np.float64(1.0)) == 0.0
+
+    def test_vertex_pushed_past_half_a_pixel_by_rounding_refused(self):
+        # A neighbour that ties the peak puts the vertex at +0.5 exactly;
+        # rounding c_minus - 2 c_zero moves it to 0.5625, which is refused.
+        assert coreg._parabola_offset(1.0 - 9 * 2.0 ** -53, 1.0, 1.0) == 0.0
 
 
 class TestCollectMatches:
@@ -919,6 +945,23 @@ class TestShiftPrior:
         tilted_prior = coreg.predict_shift_prior(meta_tilted, (BandId.RED, BandId.NIR))
         assert abs(tilted_prior.dy) > abs(nadir_prior.dy)
 
+    def test_far_off_nadir_divisor_floored_at_a_tenth(self):
+        # 85 degrees off nadir, cos = 0.087 is floored to 0.1: ten times the
+        # nadir prior, not 11.5.
+        meta = nadir_metadata(row_offset_nir=8.0)
+        nadir_prior = coreg.predict_shift_prior(meta, (BandId.RED, BandId.NIR))
+        from pushproc.georef.camera import rpy_matrix
+
+        tilted = [
+            AttitudeSample(s.t, Quaternion.from_matrix(
+                Rotation.from_quat([s.q.x, s.q.y, s.q.z, s.q.s]).as_matrix()
+                @ rpy_matrix(85.0, 0, 0)))
+            for s in meta.attitude
+        ]
+        meta_tilted = AcqMetadata(meta.orbit, tilted, meta.line_period_s, meta.imager)
+        tilted_prior = coreg.predict_shift_prior(meta_tilted, (BandId.RED, BandId.NIR))
+        assert tilted_prior.dy == pytest.approx(10.0 * nadir_prior.dy, rel=1e-9)
+
     def test_missing_attitude(self):
         meta = nadir_metadata()
         meta.attitude = []
@@ -967,6 +1010,28 @@ class TestRemoveOutliers:
         assert all(m.dx == 1.0 for m in kept)
         assert len(kept) == 10
 
+    def test_gate_keeps_its_radius_and_drops_beyond(self):
+        # The MAD pass would keep all three groups (median 4.5, MAD 0.5), so
+        # the gate alone keeps 5.0 px from the prior and drops 5.5 px.
+        matches = self.make_matches([(4.0, 0.0)] * 3 + [(5.0, 0.0)] * 3 + [(5.5, 0.0)] * 2)
+        kept = coreg.remove_outliers(matches, coreg.ShiftPrior(0.0, 0.0))
+        assert [m.tile_id for m in kept] == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("axis", ["dx", "dy"])
+    def test_mad_clip_at_three_mads(self, axis):
+        # Median 0 and MAD 1 px: 2.9 px is kept and 3.5 px dropped.
+        shifts = [-1.0, -1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 2.9, 3.5]
+        matches = self.make_matches([(s, 0.0) if axis == "dx" else (0.0, s) for s in shifts])
+        kept = coreg.remove_outliers(matches, None)
+        assert [m.tile_id for m in kept] == list(range(8))
+
+    @pytest.mark.parametrize("axis", ["dx", "dy"])
+    def test_mad_floored_at_half_a_pixel(self, axis):
+        # MAD 0 is floored to 0.5 px, so 1.4 px is within three MADs.
+        shifts = [0.0] * 7 + [1.4]
+        matches = self.make_matches([(s, 0.0) if axis == "dx" else (0.0, s) for s in shifts])
+        assert coreg.remove_outliers(matches, None) == matches
+
     def test_order_preserved(self):
         matches = self.make_matches([(1.0, 0.0), (1.1, 0.0), (0.9, 0.0), (1.0, 0.1)])
         kept = coreg.remove_outliers(matches, None)
@@ -1000,6 +1065,14 @@ class TestFitDistortion:
         matches = self.synth_matches([0.0], [0.0], order=0, n=5)
         with pytest.raises(errors.TooFewMatches):
             coreg.fit_distortion(matches, order=2, width=500, height=400)
+
+    def test_twice_the_coefficients_required(self):
+        # Order 2 has 6 coefficients per component: 11 matches are too few.
+        matches = self.synth_matches([1.0], [2.0], order=0, n=12)
+        with pytest.raises(errors.TooFewMatches):
+            coreg.fit_distortion(matches[:11], order=2, width=500, height=400)
+        model = coreg.fit_distortion(matches, order=2, width=500, height=400)
+        assert model.coeff_dx[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_translation_with_order2(self):
         matches = self.synth_matches([3.0], [-2.0], order=0, n=20)
@@ -1208,6 +1281,16 @@ class TestResample:
         plane = rng.integers(0, 65536, (37, 53)).astype(np.uint16)
         valid = self.assert_matches_scipy(plane, self.random_model(rng, order, (37, 53), 4.0))
         assert 0 < valid.sum() < valid.size
+
+    def test_integer_line_shift_across_blocks(self, monkeypatch):
+        # In blocks of 4 lines, the last line of a block reads line y + 3 and,
+        # with weight 0, its far neighbour y + 4: the block's window ends
+        # past it only by the slack of ``_line_reach``.
+        monkeypatch.setattr(raster, "BLOCK_PIXELS", 4 * 11)
+        plane = np.random.default_rng(41).integers(0, 65536, (20, 11)).astype(np.uint16)
+        model = coreg.DistortionModel(order=0, coeff_dx=np.array([0.0]),
+                                      coeff_dy=np.array([3.0]), width=11, height=20)
+        self.assert_matches_scipy(plane, model)
 
     def test_working_memory_bounded(self):
         n = 1024

@@ -56,6 +56,14 @@ class TestIntersectEllipsoid:
             intersect_ellipsoid(np.array([WGS84_A_KM + 510.0, 0.0, 0.0]),
                                 np.array([0.0, 1.0, 0.0]))
 
+    def test_origin_on_the_ellipsoid_is_not_its_own_intersection(self):
+        # The root at distance 0 is the origin itself; the nearest positive
+        # root of a ray from the north pole straight down is the south pole.
+        r = np.array([0.0, 0.0, WGS84_B_KM])
+        coord = intersect_ellipsoid(r, np.array([0.0, 0.0, -1.0]))
+        assert coord.lat == pytest.approx(-90.0)
+        assert coord.alt == pytest.approx(0.0, abs=1e-6)
+
     def test_result_on_ellipsoid_and_ray(self, rng):
         for _ in range(20):
             r = np.array([WGS84_A_KM + 510.0, 0.0, 0.0])

@@ -42,6 +42,12 @@ class TestCorrectVignetting:
         out = radiometry.correct_vignetting(scene, calib)
         assert out.planes.max() == 0
 
+    def test_float_path_floors_at_zero(self):
+        # No clip follows in the float path: the floor alone keeps it at 0.
+        scene = uniform_scene(5)
+        calib = CalibrationTable(response=np.full((4, 8), 2.0), dark=np.full((4, 8), 9.0))
+        assert radiometry.correct_vignetting_float(scene, calib).max() == 0.0
+
     def test_clamps_to_dn_range(self):
         scene = uniform_scene(200)
         calib = CalibrationTable(response=np.full((4, 8), 3.0), dark=np.zeros((4, 8)))
@@ -254,6 +260,19 @@ class TestFitProfilePoly2:
     def test_width_two_degenerate(self):
         with pytest.raises(errors.DegenerateFit):
             radiometry.fit_profile_poly2(np.ones((2, 2)), rows=[0])
+
+
+class TestCalibrationFromFlatField:
+    def test_fit_below_zero_at_the_edges_still_validates(self):
+        # The quadratic fitted to this clipped profile is -0.25 at both
+        # edges; it is floored at 1e-6, so the response there is 1e6.
+        u = np.arange(64) / 63
+        profile = np.round(np.clip(1000 * (1 - 1.5 * (2 * u - 1) ** 2), 0, None))
+        planes = np.broadcast_to(profile.astype(np.uint16), (4, 4, 64)).copy()
+        table = radiometry.calibration_from_flat_field(
+            RawScene(planes, np.arange(4, dtype=float), 16))
+        table.validate(64)
+        assert table.response.max() == 1e6
 
 
 class TestUniformityStd:

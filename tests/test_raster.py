@@ -220,6 +220,13 @@ class TestL3RawErrors:
         with pytest.raises(errors.HeaderInvalid):
             save_raw(scene, tmp_path / "times.l3raw")
 
+    def test_repeated_time_refused(self, tmp_path):
+        # Line times strictly increase: two lines at one time are refused too.
+        scene = make_scene(width=4, lines=3)
+        scene.line_times[2] = scene.line_times[1]
+        with pytest.raises(errors.HeaderInvalid):
+            save_raw(scene, tmp_path / "times.l3raw")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(errors.IoFailure):
             load_raw(tmp_path / "nope.l3raw")
