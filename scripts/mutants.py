@@ -89,6 +89,8 @@ MUTANTS = [
            "test_coreg.py::TestKernelsEqualScipy"),
     Mutant(CO, "y_ref=float(cy)", "y_ref=float(cy + 1)", "tile centre one line off",
            "test_coreg.py::TestMatchBands::test_equals_per_band_matching"),
+    Mutant(CO, "stride = width + 1", "stride = width + 0", "held tiles without a spare column",
+           "test_coreg.py::TestMatchBands::test_tiles_of_one_tile_wide_strips_are_strided"),
     Mutant(CO, "slack = 1e-9 *", "slack = 0.0 *", "line reach slack -> none",
            "test_coreg.py::TestResample::test_integer_line_shift_across_blocks"),
     Mutant(CO, "margin = 16", "margin = 15", "residual margin 16 -> 15 px",
@@ -100,6 +102,7 @@ MUTANTS = [
     Mutant(GEO, "range(0, extent, step)", "range(1, extent, step)", "grid nodes one off",
            "test_geolocate.py::TestBuildGeogrid::test_step_of_image_size_gives_corners_only"),
     Mutant(GEO, "a, b, c = lon_coef", "b, a, c = lon_coef", "world file column and line swapped",
+           "test_geolocate.py::TestWorldFile::test_affine_fit_and_io "
            "test_georef_rows.py::TestGridRows"),
     Mutant(ATT, "if dot < 0.0:", "if dot > 0.0:", "slerp takes the long arc", SLERP),
     Mutant(ATT, "dot > 1.0 - 1e-12", "dot > 1.0 - 1e-9", "slerp near-parallel 1e-12 -> 1e-9",
@@ -120,7 +123,7 @@ MUTANTS = [
            "test_radiometry.py::TestEdgeCenterRatio"),
     Mutant(RAD, "np.maximum(prof.evaluate(u), 1e-6)", "prof.evaluate(u)",
            "flat-field floor 1e-6 dropped", "test_radiometry.py::TestCalibrationFromFlatField"),
-    Mutant(RAD, "np.maximum(found, 0.0, out=found)", "np.maximum(found, -1.0, out=found)",
+    Mutant(RAD, "return np.maximum(found, 0.0,", "return np.maximum(found, -1.0,",
            "dark floor 0 -> -1 DN", VIG + "test_float_path_floors_at_zero"),
     Mutant(RAS, "np.add(x, 0.5,", "np.add(x, 0.4999,", "round half up 0.5 -> 0.4999",
            VIG + "test_hand_computed_case"),

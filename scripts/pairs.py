@@ -26,7 +26,8 @@ and seed, ``products_by_seed`` records whether the two runs' inputs
 (``run.py``'s digest) and the two rounds' products were equal, and both
 trees' figures; per workload, ``accuracy`` summarises each figure as a
 metric (lower is better, no bound), or is null when a figure is missing.
-Quartiles are ``statistics.quantiles(method="inclusive")``.
+Quartiles are ``statistics.quantiles(method="inclusive")``; runs,
+quartiles and the parent's IQR keep 4 significant figures.
 
 A change that moves product bytes on purpose regenerates
 ``tests/golden_products.json``, so when the two trees' golden digests
@@ -145,14 +146,19 @@ def products_equal(parent: Path, change: Path, workload: str, seed: int) -> dict
     return {"equal": not differing, "differing": differing, "figures": figures}
 
 
+def significant(value: float) -> float:
+    """``value`` rounded to 4 significant figures, so that small figures keep theirs."""
+    return float(f"{value:.4g}")
+
+
 def metric_summary(parent: list[float], change: list[float], better: str,
                    bound: float | None) -> dict:
     """The committed per-metric figures of paired runs, plus the per-pair ratios."""
     ratios = [c / p for p, c in zip(parent, change)]
     summary = {}
     for name, values in (("parent", parent), ("change", change), ("ratio", ratios)):
-        summary[name] = {k: round(v, 4) for k, v in quartiles(values).items()}
-        summary[name]["runs"] = [round(v, 4) for v in values]
+        summary[name] = {k: significant(v) for k, v in quartiles(values).items()}
+        summary[name]["runs"] = [significant(v) for v in values]
     p, c = quartiles(parent), quartiles(change)
     iqr = p["q3"] - p["q1"]
     summary.update({
@@ -160,7 +166,7 @@ def metric_summary(parent: list[float], change: list[float], better: str,
                                    for a, b in zip(parent, change)),
         "pairs": len(ratios),
         "median_change_pct": round(100.0 * (c["median"] / p["median"] - 1.0), 1),
-        "parent_iqr": round(iqr, 4),
+        "parent_iqr": significant(iqr),
         "parent_iqr_pct": round(100.0 * iqr / p["median"], 1),
         "bound_pct": None if bound is None else round(100.0 * bound, 1),
     })

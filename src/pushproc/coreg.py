@@ -67,11 +67,6 @@ from .georef.metadata import AcqMetadata
 
 # --------------------------------------------------------------- gradient
 
-# Columns that a ``TileGrid`` strip keeps on each side of its tiles.  No
-# filter reads them; they keep every tile a strided view of a wider strip,
-# which fixes the order in which ``_prepare_tile`` sums (see there).
-BLUR_RADIUS = 4
-
 
 @functools.lru_cache
 def _gaussian_weights(sigma: float) -> list[float]:
@@ -209,13 +204,12 @@ class TileGrid:
 
     ``tile_size`` squares are centred on a ``grid_nx`` x ``grid_ny``
     lattice kept ``margin`` pixels inside a plane of ``shape``.  Each
-    tile's columns, widened by ``BLUR_RADIUS`` and clipped to the plane,
-    are merged with those they overlap or touch; a block is one merged
-    column interval, a strip of the plane's full height, whose reader
-    (``_gradient_tiles``) computes only the lines its tiles read.  Blocks
-    are disjoint, and each tile lies in one block at least ``BLUR_RADIUS``
-    columns from each edge that is not a plane edge.  Columns of tiles
-    that lie apart thus get a strip each, and a dense grid one strip.
+    tile's columns are merged with those they overlap or touch; a block
+    is one merged column interval, a strip of the plane's full height,
+    whose reader (``_gradient_tiles``) computes only the lines its tiles
+    read.  Blocks are disjoint, and each tile lies in one block.  Columns
+    of tiles that lie apart thus get a strip each, and a dense grid one
+    strip.
 
     ``tiles`` lists (tile_id, column centre, line centre, block index) in
     tile_id order, which is line order within a block; ``blocks`` lists
@@ -250,14 +244,14 @@ class TileGrid:
                     np.linspace(half + margin, length - size + half - margin, count)]
 
         xs, ys = centres(w, self.grid_nx), centres(h, self.grid_ny)
-        covered = np.zeros(w, dtype=bool)
-        for x in xs:
-            covered[max(x - half - BLUR_RADIUS, 0) : x - half + size + BLUR_RADIUS] = True
-        # Each run of covered columns is a strip.
-        edges = np.flatnonzero(np.diff(covered, prepend=False, append=False)).tolist()
-        blocks = [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
-        owner = [next(k for k, cols in enumerate(blocks) if cols.start <= x - half < cols.stop)
-                 for x in xs]
+        # The columns rise: a tile that overlaps or touches the last strip widens it.
+        blocks, owner = [], []
+        for x0 in (x - half for x in xs):
+            if blocks and x0 <= blocks[-1].stop:
+                blocks[-1] = slice(blocks[-1].start, x0 + size)
+            else:
+                blocks.append(slice(x0, x0 + size))
+            owner.append(len(blocks) - 1)
         tiles = [(j * self.grid_nx + i, xs[i], ys[j], owner[i])
                  for j in range(self.grid_ny) for i in range(self.grid_nx)]
         object.__setattr__(self, "blocks", blocks)
@@ -298,10 +292,8 @@ class _PreparedTile(NamedTuple):
 
 def _prepare_tile(tile: np.ndarray) -> _PreparedTile | None:
     """The tile prepared for ``_correlate``, padded to powers of two; ``None`` when flat."""
-    # ``mean`` and ``sum`` add in another order when the tile is C-contiguous,
-    # as it is when its strip is no wider than the tile.  So ``TileGrid``'s
-    # ``BLUR_RADIUS`` widening is not byte-neutral: without it, swath-georef's
-    # residual figures move in their last digits.
+    # ``mean`` adds in another order when the tile is C-contiguous; the
+    # tiles of ``match_bands`` never are (see ``_gradient_tiles``).
     a = np.asarray(tile, dtype=np.float64)
     a = a - a.mean()
     energy = math.sqrt(float(np.sum(a * a)))
@@ -389,8 +381,12 @@ def _gradient_tiles(planes: list[np.ndarray], cols: slice,
     computed.
     """
     width = cols.stop - cols.start
-    # Lines [top, stop) of the plane's magnitude are held, from line 0 of ``held``.
-    held = np.empty((len(planes), size, width))
+    stride = width + 1
+    # Lines [top, stop) of the plane's magnitude are held, from line 0 of
+    # ``held``.  Its spare column keeps every tile a strided view, so a
+    # tile's ``mean`` adds row by row, in one order whatever the strip's
+    # width; the products' bytes depend on that order.
+    held = np.empty((len(planes), size, stride))
     top = stop = 0
 
     def read(y0: int, x0: int) -> np.ndarray:
@@ -403,8 +399,8 @@ def _gradient_tiles(planes: list[np.ndarray], cols: slice,
                 # As one flat run the kept lines move up in place; NumPy
                 # copies an overlapping 2-D move through a temporary.
                 flat = lines.reshape(-1)
-                flat[: (start - y0) * width] = flat[(y0 - top) * width : (start - top) * width]
-                _magnitude(plane, (slice(start, stop), cols), lines[start - y0 : stop - y0])
+                flat[: (start - y0) * stride] = flat[(y0 - top) * stride : (start - top) * stride]
+                _magnitude(plane, (slice(start, stop), cols), lines[start - y0 : stop - y0, :width])
             top = y0
         x = x0 - cols.start
         return held[:, y0 - top : y0 - top + size, x : x + size]

@@ -38,9 +38,8 @@ from .raster import (BAND_COUNT, BLOCK_PIXELS, CalibrationTable, RawScene, block
 
 def _correct_lines(lines: np.ndarray, calib: CalibrationTable, band: int,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """R * max(X - D, 0) of some lines of one band, as float64, into ``out`` when given."""
+    """R * (X - D), not floored, of some lines of one band, as float64, into ``out`` when given."""
     found = np.subtract(lines, calib.dark[band], out=out, dtype=np.float64)
-    np.maximum(found, 0.0, out=found)
     found *= calib.response[band]
     return found
 
@@ -49,11 +48,13 @@ def correct_vignetting_float(scene: RawScene, calib: CalibrationTable) -> np.nda
     """Pre-rounding correction: R * max(X - D, 0) as float64 [4, lines, width].
 
     Negative dark-subtracted values floor at zero (sensor noise below the
-    dark level carries no signal).  No rounding, no clamping.
+    dark level carries no signal); as R > 0, flooring R * (X - D) is the
+    same.  No rounding, no clamping.
     """
     calib.validate(scene.width)
-    return np.stack([_correct_lines(scene.planes[band], calib, band)
-                     for band in range(BAND_COUNT)])
+    found = np.stack([_correct_lines(scene.planes[band], calib, band)
+                      for band in range(BAND_COUNT)])
+    return np.maximum(found, 0.0, out=found)
 
 
 def correct_vignetting(scene: RawScene, calib: CalibrationTable,
@@ -87,6 +88,7 @@ def correct_vignetting(scene: RawScene, calib: CalibrationTable,
             lines = scene.planes[band, block]
             found = _correct_lines(lines, calib, band, out=work[: len(lines)])
             round_half_up(found, out=found)
+            # The clip at 0 is also the dark floor.
             out[band, block] = np.clip(found, 0, scene.max_dn, out=found)
     return RawScene(out, scene.line_times.copy(), scene.bit_depth)
 

@@ -437,12 +437,12 @@ class TestMatchBands:
             assert_bits_equal(lines, expected[rows, cols])
 
     def test_block_maps_depend_only_on_their_block(self, monkeypatch):
-        # Pixels farther than the halo from every tile's window, widened by
-        # ``BLUR_RADIUS``, do not move any tile: not the columns between
-        # strips, nor the lines between a strip's tiles.
+        # Pixels farther than the halo from every tile's window do not move
+        # any tile: not the columns between strips, nor the lines between a
+        # strip's tiles.
         plane = (smooth_texture(26, 700) * 20).astype(np.uint16)
         grid = coreg.TileGrid(plane.shape, 64, 4, 4)
-        reach = coreg.BLUR_RADIUS + 8
+        reach = 8
         far = block_mask(plane.shape, [(slice(max(cy - 32 - reach, 0), cy + 32 + reach),
                                         slice(max(cx - 32 - reach, 0), cx + 32 + reach))
                                        for _, cx, cy, _ in grid.tiles]) == 0
@@ -458,10 +458,28 @@ class TestMatchBands:
         for (_, _, x), (_, _, y) in zip(a_calls, b_calls):
             np.testing.assert_array_equal(x, y)
 
+    def test_tiles_of_one_tile_wide_strips_are_strided(self, monkeypatch):
+        # A C-contiguous tile's ``mean`` adds in another order than a
+        # strided one's, which moves product bytes; so no tile is one, even
+        # where its strip is exactly as wide as the tile.
+        grid = coreg.TileGrid((600, 1200), 128, 4, 2)
+        assert [cols.stop - cols.start for cols in grid.blocks] == [128] * 4
+        plane = (smooth_texture(44, 1200) * 20).astype(np.uint16)[:600]
+        contiguous, prepare_tile = [], coreg._prepare_tile
 
-# Grids whose strips hold several columns of tiles: tiles that overlap, tile
-# columns that only touch once widened by ``BLUR_RADIUS`` (so the 6 columns
-# between them lie in no tile), and columns that overlap while the lines of
+        def spy(tile):
+            contiguous.append(tile.flags.c_contiguous)
+            return prepare_tile(tile)
+
+        monkeypatch.setattr(coreg, "_prepare_tile", spy)
+        [matches] = coreg.match_bands(plane, grid, [plane])
+        assert len(matches) == len(grid.tiles)
+        assert contiguous == [False] * (2 * len(grid.tiles))
+
+
+# Grids whose strips hold several tiles: tiles that overlap, columns of
+# tiles 6 columns apart (three strips, each one tile wide, the columns
+# between them in no tile), and columns that overlap while the lines of
 # tiles lie apart.
 MERGED = {"overlapping": ((300, 300), 64, 8, 8), "touching": ((204, 204), 64, 3, 3),
           "columns": ((600, 300), 64, 5, 3)}
@@ -690,11 +708,9 @@ class TestTileGrid:
         for cols in grid.blocks:
             covered[cols] += 1
         assert covered.max() == 1
-        r = coreg.BLUR_RADIUS
         for tile_id, cx, cy, k in grid.tiles:
-            cols, x0 = grid.blocks[k], cx - 64
             assert k == tile_id % 8
-            assert cols.start == max(x0 - r, 0) and cols.stop == min(x0 + 128 + r, 2000)
+            assert grid.blocks[k] == slice(cx - 64, cx + 64)
         assert [t[0] for t in grid.tiles] == list(range(64))
 
     def test_dense_grid_is_one_whole_plane_block(self):
@@ -709,7 +725,7 @@ class TestTileGrid:
         assert {t[3] for t in grid.tiles} == {0}
         # Lines overlap, columns do not: one strip per column of tiles.
         grid = coreg.TileGrid((300, 600), 64, 3, 5)
-        assert grid.blocks == [slice(0, 68), slice(264, 336), slice(532, 600)]
+        assert grid.blocks == [slice(0, 64), slice(268, 332), slice(536, 600)]
         for tile_id, cx, cy, k in grid.tiles:
             assert k == tile_id % 3
 
@@ -843,12 +859,8 @@ class TestCoregStageEdges:
         shape = scene.planes[0].shape
         grids = coreg.TileGrid(shape, 128, 6, 6), coreg.residual_grid(shape, 16)
         assert [len(grid.blocks) for grid in grids] == [6, 4]
-        # A yardstick: one byte a pixel of the match grid's tile windows,
-        # each widened by ``BLUR_RADIUS`` and clipped to the plane.
-        r = coreg.BLUR_RADIUS
-        map_bytes = sum((min(cy + 64 + r, 1024) - max(cy - 64 - r, 0))
-                        * (min(cx + 64 + r, 1024) - max(cx - 64 - r, 0))
-                        for _, cx, cy, _ in grids[0].tiles)
+        # A yardstick: one byte a pixel of the match grid's tile windows.
+        map_bytes = 128 * 128 * len(grids[0].tiles)
 
         held = []
         resample = coreg.resample

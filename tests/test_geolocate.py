@@ -293,9 +293,12 @@ class TestWorldFile:
         lines = wld_path.read_text().strip().splitlines()
         assert len(lines) == 6
         a, d, b, e, c, f = (float(v) for v in lines)
-        # world-file affine must reproduce the fitted node longitudes
-        lon_fit = a * grid.columns[1] + b * grid.lines[1] + c
-        assert lon_fit == pytest.approx(grid.lon[1, 1], abs=10 * rms + 1e-9)
+        # The world-file affine must reproduce every node's longitude and
+        # latitude; column and line differ off the diagonal.
+        column, line = grid.columns[np.newaxis, :], grid.lines[:, np.newaxis]
+        tol = dict(rtol=0, atol=10 * rms + 1e-9)
+        np.testing.assert_allclose(a * column + b * line + c, grid.lon, **tol)
+        np.testing.assert_allclose(d * column + e * line + f, grid.lat, **tol)
         loaded = read_json(json_path, errors.HeaderInvalid)
         np.testing.assert_allclose(loaded["lat"], grid.lat)
         np.testing.assert_allclose(loaded["lon"], grid.lon)
