@@ -49,6 +49,7 @@ CO, GEO, ATT, ACC = "coreg.py", "georef/geolocate.py", "georef/attitude.py", "ge
 RAD, RAS = "radiometry.py", "raster.py"
 REJECT, FIT = "test_coreg.py::TestRemoveOutliers::", "test_coreg.py::TestFitDistortion::"
 XCORR, PRIOR = "test_coreg.py::TestFftXcorr::", "test_coreg.py::TestShiftPrior"
+META = "test_coreg.py::TestMetamorphic::"
 SLERP, BIAS = "test_frames_attitude.py::TestSlerp", "test_accuracy.py::TestEstimateBias"
 VIG, L3RAW = "test_radiometry.py::TestCorrectVignetting::", "test_raster.py::TestL3Raw"
 MUTANTS = [
@@ -70,6 +71,8 @@ MUTANTS = [
            "test_coreg.py::TestParabolaOffset"),
     Mutant(CO, "abs(offset) < 1e-9", "abs(offset) < 0.0", "parabola floor 1e-9 px -> none",
            "test_coreg.py::TestCollectMatches::test_identical_planes"),
+    Mutant(CO, "abs(offset) < 1e-9", "offset < 1e-9", "parabola drops negative offsets",
+           META + "test_reference_swap_negates_the_field"),
     Mutant(CO, "if shift_y > ny / 2:", "if shift_y >= ny / 2:", "line shift N/2 -> -N/2",
            XCORR + "test_half_tile_shift_reported_positive"),
     Mutant(CO, "if shift_x > nx / 2:", "if shift_x >= nx / 2:", "column shift N/2 -> -N/2",
@@ -79,7 +82,8 @@ MUTANTS = [
     Mutant(CO, "len(matches) < 2 * ncoef", "len(matches) < ncoef + 1",
            "fit minimum 2 ncoef -> ncoef + 1", FIT + "test_twice_the_coefficients_required"),
     Mutant(CO, "_poly_terms(order, x, y)", "_poly_terms(order, y, x)",
-           "fit design x and y swapped", FIT + "test_recovers_order2_field"),
+           "fit design x and y swapped", FIT + "test_recovers_order2_field "
+           + META + "test_mirror_negates_dx_at_mirrored_points"),
     Mutant(CO, "1.0), 0.1)", "1.0), 0.2)", "off-nadir cosine floor 0.1 -> 0.2",
            PRIOR + "::test_far_off_nadir_divisor_floored_at_a_tenth"),
     Mutant(CO, "dt = 1.0", "dt = 2.0", "ground-speed step 1 -> 2 s", PRIOR),
@@ -104,7 +108,9 @@ MUTANTS = [
     Mutant(GEO, "a, b, c = lon_coef", "b, a, c = lon_coef", "world file column and line swapped",
            "test_geolocate.py::TestWorldFile::test_affine_fit_and_io "
            "test_georef_rows.py::TestGridRows"),
-    Mutant(ATT, "if dot < 0.0:", "if dot > 0.0:", "slerp takes the long arc", SLERP),
+    Mutant(ATT, "if dot < 0.0:", "if dot > 0.0:", "slerp takes the long arc",
+           SLERP + " test_pipeline_cli.py::TestRunPipeline::"
+           "test_attitude_sample_signs_leave_the_products_unchanged"),
     Mutant(ATT, "dot > 1.0 - 1e-12", "dot > 1.0 - 1e-9", "slerp near-parallel 1e-12 -> 1e-9",
            SLERP),
     Mutant(ATT, "(t - lo.t) / (hi.t - lo.t)", "(hi.t - t) / (hi.t - lo.t)",

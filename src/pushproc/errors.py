@@ -99,7 +99,7 @@ class DeepSpaceUnsupported(PushprocError):
 
 
 class Decay(PushprocError):
-    """Propagated radius fell below the Earth surface."""
+    """Propagation left the near-Earth model."""
 
 
 class OutOfRange(PushprocError):

@@ -100,24 +100,12 @@ class AttitudeSample:
     q: Quaternion
 
 
-def sign_align(samples: Sequence[AttitudeSample]) -> list[AttitudeSample]:
-    """Flip sample signs so consecutive quaternions sit on the same hemisphere."""
-    aligned: list[AttitudeSample] = []
-    prev: Quaternion | None = None
-    for sample in samples:
-        q = sample.q
-        if prev is not None and prev.dot(q) < 0.0:
-            q = Quaternion(-q.s, -q.x, -q.y, -q.z)
-        aligned.append(AttitudeSample(sample.t, q))
-        prev = q
-    return aligned
-
-
 def slerp_attitude(samples: Sequence[AttitudeSample], t: float) -> Quaternion:
     """Interpolate the attitude at time t between bracketing samples.
 
-    ``samples`` are sorted by time.  Exact samples are returned untouched;
-    t must lie inside the sample span.
+    ``samples`` are sorted by time and may carry either sign: ``slerp`` takes
+    the short arc.  Exact samples are returned untouched; t must lie inside
+    the sample span.
     """
     if not samples:
         raise EmptySamples("no attitude samples")

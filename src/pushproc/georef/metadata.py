@@ -13,9 +13,6 @@ Sidecar JSON layout::
         "time_offset_s": ...
       }
     }
-
-Attitude quaternions are sign-aligned at load so interpolation always walks
-the short arc.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ import json
 from dataclasses import dataclass
 
 from ..errors import FieldParse
-from ..raster import BAND_BY_NAME, BAND_NAMES, BandId, json_array, read_json, write_file
-from .attitude import AttitudeSample, Quaternion, sign_align
+from ..raster import BAND_BY_NAME, BAND_NAMES, json_array, read_json, write_file
+from .attitude import AttitudeSample, Quaternion
 from .camera import ImagerModel
 from .orbits import orbit_from_spec
 
@@ -55,15 +52,12 @@ def metadata_from_dict(doc: dict) -> AcqMetadata:
             for item in doc.get("attitude", [])
         ]
         samples.sort(key=lambda s: s.t)
-        samples = sign_align(samples)
         # ``{**v}`` raises TypeError unless ``v`` is a JSON object.
         img = {**doc["imager"]}
         row_offsets = {
             BAND_BY_NAME[name]: _number(v, f"band_row_offset {name}")
             for name, v in {**img.get("band_row_offset", {})}.items()
         }
-        for band in BandId:
-            row_offsets.setdefault(band, 0.0)
         boresight = tuple(_number(img.get("boresight_rpy_deg", [0, 0, 0]), "boresight_rpy_deg", 1))
         if len(boresight) != 3:
             raise FieldParse(f"boresight_rpy_deg must hold 3 angles, got {len(boresight)}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import Decay, DeepSpaceUnsupported, PushprocError
+from ..errors import Decay, DeepSpaceUnsupported, FieldParse
 from .tle import TleElements
 
 _TWOPI = 2.0 * math.pi
@@ -69,7 +69,7 @@ class Sgp4NearEarth:
 
         no_kozai = elements.no_kozai_radmin
         if no_kozai <= 0.0:
-            raise PushprocError(f"mean motion {no_kozai} rad/min must be positive")
+            raise FieldParse(f"mean motion {no_kozai} rad/min must be positive")
         ecco = elements.eccentricity
         inclo = math.radians(elements.inclination_deg)
         self.ecco = ecco
@@ -230,7 +230,7 @@ class Sgp4NearEarth:
         nm = XKE / am ** 1.5
         em = self.ecco - tempe
         if em >= 1.0 or em < -0.001:
-            raise PushprocError(f"mean eccentricity {em} left [0, 1) at tsince={tsince}")
+            raise Decay(f"mean eccentricity {em} left [0, 1) at tsince={tsince}")
         if em < 1.0e-6:
             em = 1.0e-6
         mm = mm + self.no_unkozai * templ
@@ -272,7 +272,7 @@ class Sgp4NearEarth:
         el2 = axnl * axnl + aynl * aynl
         pl = am * (1.0 - el2)
         if pl < 0.0:
-            raise PushprocError(f"semilatus rectum {pl} < 0 at tsince={tsince}")
+            raise Decay(f"semilatus rectum {pl} < 0 at tsince={tsince}")
 
         rl = am * (1.0 - ecose)
         rdotl = math.sqrt(am) * esine / rl

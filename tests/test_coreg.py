@@ -690,6 +690,70 @@ class TestMetamorphic:
             for m, p in zip(matches, plain):
                 assert abs(m.dx - p.dx) <= 0.05 and abs(m.dy - p.dy) <= 0.05
 
+    # A texture seed, a plane size and the dx then dy terms of an order-2 warp.
+    WARPED = dict(seed=st.integers(0, 2**16), size=st.integers(256, 512),
+                  coeffs=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12))
+
+    @staticmethod
+    def warped_pair(seed, size, coeffs):
+        """A ``size``-pixel reference and a target sampled from the same texture
+        at the shift field whose dx and dy terms in 1, x, y, x^2, xy, y^2 (over
+        normalized coordinates) are ``coeffs[:6]`` and ``coeffs[6:]`` pixels."""
+        big = urban_plane(seed, size + 16).astype(np.float64)
+        y, x = np.mgrid[0:size, 0:size] / (size - 1)
+        terms = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
+        rows, cols = np.mgrid[8 : size + 8, 8 : size + 8]
+        target = ndimage.map_coordinates(big, [rows + terms @ coeffs[6:], cols + terms @ coeffs[:6]],
+                                         order=1)
+        return big[8:-8, 8:-8], target
+
+    @staticmethod
+    def fit(ref, tgt):
+        """The model ``match_bands`` -> ``remove_outliers`` -> ``fit_distortion``
+        fit to ``tgt`` against ``ref`` on the pipeline's match grid, and the
+        grid's tile centres (columns, lines)."""
+        size = len(ref)
+        grid = coreg.TileGrid((size, size), coreg.TILE_SIZE, coreg.GRID_TILES, coreg.GRID_TILES)
+        [matches] = coreg.match_bands(ref, grid, [tgt])
+        model = coreg.fit_distortion(coreg.remove_outliers(matches), width=size, height=size)
+        _, x, y, _ = np.array(grid.tiles, dtype=np.float64).T
+        return model, x, y
+
+    @settings(max_examples=4, deadline=None)
+    @given(**WARPED)
+    @example(seed=7, size=389, coeffs=[1.5, -2.0, 1.0, 0.5, -0.5, 0.3,
+                                       -1.0, 1.5, -2.0, 0.3, 0.8, -0.5])
+    def test_mirror_negates_dx_at_mirrored_points(self, seed, size, coeffs):
+        # Both planes flipped left to right: the grid's columns are symmetric,
+        # so every tile is the mirror of one, and the field at column
+        # size - 1 - x is the field at x with dx negated.  A tile's centre is
+        # reported at its window's column x0 + 64, half a pixel right of the
+        # window's middle: over 100 drawn cases the two fields agreed to
+        # 4e-14 px at size - x, and were at most 0.02 px apart at size - 1 - x.
+        ref, tgt = self.warped_pair(seed, size, coeffs)
+        model, x, y = self.fit(ref, tgt)
+        mirrored, _, _ = self.fit(ref[:, ::-1], tgt[:, ::-1])
+        dx, dy = model.evaluate(x, y)
+        mirrored_dx, mirrored_dy = mirrored.evaluate(size - 1 - x, y)
+        assert np.abs(mirrored_dx + dx).max() <= 0.05
+        assert np.abs(mirrored_dy - dy).max() <= 0.05
+
+    @settings(max_examples=4, deadline=None)
+    @given(**WARPED)
+    @example(seed=7, size=389, coeffs=[1.5, -2.0, 1.0, 0.5, -0.5, 0.3,
+                                       -1.0, 1.5, -2.0, 0.3, 0.8, -0.5])
+    def test_reference_swap_negates_the_field(self, seed, size, coeffs):
+        # Matching B against A correlates the same two tile windows the other
+        # way round, which reverses the correlation: over 100 drawn cases the
+        # fields were at most 6e-15 px from negated.
+        ref, tgt = self.warped_pair(seed, size, coeffs)
+        model, x, y = self.fit(ref, tgt)
+        swapped, _, _ = self.fit(tgt, ref)
+        dx, dy = model.evaluate(x, y)
+        swapped_dx, swapped_dy = swapped.evaluate(x, y)
+        assert np.abs(swapped_dx + dx).max() <= 0.1
+        assert np.abs(swapped_dy + dy).max() <= 0.1
+
 
 def block_mask(shape, blocks):
     count = np.zeros(shape, dtype=int)

@@ -2,25 +2,29 @@ import builtins
 import dataclasses
 import errno
 import json
+import operator
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pushproc import errors
 from pushproc.cli import main
 from pushproc.pipeline import (PipelineConfig, QualityReport, _percentiles, quicklook,
                                report_timing, run_pipeline, stage)
-from pushproc.raster import BandId, RawScene, block_lines, load_raw, save_calibration, save_raw
+from pushproc.raster import (_MAX_DIM, BandId, RawScene, block_lines, load_raw, save_calibration,
+                             save_raw)
 from pushproc.synthscene import SynthSpec, generate
 from pushproc.georef.metadata import save_metadata
+from test_raster import doc_paths
 from test_tle_sgp4 import mangled_tle
 
 WARP = {"order": 2, "coeff_dx": [1.5, -2.0, 1.0, 0.5, -0.5, 0.3],
@@ -169,6 +173,36 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         stats = report.stages["georef"]["error_stats"]
         assert abs(stats["rms_total_km"]) < 1e-6  # exact metadata, no bias
+
+    def test_attitude_sample_signs_leave_the_products_unchanged(self, tmp_path):
+        # q and -q are one rotation: slerp takes the short arc between
+        # samples of either sign, so the shift prior and the grid see the
+        # same attitudes to the bit.
+        spec = SynthSpec(seed=39, width=256, lines=256, vignette_falloff=0.0,
+                         attitude_profile={"kind": "nutation", "amplitude_deg": 0.28,
+                                           "period_s": 2.0},
+                         attitude_sample_period_s=0.1, band_row_offset={"nir": 3.0},
+                         grid_step=32)
+        raw, truth = generate(spec)
+        save_raw(raw, tmp_path / "scene.l3raw")
+        save_metadata(truth.metadata, tmp_path / "metadata.json")
+        doc = json.loads((tmp_path / "metadata.json").read_text())
+        assert sum(raw.line_times[0] < s["t"] < raw.line_times[-1] for s in doc["attitude"]) >= 4
+        for sample in doc["attitude"][1::2]:
+            sample["q"] = [-v for v in sample["q"]]
+        (tmp_path / "flipped.json").write_text(json.dumps(doc))
+        products = []
+        for name in ("metadata", "flipped"):
+            out = tmp_path / f"out-{name}"
+            report = run_pipeline(PipelineConfig(
+                raw_path=str(tmp_path / "scene.l3raw"), meta_path=str(tmp_path / f"{name}.json"),
+                out_dir=str(out), vignetting=False, grid_step=32))
+            assert report.stages["coreg"]["bands"]["nir"]["prior"]["dy"] < -2.5
+            doc = json.loads((out / "report.json").read_text())
+            del doc["timing"], doc["outputs"]
+            products.append([doc, (out / "grid.json").read_bytes(),
+                             (out / "grid.wld").read_bytes()])
+        assert products[0] == products[1]
 
     @pytest.mark.parametrize("path, stage", [("meta_path", "georef"),
                                              ("calib_path", "vignetting")])
@@ -872,6 +906,121 @@ class TestCli:
                     raise errors.NoMatches("no tile matched")
         assert err.value.stage == "inner"
         assert isinstance(err.value.cause, errors.NoMatches)
+
+
+FINITE_EXTREMES = [1e300, -1e300, 1e15, -1e15, 1e-300, 0, -1]
+
+
+@pytest.fixture(scope="module")
+def extreme_inputs(tmp_path_factory):
+    """A 64x64 scene and the documents of a run over it: every number
+    ``one_number_at_an_extreme`` may set.  The spec is the scene's own."""
+    out = tmp_path_factory.mktemp("extremes")
+    spec = SynthSpec(seed=5, width=64, lines=64, vignette_falloff=30.0, dark_level=5.0,
+                     noise_sigma=1.0, attitude_sample_period_s=0.05,
+                     attitude_profile={"kind": "nutation", "amplitude_deg": 0.28,
+                                       "period_s": 73.0},
+                     band_row_offset={"nir": 2.0}, boresight_rpy_deg=(0.1, -0.05, 0.0),
+                     injected_bias=(0.01, -0.01, 0.001), grid_step=32,
+                     band_warp={"nir": {"order": 1, "coeff_dx": [0.5, -0.5, 0.25],
+                                        "coeff_dy": [0.3, 0.2, -0.4]}})
+    raw, truth = generate(spec)
+    save_raw(raw, out / "scene.l3raw")
+    save_calibration(truth.calib, out / "calib.json")
+    save_metadata(truth.metadata, out / "metadata.json")
+    from pushproc.synthscene import save_truth
+
+    save_truth(truth, out / "truth.json")
+    docs = {name: json.loads((out / name).read_text())
+            for name in ("calib.json", "metadata.json", "truth.json")}
+    docs["config.json"] = {"grid_step": 32, "workers": 1, "coreg": False}
+    docs["spec.json"] = json.loads(json.dumps(dataclasses.asdict(spec)))
+    return out / "scene.l3raw", docs
+
+
+@st.composite
+def one_number_at_an_extreme(draw, docs):
+    """(name, document) of ``docs`` with one of its numbers set to a finite
+    extreme: an integer one to the integer of that value, where it has one."""
+    name = draw(st.sampled_from(sorted(docs)))
+    doc = json.loads(json.dumps(docs[name]))
+    path = draw(st.sampled_from([p for p in doc_paths(doc)
+                                 if type(reduce(operator.getitem, p, doc)) in (int, float)]))
+    value = draw(st.sampled_from(FINITE_EXTREMES))
+    holder = reduce(operator.getitem, path[:-1], doc)
+    if type(holder[path[-1]]) is int and float(value).is_integer():
+        value = int(value)
+    holder[path[-1]] = value
+    return name, doc
+
+
+def refuse_constant(name):
+    raise AssertionError(f"a product holds {name}")
+
+
+def assert_finite_products(out):
+    for product in out.iterdir():
+        if product.suffix == ".json":
+            json.loads(product.read_text(), parse_constant=refuse_constant)
+        elif product.suffix == ".wld":
+            assert np.isfinite([float(v) for v in product.read_text().split()]).all()
+        else:
+            assert np.isfinite(load_raw(product).line_times).all()
+
+
+class TestFiniteInputs:
+    """Finite in, finite out: any one number of any input document at a finite
+    extreme either runs to finite products or fails with a named error."""
+
+    def run(self, argv, capsys):
+        """The exit code of ``main(argv)``, 0 or that of a named error.  It
+        never raises, warns, or traces a peak of ``_MAX_DIM`` float64 values
+        (the 64x64 runs peak under 1 MiB)."""
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [str(w.message) for w in caught] == []
+        assert peak < 8 * _MAX_DIM
+        out = capsys.readouterr().out
+        if rc != 0:
+            assert rc in (2, 3)
+            kind = json.loads(out.strip().splitlines()[0])["error"]["type"]
+            assert kind != "PushprocError" and issubclass(getattr(errors, kind),
+                                                          errors.PushprocError)
+        return rc
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_extreme_number_gives_finite_products_or_a_named_error(
+            self, extreme_inputs, tmp_path_factory, capsys, data):
+        scene, docs = extreme_inputs
+        name, doc = data.draw(one_number_at_an_extreme(docs))
+        work = tmp_path_factory.mktemp("extreme")
+        for each in docs:
+            (work / each).write_text(json.dumps(doc if each == name else docs[each]))
+        inputs = work
+        if name == "spec.json":
+            # The synthesized inputs then go through the run as well.
+            inputs = work / "synth"
+            if self.run(["synth", "--spec", str(work / "spec.json"), "--out", str(inputs)],
+                        capsys):
+                return
+            assert_finite_products(inputs)
+            scene = inputs / "scene.l3raw"
+            (work / "config.json").write_text(json.dumps(
+                {**docs["config.json"], "grid_step": doc["grid_step"]}))
+        if not self.run(["preprocess", "--config", str(work / "config.json"),
+                         "--raw", str(scene), "--calib", str(inputs / "calib.json"),
+                         "--meta", str(inputs / "metadata.json"),
+                         "--truth", str(inputs / "truth.json"), "--out", str(work / "out")],
+                        capsys):
+            assert_finite_products(work / "out")
 
 
 class TestSceneInItsOutputFile:

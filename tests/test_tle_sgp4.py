@@ -147,9 +147,24 @@ class TestSgp4:
         # huge drag term forces the radius below the surface eventually
         doomed = leo_elements(mean_motion_revday=16.4, bstar=0.1)
         prop = Sgp4NearEarth(doomed)
-        with pytest.raises((errors.Decay, errors.PushprocError)):
+        with pytest.raises(errors.Decay):
             for day in range(1, 200):
                 prop.propagate_minutes(1440.0 * day)
+
+    @pytest.mark.parametrize("eccentricity, tsince, message", [
+        (0.0001, 11520.0, "mean eccentricity"),
+        (0.1, 300.0, "semilatus rectum"),
+    ])
+    def test_propagation_out_of_the_model_is_decay(self, eccentricity, tsince, message):
+        prop = Sgp4NearEarth(leo_elements(eccentricity=eccentricity, bstar=-5,
+                                          mean_motion_revday=14))
+        with pytest.raises(errors.Decay, match=message):
+            prop.propagate_minutes(tsince)
+
+    @pytest.mark.parametrize("mean_motion", [0.0, -1.0])
+    def test_mean_motion_not_positive_is_field_parse(self, mean_motion):
+        with pytest.raises(errors.FieldParse, match="mean motion"):
+            Sgp4NearEarth(leo_elements(mean_motion_revday=mean_motion))
 
     def test_state_at_absolute_time(self):
         elements = leo_elements()
